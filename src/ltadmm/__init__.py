@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .algorithms import (  # noqa: F401
     AgentState,
     DivergenceError,
-    Message,
     RunConfig,
     VARIANTS,
     run,

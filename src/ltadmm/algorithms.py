@@ -24,7 +24,7 @@ given master seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "VARIANTS",
     "RunConfig",
     "AgentState",
-    "Message",
     "DivergenceError",
     "initial_iterates",
     "init_states",
@@ -130,15 +129,6 @@ class AgentState:
     z: dict[int, np.ndarray]
     table: SagaTable | None
     counter: EvalCounter = field(default_factory=EvalCounter)
-
-
-@dataclass(frozen=True)
-class Message:
-    """Payload sent over one directed edge during a communication round."""
-
-    sender: int
-    receiver: int
-    payload: np.ndarray
 
 
 def initial_iterates(
@@ -291,17 +281,16 @@ def outer_step(
     if estimate_recorder is not None:
         estimate_recorder.append(step_estimates)
 
-    # synchronous exchange: one message per directed edge
-    messages: dict[tuple[int, int], Message] = {}
+    # synchronous exchange: one payload per directed edge (sender, receiver)
+    payloads: dict[tuple[int, int], np.ndarray] = {}
     for i, state in enumerate(states):
         for j in topology.neighbors(i):
-            payload = state.z[j] - 2.0 * config.rho * new_x[i]
-            messages[(i, j)] = Message(sender=i, receiver=j, payload=payload)
+            payloads[(i, j)] = state.z[j] - 2.0 * config.rho * new_x[i]
         state.counter.communications += len(state.z)
 
     for i, state in enumerate(states):
         for j in topology.neighbors(i):
-            state.z[j] = z_update(state.z[j], messages[(j, i)].payload)
+            state.z[j] = z_update(state.z[j], payloads[(j, i)])
         state.x = new_x[i]
 
     iterates = np.stack([s.x for s in states])
@@ -394,8 +383,8 @@ def simulate_replicate(
         ]
         cum_evals += max(deltas)
         cum_comms += sum(len(s.z) for s in states)
-        model_time = metrics.advance_cost(
-            cost, config.variant, config.tau, m_max, config.batch_size, k, model_time
+        model_time += metrics.iteration_charge(
+            cost, config.variant, config.tau, m_max, config.batch_size, k
         )
         record.component_evals = cum_evals
         record.comms = cum_comms
@@ -423,23 +412,4 @@ def run(instance: ProblemInstance, topology: Topology, config: RunConfig) -> Tra
         simulate_replicate(instance, topology, config, r)
         for r in range(config.monte_carlo_runs)
     ]
-    return metrics.aggregate_replicates(config_dict(config), replicates)
-
-
-def config_dict(config: RunConfig) -> dict:
-    """Plain-dict echo of a run configuration (for traces and manifests)."""
-    return {
-        "variant": config.variant,
-        "gamma": config.gamma,
-        "rho": config.rho,
-        "tau": config.tau,
-        "batch_size": config.batch_size,
-        "outer_iterations": config.outer_iterations,
-        "master_seed": config.master_seed,
-        "monte_carlo_runs": config.monte_carlo_runs,
-        "t_g": config.t_g,
-        "t_c": config.t_c,
-        "batch_replacement": config.batch_replacement,
-        "record_dk": config.record_dk,
-        "init_std": config.init_std,
-    }
+    return metrics.aggregate_replicates(asdict(config), replicates)

@@ -77,7 +77,7 @@ def _execute(cfg, args) -> int:
             reached = "; threshold not reached"
         print(f"{point['label']}: {status}{reached} -> {point['csv']}")
     print(f"manifest: {result.output_dir / (cfg.name + '_manifest.json')}")
-    if result.all_points_diverged:
+    if result.any_point_diverged:
         print("error: at least one grid point diverged in every replicate", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK

@@ -158,15 +158,12 @@ class SpectralInfo:
         lambda_tilde_min_abs: largest Laplacian eigenvalue.
         lambda_tilde_max_abs: second-smallest Laplacian eigenvalue.
         max_degree: maximum vertex degree.
-        laplacian_norm: spectral norm of the (negated) Laplacian; equals
-            ``lambda_tilde_min_abs``.
         nonzero_eigenvalues: all N-1 nonzero Laplacian eigenvalues, ascending.
     """
 
     lambda_tilde_min_abs: float
     lambda_tilde_max_abs: float
     max_degree: int
-    laplacian_norm: float
     nonzero_eigenvalues: np.ndarray = field(repr=False)
 
 
@@ -185,7 +182,6 @@ def spectral_quantities(topology: Topology) -> SpectralInfo:
         lambda_tilde_min_abs=float(eigenvalues[-1]),
         lambda_tilde_max_abs=float(eigenvalues[1]),
         max_degree=topology.max_degree,
-        laplacian_norm=float(eigenvalues[-1]),
         nonzero_eigenvalues=nonzero,
     )
     if not (0.0 < info.lambda_tilde_max_abs <= info.lambda_tilde_min_abs):

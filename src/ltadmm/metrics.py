@@ -28,7 +28,6 @@ __all__ = [
     "consensus_error",
     "iteration_charge",
     "iteration_evals",
-    "advance_cost",
     "reference_charges",
     "aggregate_replicates",
 ]
@@ -157,19 +156,6 @@ def iteration_charge(
 ) -> float:
     """Model time consumed by outer iteration k (one comm round included)."""
     return iteration_evals(variant, tau, m_i_max, batch_size, k) * model.t_g + model.t_c
-
-
-def advance_cost(
-    model: CostModel,
-    variant: str,
-    tau: int,
-    m_i_max: int,
-    batch_size: int,
-    k: int,
-    model_time: float,
-) -> float:
-    """Return ``model_time`` advanced by the variant's charge for iteration k."""
-    return model_time + iteration_charge(model, variant, tau, m_i_max, batch_size, k)
 
 
 def reference_charges(model: CostModel, tau: int, m_i_max: int) -> dict[str, float]:

@@ -28,6 +28,7 @@ from scipy.special import expit
 __all__ = [
     "LOGISTIC_NONCONVEX",
     "LEAST_SQUARES",
+    "KINDS",
     "ProblemInstance",
     "SmoothnessEstimate",
     "generate_classification",
@@ -37,7 +38,6 @@ __all__ = [
     "batch_mean_gradient",
     "local_objective",
     "local_full_gradient",
-    "global_objective",
     "global_gradient",
     "global_gradient_norm_sq",
     "smoothness_constant",
@@ -47,7 +47,7 @@ __all__ = [
 
 LOGISTIC_NONCONVEX = "logistic_nonconvex"
 LEAST_SQUARES = "least_squares"
-_KINDS = (LOGISTIC_NONCONVEX, LEAST_SQUARES)
+KINDS = (LOGISTIC_NONCONVEX, LEAST_SQUARES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +67,7 @@ class ProblemInstance:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
@@ -235,11 +235,6 @@ def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) ->
         g = feats.T @ (-labs * s) / m
         return g + instance.epsilon * _regularizer_gradient(x)
     return feats.T @ (margins - labs) / m
-
-
-def global_objective(instance: ProblemInstance, x: np.ndarray) -> float:
-    """Network objective: average of the agents' local costs at a common x."""
-    return sum(local_objective(instance, i, x) for i in range(instance.num_agents)) / instance.num_agents
 
 
 def global_gradient(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:

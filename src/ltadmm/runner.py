@@ -6,6 +6,12 @@ README for the exact keys.  A sweep is either the Cartesian product of the
 listed axes or an explicit list of override points (used by the presets to
 pair a tuned step size with each local step count).
 
+The fields of :class:`~ltadmm.algorithms.RunConfig` are the schema of the
+algorithm and cost keys: INI values, sweep values, manifest configs and
+preset dicts all go through the same per-field converters, so booleans are
+spelled alike everywhere and an unknown key is an error.  Every grid point's
+run configuration is built and checked before any point runs.
+
 Every grid point produces one CSV of aggregated per-iteration metrics; a
 JSON manifest records the library version, the full resolved configuration,
 the seeds, and per-point summary data.  Re-running a config, or the manifest
@@ -18,16 +24,17 @@ import configparser
 import csv
 import json
 import math
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
 from . import __version__
-from .algorithms import RunConfig, config_dict, run
+from .algorithms import RunConfig, run
 from .graph import Topology, build_from_edges, build_ring
 from .metrics import Trace, reference_charges
-from .problems import ProblemInstance, generate_classification
+from .problems import KINDS, ProblemInstance, generate_classification
 
 __all__ = [
     "ConfigError",
@@ -63,6 +70,46 @@ _CSV_BASE_COLUMNS = [
     "component_evals",
     "comms",
 ]
+
+
+def _parse_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    text = str(value).lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+_TYPE_CONVERTERS = {bool: _parse_bool, int: int, float: float, str: str}
+# converter of every RunConfig field, from its annotation
+_RUN_FIELDS = {
+    name: _TYPE_CONVERTERS[hint] for name, hint in typing.get_type_hints(RunConfig).items()
+}
+# keys outside RunConfig: the tg_tc_ratio sweep axis and the problem,
+# topology and output keys; any other key stays a string
+_CONVERTERS = {
+    **_RUN_FIELDS,
+    "tg_tc_ratio": float,
+    "seed": int,
+    "dimension": int,
+    "points_per_agent": int,
+    "n_agents": int,
+    "ring": int,
+    "epsilon": float,
+    "stop_threshold": float,
+}
+
+
+def _convert(key: str, raw):
+    if isinstance(raw, str):
+        raw = raw.strip()
+    try:
+        return _CONVERTERS.get(key, str)(raw)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from err
 
 
 @dataclass
@@ -120,13 +167,26 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("kind", "seed", "dimension", "points_per_agent"):
         if key not in cfg.problem:
             raise ConfigError(f"problem section is missing {key!r}")
+    if cfg.problem["kind"] not in KINDS:
+        raise ConfigError(f"unknown problem kind {cfg.problem['kind']!r}")
+    points_per_agent = _convert("points_per_agent", cfg.problem["points_per_agent"])
     for axis, values in cfg.sweep.items():
         if axis not in _SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}")
         if not values:
             raise ConfigError(f"sweep axis {axis!r} is empty")
-    # constructing the run config validates the algorithm section
-    make_run_config(cfg.algorithm, {})
+    for overrides in expand_grid(cfg):
+        run_cfg = make_run_config(cfg.algorithm, overrides)
+        # the exact variant draws no batches
+        if (
+            run_cfg.variant != "exact"
+            and not run_cfg.batch_replacement
+            and run_cfg.batch_size > points_per_agent
+        ):
+            raise ConfigError(
+                f"batch_size {run_cfg.batch_size} exceeds points_per_agent "
+                f"{points_per_agent} with batch_replacement = false"
+            )
 
 
 def build_topology(spec: dict) -> Topology:
@@ -147,29 +207,24 @@ def build_instance(spec: dict) -> ProblemInstance:
 
 
 def make_run_config(algorithm: dict, overrides: dict) -> RunConfig:
+    """Run configuration of one grid point: the algorithm keys plus overrides.
+
+    Every value goes through the converter of its ``RunConfig`` field; a key
+    that names no field is rejected.
+    """
     merged = dict(algorithm)
+    overrides = dict(overrides)
     if "tg_tc_ratio" in overrides:
-        ratio = float(overrides.pop("tg_tc_ratio"))
-        merged["t_g"] = ratio
+        merged["t_g"] = _convert("tg_tc_ratio", overrides.pop("tg_tc_ratio"))
         merged["t_c"] = 1.0
     merged.update(overrides)
+    unknown = sorted(set(merged) - set(_RUN_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown algorithm key(s): {', '.join(unknown)}")
+    converted = {key: _convert(key, value) for key, value in merged.items()}
     try:
-        return RunConfig(
-            variant=merged["variant"],
-            gamma=float(merged["gamma"]),
-            rho=float(merged["rho"]),
-            tau=int(merged["tau"]),
-            outer_iterations=int(merged["outer_iterations"]),
-            batch_size=int(merged.get("batch_size", 1)),
-            master_seed=int(merged.get("master_seed", 0)),
-            monte_carlo_runs=int(merged.get("monte_carlo_runs", 1)),
-            t_g=float(merged.get("t_g", 1.0)),
-            t_c=float(merged.get("t_c", 1.0)),
-            batch_replacement=bool(merged.get("batch_replacement", True)),
-            record_dk=bool(merged.get("record_dk", False)),
-            init_std=float(merged.get("init_std", 10.0)),
-        )
-    except (KeyError, TypeError, ValueError) as err:
+        return RunConfig(**converted)
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid algorithm configuration: {err}") from err
 
 
@@ -194,39 +249,6 @@ def _point_label(index: int, overrides: dict) -> str:
 
 
 # --- INI parsing ---------------------------------------------------------
-
-_BOOL_KEYS = {"record_dk", "batch_replacement"}
-_INT_KEYS = {
-    "tau",
-    "batch_size",
-    "outer_iterations",
-    "master_seed",
-    "monte_carlo_runs",
-    "seed",
-    "dimension",
-    "points_per_agent",
-    "n_agents",
-    "ring",
-}
-_FLOAT_KEYS = {"gamma", "rho", "t_g", "t_c", "epsilon", "init_std", "stop_threshold"}
-
-
-def _convert(key: str, raw: str):
-    raw = raw.strip()
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean for {key!r}, got {raw!r}")
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError as err:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from err
-    return raw
 
 
 def _parse_edges(raw: str) -> list:
@@ -273,17 +295,7 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
     sweep: dict = {}
     if parser.has_section("sweep"):
         for axis, raw in parser.items("sweep"):
-            values = [v.strip() for v in raw.split(",") if v.strip()]
-            if axis not in _SWEEP_AXES:
-                raise ConfigError(f"unknown sweep axis {axis!r}")
-            if not values:
-                raise ConfigError(f"sweep axis {axis!r} is empty")
-            if axis == "variant":
-                sweep[axis] = values
-            elif axis == "tau":
-                sweep[axis] = [int(v) for v in values]
-            else:
-                sweep[axis] = [float(v) for v in values]
+            sweep[axis] = [_convert(axis, v) for v in raw.split(",") if v.strip()]
 
     experiment = section("experiment", required=False)
     cfg = ExperimentConfig(
@@ -320,7 +332,8 @@ class ExperimentResult:
     output_dir: Path
 
     @property
-    def all_points_diverged(self) -> bool:
+    def any_point_diverged(self) -> bool:
+        """True when at least one grid point diverged in every replicate."""
         points = self.manifest["points"]
         return bool(points) and any(
             p["num_diverged"] == p["monte_carlo_runs"] for p in points
@@ -332,7 +345,7 @@ def _execute_point(args) -> Trace:
     cfg = ExperimentConfig.from_dict(cfg_dict)
     instance = build_instance(cfg.problem)
     topology = build_topology(cfg.topology)
-    run_cfg = make_run_config(cfg.algorithm, dict(overrides))
+    run_cfg = make_run_config(cfg.algorithm, overrides)
     return run(instance, topology, run_cfg)
 
 
@@ -392,7 +405,7 @@ def run_experiment(
         if cfg.stop_threshold is not None:
             stopping = stopping_time(trace, float(cfg.stop_threshold))
             trace.stopping = {"threshold": float(cfg.stop_threshold), "hit": stopping}
-        run_cfg = make_run_config(cfg.algorithm, dict(overrides))
+        run_cfg = make_run_config(cfg.algorithm, overrides)
         points.append(
             {
                 "label": label,
@@ -401,7 +414,7 @@ def run_experiment(
                 "monte_carlo_runs": run_cfg.monte_carlo_runs,
                 "num_diverged": trace.num_diverged,
                 "stopping": stopping,
-                "resolved": config_dict(run_cfg),
+                "resolved": asdict(run_cfg),
                 "reference_charges": reference_charges(
                     run_cfg.cost_model(), run_cfg.tau, m_max
                 ),
@@ -413,7 +426,7 @@ def run_experiment(
         "name": cfg.name,
         "config": cfg.to_dict(),
         "seeds": {
-            "master_seed": int(cfg.algorithm.get("master_seed", 0)),
+            "master_seed": make_run_config(cfg.algorithm, {}).master_seed,
             "problem_seed": int(cfg.problem["seed"]),
         },
         "points": points,

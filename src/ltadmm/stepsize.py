@@ -166,7 +166,6 @@ class BoundContext:
     d_u: int
     lambda_tilde_min_abs: float
     lambda_tilde_max_abs: float
-    laplacian_norm: float
     m_l: int
     m_u: int
     num_agents: int
@@ -197,7 +196,7 @@ def bound_constants(ctx: BoundContext) -> dict[str, float]:
     L, rho, tau = ctx.L, float(ctx.rho), float(ctx.tau)
     du2 = float(ctx.d_u) ** 2
     lam = ctx.lambda_tilde_max_abs
-    ln2 = ctx.laplacian_norm**2
+    ln2 = ctx.lambda_tilde_min_abs**2
     v2 = ctx.v_inv_norm**2
     n = float(ctx.num_agents)
     mu_ratio = ctx.m_u / ctx.m_l
@@ -408,7 +407,6 @@ def make_context(
         d_u=spectral.max_degree,
         lambda_tilde_min_abs=spectral.lambda_tilde_min_abs,
         lambda_tilde_max_abs=spectral.lambda_tilde_max_abs,
-        laplacian_norm=spectral.laplacian_norm,
         m_l=instance.min_points,
         m_u=instance.max_points,
         num_agents=instance.num_agents,

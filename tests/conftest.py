@@ -37,7 +37,6 @@ def random_bound_context(rng: np.random.Generator) -> BoundContext:
         d_u=spec.max_degree,
         lambda_tilde_min_abs=spec.lambda_tilde_min_abs,
         lambda_tilde_max_abs=spec.lambda_tilde_max_abs,
-        laplacian_norm=spec.laplacian_norm,
         m_l=m_l,
         m_u=m_u,
         num_agents=n,

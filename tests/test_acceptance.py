@@ -20,7 +20,7 @@ from ltadmm.algorithms import (
 )
 from ltadmm.graph import build_ring
 from ltadmm.matrix_form import build_structure, compact_init, compact_step, from_agent_states
-from ltadmm.metrics import advance_cost, iteration_evals
+from ltadmm.metrics import iteration_charge, iteration_evals
 from ltadmm.oracles import EvalCounter, SagaTable, saga_estimate, saga_refresh, sgd_estimate
 from ltadmm.problems import (
     LEAST_SQUARES,
@@ -252,7 +252,7 @@ def test_criterion_8_cost_model_consistency():
         model_time = 0.0
         for k, rec in enumerate(trace.records[1:]):
             evals += iteration_evals(variant, tau, m, batch, k)
-            model_time = advance_cost(model, variant, tau, m, batch, k, model_time)
+            model_time += iteration_charge(model, variant, tau, m, batch, k)
             assert rec.component_evals == evals
             assert rec.model_time == model_time
     report(8, "evaluation counters and cost-table charges agree exactly on 100 random configs")
@@ -305,7 +305,6 @@ def test_criterion_10_bound_report_self_consistency():
         d_u=spec.max_degree,
         lambda_tilde_min_abs=spec.lambda_tilde_min_abs,
         lambda_tilde_max_abs=spec.lambda_tilde_max_abs,
-        laplacian_norm=spec.laplacian_norm,
         m_l=100,
         m_u=100,
         num_agents=10,

@@ -137,4 +137,3 @@ class TestSpectrum:
             topo = random_connected_topology(rng, n)
             info = spectral_quantities(topo)
             assert info.lambda_tilde_min_abs <= 2.0 * info.max_degree + 1e-12
-            assert info.laplacian_norm == info.lambda_tilde_min_abs

@@ -5,7 +5,6 @@ from ltadmm.algorithms import RunConfig, run, simulate_replicate
 from ltadmm.graph import build_ring
 from ltadmm.metrics import (
     CostModel,
-    advance_cost,
     aggregate_replicates,
     compute_dk,
     consensus_error,
@@ -74,7 +73,7 @@ class TestCostModel:
         model = CostModel(t_g=0.0, t_c=0.0)
         time = 0.0
         for k in range(5):
-            time = advance_cost(model, "lt_admm_vr", 5, 100, 1, k, time)
+            time += iteration_charge(model, "lt_admm_vr", 5, 100, 1, k)
         assert time == 0.0
 
     def test_unknown_variant_rejected(self):
@@ -117,7 +116,7 @@ class TestCounterFormulaAgreement:
         model = cfg.cost_model()
         for k, rec in enumerate(trace.records[1:]):
             expected_evals += iteration_evals(variant, cfg.tau, 11, cfg.batch_size, k)
-            expected_time = advance_cost(model, variant, cfg.tau, 11, cfg.batch_size, k, expected_time)
+            expected_time += iteration_charge(model, variant, cfg.tau, 11, cfg.batch_size, k)
             assert rec.component_evals == expected_evals
             assert rec.model_time == expected_time
             assert rec.comms == (k + 1) * topo.num_directed_edges

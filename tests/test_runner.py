@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from ltadmm.runner import (
     ExperimentConfig,
     expand_grid,
     load_config,
+    make_run_config,
     parse_config,
     preset_fig1,
     preset_fig2,
@@ -102,6 +104,11 @@ class TestParsing:
         assert len(grid) == 4
         assert {"gamma": 0.1, "tau": 2} in grid
 
+    def test_dict_path_parses_boolean_strings(self):
+        algorithm = {"variant": "lt_admm", "gamma": 0.1, "rho": 1.0, "tau": 2, "outer_iterations": 3}
+        run_cfg = make_run_config({**algorithm, "batch_replacement": "false"}, {})
+        assert run_cfg.batch_replacement is False
+
     def test_explicit_points_take_precedence(self):
         cfg = parse_config(BASIC_INI)
         cfg.points = [{"tau": 2, "gamma": 0.1}, {"tau": 4, "gamma": 0.05}]
@@ -132,6 +139,8 @@ class TestRunExperiment:
         point = manifest["points"][0]
         assert point["num_diverged"] == 0
         assert point["reference_charges"]["lt_admm"] == 2 * 1.0 + 2.0
+        field_names = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(point["resolved"]) == field_names
 
     def test_rerun_from_manifest(self, tmp_path):
         cfg = parse_config(BASIC_INI)
@@ -263,6 +272,26 @@ class TestCli:
         proc = self.run_cli("run", str(ini))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            BASIC_INI + "\n[sweep]\ntau = abc\n",
+            BASIC_INI.replace("rho = 1.0", "rho = 1.0\ngama = 0.3"),
+            BASIC_INI + "\n[sweep]\ngamma = 0.05, -1\n",
+            BASIC_INI.replace("kind = logistic_nonconvex", "kind = logistic"),
+            BASIC_INI.replace("batch_size = 1", "batch_size = 7\nbatch_replacement = false"),
+        ],
+        ids=["sweep-tau-abc", "unknown-key", "negative-sweep-gamma", "unknown-kind", "infeasible-batch"],
+    )
+    def test_invalid_config_rejected_before_any_point(self, tmp_path, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        proc = self.run_cli("run", str(ini), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr
+        assert not list(out.glob("*.csv"))
 
     def test_missing_file_exit_code(self):
         proc = self.run_cli("run", "/nonexistent/nope.ini")

@@ -34,7 +34,6 @@ def ring_context(L=2.0, rho=1.0, tau=5, gamma=0.01, n=10, m_l=100, m_u=100):
         d_u=spec.max_degree,
         lambda_tilde_min_abs=spec.lambda_tilde_min_abs,
         lambda_tilde_max_abs=spec.lambda_tilde_max_abs,
-        laplacian_norm=spec.laplacian_norm,
         m_l=m_l,
         m_u=m_u,
         num_agents=n,
