@@ -1,10 +1,22 @@
-"""Per-agent solver state machine with synchronous communication rounds.
+"""Solver dynamics on stacked iterates with synchronous communication rounds.
 
-One outer iteration has three phases.  Every agent first runs a local
-training epoch: tau gradient-type steps on its proximal-penalized local cost,
-holding its neighbor variables fixed.  All agents then exchange exactly one
-message per neighbor (a synchronous barrier), and finally each per-neighbor
-auxiliary variable is updated from the counterpart's message.
+One replicate's state is two arrays: the iterates ``X`` (N x n, row i is
+agent i's) and the edge variables ``Z`` (M x n, row e belongs to the directed
+edge (i, j) at position e of ``Topology.directed_edges``: agent i's variable
+for neighbor j).  One outer iteration reads
+
+    Phi_{t+1} = Phi_t - gamma * (G_t + rho * D Phi_t - A^T Z),   Phi_0 = X
+    X' = Phi_tau
+    Z'[(i, j)] = (Z[(i, j)] - Z[(j, i)]) / 2 + rho * X'[j]
+
+where D holds the degrees, ``A^T Z`` sums each agent's edge rows, and row i
+of G_t is agent i's gradient estimate at row i of Phi_t.  The local epoch is
+t-major: each inner step collects every agent's estimate, then one stacked
+update moves all rows.  The exchange (every agent sends one payload per
+neighbor, a synchronous barrier) is two array operations over the edge
+arrays ``Topology.src`` (the owner of each edge) and ``Topology.rev`` (the
+reverse edge).  Only the estimator state is per agent: its random stream,
+its gradient table and its evaluation counter (:class:`AgentState`).
 
 Variants differ only in the local gradient estimator:
 
@@ -52,7 +64,7 @@ __all__ = [
     "DivergenceError",
     "initial_iterates",
     "init_states",
-    "z_update",
+    "exchange",
     "local_training_epoch",
     "outer_step",
     "simulate_replicate",
@@ -122,11 +134,10 @@ class RunConfig:
 
 @dataclass
 class AgentState:
-    """One agent's iterate, per-neighbor auxiliaries, and estimator state."""
+    """One agent's estimator state: random stream, gradient table, counter."""
 
     index: int
-    x: np.ndarray
-    z: dict[int, np.ndarray]
+    rng: np.random.Generator
     table: SagaTable | None
     counter: EvalCounter = field(default_factory=EvalCounter)
 
@@ -140,104 +151,116 @@ def initial_iterates(
     return rng.normal(0.0, config.init_std, size=(num_agents, dimension))
 
 
-def _agent_rngs(config: RunConfig, num_agents: int, replicate: int) -> list[np.random.Generator]:
-    return [
-        np.random.default_rng(
-            np.random.SeedSequence([int(config.master_seed), int(replicate), 1 + i])
-        )
-        for i in range(num_agents)
-    ]
-
-
 def init_states(
     instance: ProblemInstance,
     topology: Topology,
     config: RunConfig,
-    x0: np.ndarray,
+    replicate: int,
 ) -> list[AgentState]:
-    """Fresh agent states: every per-neighbor auxiliary starts at the iterate."""
+    """Fresh estimator states with one random stream per (replicate, agent)."""
     states = []
     for i in range(topology.num_agents):
-        z = {j: x0[i].copy() for j in topology.neighbors(i)}
+        seq = np.random.SeedSequence([int(config.master_seed), int(replicate), 1 + i])
         table = None
         if config.variant in _VR_VARIANTS:
             table = SagaTable(instance.num_points(i), instance.dimension)
-        states.append(AgentState(index=i, x=x0[i].copy(), z=z, table=table))
+        states.append(AgentState(index=i, rng=np.random.default_rng(seq), table=table))
     return states
 
 
-def z_update(z_ij: np.ndarray, incoming_payload: np.ndarray) -> np.ndarray:
-    """Update one per-neighbor auxiliary from the counterpart's message."""
-    return 0.5 * (z_ij - incoming_payload)
-
-
-def _check_iterate(phi: np.ndarray, agent: int, k: int, t: int) -> None:
-    if not np.all(np.isfinite(phi)) or float(phi @ phi) > DIVERGENCE_NORM**2:
-        raise DivergenceError(agent, k, t)
-
-
-def local_training_epoch(
+def _estimate(
     state: AgentState,
     instance: ProblemInstance,
     config: RunConfig,
-    k: int,
-    rng: np.random.Generator | None = None,
-    inner_iterates: list[np.ndarray] | None = None,
-    estimate_log: list[np.ndarray] | None = None,
+    x: np.ndarray,
+    table_is_fresh: bool,
 ) -> np.ndarray:
-    """Run tau local steps from the agent's iterate; returns the new iterate.
+    i = state.index
+    m = instance.num_points(i)
+    if config.variant == "exact":
+        state.counter.component_gradient_evals += m
+        return local_full_gradient(instance, i, x)
+    if config.variant == "lt_admm":
+        batch = draw_batch(state.rng, m, config.batch_size, replacement=config.batch_replacement)
+        return sgd_estimate(instance, i, x, batch, state.counter)
+    if table_is_fresh:
+        # estimate at the refresh anchor collapses to the table mean
+        return state.table.mean()
+    batch = draw_batch(state.rng, m, config.batch_size, replacement=config.batch_replacement)
+    return saga_estimate_update(state.table, instance, i, x, batch, state.counter)
 
-    The neighbor variables are held fixed for the whole epoch.  For the
-    variance-reduced variants the gradient table is refreshed here (every
-    epoch, or only at k = 0 for the carry-over variant) and each step's fresh
-    batch gradients are written back into the table.
 
-    ``inner_iterates``/``estimate_log`` optionally collect the inner points
-    and the raw estimator outputs for diagnostics; neither affects the
-    dynamics or the evaluation counters.
+def local_training_epoch(
+    states: list[AgentState],
+    instance: ProblemInstance,
+    config: RunConfig,
+    k: int,
+    X: np.ndarray,
+    AtZ: np.ndarray,
+    degrees: np.ndarray,
+    log: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> np.ndarray:
+    """Run tau local steps from the iterates ``X``; returns the new iterates.
+
+    ``AtZ`` holds each agent's sum of edge variables and ``degrees`` its
+    neighbor count; both are fixed for the whole epoch.  For the
+    variance-reduced variants every agent's gradient table is refreshed here
+    (every epoch, or only at k = 0 for the carry-over variant) and each step's
+    fresh batch gradients are written back into the table.
+
+    ``log``, when given, receives one ``(Phi_t, G_t)`` pair per inner step:
+    the stacked inner iterate and the stacked estimator outputs.  It does not
+    affect the dynamics or the evaluation counters.
 
     Raises:
-        DivergenceError: if an inner iterate leaves the finite range.
+        DivergenceError: at the first inner step where an iterate leaves the
+            finite range, naming the lowest-index such agent.
     """
-    i = state.index
-    degree = len(state.z)
-    sum_z = np.sum(list(state.z.values()), axis=0) if state.z else np.zeros_like(state.x)
-    gamma, rho = config.gamma, config.rho
-    m = instance.num_points(i)
+    refresh = config.variant == "lt_admm_vr" or (config.variant == "lt_admm_vr_v2" and k == 0)
+    if refresh:
+        for state in states:
+            saga_refresh(state.table, instance, state.index, X[state.index], state.counter)
 
-    fresh_table = False
-    if config.variant == "lt_admm_vr" or (config.variant == "lt_admm_vr_v2" and k == 0):
-        saga_refresh(state.table, instance, i, state.x, state.counter)
-        fresh_table = True
-
-    phi = state.x.copy()
+    gamma = config.gamma
+    penalty = (config.rho * degrees)[:, None]
+    phi = X.copy()  # the log keeps Phi_0 and outer_step overwrites X
     for t in range(config.tau):
-        if inner_iterates is not None:
-            inner_iterates.append(phi.copy())
-        if config.variant == "exact":
-            g = local_full_gradient(instance, i, phi)
-            state.counter.component_gradient_evals += m
-        elif config.variant == "lt_admm":
-            batch = draw_batch(rng, m, config.batch_size, replacement=config.batch_replacement)
-            g = sgd_estimate(instance, i, phi, batch, state.counter)
-        else:
-            if t == 0 and fresh_table:
-                # estimate at the refresh anchor collapses to the table mean
-                g = state.table.mean()
-            else:
-                batch = draw_batch(rng, m, config.batch_size, replacement=config.batch_replacement)
-                g = saga_estimate_update(state.table, instance, i, phi, batch, state.counter)
-        if estimate_log is not None:
-            estimate_log.append(np.asarray(g, dtype=float).copy())
-        phi = phi - gamma * (g + rho * degree * phi - sum_z)
-        _check_iterate(phi, i, k, t)
+        G = np.empty_like(X)
+        for state in states:
+            G[state.index] = _estimate(state, instance, config, phi[state.index], t == 0 and refresh)
+        if log is not None:
+            log.append((phi, G))
+        phi = phi - gamma * (G + penalty * phi - AtZ)
+        left = ~(np.einsum("ij,ij->i", phi, phi) <= DIVERGENCE_NORM**2)
+        if left.any():
+            raise DivergenceError(int(left.argmax()), k, t)
     return phi
 
 
-def _conservation_residual(states: list[AgentState], rho: float) -> float:
-    z_total = np.sum([z for s in states for z in s.z.values()], axis=0)
-    weighted = np.sum([len(s.z) * s.x for s in states], axis=0)
-    return float(np.linalg.norm(z_total - rho * weighted))
+def exchange(topology: Topology, Z: np.ndarray, X: np.ndarray, rho: float) -> np.ndarray:
+    """Edge variables after one exchange of payloads ``Z - 2 rho X[owner]``.
+
+    Edge (i, j) combines its own variable with the payload of (j, i).
+    """
+    payload = Z - 2.0 * rho * X[topology.src]
+    return 0.5 * (Z - payload[topology.rev])
+
+
+def _record(
+    instance: ProblemInstance, X: np.ndarray, Z: np.ndarray, degrees: np.ndarray, rho: float, k: int
+) -> IterationRecord:
+    """Metrics of the state (X, Z); counters and model time are filled in later."""
+    return IterationRecord(
+        k=k,
+        grad_norm_sq=global_gradient_norm_sq(instance, X.mean(axis=0)),
+        consensus_err=metrics.consensus_error(X),
+        component_evals=0,
+        comms=0,
+        model_time=0.0,
+        conservation_residual=float(
+            np.linalg.norm(Z.sum(axis=0) - rho * (degrees[:, None] * X).sum(axis=0))
+        ),
+    )
 
 
 def outer_step(
@@ -246,76 +269,35 @@ def outer_step(
     topology: Topology,
     config: RunConfig,
     k: int,
-    rngs: list[np.random.Generator] | None = None,
-    inner_collector: list[list[np.ndarray]] | None = None,
-    estimate_recorder: list[list[list[np.ndarray]]] | None = None,
+    X: np.ndarray,
+    Z: np.ndarray,
+    log: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> IterationRecord:
-    """One full outer iteration: epochs, message exchange, auxiliary update.
+    """One full outer iteration: epoch, exchange, auxiliary update.
 
-    Mutates the agent states in place and returns the post-update metrics
+    Overwrites ``X`` and ``Z`` with the new state and returns its metrics
     record (cumulative counters, model time, and the epoch gradient metric
-    are filled in by the replicate driver).  ``inner_collector`` receives one
-    list of inner iterates per agent; ``estimate_recorder`` one list of raw
-    estimator outputs per agent.
+    are filled in by the replicate driver).  ``log`` is passed on to the
+    epoch.
     """
-    n = topology.num_agents
-    new_x: list[np.ndarray] = [np.empty(0)] * n
-    step_estimates: list[list[np.ndarray]] | None = None
-    if estimate_recorder is not None:
-        step_estimates = [[] for _ in range(n)]
-
-    for i, state in enumerate(states):
-        inner: list[np.ndarray] | None = None
-        if inner_collector is not None:
-            inner = []
-            inner_collector.append(inner)
-        new_x[i] = local_training_epoch(
-            state,
-            instance,
-            config,
-            k,
-            rng=rngs[i] if rngs is not None else None,
-            inner_iterates=inner,
-            estimate_log=step_estimates[i] if step_estimates is not None else None,
-        )
-    if estimate_recorder is not None:
-        estimate_recorder.append(step_estimates)
-
-    # synchronous exchange: one payload per directed edge (sender, receiver)
-    payloads: dict[tuple[int, int], np.ndarray] = {}
-    for i, state in enumerate(states):
-        for j in topology.neighbors(i):
-            payloads[(i, j)] = state.z[j] - 2.0 * config.rho * new_x[i]
-        state.counter.communications += len(state.z)
-
-    for i, state in enumerate(states):
-        for j in topology.neighbors(i):
-            state.z[j] = z_update(state.z[j], payloads[(j, i)])
-        state.x = new_x[i]
-
-    iterates = np.stack([s.x for s in states])
-    x_bar = iterates.mean(axis=0)
-    return IterationRecord(
-        k=k + 1,
-        grad_norm_sq=global_gradient_norm_sq(instance, x_bar),
-        consensus_err=metrics.consensus_error(iterates),
-        component_evals=0,
-        comms=0,
-        model_time=0.0,
-        conservation_residual=_conservation_residual(states, config.rho),
-    )
+    degrees = np.asarray(topology.degrees)
+    AtZ = np.zeros_like(X)
+    np.add.at(AtZ, topology.src, Z)
+    X_new = local_training_epoch(states, instance, config, k, X, AtZ, degrees, log)
+    Z[:] = exchange(topology, Z, X_new, config.rho)
+    X[:] = X_new
+    return _record(instance, X, Z, degrees, config.rho, k + 1)
 
 
 def _inner_average_gradients(
-    instance: ProblemInstance, inner_per_agent: list[list[np.ndarray]], tau: int
+    instance: ProblemInstance, log: list[tuple[np.ndarray, np.ndarray]]
 ) -> list[np.ndarray]:
-    n = len(inner_per_agent)
     averages = []
-    for t in range(tau):
+    for phi, _ in log:
         total = np.zeros(instance.dimension)
-        for i in range(n):
-            total += local_full_gradient(instance, i, inner_per_agent[i][t])
-        averages.append(total / n)
+        for i in range(phi.shape[0]):
+            total += local_full_gradient(instance, i, phi[i])
+        averages.append(total / phi.shape[0])
     return averages
 
 
@@ -324,7 +306,6 @@ def simulate_replicate(
     topology: Topology,
     config: RunConfig,
     replicate: int,
-    estimate_recorder: list | None = None,
 ) -> ReplicateTrace:
     """Run one replicate for the configured iteration budget.
 
@@ -333,25 +314,12 @@ def simulate_replicate(
     enabled, is attached to the record the epoch started from (its true
     gradients are measurement overhead and never hit the counters).
     """
-    x0 = initial_iterates(config, topology.num_agents, instance.dimension, replicate)
-    states = init_states(instance, topology, config, x0)
-    rngs = _agent_rngs(config, topology.num_agents, replicate)
+    X = initial_iterates(config, topology.num_agents, instance.dimension, replicate)
+    Z = X[topology.src]
+    states = init_states(instance, topology, config, replicate)
     cost = config.cost_model()
     m_max = instance.max_points
-
-    iterates = np.stack([s.x for s in states])
-    x_bar = iterates.mean(axis=0)
-    records = [
-        IterationRecord(
-            k=0,
-            grad_norm_sq=global_gradient_norm_sq(instance, x_bar),
-            consensus_err=metrics.consensus_error(iterates),
-            component_evals=0,
-            comms=0,
-            model_time=0.0,
-            conservation_residual=_conservation_residual(states, config.rho),
-        )
-    ]
+    records = [_record(instance, X, Z, np.asarray(topology.degrees), config.rho, 0)]
 
     model_time = 0.0
     cum_evals = 0
@@ -360,19 +328,10 @@ def simulate_replicate(
     diverged_at = None
     for k in range(config.outer_iterations):
         evals_before = [s.counter.component_gradient_evals for s in states]
-        epoch_start_mean = np.stack([s.x for s in states]).mean(axis=0)
-        inner_collector: list[list[np.ndarray]] | None = [] if config.record_dk else None
+        epoch_start_mean = X.mean(axis=0)
+        log: list[tuple[np.ndarray, np.ndarray]] | None = [] if config.record_dk else None
         try:
-            record = outer_step(
-                states,
-                instance,
-                topology,
-                config,
-                k,
-                rngs=rngs,
-                inner_collector=inner_collector,
-                estimate_recorder=estimate_recorder,
-            )
+            record = outer_step(states, instance, topology, config, k, X, Z, log)
         except DivergenceError as err:
             status = "diverged"
             diverged_at = err.outer_iteration
@@ -382,7 +341,7 @@ def simulate_replicate(
             for s, before in zip(states, evals_before)
         ]
         cum_evals += max(deltas)
-        cum_comms += sum(len(s.z) for s in states)
+        cum_comms += topology.num_directed_edges
         model_time += metrics.iteration_charge(
             cost, config.variant, config.tau, m_max, config.batch_size, k
         )
@@ -390,9 +349,8 @@ def simulate_replicate(
         record.comms = cum_comms
         record.model_time = model_time
         if config.record_dk:
-            inner_averages = _inner_average_gradients(instance, inner_collector, config.tau)
             records[-1].d_k = metrics.compute_dk(
-                instance, epoch_start_mean, inner_averages, config.tau
+                instance, epoch_start_mean, _inner_average_gradients(instance, log), config.tau
             )
         records.append(record)
     return ReplicateTrace(

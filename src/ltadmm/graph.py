@@ -5,8 +5,9 @@ index over *directed* edges: every undirected link {i, j} contributes the two
 ordered pairs (i, j) and (j, i).  Agent i owns one auxiliary vector per
 neighbor, so the directed edge (i, j) addresses "agent i's variable for
 neighbor j".  Directed edges are enumerated grouped by owner, neighbors in
-ascending order; this is also the row order of the edge-selector matrix used
-by the dense matrix-form oracle.
+ascending order; this is also the row order of the solver's stacked edge
+variables and of the edge-selector matrix used by the dense matrix-form
+oracle.
 
 Spectral diagnostics are computed from the N x N graph Laplacian: its
 second-smallest eigenvalue (algebraic connectivity) and its largest
@@ -39,12 +40,16 @@ class Topology:
         directed_edges: all ordered pairs (i, j) with j a neighbor of i,
             grouped by i, neighbors ascending.
         edge_index: mapping (i, j) -> position in ``directed_edges``.
+        src: owner i of every directed edge (i, j), shape (M,).
+        rev: position of the reverse edge (j, i) of every edge, shape (M,).
     """
 
     num_agents: int
     neighbor_lists: tuple[tuple[int, ...], ...]
     directed_edges: tuple[tuple[int, int], ...]
     edge_index: dict[tuple[int, int], int] = field(repr=False)
+    src: np.ndarray = field(repr=False)
+    rev: np.ndarray = field(repr=False)
 
     @property
     def num_directed_edges(self) -> int:
@@ -90,7 +95,9 @@ def _finalize(num_agents: int, neighbor_sets: list[set[int]]) -> Topology:
         (i, j) for i in range(num_agents) for j in neighbor_lists[i]
     )
     edge_index = {pair: e for e, pair in enumerate(directed_edges)}
-    return Topology(num_agents, neighbor_lists, directed_edges, edge_index)
+    src = np.array([i for i, _ in directed_edges], dtype=np.intp)
+    rev = np.array([edge_index[(j, i)] for i, j in directed_edges], dtype=np.intp)
+    return Topology(num_agents, neighbor_lists, directed_edges, edge_index, src, rev)
 
 
 def build_ring(n_agents: int) -> Topology:

@@ -1,19 +1,20 @@
 """Dense matrix-form replica of the solver dynamics, used as a test oracle.
 
-The per-agent state machine can be written with three structural operators:
-an edge selector A (directed edge (i, j) row picks agent i's iterate), the
-edge-swap permutation P (exchanges the (i, j) and (j, i) rows), and the
-degree matrix D = A^T A.  Stacking iterates X (N x n) and edge variables
-Z (M x n), one outer iteration reads
+The solver dynamics can be written with three structural operators: an edge
+selector A (directed edge (i, j) row picks agent i's iterate), the edge-swap
+permutation P (exchanges the (i, j) and (j, i) rows), and the degree matrix
+D = A^T A.  Stacking iterates X (N x n) and edge variables Z (M x n), one
+outer iteration reads
 
     X' = X - gamma * sum_t (G(Phi_t) + rho * D Phi_t - A^T Z),   Phi_0 = X
     Z' = Z/2 - P Z / 2 + rho * P A X'
 
-This module implements that recursion directly on dense matrices, entirely
-independently of the per-agent code, so the two paths can be compared
-trajectory against trajectory.  For stochastic runs the recorded estimator
-outputs of the per-agent run are replayed here, making the randomness a
-shared input and isolating the linear-algebra path.
+This module implements that recursion directly on dense matrices built from
+the topology's directed edge list, entirely independently of the solver's
+edge-index arrays, so the two paths can be compared trajectory against
+trajectory.  For stochastic runs the estimator outputs logged by the solver
+are replayed here, making the randomness a shared input and isolating the
+linear-algebra path.
 
 Only desk-scale graphs are targeted; everything is dense.
 """
@@ -34,7 +35,6 @@ __all__ = [
     "DiagnosticVectors",
     "build_structure",
     "compact_init",
-    "from_agent_states",
     "compact_step",
     "conservation_residual",
     "diagnostics",
@@ -111,17 +111,6 @@ def compact_init(structure: EdgeStructure, x0: np.ndarray) -> CompactState:
     return CompactState(structure=structure, X=x0.copy(), Z=Z)
 
 
-def from_agent_states(structure: EdgeStructure, states) -> CompactState:
-    """Snapshot per-agent states into the stacked representation."""
-    topology = structure.topology
-    X = np.stack([s.x for s in states])
-    Z = np.zeros((topology.num_directed_edges, X.shape[1]))
-    for i, state in enumerate(states):
-        for j, z in state.z.items():
-            Z[topology.index_of(i, j)] = z
-    return CompactState(structure=structure, X=X, Z=Z)
-
-
 def _exact_gradients(instance: ProblemInstance, phi: np.ndarray) -> np.ndarray:
     return np.stack(
         [local_full_gradient(instance, i, phi[i]) for i in range(phi.shape[0])]
@@ -138,7 +127,7 @@ def compact_step(
     """One outer iteration of the stacked dynamics.
 
     ``gradients``, when given, supplies the per-step stacked estimator
-    outputs (replay of a recorded per-agent run); otherwise exact local
+    outputs (replay of a logged solver run); otherwise exact local
     gradients are used.  With ``return_inner`` the list of inner iterates
     [Phi_0, ..., Phi_{tau-1}] is returned alongside the new state.
     """

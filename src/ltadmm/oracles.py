@@ -28,18 +28,15 @@ __all__ = [
     "draw_batch",
     "sgd_estimate",
     "saga_refresh",
-    "saga_estimate",
-    "saga_update_memory",
     "saga_estimate_update",
 ]
 
 
 @dataclass
 class EvalCounter:
-    """Cumulative component-gradient evaluations and messages sent."""
+    """Cumulative component-gradient evaluations."""
 
     component_gradient_evals: int = 0
-    communications: int = 0
 
 
 class SagaTable:
@@ -126,50 +123,6 @@ def saga_refresh(
     table.gradients[:] = grads
     table.running_sum = grads.sum(axis=0)
     counter.component_gradient_evals += m
-
-
-def saga_estimate(
-    table: SagaTable,
-    instance: ProblemInstance,
-    agent: int,
-    x: np.ndarray,
-    batch: np.ndarray,
-    counter: EvalCounter,
-) -> np.ndarray:
-    """Variance-reduced estimate at ``x``.
-
-    Batch mean of (fresh component gradient minus stored gradient) plus the
-    table average.  Stored gradients are free; charges ``len(batch)``
-    evaluations for the fresh ones.
-    """
-    batch = _validate_batch(instance, agent, batch)
-    counter.component_gradient_evals += len(batch)
-    fresh = component_gradients(instance, agent, batch, x)
-    correction = (fresh - table.gradients[batch]).mean(axis=0)
-    return correction + table.mean()
-
-
-def saga_update_memory(
-    table: SagaTable,
-    instance: ProblemInstance,
-    agent: int,
-    new_x: np.ndarray,
-    batch: np.ndarray,
-    counter: EvalCounter,
-) -> None:
-    """Store the gradients at ``new_x`` for the batch's (deduplicated) indices.
-
-    Charges one evaluation per unique index; the running sum is adjusted
-    incrementally.  When the fresh gradients were already computed by the
-    estimate at the same point, use :func:`saga_estimate_update` instead,
-    which shares them at no extra charge.
-    """
-    batch = _validate_batch(instance, agent, batch)
-    unique = np.unique(batch)
-    fresh = component_gradients(instance, agent, unique, new_x)
-    counter.component_gradient_evals += len(unique)
-    table.running_sum = table.running_sum + (fresh - table.gradients[unique]).sum(axis=0)
-    table.gradients[unique] = fresh
 
 
 def saga_estimate_update(

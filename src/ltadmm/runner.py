@@ -83,7 +83,13 @@ def _parse_bool(value) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-_TYPE_CONVERTERS = {bool: _parse_bool, int: int, float: float, str: str}
+def _parse_int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+_TYPE_CONVERTERS = {bool: _parse_bool, int: _parse_int, float: float, str: str}
 # converter of every RunConfig field, from its annotation
 _RUN_FIELDS = {
     name: _TYPE_CONVERTERS[hint] for name, hint in typing.get_type_hints(RunConfig).items()
@@ -93,11 +99,11 @@ _RUN_FIELDS = {
 _CONVERTERS = {
     **_RUN_FIELDS,
     "tg_tc_ratio": float,
-    "seed": int,
-    "dimension": int,
-    "points_per_agent": int,
-    "n_agents": int,
-    "ring": int,
+    "seed": _parse_int,
+    "dimension": _parse_int,
+    "points_per_agent": _parse_int,
+    "n_agents": _parse_int,
+    "ring": _parse_int,
     "epsilon": float,
     "stop_threshold": float,
 }
@@ -161,22 +167,32 @@ class ExperimentConfig:
         return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def _validate(cfg: ExperimentConfig) -> list[RunConfig]:
+    """Check ``cfg``; returns the run configuration of every grid point."""
     if ("ring" in cfg.topology) == ("edges" in cfg.topology):
         raise ConfigError("topology needs exactly one of 'ring' or 'edges'")
-    for key in ("kind", "seed", "dimension", "points_per_agent"):
+    topology_key = "ring" if "ring" in cfg.topology else "n_agents"
+    if topology_key not in cfg.topology:
+        raise ConfigError("an 'edges' topology is missing 'n_agents'")
+    for key in ("kind", "seed", "n_agents", "dimension", "points_per_agent"):
         if key not in cfg.problem:
             raise ConfigError(f"problem section is missing {key!r}")
     if cfg.problem["kind"] not in KINDS:
         raise ConfigError(f"unknown problem kind {cfg.problem['kind']!r}")
+    n_agents = _convert("n_agents", cfg.problem["n_agents"])
+    if n_agents != _convert(topology_key, cfg.topology[topology_key]):
+        raise ConfigError(
+            f"problem n_agents {n_agents} does not match the topology's "
+            f"{cfg.topology[topology_key]} agents"
+        )
     points_per_agent = _convert("points_per_agent", cfg.problem["points_per_agent"])
     for axis, values in cfg.sweep.items():
         if axis not in _SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}")
         if not values:
             raise ConfigError(f"sweep axis {axis!r} is empty")
-    for overrides in expand_grid(cfg):
-        run_cfg = make_run_config(cfg.algorithm, overrides)
+    run_cfgs = [make_run_config(cfg.algorithm, overrides) for overrides in expand_grid(cfg)]
+    for run_cfg in run_cfgs:
         # the exact variant draws no batches
         if (
             run_cfg.variant != "exact"
@@ -187,6 +203,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"batch_size {run_cfg.batch_size} exceeds points_per_agent "
                 f"{points_per_agent} with batch_replacement = false"
             )
+    return run_cfgs
 
 
 def build_topology(spec: dict) -> Topology:
@@ -341,12 +358,8 @@ class ExperimentResult:
 
 
 def _execute_point(args) -> Trace:
-    cfg_dict, overrides = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    instance = build_instance(cfg.problem)
-    topology = build_topology(cfg.topology)
-    run_cfg = make_run_config(cfg.algorithm, overrides)
-    return run(instance, topology, run_cfg)
+    problem, topology, run_cfg = args
+    return run(build_instance(problem), build_topology(topology), run_cfg)
 
 
 def _write_csv(path: Path, trace: Trace, record_dk: bool) -> None:
@@ -386,8 +399,9 @@ def run_experiment(
     grid = expand_grid(cfg)
     if not grid:
         raise ConfigError("experiment grid is empty")
+    run_cfgs = _validate(cfg)
 
-    jobs = [(cfg.to_dict(), overrides) for overrides in grid]
+    jobs = [(cfg.problem, cfg.topology, run_cfg) for run_cfg in run_cfgs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_execute_point, jobs))
@@ -396,16 +410,14 @@ def run_experiment(
 
     points = []
     m_max = int(cfg.problem["points_per_agent"])
-    for index, (overrides, trace) in enumerate(zip(grid, traces)):
+    for index, (overrides, run_cfg, trace) in enumerate(zip(grid, run_cfgs, traces)):
         label = _point_label(index, overrides)
         csv_name = f"{cfg.name}_{label}.csv"
-        record_dk = bool(trace.config.get("record_dk", False))
-        _write_csv(out / csv_name, trace, record_dk)
+        _write_csv(out / csv_name, trace, run_cfg.record_dk)
         stopping = None
         if cfg.stop_threshold is not None:
             stopping = stopping_time(trace, float(cfg.stop_threshold))
             trace.stopping = {"threshold": float(cfg.stop_threshold), "hit": stopping}
-        run_cfg = make_run_config(cfg.algorithm, overrides)
         points.append(
             {
                 "label": label,
@@ -426,7 +438,9 @@ def run_experiment(
         "name": cfg.name,
         "config": cfg.to_dict(),
         "seeds": {
-            "master_seed": make_run_config(cfg.algorithm, {}).master_seed,
+            "master_seed": _convert(
+                "master_seed", cfg.algorithm.get("master_seed", RunConfig.master_seed)
+            ),
             "problem_seed": int(cfg.problem["seed"]),
         },
         "points": points,

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one PASS line per
 criterion (a failure shows up as the usual pytest FAILED line).
 """
 
+import copy
 import time
 
 import numpy as np
@@ -16,12 +17,17 @@ from ltadmm.algorithms import (
     outer_step,
     run,
     simulate_replicate,
-    _agent_rngs,
 )
 from ltadmm.graph import build_ring
-from ltadmm.matrix_form import build_structure, compact_init, compact_step, from_agent_states
+from ltadmm.matrix_form import build_structure, compact_init, compact_step
 from ltadmm.metrics import iteration_charge, iteration_evals
-from ltadmm.oracles import EvalCounter, SagaTable, saga_estimate, saga_refresh, sgd_estimate
+from ltadmm.oracles import (
+    EvalCounter,
+    SagaTable,
+    saga_estimate_update,
+    saga_refresh,
+    sgd_estimate,
+)
 from ltadmm.problems import (
     LEAST_SQUARES,
     component_gradients,
@@ -60,15 +66,14 @@ def test_criterion_1_oracle_equivalence():
         inst = generate_classification(40 + n, n, 3, 8)
         cfg = RunConfig(variant="exact", gamma=0.02, rho=1.0, tau=3, outer_iterations=20, master_seed=2)
         x0 = initial_iterates(cfg, n, 3, 0)
-        states = init_states(inst, topo, cfg, x0)
-        structure = build_structure(topo)
-        cstate = compact_init(structure, x0)
+        states = init_states(inst, topo, cfg, 0)
+        cstate = compact_init(build_structure(topo), x0)
+        X, Z = x0.copy(), cstate.Z.copy()
         for k in range(20):
-            outer_step(states, inst, topo, cfg, k)
+            outer_step(states, inst, topo, cfg, k, X, Z)
             cstate = compact_step(cstate, inst, cfg)
-        snap = from_agent_states(structure, states)
-        worst = max(worst, float(np.max(np.abs(snap.X - cstate.X))))
-        worst = max(worst, float(np.max(np.abs(snap.Z - cstate.Z))))
+        worst = max(worst, float(np.max(np.abs(X - cstate.X))))
+        worst = max(worst, float(np.max(np.abs(Z - cstate.Z))))
     elapsed = time.monotonic() - started
     assert worst <= 1e-10
     assert elapsed < 1.0
@@ -85,13 +90,12 @@ def test_criterion_2_conservation_identity():
             cfg = RunConfig(
                 variant=variant, gamma=0.05, rho=1.3, tau=4, outer_iterations=30, master_seed=3
             )
-            x0 = initial_iterates(cfg, n, 3, 0)
-            states = init_states(inst, topo, cfg, x0)
-            rngs = _agent_rngs(cfg, n, 0)
+            X = initial_iterates(cfg, n, 3, 0)
+            Z = compact_init(build_structure(topo), X).Z
+            states = init_states(inst, topo, cfg, 0)
             for k in range(cfg.outer_iterations):
-                rec = outer_step(states, inst, topo, cfg, k, rngs=rngs)
-                x_stack = np.stack([s.x for s in states])
-                scale = max(1.0, float(np.linalg.norm(x_stack)))
+                rec = outer_step(states, inst, topo, cfg, k, X, Z)
+                scale = max(1.0, float(np.linalg.norm(X)))
                 assert rec.conservation_residual <= 1e-10 * scale
                 worst_ratio = max(worst_ratio, rec.conservation_residual / scale)
     report(2, f"edge-variable conservation holds every iteration (worst residual ratio {worst_ratio:.2e})")
@@ -114,7 +118,8 @@ def test_criterion_3_estimator_unbiasedness():
                 table.gradients[h] = component_gradients(inst, 0, np.array([h]), stale_point)[0]
             table.running_sum = table.gradients.sum(axis=0)
             saga_mean = sum(
-                saga_estimate(table, inst, 0, x, np.array([h]), EvalCounter()) for h in range(m)
+                saga_estimate_update(copy.deepcopy(table), inst, 0, x, np.array([h]), EvalCounter())
+                for h in range(m)
             ) / m
             worst = max(worst, float(np.max(np.abs(sgd_mean - full))))
             worst = max(worst, float(np.max(np.abs(saga_mean - full))))
@@ -132,7 +137,9 @@ def test_criterion_4_anchor_collapse():
         saga_refresh(table, inst, agent, anchor, EvalCounter())
         full = local_full_gradient(inst, agent, anchor)
         for batch in ([0], [3, 7], [1, 1, 5], list(range(12))):
-            g = saga_estimate(table, inst, agent, anchor, np.array(batch), EvalCounter())
+            g = saga_estimate_update(
+                copy.deepcopy(table), inst, agent, anchor, np.array(batch), EvalCounter()
+            )
             worst = max(worst, float(np.max(np.abs(g - full))))
     assert worst <= 1e-14
     report(4, f"fresh-table estimate collapses to the full gradient (max dev {worst:.2e})")

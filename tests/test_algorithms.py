@@ -4,15 +4,15 @@ import pytest
 from ltadmm.algorithms import (
     DivergenceError,
     RunConfig,
+    exchange,
     init_states,
     initial_iterates,
     local_training_epoch,
-    outer_step,
     run,
     simulate_replicate,
-    z_update,
 )
-from ltadmm.graph import build_ring
+from ltadmm.graph import build_from_edges, build_ring
+from ltadmm.matrix_form import build_structure
 from ltadmm.problems import (
     LEAST_SQUARES,
     ProblemInstance,
@@ -48,6 +48,17 @@ def base_config(**overrides):
     return RunConfig(**defaults)
 
 
+def epoch(inst, topo, cfg, x0, Z=None, k=0):
+    """One local epoch from iterates ``x0``; edge variables default to the owners' rows."""
+    structure = build_structure(topo)
+    if Z is None:
+        Z = structure.selector @ x0
+    states = init_states(inst, topo, cfg, 0)
+    return local_training_epoch(
+        states, inst, cfg, k, x0, structure.selector.T @ Z, structure.degrees
+    )
+
+
 class TestRunConfig:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
@@ -74,26 +85,21 @@ class TestLocalTrainingEpoch:
         inst = zero_problem()
         topo = build_ring(3)
         cfg = base_config(tau=5)
-        states = init_states(inst, topo, cfg, np.zeros((3, 2)))
-        for state in states:
-            state.z = {j: np.zeros(2) for j in state.z}
-        new_x = local_training_epoch(states[0], inst, cfg, k=0)
-        assert np.array_equal(new_x, np.zeros(2))
+        new_x = epoch(inst, topo, cfg, np.zeros((3, 2)), Z=np.zeros((6, 2)))
+        assert np.array_equal(new_x, np.zeros((3, 2)))
 
     def test_single_exact_step_formula(self):
         inst = generate_classification(3, 3, 2, 5)
         topo = build_ring(3)
         cfg = base_config(tau=1, gamma=0.1, rho=0.7)
         x0 = np.array([[0.3, -0.2], [0.1, 0.0], [-0.5, 0.4]])
-        states = init_states(inst, topo, cfg, x0)
         from ltadmm.problems import local_full_gradient
 
-        state = states[1]
-        sum_z = sum(state.z.values())
-        expected = state.x - 0.1 * (
-            local_full_gradient(inst, 1, state.x) + 0.7 * 2 * state.x - sum_z
+        sum_z = 2 * x0[1]  # both edge variables of agent 1 start at its iterate
+        expected = x0[1] - 0.1 * (
+            local_full_gradient(inst, 1, x0[1]) + 0.7 * 2 * x0[1] - sum_z
         )
-        got = local_training_epoch(state, inst, cfg, k=0)
+        got = epoch(inst, topo, cfg, x0)[1]
         assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_three_step_scalar_quadratic(self):
@@ -102,10 +108,7 @@ class TestLocalTrainingEpoch:
         inst = scalar_quadratic()
         topo = build_ring(3)
         cfg = base_config(tau=3, gamma=0.1, rho=1.0)
-        states = init_states(inst, topo, cfg, np.ones((3, 1)))
-        state = states[0]
-        state.z = {j: np.zeros(1) for j in state.z}
-        got = local_training_epoch(state, inst, cfg, k=0)
+        got = epoch(inst, topo, cfg, np.ones((3, 1)), Z=np.zeros((6, 1)))[0]
         assert got[0] == pytest.approx(0.343, abs=1e-15)
 
     def test_many_steps_approach_penalized_minimizer(self, rng):
@@ -116,44 +119,51 @@ class TestLocalTrainingEpoch:
         topo = build_ring(3)
         cfg = base_config(variant="exact", tau=5000, gamma=0.05, rho=1.0)
         x0 = rng.normal(size=(3, 3))
-        states = init_states(inst, topo, cfg, x0)
-        state = states[0]
         a, b = inst.features[0], inst.labels[0]
         hessian = a.T @ a / a.shape[0]
-        linear = a.T @ b / a.shape[0] + sum(state.z.values())
+        linear = a.T @ b / a.shape[0] + 2 * x0[0]
         expected = np.linalg.solve(hessian + cfg.rho * 2 * np.eye(3), linear)
-        got = local_training_epoch(state, inst, cfg, k=0)
+        got = epoch(inst, topo, cfg, x0)[0]
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_divergence_flagged_with_location(self):
         inst = scalar_quadratic()
         topo = build_ring(3)
         cfg = base_config(gamma=0.05, rho=1.0, tau=4)
-        states = init_states(inst, topo, cfg, np.full((3, 1), 1e13))
         with pytest.raises(DivergenceError) as exc:
-            local_training_epoch(states[0], inst, cfg, k=2)
+            epoch(inst, topo, cfg, np.full((3, 1), 1e13), k=2)
         assert exc.value.agent == 0
         assert exc.value.outer_iteration == 2
 
 
 class TestZUpdate:
+    """The stacked exchange: edge (i, j) reads the payload of edge (j, i)."""
+
     def test_zero_inputs(self):
-        assert np.array_equal(z_update(np.zeros(3), np.zeros(3)), np.zeros(3))
+        topo = build_ring(4)
+        assert np.array_equal(
+            exchange(topo, np.zeros((8, 3)), np.zeros((4, 3)), 1.0), np.zeros((8, 3))
+        )
 
     def test_symmetric_pair_cancels(self, rng):
+        topo = build_from_edges(2, [(0, 1)])
         z = rng.normal(size=4)
-        x_j = rng.normal(size=4)
+        x_new = rng.normal(size=(2, 4))
         rho = 1.3
-        payload = z - 2.0 * rho * x_j  # counterpart holds the same vector
-        assert np.allclose(z_update(z, payload), rho * x_j, atol=1e-15)
+        # both ends of the link hold the same vector
+        updated = exchange(topo, np.stack([z, z]), x_new, rho)
+        assert np.allclose(updated[topo.index_of(0, 1)], rho * x_new[1], atol=1e-15)
+        assert np.allclose(updated[topo.index_of(1, 0)], rho * x_new[0], atol=1e-15)
 
     def test_matches_componentwise_formula(self, rng):
-        z_ij = rng.normal(size=5)
-        z_ji = rng.normal(size=5)
-        x_j = rng.normal(size=5)
+        topo = build_ring(5)
+        Z = rng.normal(size=(10, 5))
+        x_new = rng.normal(size=(5, 5))
         rho = 0.8
-        updated = z_update(z_ij, z_ji - 2.0 * rho * x_j)
-        assert np.allclose(updated, 0.5 * z_ij - 0.5 * z_ji + rho * x_j, atol=1e-15)
+        updated = exchange(topo, Z, x_new, rho)
+        for e, (i, j) in enumerate(topo.directed_edges):
+            z_ij, z_ji = Z[e], Z[topo.index_of(j, i)]
+            assert np.allclose(updated[e], 0.5 * z_ij - 0.5 * z_ji + rho * x_new[j], atol=1e-15)
 
 
 class TestOuterStep:
@@ -174,17 +184,6 @@ class TestOuterStep:
         trace = simulate_replicate(inst, topo, cfg, replicate=0)
         assert len(trace.records) == 1
         assert trace.records[0].k == 0
-
-    def test_message_counters(self):
-        inst = generate_classification(5, 4, 2, 6)
-        topo = build_ring(4)
-        cfg = base_config(outer_iterations=3)
-        x0 = initial_iterates(cfg, 4, 2, 0)
-        states = init_states(inst, topo, cfg, x0)
-        for k in range(3):
-            outer_step(states, inst, topo, cfg, k)
-        for state in states:
-            assert state.counter.communications == 3 * len(state.z)
 
 
 class TestDeterminism:

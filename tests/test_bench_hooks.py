@@ -1,15 +1,20 @@
-"""The benchmark's span tracer must find every function it wraps.
+"""The benchmark's span tracer must find and read every function it wraps.
 
 ``benchmarks/tracer.py`` patches ltadmm functions by module and attribute
-name; a rename in the package would otherwise only show up when the traced
-benchmark runs.
+name, reads the run configuration from the local epoch's third positional
+argument and the evaluation counters from what ``init_states`` returns; a
+change to any of these in the package would otherwise only show up when the
+traced benchmark runs.
 """
 
 import importlib
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
+
+from ltadmm.runner import ExperimentConfig, run_experiment
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -25,3 +30,33 @@ def load_tracer():
 def test_tracer_target_resolves(target):
     module_name, attr, _ = target
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_traced_run_charges_one_evaluation_per_row(tmp_path):
+    tracer_module = load_tracer()
+    cfg = ExperimentConfig(
+        name="traced",
+        topology={"ring": 4},
+        problem={
+            "kind": "logistic_nonconvex",
+            "seed": 3,
+            "n_agents": 4,
+            "dimension": 2,
+            "points_per_agent": 6,
+        },
+        algorithm={
+            "variant": "exact",
+            "gamma": 0.05,
+            "rho": 1.0,
+            "tau": 3,
+            "outer_iterations": 2,
+        },
+        sweep={"variant": ["lt_admm_vr", "exact"]},
+    )
+    started = time.perf_counter()
+    with tracer_module.Tracer() as tracer:
+        run_experiment(cfg, out_dir=tmp_path)
+    metrics = tracer_module.layer_metrics(tracer, time.perf_counter() - started)
+    assert metrics["oracles.charged_per_row"] == 1.0
+    for variant in ("lt_admm_vr", "exact"):
+        assert metrics[f"algorithms.local_training_epoch.{variant}.calls"] > 0

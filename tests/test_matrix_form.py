@@ -6,16 +6,15 @@ from ltadmm.algorithms import (
     init_states,
     initial_iterates,
     outer_step,
-    _agent_rngs,
 )
 from ltadmm.graph import build_from_edges, build_ring
 from ltadmm.matrix_form import (
+    CompactState,
     build_structure,
     compact_init,
     compact_step,
     conservation_residual,
     diagnostics,
-    from_agent_states,
     step_via_block_form,
 )
 from ltadmm.problems import generate_classification, local_full_gradient
@@ -30,27 +29,25 @@ def exact_config(**overrides):
 
 
 def run_both(topology, instance, config, iterations, replicate=0, stochastic=False):
-    """Advance per-agent and stacked dynamics side by side; return final pair."""
+    """Advance the solver and the stacked oracle side by side; return final pair."""
     x0 = initial_iterates(config, topology.num_agents, instance.dimension, replicate)
-    states = init_states(instance, topology, config, x0)
+    states = init_states(instance, topology, config, replicate)
     structure = build_structure(topology)
     cstate = compact_init(structure, x0)
-    rngs = _agent_rngs(config, topology.num_agents, replicate)
+    X, Z = x0.copy(), cstate.Z.copy()
     if stochastic:
-        recorder = []
+        log = []
         for k in range(iterations):
-            outer_step(states, instance, topology, config, k, rngs=rngs, estimate_recorder=recorder)
+            outer_step(states, instance, topology, config, k, X, Z, log)
+        estimates = [G for _, G in log]
         for k in range(iterations):
-            per_step = [
-                np.stack([recorder[k][i][t] for i in range(topology.num_agents)])
-                for t in range(config.tau)
-            ]
+            per_step = estimates[k * config.tau : (k + 1) * config.tau]
             cstate = compact_step(cstate, instance, config, gradients=per_step)
     else:
         for k in range(iterations):
-            outer_step(states, instance, topology, config, k, rngs=rngs)
+            outer_step(states, instance, topology, config, k, X, Z)
             cstate = compact_step(cstate, instance, config)
-    return from_agent_states(structure, states), cstate
+    return CompactState(structure=structure, X=X, Z=Z), cstate
 
 
 class TestStructure:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,8 @@ from ltadmm.oracles import (
     EvalCounter,
     SagaTable,
     draw_batch,
-    saga_estimate,
     saga_estimate_update,
     saga_refresh,
-    saga_update_memory,
     sgd_estimate,
 )
 from ltadmm.problems import (
@@ -16,6 +16,34 @@ from ltadmm.problems import (
     generate_classification,
     local_full_gradient,
 )
+
+
+def saga_estimate(table, instance, agent, x, batch, counter):
+    """The solvers' variance-reduced estimate at ``x``, leaving ``table`` as it is."""
+    return saga_estimate_update(copy.deepcopy(table), instance, agent, x, batch, counter)
+
+
+# Split reference for the fused estimate-then-store step: the estimate and
+# the memory write each evaluate their own component gradients.
+
+
+def split_estimate(table, instance, agent, x, batch, counter):
+    """Batch mean of (fresh minus stored gradient) plus the table average."""
+    batch = np.asarray(batch)
+    counter.component_gradient_evals += len(batch)
+    fresh = component_gradients(instance, agent, batch, x)
+    correction = (fresh - table.gradients[batch]).mean(axis=0)
+    return correction + table.mean()
+
+
+def split_update_memory(table, instance, agent, new_x, batch, counter):
+    """Store the gradients at ``new_x`` for the batch's deduplicated indices."""
+    batch = np.asarray(batch)
+    unique = np.unique(batch)
+    fresh = component_gradients(instance, agent, unique, new_x)
+    counter.component_gradient_evals += len(unique)
+    table.running_sum = table.running_sum + (fresh - table.gradients[unique]).sum(axis=0)
+    table.gradients[unique] = fresh
 
 
 @pytest.fixture
@@ -160,14 +188,14 @@ class TestMemoryUpdate:
         x = np.full(instance.dimension, 0.4)
         saga_refresh(table, instance, 0, x, EvalCounter())
         before = table.gradients.copy()
-        saga_update_memory(table, instance, 0, x, np.array([0, 2]), EvalCounter())
+        split_update_memory(table, instance, 0, x, np.array([0, 2]), EvalCounter())
         assert np.array_equal(table.gradients, before)
 
     def test_update_all_equals_refresh(self, rng, instance):
         table = stale_table(instance, rng)
         x = rng.normal(size=instance.dimension)
         counter = EvalCounter()
-        saga_update_memory(table, instance, 0, x, np.arange(instance.num_points(0)), counter)
+        split_update_memory(table, instance, 0, x, np.arange(instance.num_points(0)), counter)
         reference = fresh_table(instance)
         saga_refresh(reference, instance, 0, x, EvalCounter())
         assert np.max(np.abs(table.gradients - reference.gradients)) <= 1e-15
@@ -176,7 +204,7 @@ class TestMemoryUpdate:
     def test_counter_deduplicates(self, rng, instance):
         table = stale_table(instance, rng)
         counter = EvalCounter()
-        saga_update_memory(table, instance, 0, np.zeros(instance.dimension), np.array([1, 1, 4]), counter)
+        split_update_memory(table, instance, 0, np.zeros(instance.dimension), np.array([1, 1, 4]), counter)
         assert counter.component_gradient_evals == 2
 
     def test_running_sum_stays_exact(self, rng):
@@ -186,7 +214,7 @@ class TestMemoryUpdate:
         for _ in range(100):
             batch = draw_batch(rng, 20, int(rng.integers(1, 6)))
             point = rng.normal(size=5)
-            saga_update_memory(table, inst, 0, point, batch, EvalCounter())
+            split_update_memory(table, inst, 0, point, batch, EvalCounter())
         assert np.max(np.abs(table.running_sum - table.gradients.sum(axis=0))) <= 1e-11
 
 
@@ -204,8 +232,8 @@ class TestFusedEstimateUpdate:
         g_fused = saga_estimate_update(t1, instance, 0, x, batch, c1)
 
         c2 = EvalCounter()
-        g_split = saga_estimate(t2, instance, 0, x, batch, c2)
-        saga_update_memory(t2, instance, 0, x, batch, c2)
+        g_split = split_estimate(t2, instance, 0, x, batch, c2)
+        split_update_memory(t2, instance, 0, x, batch, c2)
 
         assert np.max(np.abs(g_fused - g_split)) <= 1e-15
         assert np.max(np.abs(t1.gradients - t2.gradients)) <= 1e-15

@@ -56,6 +56,12 @@ dir = out
 """
 
 
+def manifest_without_n_agents() -> str:
+    config = parse_config(BASIC_INI).to_dict()
+    del config["problem"]["n_agents"]
+    return json.dumps({"config": config})
+
+
 class TestParsing:
     def test_basic_roundtrip(self):
         cfg = parse_config(BASIC_INI)
@@ -108,6 +114,11 @@ class TestParsing:
         algorithm = {"variant": "lt_admm", "gamma": 0.1, "rho": 1.0, "tau": 2, "outer_iterations": 3}
         run_cfg = make_run_config({**algorithm, "batch_replacement": "false"}, {})
         assert run_cfg.batch_replacement is False
+        # integer fields take neither a fraction nor a boolean
+        with pytest.raises(ConfigError, match="tau"):
+            make_run_config({**algorithm, "tau": 2.7}, {})
+        with pytest.raises(ConfigError, match="outer_iterations"):
+            make_run_config({**algorithm, "outer_iterations": True}, {})
 
     def test_explicit_points_take_precedence(self):
         cfg = parse_config(BASIC_INI)
@@ -162,6 +173,12 @@ class TestRunExperiment:
         run_experiment(cfg, out_dir=tmp_path)
         header = (tmp_path / "tiny_point000.csv").read_text().splitlines()[0]
         assert "d_k_mean" in header.split(",")
+
+    def test_variant_from_sweep_only(self, tmp_path):
+        text = BASIC_INI.replace("variant = lt_admm\n", "") + "\n[sweep]\nvariant = exact, lt_admm\n"
+        result = run_experiment(parse_config(text), out_dir=tmp_path)
+        assert [p["resolved"]["variant"] for p in result.manifest["points"]] == ["exact", "lt_admm"]
+        assert result.manifest["seeds"]["master_seed"] == 1
 
     def test_workers_do_not_change_results(self, tmp_path):
         cfg = parse_config(BASIC_INI + "\n[sweep]\ngamma = 0.05, 0.02\n")
@@ -274,18 +291,30 @@ class TestCli:
         assert "config error" in proc.stderr
 
     @pytest.mark.parametrize(
-        "text",
+        "name,text",
         [
-            BASIC_INI + "\n[sweep]\ntau = abc\n",
-            BASIC_INI.replace("rho = 1.0", "rho = 1.0\ngama = 0.3"),
-            BASIC_INI + "\n[sweep]\ngamma = 0.05, -1\n",
-            BASIC_INI.replace("kind = logistic_nonconvex", "kind = logistic"),
-            BASIC_INI.replace("batch_size = 1", "batch_size = 7\nbatch_replacement = false"),
+            ("bad.ini", BASIC_INI + "\n[sweep]\ntau = abc\n"),
+            ("bad.ini", BASIC_INI.replace("rho = 1.0", "rho = 1.0\ngama = 0.3")),
+            ("bad.ini", BASIC_INI + "\n[sweep]\ngamma = 0.05, -1\n"),
+            ("bad.ini", BASIC_INI.replace("kind = logistic_nonconvex", "kind = logistic")),
+            ("bad.ini", BASIC_INI.replace("batch_size = 1", "batch_size = 7\nbatch_replacement = false")),
+            ("bad.json", manifest_without_n_agents()),
+            ("bad.ini", BASIC_INI.replace("ring = 4", "ring = 10").replace("seed = 3", "seed = 3\nn_agents = 5")),
+            ("bad.ini", BASIC_INI.replace("ring = 4", "edges = 0-1, 1-2, 2-3, 3-0")),
         ],
-        ids=["sweep-tau-abc", "unknown-key", "negative-sweep-gamma", "unknown-kind", "infeasible-batch"],
+        ids=[
+            "sweep-tau-abc",
+            "unknown-key",
+            "negative-sweep-gamma",
+            "unknown-kind",
+            "infeasible-batch",
+            "manifest-without-n-agents",
+            "n-agents-not-topology",
+            "edges-without-n-agents",
+        ],
     )
-    def test_invalid_config_rejected_before_any_point(self, tmp_path, text):
-        ini = tmp_path / "bad.ini"
+    def test_invalid_config_rejected_before_any_point(self, tmp_path, name, text):
+        ini = tmp_path / name
         ini.write_text(text)
         out = tmp_path / "out"
         proc = self.run_cli("run", str(ini), "--out", str(out))
