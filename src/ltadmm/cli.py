@@ -2,7 +2,7 @@
 
 Subcommands:
     run      execute an experiment config (INI file or previous manifest)
-    certify  evaluate the theoretical step-size bounds for a config
+    certify  evaluate the theoretical step-size bounds at every grid point
     preset   run one of the built-in experiment presets (fig1, fig2)
 
 Exit codes: 0 success, 2 configuration error, 3 every replicate of some grid
@@ -19,7 +19,7 @@ from .runner import (
     ConfigError,
     build_instance,
     build_topology,
-    make_run_config,
+    grid_points,
     load_config,
     preset_fig1,
     preset_fig2,
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="INI config file or manifest JSON")
     _add_common(run_p)
 
-    cert_p = sub.add_parser("certify", help="print the step-size bound report as JSON")
+    cert_p = sub.add_parser("certify", help="print the step-size bound report of every grid point as JSON")
     cert_p.add_argument("config", help="INI config file or manifest JSON")
 
     preset_p = sub.add_parser("preset", help="run a built-in experiment preset")
@@ -94,9 +94,11 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             instance = build_instance(cfg.problem)
             topology = build_topology(cfg.topology)
-            run_cfg = make_run_config(cfg.algorithm, {})
-            report = certified_run_check(instance, topology, run_cfg)
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            reports = {
+                label: certified_run_check(instance, topology, run_cfg).to_dict()
+                for label, _, run_cfg in grid_points(cfg)
+            }
+            print(json.dumps(reports, indent=2, sort_keys=True))
             return EXIT_OK
         if args.command == "preset":
             cfg = preset_fig1() if args.name == "fig1" else preset_fig2()

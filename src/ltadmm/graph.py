@@ -63,16 +63,9 @@ class Topology:
     def max_degree(self) -> int:
         return max(self.degrees)
 
-    def neighbors(self, agent: int) -> tuple[int, ...]:
-        return self.neighbor_lists[agent]
-
     def index_of(self, i: int, j: int) -> int:
         """Index of the directed edge (i, j)."""
         return self.edge_index[(i, j)]
-
-    def edge_at(self, index: int) -> tuple[int, int]:
-        """Ordered pair stored at ``index`` (inverse of :meth:`index_of`)."""
-        return self.directed_edges[index]
 
 
 def _connected(num_agents: int, neighbor_sets: list[set[int]]) -> bool:

@@ -18,9 +18,7 @@ noise and are fully determined by an integer seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -32,17 +30,12 @@ __all__ = [
     "ProblemInstance",
     "SmoothnessEstimate",
     "generate_classification",
-    "component_loss",
-    "component_gradient",
     "component_gradients",
     "batch_mean_gradient",
-    "local_objective",
     "local_full_gradient",
     "global_gradient",
     "global_gradient_norm_sq",
     "smoothness_constant",
-    "save_dataset",
-    "load_dataset",
 ]
 
 LOGISTIC_NONCONVEX = "logistic_nonconvex"
@@ -149,11 +142,6 @@ def generate_classification(
     )
 
 
-def _regularizer_value(x: np.ndarray) -> float:
-    sq = x * x
-    return float(np.sum(sq / (1.0 + sq)))
-
-
 def _regularizer_gradient(x: np.ndarray) -> np.ndarray:
     denom = 1.0 + x * x
     return 2.0 * x / (denom * denom)
@@ -162,18 +150,6 @@ def _regularizer_gradient(x: np.ndarray) -> np.ndarray:
 def _check_finite(x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input point")
-
-
-def component_loss(instance: ProblemInstance, agent: int, index: int, x: np.ndarray) -> float:
-    """Loss of data point ``index`` of ``agent`` at ``x``."""
-    _check_finite(x)
-    a = instance.features[agent][index]
-    b = instance.labels[agent][index]
-    if instance.kind == LOGISTIC_NONCONVEX:
-        margin = b * float(a @ x)
-        return float(np.logaddexp(0.0, -margin)) + instance.epsilon * _regularizer_value(x)
-    residual = float(a @ x) - b
-    return 0.5 * residual * residual
 
 
 def component_gradients(
@@ -195,12 +171,6 @@ def component_gradients(
     return (margins - labs)[:, None] * feats
 
 
-def component_gradient(instance: ProblemInstance, agent: int, index: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of one component loss at ``x``."""
-    _check_finite(x)
-    return component_gradients(instance, agent, np.asarray([index]), x)[0]
-
-
 def batch_mean_gradient(
     instance: ProblemInstance, agent: int, indices: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
@@ -209,18 +179,6 @@ def batch_mean_gradient(
         # fast path used by the unit-batch solvers
         return component_gradients(instance, agent, indices, x)[0]
     return component_gradients(instance, agent, indices, x).mean(axis=0)
-
-
-def local_objective(instance: ProblemInstance, agent: int, x: np.ndarray) -> float:
-    """Local cost of ``agent``: average of its component losses."""
-    _check_finite(x)
-    feats = instance.features[agent]
-    labs = instance.labels[agent]
-    margins = feats @ x
-    if instance.kind == LOGISTIC_NONCONVEX:
-        value = float(np.mean(np.logaddexp(0.0, -labs * margins)))
-        return value + instance.epsilon * _regularizer_value(x)
-    return 0.5 * float(np.mean((margins - labs) ** 2))
 
 
 def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:
@@ -285,35 +243,3 @@ def smoothness_constant(instance: ProblemInstance) -> SmoothnessEstimate:
         hessian = a.T @ a / a.shape[0]
         best = max(best, _power_iteration_largest(hessian))
     return SmoothnessEstimate(L=best, method="power_iteration")
-
-
-def save_dataset(instance: ProblemInstance, path: str | Path) -> None:
-    """Write the datasets as flat CSV rows: agent id, label, feature values."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent", "label"] + [f"f{k}" for k in range(instance.dimension)])
-        for i in range(instance.num_agents):
-            for h in range(instance.num_points(i)):
-                row = [i, repr(float(instance.labels[i][h]))]
-                row += [repr(float(v)) for v in instance.features[i][h]]
-                writer.writerow(row)
-
-
-def load_dataset(path: str | Path, *, kind: str = LOGISTIC_NONCONVEX, epsilon: float = 0.0) -> ProblemInstance:
-    """Rebuild a :class:`ProblemInstance` from a CSV written by :func:`save_dataset`."""
-    path = Path(path)
-    per_agent_feats: dict[int, list[list[float]]] = {}
-    per_agent_labs: dict[int, list[float]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n = len(header) - 2
-        for row in reader:
-            agent = int(row[0])
-            per_agent_labs.setdefault(agent, []).append(float(row[1]))
-            per_agent_feats.setdefault(agent, []).append([float(v) for v in row[2 : 2 + n]])
-    agents = sorted(per_agent_feats)
-    features = tuple(np.asarray(per_agent_feats[i]) for i in agents)
-    labels = tuple(np.asarray(per_agent_labs[i]) for i in agents)
-    return ProblemInstance(kind=kind, features=features, labels=labels, epsilon=epsilon)

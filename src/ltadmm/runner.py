@@ -1,10 +1,11 @@
 """Experiment configuration, sweep orchestration, and trace persistence.
 
-Experiments are described by INI files with four sections (topology,
-problem, algorithm, output) plus optional cost and sweep sections; see the
-README for the exact keys.  A sweep is either the Cartesian product of the
-listed axes or an explicit list of override points (used by the presets to
-pair a tuned step size with each local step count).
+Experiments are described by INI files with three sections (topology,
+problem, algorithm) plus optional experiment, cost, sweep and output
+sections; see the README for the exact keys.  An unknown section or key is
+an error.  A sweep is either the Cartesian product of the listed axes or an
+explicit list of override points (used by the presets to pair a tuned step
+size with each local step count).
 
 The fields of :class:`~ltadmm.algorithms.RunConfig` are the schema of the
 algorithm and cost keys: INI values, sweep values, manifest configs and
@@ -23,11 +24,10 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-import math
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
-from itertools import product
+from dataclasses import asdict, dataclass, field
+from itertools import product, repeat
 from pathlib import Path
 
 from . import __version__
@@ -45,10 +45,10 @@ __all__ = [
     "build_topology",
     "build_instance",
     "expand_grid",
+    "grid_points",
     "make_run_config",
     "run_experiment",
     "stopping_time",
-    "tune_gamma",
     "preset_fig1",
     "preset_fig2",
     "FIG1_TUNED_GAMMA",
@@ -61,6 +61,15 @@ class ConfigError(ValueError):
 
 
 _SWEEP_AXES = ("gamma", "tau", "tg_tc_ratio", "variant")
+# keys of the sections that RunConfig does not describe; the algorithm and
+# cost keys are the RunConfig fields and the sweep keys are _SWEEP_AXES
+_SECTION_KEYS = {
+    "experiment": ("name",),
+    "topology": ("ring", "n_agents", "edges"),
+    "problem": ("kind", "seed", "n_agents", "dimension", "points_per_agent", "epsilon"),
+    "output": ("dir", "stop_threshold"),
+}
+_SECTIONS = (*_SECTION_KEYS, "algorithm", "cost", "sweep")
 _CSV_BASE_COLUMNS = [
     "k",
     "model_time",
@@ -167,8 +176,16 @@ class ExperimentConfig:
         return cfg
 
 
+def _check_keys(label: str, section: dict) -> None:
+    unknown = sorted(set(section) - set(_SECTION_KEYS[label]))
+    if unknown:
+        raise ConfigError(f"unknown {label} key(s): {', '.join(unknown)}")
+
+
 def _validate(cfg: ExperimentConfig) -> list[RunConfig]:
     """Check ``cfg``; returns the run configuration of every grid point."""
+    _check_keys("topology", cfg.topology)
+    _check_keys("problem", cfg.problem)
     if ("ring" in cfg.topology) == ("edges" in cfg.topology):
         raise ConfigError("topology needs exactly one of 'ring' or 'edges'")
     topology_key = "ring" if "ring" in cfg.topology else "n_agents"
@@ -257,6 +274,15 @@ def expand_grid(cfg: ExperimentConfig) -> list[dict]:
     return [dict(zip(names, combo)) for combo in combos]
 
 
+def grid_points(cfg: ExperimentConfig) -> list[tuple[str, dict, RunConfig]]:
+    """Label, overrides and checked run configuration of every grid point."""
+    run_cfgs = _validate(cfg)
+    return [
+        (_point_label(index, overrides), overrides, run_cfg)
+        for index, (overrides, run_cfg) in enumerate(zip(expand_grid(cfg), run_cfgs))
+    ]
+
+
 def _point_label(index: int, overrides: dict) -> str:
     parts = [f"point{index:03d}"]
     for key in sorted(overrides):
@@ -292,6 +318,9 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"cannot parse config: {err}") from err
+    unknown = sorted(set(parser.sections()) - set(_SECTIONS))
+    if unknown:
+        raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
 
     def section(label: str, required: bool = True) -> dict:
         if not parser.has_section(label):
@@ -308,6 +337,7 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
     algorithm = section("algorithm")
     algorithm.update(section("cost", required=False))
     output = section("output", required=False)
+    _check_keys("output", output)
 
     sweep: dict = {}
     if parser.has_section("sweep"):
@@ -315,6 +345,7 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
             sweep[axis] = [_convert(axis, v) for v in raw.split(",") if v.strip()]
 
     experiment = section("experiment", required=False)
+    _check_keys("experiment", experiment)
     cfg = ExperimentConfig(
         name=str(experiment.get("name", name)),
         topology=topology,
@@ -357,11 +388,6 @@ class ExperimentResult:
         )
 
 
-def _execute_point(args) -> Trace:
-    problem, topology, run_cfg = args
-    return run(build_instance(problem), build_topology(topology), run_cfg)
-
-
 def _write_csv(path: Path, trace: Trace, record_dk: bool) -> None:
     columns = list(_CSV_BASE_COLUMNS)
     if record_dk:
@@ -391,27 +417,25 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute every grid point and persist CSV traces plus a manifest.
 
-    Grid points are independent; with ``workers > 1`` they execute in a
+    Grid points are independent and share the problem and the topology,
+    which are built once; with ``workers > 1`` the points execute in a
     process pool, and results do not depend on the worker count.
     """
+    grid = grid_points(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = expand_grid(cfg)
-    if not grid:
-        raise ConfigError("experiment grid is empty")
-    run_cfgs = _validate(cfg)
-
-    jobs = [(cfg.problem, cfg.topology, run_cfg) for run_cfg in run_cfgs]
+    instance = build_instance(cfg.problem)
+    topology = build_topology(cfg.topology)
+    run_cfgs = [run_cfg for _, _, run_cfg in grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_execute_point, jobs))
+            traces = list(pool.map(run, repeat(instance), repeat(topology), run_cfgs))
     else:
-        traces = [_execute_point(job) for job in jobs]
+        traces = list(map(run, repeat(instance), repeat(topology), run_cfgs))
 
     points = []
     m_max = int(cfg.problem["points_per_agent"])
-    for index, (overrides, run_cfg, trace) in enumerate(zip(grid, run_cfgs, traces)):
-        label = _point_label(index, overrides)
+    for (label, overrides, run_cfg), trace in zip(grid, traces):
         csv_name = f"{cfg.name}_{label}.csv"
         _write_csv(out / csv_name, trace, run_cfg.record_dk)
         stopping = None
@@ -464,51 +488,13 @@ def stopping_time(trace: Trace, threshold: float) -> dict | None:
     return None
 
 
-# --- tuning and presets --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TuneResult:
-    best_gamma: float
-    scores: dict
-
-
-def tune_gamma(
-    instance: ProblemInstance,
-    topology: Topology,
-    base: RunConfig,
-    gammas,
-    budget_iterations: int,
-    replicates: int = 3,
-) -> TuneResult:
-    """Geometric grid search: pick the step size with the lowest final metric.
-
-    Each candidate runs a short budget; the score is the aggregated mean
-    squared gradient at the final iteration (infinity if every replicate
-    diverged).  Deterministic for a fixed base seed; ties go to the smaller
-    candidate.
-    """
-    scores: dict = {}
-    for gamma in gammas:
-        candidate = replace(
-            base,
-            gamma=float(gamma),
-            outer_iterations=budget_iterations,
-            monte_carlo_runs=replicates,
-        )
-        trace = run(instance, topology, candidate)
-        if not trace.records:
-            scores[float(gamma)] = math.inf
-        else:
-            scores[float(gamma)] = trace.records[-1].grad_norm_sq_mean
-    best = min(sorted(scores), key=lambda g: scores[g])
-    return TuneResult(best_gamma=best, scores=scores)
+# --- presets -------------------------------------------------------------
 
 
 # Benchmark problem shared by the presets: ring of 10 agents, 5 features,
 # 100 points per agent, nonconvex regularization weight 0.01, unit batches,
 # penalty 1.  Step sizes below were tuned by grid search on this data
-# (lowest time to reach the stopping threshold; see tune_gamma).
+# (lowest time to reach the stopping threshold; a [sweep] gamma run).
 _PRESET_PROBLEM = {
     "kind": "logistic_nonconvex",
     "seed": 31,

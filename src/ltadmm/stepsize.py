@@ -12,8 +12,7 @@ Because that eigenvector matrix itself contains the candidate step size, the
 bounds with indices 5-7 and 14-17 are implicit in gamma.  The checker
 therefore evaluates everything *at the candidate* and reports a certified /
 not-certified verdict rather than solving for the largest admissible value;
-:func:`certification_threshold` offers a bisection estimate of the crossover
-for convenience.
+``ltadmm certify`` over a ``[sweep] gamma`` axis checks several candidates.
 
 Two expressions are implemented verbatim despite looking suspicious (an
 inner ``max`` in bound 7, a mixed-units ``L^3/N`` term in bound 12); the
@@ -24,7 +23,7 @@ certification does not predict empirical divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "bound_constants",
     "evaluate_bounds",
     "certified_run_check",
-    "certification_threshold",
     "REGIME_SGD",
     "REGIME_SARAH",
 ]
@@ -369,7 +367,6 @@ class CertificationReport:
     bound_value: float | None
     findings: tuple[str, ...]
     report: BoundReport | None = None
-    context: BoundContext | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -450,54 +447,4 @@ def certified_run_check(
         bound_value=bound_value,
         findings=(),
         report=report,
-        context=ctx,
     )
-
-
-def certification_threshold(
-    instance: ProblemInstance,
-    topology: Topology,
-    rho: float,
-    tau: int,
-    regime: str = REGIME_SGD,
-    gamma_low: float = 1e-12,
-    gamma_high: float = 1.0,
-    iterations: int = 80,
-) -> float | None:
-    """Bisection estimate of the largest certified step size.
-
-    The bounds depend on the candidate through the block-inverse norm, so the
-    certificate is a predicate in gamma; this scans for a certified seed
-    value and bisects the crossover.  Returns None if no scanned candidate is
-    certified.  Note that the squared inverse norm grows like 1/gamma, which
-    makes the norm-dependent bounds scale linearly in gamma; when their
-    proportionality constant is below one (the typical case) the predicate
-    has no solution at all and the scan comes back empty.
-    """
-
-    def certified(gamma: float) -> bool:
-        try:
-            ctx = make_context(instance, topology, rho, tau, gamma)
-        except (StepSizePreconditionError, IllConditionedBlockError):
-            return False
-        report = evaluate_bounds(ctx)
-        return report.sarah_satisfied if regime == REGIME_SARAH else report.sgd_satisfied
-
-    # geometric scan for a certified seed
-    seed = None
-    gamma = gamma_high
-    while gamma >= gamma_low:
-        if certified(gamma):
-            seed = gamma
-            break
-        gamma /= 2.0
-    if seed is None:
-        return None
-    low, high = seed, min(gamma_high, seed * 2.0)
-    for _ in range(iterations):
-        mid = 0.5 * (low + high)
-        if certified(mid):
-            low = mid
-        else:
-            high = mid
-    return low

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import RunConfig
-from .graph import Topology
-from .problems import ProblemInstance, local_full_gradient
+from ltadmm.algorithms import RunConfig
+from ltadmm.graph import Topology
+from ltadmm.problems import ProblemInstance, local_full_gradient
 
 __all__ = [
     "EdgeStructure",

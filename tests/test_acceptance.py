@@ -19,7 +19,6 @@ from ltadmm.algorithms import (
     simulate_replicate,
 )
 from ltadmm.graph import build_ring
-from ltadmm.matrix_form import build_structure, compact_init, compact_step
 from ltadmm.metrics import iteration_charge, iteration_evals
 from ltadmm.oracles import (
     EvalCounter,
@@ -38,6 +37,7 @@ from ltadmm.runner import preset_fig2, run_experiment, stopping_time
 from ltadmm.stepsize import build_v_hat_inverse_norm, evaluate_bounds
 
 from conftest import random_bound_context, random_connected_topology
+from matrix_form import build_structure, compact_init, compact_step
 
 
 def report(number: int, message: str) -> None:

@@ -12,7 +12,6 @@ from ltadmm.algorithms import (
     simulate_replicate,
 )
 from ltadmm.graph import build_from_edges, build_ring
-from ltadmm.matrix_form import build_structure
 from ltadmm.problems import (
     LEAST_SQUARES,
     ProblemInstance,
@@ -20,6 +19,7 @@ from ltadmm.problems import (
 )
 
 from conftest import random_connected_topology
+from matrix_form import build_structure
 
 
 def zero_problem(n_agents=3, dimension=2, m=4):

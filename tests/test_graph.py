@@ -73,7 +73,7 @@ class TestEdgeIndex:
         topo = build_ring(6)
         for e, (i, j) in enumerate(topo.directed_edges):
             assert topo.index_of(i, j) == e
-            assert topo.edge_at(e) == (i, j)
+            assert topo.directed_edges[e] == (i, j)
             assert topo.index_of(i, j) != topo.index_of(j, i)
 
     def test_enumerates_both_directions(self, rng):

@@ -8,7 +8,10 @@ from ltadmm.algorithms import (
     outer_step,
 )
 from ltadmm.graph import build_from_edges, build_ring
-from ltadmm.matrix_form import (
+from ltadmm.problems import generate_classification, local_full_gradient
+
+from conftest import random_connected_topology
+from matrix_form import (
     CompactState,
     build_structure,
     compact_init,
@@ -17,9 +20,6 @@ from ltadmm.matrix_form import (
     diagnostics,
     step_via_block_form,
 )
-from ltadmm.problems import generate_classification, local_full_gradient
-
-from conftest import random_connected_topology
 
 
 def exact_config(**overrides):

@@ -6,9 +6,7 @@ import sys
 import pytest
 
 from ltadmm.algorithms import RunConfig
-from ltadmm.graph import build_ring
 from ltadmm.metrics import AggregateRecord, Trace
-from ltadmm.problems import generate_classification
 from ltadmm.runner import (
     ConfigError,
     ExperimentConfig,
@@ -20,7 +18,6 @@ from ltadmm.runner import (
     preset_fig2,
     run_experiment,
     stopping_time,
-    tune_gamma,
 )
 
 BASIC_INI = """
@@ -59,6 +56,12 @@ dir = out
 def manifest_without_n_agents() -> str:
     config = parse_config(BASIC_INI).to_dict()
     del config["problem"]["n_agents"]
+    return json.dumps({"config": config})
+
+
+def manifest_with_problem_key(key: str, value) -> str:
+    config = parse_config(BASIC_INI).to_dict()
+    config["problem"][key] = value
     return json.dumps({"config": config})
 
 
@@ -230,27 +233,6 @@ class TestStoppingTime:
             stopping_time(make_trace([1.0]), 0.0)
 
 
-class TestTuning:
-    def test_deterministic_and_member_of_grid(self):
-        inst = generate_classification(3, 4, 2, 8)
-        topo = build_ring(4)
-        base = RunConfig(variant="lt_admm", gamma=0.1, rho=1.0, tau=2, outer_iterations=5, master_seed=2)
-        grid = [0.2, 0.1, 0.05]
-        r1 = tune_gamma(inst, topo, base, grid, budget_iterations=30, replicates=2)
-        r2 = tune_gamma(inst, topo, base, grid, budget_iterations=30, replicates=2)
-        assert r1.best_gamma == r2.best_gamma
-        assert r1.best_gamma in grid
-        assert set(r1.scores) == set(grid)
-
-    def test_divergent_candidates_scored_inf(self):
-        inst = generate_classification(3, 4, 2, 8)
-        topo = build_ring(4)
-        base = RunConfig(variant="exact", gamma=0.1, rho=1.0, tau=8, outer_iterations=5, master_seed=2, init_std=1e9)
-        result = tune_gamma(inst, topo, base, [1e6, 0.05], budget_iterations=40, replicates=1)
-        assert result.scores[1e6] == float("inf")
-        assert result.best_gamma == 0.05
-
-
 class TestPresets:
     def test_fig1_grid(self):
         cfg = preset_fig1()
@@ -301,6 +283,12 @@ class TestCli:
             ("bad.json", manifest_without_n_agents()),
             ("bad.ini", BASIC_INI.replace("ring = 4", "ring = 10").replace("seed = 3", "seed = 3\nn_agents = 5")),
             ("bad.ini", BASIC_INI.replace("ring = 4", "edges = 0-1, 1-2, 2-3, 3-0")),
+            ("bad.ini", BASIC_INI.replace("epsilon = 0.01", "epsilom = 0.5")),
+            ("bad.ini", BASIC_INI.replace("dir = out", "dir = out\nstop_treshold = 0.5")),
+            ("bad.ini", BASIC_INI + "\n[sweeep]\ngamma = 0.05, 0.02\n"),
+            ("bad.ini", BASIC_INI.replace("ring = 4", "ring = 4\nrings = 5")),
+            ("bad.ini", BASIC_INI.replace("name = tiny", "name = tiny\nnmae = other")),
+            ("bad.json", manifest_with_problem_key("epsilom", 0.5)),
         ],
         ids=[
             "sweep-tau-abc",
@@ -311,6 +299,12 @@ class TestCli:
             "manifest-without-n-agents",
             "n-agents-not-topology",
             "edges-without-n-agents",
+            "unknown-problem-key",
+            "unknown-output-key",
+            "unknown-section",
+            "unknown-topology-key",
+            "unknown-experiment-key",
+            "manifest-unknown-problem-key",
         ],
     )
     def test_invalid_config_rejected_before_any_point(self, tmp_path, name, text):
@@ -342,9 +336,32 @@ class TestCli:
         ini.write_text(BASIC_INI)
         proc = self.run_cli("certify", str(ini))
         assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
+        report = json.loads(proc.stdout)["point000"]
         assert report["regime"] == "sgd"
         assert "certified" in report
+
+    def certify(self, tmp_path, text):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        proc = self.run_cli("certify", str(ini))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_certify_variant_from_sweep_only(self, tmp_path):
+        text = BASIC_INI.replace("variant = lt_admm\n", "") + "\n[sweep]\nvariant = exact, lt_admm_vr\n"
+        reports = self.certify(tmp_path, text)
+        assert {label: r["regime"] for label, r in reports.items()} == {
+            "point000_variant-exact": "sgd",
+            "point001_variant-lt_admm_vr": "sarah",
+        }
+
+    def test_certify_every_gamma_of_a_sweep(self, tmp_path):
+        reports = self.certify(tmp_path, BASIC_INI + "\n[sweep]\ngamma = 0.05, 0.5\n")
+        assert sorted(reports) == ["point000_gamma-0.05", "point001_gamma-0.5"]
+        assert reports["point000_gamma-0.05"]["report"]["gamma_candidate"] == 0.05
+        # gamma * rho * tau * lambda_max = 0.5 * 1 * 2 * 4 on the 4-ring breaks bound 1
+        assert reports["point001_gamma-0.5"]["binding_bound"] == 1
+        assert not reports["point001_gamma-0.5"]["certified"]
 
     def test_divergence_exit_code(self, tmp_path):
         ini = tmp_path / "exp.ini"

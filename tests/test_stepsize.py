@@ -13,7 +13,6 @@ from ltadmm.stepsize import (
     StepSizePreconditionError,
     build_v_hat_inverse_norm,
     bound_constants,
-    certification_threshold,
     certified_run_check,
     evaluate_bounds,
     make_context,
@@ -202,21 +201,6 @@ class TestCertification:
         report = certified_run_check(instance, topology, cfg)
         assert report.regime == "sarah"
         assert report.binding_bound is not None
-
-    def test_threshold_bisection_consistent(self, setup):
-        # the norm-dependent bounds scale linearly in gamma, so for this
-        # problem the self-referential certificate is empty and the scan
-        # reports it; if a crossover exists it must itself be certified
-        instance, topology = setup
-        threshold = certification_threshold(
-            instance, topology, rho=1.0, tau=5, regime="sgd", gamma_low=1e-10
-        )
-        if threshold is None:
-            ctx = make_context(instance, topology, 1.0, 5, 1e-6)
-            assert not evaluate_bounds(ctx).sgd_satisfied
-        else:
-            ctx = make_context(instance, topology, 1.0, 5, threshold)
-            assert evaluate_bounds(ctx).sgd_satisfied
 
 
 class TestConstants:
