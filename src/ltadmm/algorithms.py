@@ -36,13 +36,14 @@ given master seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics
 from .graph import Topology
-from .metrics import CostModel, IterationRecord, ReplicateTrace, Trace
+from .metrics import CostModel, ReplicateTrace, Trace
 from .oracles import (
     EvalCounter,
     SagaTable,
@@ -246,17 +247,20 @@ def exchange(topology: Topology, Z: np.ndarray, X: np.ndarray, rho: float) -> np
     return 0.5 * (Z - payload[topology.rev])
 
 
-def _record(
-    instance: ProblemInstance, X: np.ndarray, Z: np.ndarray, degrees: np.ndarray, rho: float, k: int
-) -> IterationRecord:
-    """Metrics of the state (X, Z); counters and model time are filled in later."""
-    return IterationRecord(
-        k=k,
+class StateMetrics(NamedTuple):
+    """Metrics of one state (X, Z)."""
+
+    grad_norm_sq: float
+    consensus_err: float
+    conservation_residual: float
+
+
+def _measure(
+    instance: ProblemInstance, X: np.ndarray, Z: np.ndarray, degrees: np.ndarray, rho: float
+) -> StateMetrics:
+    return StateMetrics(
         grad_norm_sq=global_gradient_norm_sq(instance, X.mean(axis=0)),
         consensus_err=metrics.consensus_error(X),
-        component_evals=0,
-        comms=0,
-        model_time=0.0,
         conservation_residual=float(
             np.linalg.norm(Z.sum(axis=0) - rho * (degrees[:, None] * X).sum(axis=0))
         ),
@@ -272,13 +276,11 @@ def outer_step(
     X: np.ndarray,
     Z: np.ndarray,
     log: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> IterationRecord:
+) -> StateMetrics:
     """One full outer iteration: epoch, exchange, auxiliary update.
 
-    Overwrites ``X`` and ``Z`` with the new state and returns its metrics
-    record (cumulative counters, model time, and the epoch gradient metric
-    are filled in by the replicate driver).  ``log`` is passed on to the
-    epoch.
+    Overwrites ``X`` and ``Z`` with the new state and returns its metrics.
+    ``log`` is passed on to the epoch.
     """
     degrees = np.asarray(topology.degrees)
     AtZ = np.zeros_like(X)
@@ -286,7 +288,7 @@ def outer_step(
     X_new = local_training_epoch(states, instance, config, k, X, AtZ, degrees, log)
     Z[:] = exchange(topology, Z, X_new, config.rho)
     X[:] = X_new
-    return _record(instance, X, Z, degrees, config.rho, k + 1)
+    return _measure(instance, X, Z, degrees, config.rho)
 
 
 def _inner_average_gradients(
@@ -309,29 +311,29 @@ def simulate_replicate(
 ) -> ReplicateTrace:
     """Run one replicate for the configured iteration budget.
 
-    The record list starts with the initial state at k = 0.  Divergence
-    truncates it and marks the replicate; the epoch gradient metric, when
-    enabled, is attached to the record the epoch started from (its true
-    gradients are measurement overhead and never hit the counters).
+    The metric arrays start with the initial state at k = 0.  Divergence
+    truncates them and marks the replicate; the epoch gradient metric, when
+    enabled, is stored at the index of the state the epoch started from (its
+    true gradients are measurement overhead and never hit the counters).
     """
     X = initial_iterates(config, topology.num_agents, instance.dimension, replicate)
     Z = X[topology.src]
     states = init_states(instance, topology, config, replicate)
     cost = config.cost_model()
     m_max = instance.max_points
-    records = [_record(instance, X, Z, np.asarray(topology.degrees), config.rho, 0)]
+    measured = [_measure(instance, X, Z, np.asarray(topology.degrees), config.rho)]
+    evals = [0]
+    comms = [0]
+    model_time = [0.0]
+    d_k: list[float] = []
 
-    model_time = 0.0
-    cum_evals = 0
-    cum_comms = 0
     status = "completed"
     diverged_at = None
     for k in range(config.outer_iterations):
         evals_before = [s.counter.component_gradient_evals for s in states]
-        epoch_start_mean = X.mean(axis=0)
         log: list[tuple[np.ndarray, np.ndarray]] | None = [] if config.record_dk else None
         try:
-            record = outer_step(states, instance, topology, config, k, X, Z, log)
+            measured.append(outer_step(states, instance, topology, config, k, X, Z, log))
         except DivergenceError as err:
             status = "diverged"
             diverged_at = err.outer_iteration
@@ -340,26 +342,33 @@ def simulate_replicate(
             s.counter.component_gradient_evals - before
             for s, before in zip(states, evals_before)
         ]
-        cum_evals += max(deltas)
-        cum_comms += topology.num_directed_edges
-        model_time += metrics.iteration_charge(
-            cost, config.variant, config.tau, m_max, config.batch_size, k
+        evals.append(evals[-1] + max(deltas))
+        comms.append(comms[-1] + topology.num_directed_edges)
+        model_time.append(
+            model_time[-1]
+            + metrics.iteration_charge(cost, config.variant, config.tau, m_max, config.batch_size, k)
         )
-        record.component_evals = cum_evals
-        record.comms = cum_comms
-        record.model_time = model_time
         if config.record_dk:
-            records[-1].d_k = metrics.compute_dk(
-                instance, epoch_start_mean, _inner_average_gradients(instance, log), config.tau
-            )
-        records.append(record)
+            inner = _inner_average_gradients(instance, log)
+            d_k.append(metrics.compute_dk(measured[k].grad_norm_sq, inner, config.tau))
+    grad_norm_sq, consensus_err, residual = (np.array(column) for column in zip(*measured))
+    d_k += [np.nan] * (len(measured) - len(d_k))
     return ReplicateTrace(
-        replicate=replicate, status=status, records=records, diverged_at=diverged_at
+        replicate=replicate,
+        status=status,
+        grad_norm_sq=grad_norm_sq,
+        consensus_err=consensus_err,
+        conservation_residual=residual,
+        component_evals=np.array(evals),
+        comms=np.array(comms),
+        model_time=np.array(model_time),
+        d_k=np.array(d_k),
+        diverged_at=diverged_at,
     )
 
 
 def run(instance: ProblemInstance, topology: Topology, config: RunConfig) -> Trace:
-    """Run all Monte Carlo replicates and aggregate their records.
+    """Run all Monte Carlo replicates and aggregate their metrics.
 
     Replicates share the problem data; initialization and estimator
     randomness vary per replicate.  Divergence of a replicate is recorded,
@@ -370,4 +379,4 @@ def run(instance: ProblemInstance, topology: Topology, config: RunConfig) -> Tra
         simulate_replicate(instance, topology, config, r)
         for r in range(config.monte_carlo_runs)
     ]
-    return metrics.aggregate_replicates(asdict(config), replicates)
+    return metrics.aggregate_replicates(replicates, config.record_dk)

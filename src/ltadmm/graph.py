@@ -39,7 +39,6 @@ class Topology:
         neighbor_lists: tuple of sorted neighbor tuples, one per agent.
         directed_edges: all ordered pairs (i, j) with j a neighbor of i,
             grouped by i, neighbors ascending.
-        edge_index: mapping (i, j) -> position in ``directed_edges``.
         src: owner i of every directed edge (i, j), shape (M,).
         rev: position of the reverse edge (j, i) of every edge, shape (M,).
     """
@@ -47,7 +46,6 @@ class Topology:
     num_agents: int
     neighbor_lists: tuple[tuple[int, ...], ...]
     directed_edges: tuple[tuple[int, int], ...]
-    edge_index: dict[tuple[int, int], int] = field(repr=False)
     src: np.ndarray = field(repr=False)
     rev: np.ndarray = field(repr=False)
 
@@ -62,10 +60,6 @@ class Topology:
     @property
     def max_degree(self) -> int:
         return max(self.degrees)
-
-    def index_of(self, i: int, j: int) -> int:
-        """Index of the directed edge (i, j)."""
-        return self.edge_index[(i, j)]
 
 
 def _connected(num_agents: int, neighbor_sets: list[set[int]]) -> bool:
@@ -90,7 +84,7 @@ def _finalize(num_agents: int, neighbor_sets: list[set[int]]) -> Topology:
     edge_index = {pair: e for e, pair in enumerate(directed_edges)}
     src = np.array([i for i, _ in directed_edges], dtype=np.intp)
     rev = np.array([edge_index[(j, i)] for i, j in directed_edges], dtype=np.intp)
-    return Topology(num_agents, neighbor_lists, directed_edges, edge_index, src, rev)
+    return Topology(num_agents, neighbor_lists, directed_edges, src, rev)
 
 
 def build_ring(n_agents: int) -> Topology:

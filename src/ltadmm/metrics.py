@@ -1,4 +1,9 @@
-"""Convergence metrics, per-iteration records, and the abstract cost model.
+"""Convergence metrics, per-replicate and aggregated traces, and the abstract cost model.
+
+A replicate's trace holds one array per metric; entry k is the state after k
+outer iterations.  Aggregation stacks the surviving replicates of a metric
+into a (K+1, R) array and reduces it along the replicate axis, and the
+aggregated trace is a dict of the CSV columns, in CSV order.
 
 Time is measured in abstract units: ``t_g`` per component-gradient
 evaluation and ``t_c`` per synchronous communication round.  Each solver
@@ -11,17 +16,12 @@ for it), so heterogeneous dataset sizes enter through ``m_i_max``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, global_gradient
-
 __all__ = [
-    "IterationRecord",
     "ReplicateTrace",
-    "AggregateRecord",
     "Trace",
     "CostModel",
     "compute_dk",
@@ -34,82 +34,62 @@ __all__ = [
 
 
 @dataclass
-class IterationRecord:
-    """State metrics after ``k`` outer iterations of one replicate.
-
-    ``d_k`` is the gradient metric of the local-training epoch *starting* at
-    this iterate (squared mean-iterate gradient plus the averaged squared
-    inner-average gradients); it is NaN for the final record or when its
-    recording is disabled.  Counters are cumulative; ``component_evals`` is
-    the slowest agent's tally.
-    """
-
-    k: int
-    grad_norm_sq: float
-    consensus_err: float
-    component_evals: int
-    comms: int
-    model_time: float
-    conservation_residual: float
-    d_k: float = math.nan
-
-
-@dataclass
 class ReplicateTrace:
-    """Per-iteration records of one Monte Carlo replicate."""
+    """Per-iteration metrics of one Monte Carlo replicate, one array each.
+
+    Entry k of every array is the state after k outer iterations; a diverged
+    replicate's arrays stop at the last state it reached.  ``d_k[k]`` is the
+    gradient metric of the local-training epoch *starting* at state k
+    (squared mean-iterate gradient plus the averaged squared inner-average
+    gradients); it is NaN for the final state or when its recording is
+    disabled.  Counters are cumulative; ``component_evals`` is the slowest
+    agent's tally.
+    """
 
     replicate: int
     status: str  # "completed" or "diverged"
-    records: list[IterationRecord]
+    grad_norm_sq: np.ndarray
+    consensus_err: np.ndarray
+    conservation_residual: np.ndarray
+    component_evals: np.ndarray
+    comms: np.ndarray
+    model_time: np.ndarray
+    d_k: np.ndarray
     diverged_at: int | None = None
 
 
 @dataclass
-class AggregateRecord:
-    """Replicate-averaged metrics at one iteration index."""
-
-    k: int
-    model_time: float
-    grad_norm_sq_mean: float
-    grad_norm_sq_std: float
-    consensus_err_mean: float
-    component_evals: int
-    comms: int
-    d_k_mean: float = math.nan
-
-
-@dataclass
 class Trace:
-    """Aggregated result of a Monte Carlo batch plus the raw replicates."""
+    """Aggregated result of a Monte Carlo batch plus the raw replicates.
 
-    config: dict
-    records: list[AggregateRecord]
+    ``columns`` maps each CSV column name to its array, in CSV order;
+    ``d_k_mean`` is present only when the epoch metric was recorded.
+    """
+
+    columns: dict[str, np.ndarray]
     replicates: list[ReplicateTrace]
     num_diverged: int
-    stopping: dict = field(default_factory=dict)
 
 
 def compute_dk(
-    instance: ProblemInstance,
-    x_bar: np.ndarray,
+    grad_norm_sq: float,
     inner_average_gradients: list[np.ndarray],
     tau: int,
 ) -> float:
     """Single-replicate gradient metric of one local-training epoch.
 
-    ``inner_average_gradients`` must hold, for each of the ``tau`` inner
-    steps, the across-agent average of the true local gradients at the inner
-    iterates.  The expectation over estimator noise is realized as the Monte
-    Carlo mean at the runner level.
+    ``grad_norm_sq`` is the squared network gradient at the epoch's starting
+    mean iterate.  ``inner_average_gradients`` must hold, for each of the
+    ``tau`` inner steps, the across-agent average of the true local gradients
+    at the inner iterates.  The expectation over estimator noise is realized
+    as the Monte Carlo mean at the runner level.
     """
     if len(inner_average_gradients) != tau:
         raise ValueError(
             f"expected {tau} inner average gradients, got {len(inner_average_gradients)}"
         )
-    g = global_gradient(instance, x_bar)
-    value = float(g @ g)
     inner = sum(float(v @ v) for v in inner_average_gradients) / tau
-    return value + inner
+    return grad_norm_sq + inner
 
 
 def consensus_error(iterates: np.ndarray) -> float:
@@ -173,38 +153,36 @@ def reference_charges(model: CostModel, tau: int, m_i_max: int) -> dict[str, flo
     }
 
 
-def aggregate_replicates(config: dict, replicates: list[ReplicateTrace]) -> Trace:
-    """Average the surviving replicates' records index by index.
+def aggregate_replicates(replicates: list[ReplicateTrace], record_dk: bool) -> Trace:
+    """Average the surviving replicates' metrics index by index.
 
-    Diverged replicates are excluded from the averages but kept in the trace;
-    if every replicate diverged the aggregate record list is empty.
+    Each metric is stacked into a (K+1, R) array and reduced along its last
+    axis, so every row is summed in the order of a 1-D mean over the
+    replicates.  Counters and model time are the same in every replicate.
+    Diverged replicates are excluded from the averages but kept in the
+    trace; if every replicate diverged every column is empty.
     """
     survivors = [r for r in replicates if r.status == "completed"]
-    num_diverged = len(replicates) - len(survivors)
-    records: list[AggregateRecord] = []
-    if survivors:
-        length = min(len(r.records) for r in survivors)
-        for k in range(length):
-            rows = [r.records[k] for r in survivors]
-            grads = np.asarray([row.grad_norm_sq for row in rows])
-            cons = np.asarray([row.consensus_err for row in rows])
-            dks = np.asarray([row.d_k for row in rows])
-            lead = rows[0]
-            records.append(
-                AggregateRecord(
-                    k=lead.k,
-                    model_time=lead.model_time,
-                    grad_norm_sq_mean=float(grads.mean()),
-                    grad_norm_sq_std=float(grads.std()),
-                    consensus_err_mean=float(cons.mean()),
-                    component_evals=lead.component_evals,
-                    comms=lead.comms,
-                    d_k_mean=float(dks.mean()) if not np.isnan(dks).any() else math.nan,
-                )
-            )
+
+    def stacked(name: str) -> np.ndarray:
+        if not survivors:
+            return np.empty((0, 1))  # no rows; column 0 stands in for a replicate
+        return np.stack([getattr(r, name) for r in survivors], axis=1)
+
+    grads = stacked("grad_norm_sq")
+    columns = {
+        "k": np.arange(len(grads)),
+        "model_time": stacked("model_time")[:, 0],
+        "grad_norm_sq_mean": grads.mean(axis=1),
+        "grad_norm_sq_std": grads.std(axis=1),
+    }
+    if record_dk:
+        columns["d_k_mean"] = stacked("d_k").mean(axis=1)
+    columns["consensus_err_mean"] = stacked("consensus_err").mean(axis=1)
+    columns["component_evals"] = stacked("component_evals")[:, 0]
+    columns["comms"] = stacked("comms")[:, 0]
     return Trace(
-        config=config,
-        records=records,
+        columns=columns,
         replicates=replicates,
-        num_diverged=num_diverged,
+        num_diverged=len(replicates) - len(survivors),
     )

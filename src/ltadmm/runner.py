@@ -26,9 +26,11 @@ import csv
 import json
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product, repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .algorithms import RunConfig, run
@@ -70,15 +72,6 @@ _SECTION_KEYS = {
     "output": ("dir", "stop_threshold"),
 }
 _SECTIONS = (*_SECTION_KEYS, "algorithm", "cost", "sweep")
-_CSV_BASE_COLUMNS = [
-    "k",
-    "model_time",
-    "grad_norm_sq_mean",
-    "grad_norm_sq_std",
-    "consensus_err_mean",
-    "component_evals",
-    "comms",
-]
 
 
 def _parse_bool(value) -> bool:
@@ -159,6 +152,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         try:
             cfg = cls(
                 name=data["name"],
@@ -196,6 +192,9 @@ def _validate(cfg: ExperimentConfig) -> list[RunConfig]:
             raise ConfigError(f"problem section is missing {key!r}")
     if cfg.problem["kind"] not in KINDS:
         raise ConfigError(f"unknown problem kind {cfg.problem['kind']!r}")
+    for key in ("seed", "dimension", "epsilon"):
+        if key in cfg.problem:
+            _convert(key, cfg.problem[key])
     n_agents = _convert("n_agents", cfg.problem["n_agents"])
     if n_agents != _convert(topology_key, cfg.topology[topology_key]):
         raise ConfigError(
@@ -203,6 +202,8 @@ def _validate(cfg: ExperimentConfig) -> list[RunConfig]:
             f"{cfg.topology[topology_key]} agents"
         )
     points_per_agent = _convert("points_per_agent", cfg.problem["points_per_agent"])
+    if cfg.stop_threshold is not None and not _convert("stop_threshold", cfg.stop_threshold) > 0:
+        raise ConfigError(f"stop_threshold must be positive, got {cfg.stop_threshold!r}")
     for axis, values in cfg.sweep.items():
         if axis not in _SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -388,26 +389,11 @@ class ExperimentResult:
         )
 
 
-def _write_csv(path: Path, trace: Trace, record_dk: bool) -> None:
-    columns = list(_CSV_BASE_COLUMNS)
-    if record_dk:
-        columns.insert(4, "d_k_mean")
+def _write_csv(path: Path, trace: Trace) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in trace.records:
-            row = [
-                rec.k,
-                repr(float(rec.model_time)),
-                repr(float(rec.grad_norm_sq_mean)),
-                repr(float(rec.grad_norm_sq_std)),
-                repr(float(rec.consensus_err_mean)),
-                rec.component_evals,
-                rec.comms,
-            ]
-            if record_dk:
-                row.insert(4, repr(float(rec.d_k_mean)))
-            writer.writerow(row)
+        writer.writerow(trace.columns)
+        writer.writerows(zip(*(column.tolist() for column in trace.columns.values())))
 
 
 def run_experiment(
@@ -437,11 +423,10 @@ def run_experiment(
     m_max = int(cfg.problem["points_per_agent"])
     for (label, overrides, run_cfg), trace in zip(grid, traces):
         csv_name = f"{cfg.name}_{label}.csv"
-        _write_csv(out / csv_name, trace, run_cfg.record_dk)
+        _write_csv(out / csv_name, trace)
         stopping = None
         if cfg.stop_threshold is not None:
-            stopping = stopping_time(trace, float(cfg.stop_threshold))
-            trace.stopping = {"threshold": float(cfg.stop_threshold), "hit": stopping}
+            stopping = stopping_time(trace, _convert("stop_threshold", cfg.stop_threshold))
         points.append(
             {
                 "label": label,
@@ -475,17 +460,18 @@ def run_experiment(
 
 
 def stopping_time(trace: Trace, threshold: float) -> dict | None:
-    """Model time at the first record whose mean squared gradient is below threshold.
+    """Model time at the first iteration whose mean squared gradient is below threshold.
 
-    The stored series is re-scanned in iteration order with no hysteresis;
+    The stored series is scanned in iteration order with no hysteresis;
     returns None if the threshold is never crossed.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    for rec in trace.records:
-        if rec.grad_norm_sq_mean < threshold:
-            return {"k": rec.k, "model_time": rec.model_time}
-    return None
+    hits = np.flatnonzero(trace.columns["grad_norm_sq_mean"] < threshold)
+    if not hits.size:
+        return None
+    k = int(hits[0])
+    return {"k": k, "model_time": float(trace.columns["model_time"][k])}
 
 
 # --- presets -------------------------------------------------------------

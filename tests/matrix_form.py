@@ -69,9 +69,10 @@ def build_structure(topology: Topology) -> EdgeStructure:
     m = topology.num_directed_edges
     selector = np.zeros((m, n))
     swap = np.zeros((m, m))
+    position = {pair: e for e, pair in enumerate(topology.directed_edges)}
     for e, (i, j) in enumerate(topology.directed_edges):
         selector[e, i] = 1.0
-        swap[e, topology.index_of(j, i)] = 1.0
+        swap[e, position[(j, i)]] = 1.0
 
     degrees = np.asarray(topology.degrees, dtype=float)
     gram = selector.T @ selector

@@ -153,13 +153,14 @@ def test_criterion_5_exact_convergence_convex():
     trace = run(inst, topo, cfg)
     elapsed = time.monotonic() - started
     assert cfg.outer_iterations <= 10_000
-    assert max(r.conservation_residual for rep in trace.replicates for r in rep.records[1:]) <= 1e-8
-    k_grad = next((r.k for r in trace.records if r.grad_norm_sq_mean < 1e-8), None)
-    k_cons = next((r.k for r in trace.records if r.consensus_err_mean < 1e-6), None)
+    assert max(max(rep.conservation_residual[1:]) for rep in trace.replicates) <= 1e-8
+    columns = trace.columns
+    k_grad = next((k for k, g in zip(columns["k"], columns["grad_norm_sq_mean"]) if g < 1e-8), None)
+    k_cons = next((k for k, c in zip(columns["k"], columns["consensus_err_mean"]) if c < 1e-6), None)
     assert k_grad is not None and k_grad <= 10_000
     assert k_cons is not None and k_cons <= 10_000
-    assert trace.records[-1].grad_norm_sq_mean < 1e-8
-    assert trace.records[-1].consensus_err_mean < 1e-6
+    assert columns["grad_norm_sq_mean"][-1] < 1e-8
+    assert columns["consensus_err_mean"][-1] < 1e-6
     assert elapsed < 10.0
     report(
         5,
@@ -185,7 +186,7 @@ def test_criterion_6_variance_reduced_reaches_threshold():
     trace = run(inst, topo, cfg)
     elapsed = time.monotonic() - started
     assert trace.num_diverged == 0
-    assert max(r.conservation_residual for rep in trace.replicates for r in rep.records[1:]) <= 1e-8
+    assert max(max(rep.conservation_residual[1:]) for rep in trace.replicates) <= 1e-8
     hit = stopping_time(trace, 1e-9)
     assert hit is not None
     assert np.isfinite(hit["model_time"])
@@ -214,7 +215,7 @@ def test_criterion_7_stochastic_plateau_and_step_size_ordering():
         )
         trace = run(inst, topo, cfg)
         assert trace.num_diverged == 0
-        tail = [r.grad_norm_sq_mean for r in trace.records if r.k > 650]
+        tail = trace.columns["grad_norm_sq_mean"][trace.columns["k"] > 650]
         return float(np.mean(tail))
 
     level = plateau(0.4)
@@ -257,11 +258,11 @@ def test_criterion_8_cost_model_consistency():
         model = cfg.cost_model()
         evals = 0
         model_time = 0.0
-        for k, rec in enumerate(trace.records[1:]):
+        for k in range(iters):
             evals += iteration_evals(variant, tau, m, batch, k)
             model_time += iteration_charge(model, variant, tau, m, batch, k)
-            assert rec.component_evals == evals
-            assert rec.model_time == model_time
+            assert trace.component_evals[k + 1] == evals
+            assert trace.model_time[k + 1] == model_time
     report(8, "evaluation counters and cost-table charges agree exactly on 100 random configs")
 
 

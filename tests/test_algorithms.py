@@ -8,6 +8,7 @@ from ltadmm.algorithms import (
     init_states,
     initial_iterates,
     local_training_epoch,
+    outer_step,
     run,
     simulate_replicate,
 )
@@ -16,6 +17,8 @@ from ltadmm.problems import (
     LEAST_SQUARES,
     ProblemInstance,
     generate_classification,
+    global_gradient_norm_sq,
+    local_full_gradient,
 )
 
 from conftest import random_connected_topology
@@ -152,8 +155,9 @@ class TestZUpdate:
         rho = 1.3
         # both ends of the link hold the same vector
         updated = exchange(topo, np.stack([z, z]), x_new, rho)
-        assert np.allclose(updated[topo.index_of(0, 1)], rho * x_new[1], atol=1e-15)
-        assert np.allclose(updated[topo.index_of(1, 0)], rho * x_new[0], atol=1e-15)
+        position = {pair: e for e, pair in enumerate(topo.directed_edges)}
+        assert np.allclose(updated[position[(0, 1)]], rho * x_new[1], atol=1e-15)
+        assert np.allclose(updated[position[(1, 0)]], rho * x_new[0], atol=1e-15)
 
     def test_matches_componentwise_formula(self, rng):
         topo = build_ring(5)
@@ -161,8 +165,9 @@ class TestZUpdate:
         x_new = rng.normal(size=(5, 5))
         rho = 0.8
         updated = exchange(topo, Z, x_new, rho)
+        position = {pair: e for e, pair in enumerate(topo.directed_edges)}
         for e, (i, j) in enumerate(topo.directed_edges):
-            z_ij, z_ji = Z[e], Z[topo.index_of(j, i)]
+            z_ij, z_ji = Z[e], Z[position[(j, i)]]
             assert np.allclose(updated[e], 0.5 * z_ij - 0.5 * z_ji + rho * x_new[j], atol=1e-15)
 
 
@@ -173,17 +178,17 @@ class TestOuterStep:
         inst = generate_classification(5, 6, 3, 8)
         cfg = base_config(variant=variant, gamma=0.02, rho=1.4, outer_iterations=15)
         trace = simulate_replicate(inst, topo, cfg, replicate=0)
-        for rec in trace.records[1:]:
-            scale = max(1.0, np.sqrt(rec.grad_norm_sq) + 1.0)
-            assert rec.conservation_residual <= 1e-10 * scale
+        for grad_norm_sq, residual in zip(trace.grad_norm_sq[1:], trace.conservation_residual[1:]):
+            scale = max(1.0, np.sqrt(grad_norm_sq) + 1.0)
+            assert residual <= 1e-10 * scale
 
     def test_zero_iterations_leaves_states_unchanged(self):
         inst = generate_classification(5, 3, 2, 6)
         topo = build_ring(3)
         cfg = base_config(outer_iterations=0)
         trace = simulate_replicate(inst, topo, cfg, replicate=0)
-        assert len(trace.records) == 1
-        assert trace.records[0].k == 0
+        assert len(trace.grad_norm_sq) == 1
+        assert trace.model_time.tolist() == [0.0]
 
 
 class TestDeterminism:
@@ -194,17 +199,15 @@ class TestDeterminism:
         cfg = base_config(variant=variant, gamma=0.03, outer_iterations=12, monte_carlo_runs=2)
         t1 = run(inst, topo, cfg)
         t2 = run(inst, topo, cfg)
-        for a, b in zip(t1.records, t2.records):
-            assert a.grad_norm_sq_mean == b.grad_norm_sq_mean
-            assert a.consensus_err_mean == b.consensus_err_mean
-            assert a.model_time == b.model_time
+        for name in ("grad_norm_sq_mean", "consensus_err_mean", "model_time"):
+            assert np.array_equal(t1.columns[name], t2.columns[name])
 
     def test_different_seeds_differ(self):
         inst = generate_classification(5, 5, 3, 9)
         topo = build_ring(5)
         t1 = run(inst, topo, base_config(variant="lt_admm", outer_iterations=5))
         t2 = run(inst, topo, base_config(variant="lt_admm", outer_iterations=5, master_seed=8))
-        assert t1.records[-1].grad_norm_sq_mean != t2.records[-1].grad_norm_sq_mean
+        assert t1.columns["grad_norm_sq_mean"][-1] != t2.columns["grad_norm_sq_mean"][-1]
 
     def test_initial_iterates_shared_across_variants(self):
         cfg_a = base_config(variant="lt_admm")
@@ -234,9 +237,10 @@ class TestVariantRelations:
         )
         t_exact = simulate_replicate(inst, topo, exact_cfg, 0)
         t_sgd = simulate_replicate(inst, topo, sgd_cfg, 0)
-        for a, b in zip(t_exact.records, t_sgd.records):
-            assert abs(a.grad_norm_sq - b.grad_norm_sq) <= 1e-13 * max(1.0, a.grad_norm_sq)
-            assert abs(a.consensus_err - b.consensus_err) <= 1e-13
+        for a, b in zip(t_exact.grad_norm_sq, t_sgd.grad_norm_sq):
+            assert abs(a - b) <= 1e-13 * max(1.0, a)
+        for a, b in zip(t_exact.consensus_err, t_sgd.consensus_err):
+            assert abs(a - b) <= 1e-13
 
     def test_vr_variants_identical_first_iteration(self):
         inst = generate_classification(6, 4, 3, 7)
@@ -245,8 +249,8 @@ class TestVariantRelations:
         cfg_v2 = base_config(variant="lt_admm_vr_v2", gamma=0.04, outer_iterations=1)
         s_vr = simulate_replicate(inst, topo, cfg_vr, 0)
         s_v2 = simulate_replicate(inst, topo, cfg_v2, 0)
-        assert s_vr.records[-1].grad_norm_sq == s_v2.records[-1].grad_norm_sq
-        assert s_vr.records[-1].consensus_err == s_v2.records[-1].consensus_err
+        assert s_vr.grad_norm_sq[-1] == s_v2.grad_norm_sq[-1]
+        assert s_vr.consensus_err[-1] == s_v2.consensus_err[-1]
 
     def test_vr_variants_diverge_later(self):
         inst = generate_classification(6, 4, 3, 7)
@@ -255,7 +259,7 @@ class TestVariantRelations:
         cfg_v2 = base_config(variant="lt_admm_vr_v2", gamma=0.04, outer_iterations=6)
         s_vr = simulate_replicate(inst, topo, cfg_vr, 0)
         s_v2 = simulate_replicate(inst, topo, cfg_v2, 0)
-        assert s_vr.records[-1].grad_norm_sq != s_v2.records[-1].grad_norm_sq
+        assert s_vr.grad_norm_sq[-1] != s_v2.grad_norm_sq[-1]
 
 
 class TestConvergence:
@@ -264,9 +268,8 @@ class TestConvergence:
         topo = build_ring(10)
         cfg = base_config(variant="exact", gamma=0.05, tau=5, outer_iterations=400, master_seed=5)
         trace = run(inst, topo, cfg)
-        last = trace.records[-1]
-        assert last.grad_norm_sq_mean < 1e-8
-        assert last.consensus_err_mean < 1e-6
+        assert trace.columns["grad_norm_sq_mean"][-1] < 1e-8
+        assert trace.columns["consensus_err_mean"][-1] < 1e-6
 
     def test_sgd_plateaus_above_exact(self):
         inst = generate_classification(11, 5, 3, 30)
@@ -277,8 +280,8 @@ class TestConvergence:
         )
         t_exact = run(inst, topo, exact_cfg)
         t_sgd = run(inst, topo, sgd_cfg)
-        exact_floor = t_exact.records[-1].grad_norm_sq_mean
-        sgd_tail = np.mean([r.grad_norm_sq_mean for r in t_sgd.records if r.k > 200])
+        exact_floor = t_exact.columns["grad_norm_sq_mean"][-1]
+        sgd_tail = np.mean(t_sgd.columns["grad_norm_sq_mean"][t_sgd.columns["k"] > 200])
         assert sgd_tail > 10.0 * max(exact_floor, 1e-30)
 
 
@@ -300,9 +303,31 @@ class TestRecordDk:
         topo = build_ring(3)
         cfg = base_config(record_dk=True, outer_iterations=4)
         trace = simulate_replicate(inst, topo, cfg, 0)
-        values = [rec.d_k for rec in trace.records]
+        values = trace.d_k
         assert all(np.isfinite(values[:-1]))
         assert np.isnan(values[-1])
         # the metric dominates the squared mean-iterate gradient
-        for rec in trace.records[:-1]:
-            assert rec.d_k >= rec.grad_norm_sq - 1e-15
+        for d_k, grad_norm_sq in zip(trace.d_k[:-1], trace.grad_norm_sq[:-1]):
+            assert d_k >= grad_norm_sq - 1e-15
+
+    @pytest.mark.parametrize("variant", ["exact", "lt_admm", "lt_admm_vr"])
+    def test_dk_pairs_each_epoch_with_its_start_state(self, variant):
+        inst = generate_classification(5, 4, 3, 6)
+        topo = build_ring(4)
+        cfg = base_config(variant=variant, record_dk=True, outer_iterations=4, gamma=0.1, tau=3)
+        X = initial_iterates(cfg, topo.num_agents, inst.dimension, 0)
+        Z = X[topo.src]
+        states = init_states(inst, topo, cfg, 0)
+        expected = []
+        for k in range(cfg.outer_iterations):
+            x_bar = X.mean(axis=0)
+            log = []
+            outer_step(states, inst, topo, cfg, k, X, Z, log)
+            inner = 0.0
+            for phi, _ in log:
+                mean = np.mean([local_full_gradient(inst, i, row) for i, row in enumerate(phi)], axis=0)
+                inner += float(mean @ mean)
+            expected.append(global_gradient_norm_sq(inst, x_bar) + inner / cfg.tau)
+        d_k = simulate_replicate(inst, topo, cfg, 0).d_k
+        for k, value in enumerate(expected):
+            assert d_k[k] == pytest.approx(value, rel=1e-12)

@@ -72,9 +72,9 @@ class TestEdgeIndex:
     def test_round_trip_and_distinct_directions(self):
         topo = build_ring(6)
         for e, (i, j) in enumerate(topo.directed_edges):
-            assert topo.index_of(i, j) == e
-            assert topo.directed_edges[e] == (i, j)
-            assert topo.index_of(i, j) != topo.index_of(j, i)
+            assert topo.directed_edges[topo.rev[e]] == (j, i)
+            assert topo.rev[topo.rev[e]] == e
+            assert topo.rev[e] != e
 
     def test_enumerates_both_directions(self, rng):
         topo = random_connected_topology(rng, 7)

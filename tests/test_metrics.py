@@ -5,6 +5,7 @@ from ltadmm.algorithms import RunConfig, run, simulate_replicate
 from ltadmm.graph import build_ring
 from ltadmm.metrics import (
     CostModel,
+    ReplicateTrace,
     aggregate_replicates,
     compute_dk,
     consensus_error,
@@ -12,7 +13,7 @@ from ltadmm.metrics import (
     iteration_evals,
     reference_charges,
 )
-from ltadmm.problems import generate_classification, global_gradient
+from ltadmm.problems import generate_classification, global_gradient, global_gradient_norm_sq
 
 
 class TestComputeDk:
@@ -27,21 +28,21 @@ class TestComputeDk:
             features=(np.zeros((2, 2)),) * 3,
             labels=(np.zeros(2),) * 3,
         )
-        value = compute_dk(zero, np.zeros(2), [np.zeros(2), np.zeros(2)], tau=2)
+        value = compute_dk(global_gradient_norm_sq(zero, np.zeros(2)), [np.zeros(2), np.zeros(2)], tau=2)
         assert value == 0.0
 
     def test_tau_one_at_mean_doubles(self):
         inst = generate_classification(1, 3, 2, 4)
         x_bar = np.array([0.3, -0.7])
         g = global_gradient(inst, x_bar)
-        value = compute_dk(inst, x_bar, [g], tau=1)
+        value = compute_dk(global_gradient_norm_sq(inst, x_bar), [g], tau=1)
         assert value == pytest.approx(2.0 * float(g @ g), rel=1e-14)
 
     def test_matches_independent_formula(self, rng):
         inst = generate_classification(2, 4, 3, 5)
         x_bar = rng.normal(size=3)
         inner = [rng.normal(size=3) for _ in range(4)]
-        value = compute_dk(inst, x_bar, inner, tau=4)
+        value = compute_dk(global_gradient_norm_sq(inst, x_bar), inner, tau=4)
         # independent re-implementation
         g = global_gradient(inst, x_bar)
         expected = float(g @ g) + sum(float(v @ v) for v in inner) / 4.0
@@ -50,14 +51,14 @@ class TestComputeDk:
     def test_length_mismatch_rejected(self):
         inst = generate_classification(1, 2, 2, 3)
         with pytest.raises(ValueError, match="inner average gradients"):
-            compute_dk(inst, np.zeros(2), [np.zeros(2)], tau=3)
+            compute_dk(global_gradient_norm_sq(inst, np.zeros(2)), [np.zeros(2)], tau=3)
 
     def test_dominates_gradient_term(self, rng):
         inst = generate_classification(2, 4, 3, 5)
         x_bar = rng.normal(size=3)
         inner = [rng.normal(size=3) for _ in range(3)]
         g = global_gradient(inst, x_bar)
-        assert compute_dk(inst, x_bar, inner, tau=3) >= float(g @ g)
+        assert compute_dk(global_gradient_norm_sq(inst, x_bar), inner, tau=3) >= float(g @ g)
 
 
 class TestCostModel:
@@ -114,12 +115,12 @@ class TestCounterFormulaAgreement:
         expected_evals = 0
         expected_time = 0.0
         model = cfg.cost_model()
-        for k, rec in enumerate(trace.records[1:]):
+        for k in range(cfg.outer_iterations):
             expected_evals += iteration_evals(variant, cfg.tau, 11, cfg.batch_size, k)
             expected_time += iteration_charge(model, variant, cfg.tau, 11, cfg.batch_size, k)
-            assert rec.component_evals == expected_evals
-            assert rec.model_time == expected_time
-            assert rec.comms == (k + 1) * topo.num_directed_edges
+            assert trace.component_evals[k + 1] == expected_evals
+            assert trace.model_time[k + 1] == expected_time
+            assert trace.comms[k + 1] == (k + 1) * topo.num_directed_edges
 
 
 class TestHeterogeneousDatasets:
@@ -143,9 +144,26 @@ class TestHeterogeneousDatasets:
         )
         trace = simulate_replicate(inst, topo, cfg, 0)
         per_round = max(sizes) + (cfg.tau - 1) * cfg.batch_size
-        for k, rec in enumerate(trace.records[1:], start=1):
-            assert rec.component_evals == k * per_round
-            assert rec.model_time == k * per_round * cfg.t_g
+        for k in range(1, cfg.outer_iterations + 1):
+            assert trace.component_evals[k] == k * per_round
+            assert trace.model_time[k] == k * per_round * cfg.t_g
+
+
+def replicate_trace(replicate, status, grad_norm_sq=(), consensus_err=(), diverged_at=None):
+    """A hand-built replicate whose counters, model time and residuals are zero."""
+    zeros = np.zeros(len(grad_norm_sq))
+    return ReplicateTrace(
+        replicate=replicate,
+        status=status,
+        grad_norm_sq=np.asarray(grad_norm_sq, dtype=float),
+        consensus_err=np.asarray(consensus_err, dtype=float),
+        conservation_residual=zeros,
+        component_evals=zeros.astype(int),
+        comms=zeros.astype(int),
+        model_time=zeros,
+        d_k=np.full(len(grad_norm_sq), np.nan),
+        diverged_at=diverged_at,
+    )
 
 
 class TestAggregation:
@@ -157,33 +175,40 @@ class TestAggregation:
             master_seed=1, monte_carlo_runs=4,
         )
         trace = run(inst, topo, cfg)
-        assert len(trace.records) == 6
+        assert len(trace.columns["k"]) == 6
         reps = trace.replicates
-        for k, agg in enumerate(trace.records):
-            values = [r.records[k].grad_norm_sq for r in reps]
-            assert agg.grad_norm_sq_mean == pytest.approx(float(np.mean(values)), rel=1e-15)
-            assert agg.grad_norm_sq_std == pytest.approx(float(np.std(values)), rel=1e-12, abs=1e-300)
+        for k in range(6):
+            values = [r.grad_norm_sq[k] for r in reps]
+            assert trace.columns["grad_norm_sq_mean"][k] == pytest.approx(float(np.mean(values)), rel=1e-15)
+            assert trace.columns["grad_norm_sq_std"][k] == pytest.approx(float(np.std(values)), rel=1e-12, abs=1e-300)
+
+    def test_rows_reduce_like_a_per_replicate_mean(self, rng):
+        # byte-identical CSVs need each row reduced in the order of a 1-D
+        # mean over the replicates, also past numpy's 8-way unrolled sums
+        reps = [
+            replicate_trace(r, "completed", grad_norm_sq=rng.lognormal(size=7), consensus_err=rng.random(7))
+            for r in range(13)
+        ]
+        trace = aggregate_replicates(reps, record_dk=False)
+        for k in range(7):
+            grads = np.array([r.grad_norm_sq[k] for r in reps])
+            cons = np.array([r.consensus_err[k] for r in reps])
+            assert trace.columns["grad_norm_sq_mean"][k] == grads.mean()
+            assert trace.columns["grad_norm_sq_std"][k] == grads.std()
+            assert trace.columns["consensus_err_mean"][k] == cons.mean()
 
     def test_diverged_replicates_excluded(self):
-        from ltadmm.metrics import IterationRecord, ReplicateTrace
-
-        good = ReplicateTrace(
-            replicate=0,
-            status="completed",
-            records=[IterationRecord(0, 1.0, 0.5, 0, 0, 0.0, 0.0)],
-        )
-        bad = ReplicateTrace(replicate=1, status="diverged", records=[], diverged_at=0)
-        trace = aggregate_replicates({}, [good, bad])
+        good = replicate_trace(0, "completed", grad_norm_sq=[1.0], consensus_err=[0.5])
+        bad = replicate_trace(1, "diverged", diverged_at=0)
+        trace = aggregate_replicates([good, bad], record_dk=False)
         assert trace.num_diverged == 1
-        assert len(trace.records) == 1
-        assert trace.records[0].grad_norm_sq_mean == 1.0
+        assert len(trace.columns["k"]) == 1
+        assert trace.columns["grad_norm_sq_mean"][0] == 1.0
 
     def test_all_diverged_empty_aggregate(self):
-        from ltadmm.metrics import ReplicateTrace
-
-        bad = ReplicateTrace(replicate=0, status="diverged", records=[], diverged_at=2)
-        trace = aggregate_replicates({}, [bad])
-        assert trace.records == []
+        bad = replicate_trace(0, "diverged", diverged_at=2)
+        trace = aggregate_replicates([bad], record_dk=False)
+        assert all(len(column) == 0 for column in trace.columns.values())
         assert trace.num_diverged == 1
 
 

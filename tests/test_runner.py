@@ -3,10 +3,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ltadmm.algorithms import RunConfig
-from ltadmm.metrics import AggregateRecord, Trace
+from ltadmm.metrics import Trace
 from ltadmm.runner import (
     ConfigError,
     ExperimentConfig,
@@ -62,6 +63,12 @@ def manifest_without_n_agents() -> str:
 def manifest_with_problem_key(key: str, value) -> str:
     config = parse_config(BASIC_INI).to_dict()
     config["problem"][key] = value
+    return json.dumps({"config": config})
+
+
+def manifest_with_key(key: str, value) -> str:
+    config = parse_config(BASIC_INI).to_dict()
+    config[key] = value
     return json.dumps({"config": config})
 
 
@@ -194,19 +201,17 @@ class TestRunExperiment:
 
 
 def make_trace(grads, times=None):
-    records = [
-        AggregateRecord(
-            k=k,
-            model_time=float(times[k] if times else 10.0 * k),
-            grad_norm_sq_mean=g,
-            grad_norm_sq_std=0.0,
-            consensus_err_mean=0.0,
-            component_evals=k,
-            comms=k,
-        )
-        for k, g in enumerate(grads)
-    ]
-    return Trace(config={}, records=records, replicates=[], num_diverged=0)
+    k = np.arange(len(grads))
+    columns = {
+        "k": k,
+        "model_time": np.asarray(times if times else 10.0 * k, dtype=float),
+        "grad_norm_sq_mean": np.asarray(grads, dtype=float),
+        "grad_norm_sq_std": np.zeros(len(grads)),
+        "consensus_err_mean": np.zeros(len(grads)),
+        "component_evals": k,
+        "comms": k,
+    }
+    return Trace(columns=columns, replicates=[], num_diverged=0)
 
 
 class TestStoppingTime:
@@ -289,6 +294,14 @@ class TestCli:
             ("bad.ini", BASIC_INI.replace("ring = 4", "ring = 4\nrings = 5")),
             ("bad.ini", BASIC_INI.replace("name = tiny", "name = tiny\nnmae = other")),
             ("bad.json", manifest_with_problem_key("epsilom", 0.5)),
+            ("bad.ini", BASIC_INI.replace("dir = out", "dir = out\nstop_threshold = -1")),
+            ("bad.ini", BASIC_INI.replace("dir = out", "dir = out\nstop_threshold = 0")),
+            ("bad.json", manifest_with_key("stop_threshold", "abc")),
+            ("bad.json", manifest_with_key("stop_threshold", -1)),
+            ("bad.json", manifest_with_key("stop_treshold", 0.5)),
+            ("bad.json", manifest_with_problem_key("dimension", 2.5)),
+            ("bad.json", manifest_with_problem_key("seed", "abc")),
+            ("bad.json", manifest_with_problem_key("epsilon", "abc")),
         ],
         ids=[
             "sweep-tau-abc",
@@ -305,6 +318,14 @@ class TestCli:
             "unknown-topology-key",
             "unknown-experiment-key",
             "manifest-unknown-problem-key",
+            "negative-stop-threshold",
+            "zero-stop-threshold",
+            "manifest-stop-threshold-abc",
+            "manifest-negative-stop-threshold",
+            "manifest-unknown-top-level-key",
+            "manifest-fractional-dimension",
+            "manifest-seed-abc",
+            "manifest-epsilon-abc",
         ],
     )
     def test_invalid_config_rejected_before_any_point(self, tmp_path, name, text):
@@ -371,3 +392,7 @@ class TestCli:
         ini.write_text(text)
         proc = self.run_cli("run", str(ini), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3
+        lines = (tmp_path / "out" / "tiny_point000.csv").read_text().splitlines()
+        assert lines == [
+            "k,model_time,grad_norm_sq_mean,grad_norm_sq_std,consensus_err_mean,component_evals,comms"
+        ]
