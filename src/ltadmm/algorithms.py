@@ -32,6 +32,10 @@ Randomness is organized per (replicate, agent) stream with a fixed in-agent
 draw order, so results are a pure function of the configuration and never
 depend on scheduling.  Initial iterates are shared across variants for a
 given master seed.
+
+The cost constants ``t_g`` and ``t_c`` do not enter the dynamics, the
+counters or the metrics: the solver never reads them, and :func:`run` adds
+the ``model_time`` column from the cost table after its replicates finish.
 """
 
 from __future__ import annotations
@@ -96,7 +100,8 @@ class RunConfig:
     """Solver parameters, budgets, seeds, and cost constants.
 
     ``t_g`` and ``t_c`` are the abstract times of one component-gradient
-    evaluation and one communication round.
+    evaluation and one communication round; they only scale the model-time
+    axis, never the trajectory.
     """
 
     variant: str
@@ -128,6 +133,8 @@ class RunConfig:
             raise ValueError("monte_carlo_runs must be >= 1")
         if self.t_g < 0 or self.t_c < 0:
             raise ValueError("cost constants must be nonnegative")
+        if not self.init_std >= 0:  # NaN too
+            raise ValueError("init_std must be nonnegative")
 
     def cost_model(self) -> CostModel:
         return CostModel(t_g=self.t_g, t_c=self.t_c)
@@ -319,12 +326,9 @@ def simulate_replicate(
     X = initial_iterates(config, topology.num_agents, instance.dimension, replicate)
     Z = X[topology.src]
     states = init_states(instance, topology, config, replicate)
-    cost = config.cost_model()
-    m_max = instance.max_points
     measured = [_measure(instance, X, Z, np.asarray(topology.degrees), config.rho)]
     evals = [0]
     comms = [0]
-    model_time = [0.0]
     d_k: list[float] = []
 
     status = "completed"
@@ -344,10 +348,6 @@ def simulate_replicate(
         ]
         evals.append(evals[-1] + max(deltas))
         comms.append(comms[-1] + topology.num_directed_edges)
-        model_time.append(
-            model_time[-1]
-            + metrics.iteration_charge(cost, config.variant, config.tau, m_max, config.batch_size, k)
-        )
         if config.record_dk:
             inner = _inner_average_gradients(instance, log)
             d_k.append(metrics.compute_dk(measured[k].grad_norm_sq, inner, config.tau))
@@ -361,7 +361,6 @@ def simulate_replicate(
         conservation_residual=residual,
         component_evals=np.array(evals),
         comms=np.array(comms),
-        model_time=np.array(model_time),
         d_k=np.array(d_k),
         diverged_at=diverged_at,
     )
@@ -373,10 +372,12 @@ def run(instance: ProblemInstance, topology: Topology, config: RunConfig) -> Tra
     Replicates share the problem data; initialization and estimator
     randomness vary per replicate.  Divergence of a replicate is recorded,
     not fatal.  Two runs with the same configuration produce bit-identical
-    traces.
+    traces.  The ``model_time`` column is built from the cost constants
+    after the replicates have run.
     """
     replicates = [
         simulate_replicate(instance, topology, config, r)
         for r in range(config.monte_carlo_runs)
     ]
-    return metrics.aggregate_replicates(replicates, config.record_dk)
+    trace = metrics.aggregate_replicates(replicates, config.record_dk)
+    return metrics.with_model_time(trace, config, instance.max_points)

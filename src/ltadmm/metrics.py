@@ -9,6 +9,10 @@ Time is measured in abstract units: ``t_g`` per component-gradient
 evaluation and ``t_c`` per synchronous communication round.  Each solver
 variant has a closed-form per-iteration charge; the simulator's evaluation
 counters reproduce those charges exactly, which the test suite asserts.
+The cost constants never reach the solver: a run's ``model_time`` column is
+the running sum of those charges, built after the run by
+:func:`with_model_time`, so runs that differ only in ``t_g``/``t_c`` share
+one trajectory.
 
 The per-round charge bills the slowest agent (the synchronous barrier waits
 for it), so heterogeneous dataset sizes enter through ``m_i_max``.
@@ -17,8 +21,12 @@ for it), so heterogeneous dataset sizes enter through ``m_i_max``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .algorithms import RunConfig
 
 __all__ = [
     "ReplicateTrace",
@@ -30,6 +38,7 @@ __all__ = [
     "iteration_evals",
     "reference_charges",
     "aggregate_replicates",
+    "with_model_time",
 ]
 
 
@@ -43,7 +52,9 @@ class ReplicateTrace:
     (squared mean-iterate gradient plus the averaged squared inner-average
     gradients); it is NaN for the final state or when its recording is
     disabled.  Counters are cumulative; ``component_evals`` is the slowest
-    agent's tally.
+    agent's tally.  Model time is not a replicate metric: it depends on the
+    cost constants only, and :func:`with_model_time` adds it to the
+    aggregated trace.
     """
 
     replicate: int
@@ -53,7 +64,6 @@ class ReplicateTrace:
     conservation_residual: np.ndarray
     component_evals: np.ndarray
     comms: np.ndarray
-    model_time: np.ndarray
     d_k: np.ndarray
     diverged_at: int | None = None
 
@@ -158,9 +168,10 @@ def aggregate_replicates(replicates: list[ReplicateTrace], record_dk: bool) -> T
 
     Each metric is stacked into a (K+1, R) array and reduced along its last
     axis, so every row is summed in the order of a 1-D mean over the
-    replicates.  Counters and model time are the same in every replicate.
-    Diverged replicates are excluded from the averages but kept in the
-    trace; if every replicate diverged every column is empty.
+    replicates.  Counters are the same in every replicate.  Diverged
+    replicates are excluded from the averages but kept in the trace; if every
+    replicate diverged every column is empty.  The columns hold no
+    ``model_time``; :func:`with_model_time` adds it.
     """
     survivors = [r for r in replicates if r.status == "completed"]
 
@@ -172,7 +183,6 @@ def aggregate_replicates(replicates: list[ReplicateTrace], record_dk: bool) -> T
     grads = stacked("grad_norm_sq")
     columns = {
         "k": np.arange(len(grads)),
-        "model_time": stacked("model_time")[:, 0],
         "grad_norm_sq_mean": grads.mean(axis=1),
         "grad_norm_sq_std": grads.std(axis=1),
     }
@@ -186,3 +196,25 @@ def aggregate_replicates(replicates: list[ReplicateTrace], record_dk: bool) -> T
         replicates=replicates,
         num_diverged=len(replicates) - len(survivors),
     )
+
+
+def with_model_time(trace: Trace, config: RunConfig, m_i_max: int) -> Trace:
+    """``trace`` with the model-time column of ``config``'s cost constants.
+
+    Entry k is the model time after k outer iterations: 0 followed by the
+    running sum of :func:`iteration_charge` (a sequential sum, so each entry
+    has the bits of adding the charges one by one).  The column goes right
+    after ``k``, replacing any earlier one, and is empty when the trace has
+    no rows.  The result shares the arrays and replicates of ``trace`` but
+    has its own columns dict.
+    """
+    rows = len(trace.columns["k"])
+    cost = config.cost_model()
+    charges = [
+        iteration_charge(cost, config.variant, config.tau, m_i_max, config.batch_size, k)
+        for k in range(rows - 1)
+    ]
+    model_time = np.concatenate([[0.0], np.cumsum(charges)]) if rows else np.empty(0)
+    columns = {"k": trace.columns["k"], "model_time": model_time}
+    columns.update((name, column) for name, column in trace.columns.items() if name != "model_time")
+    return Trace(columns=columns, replicates=trace.replicates, num_diverged=trace.num_diverged)

@@ -17,6 +17,11 @@ Every grid point produces one CSV of aggregated per-iteration metrics; a
 JSON manifest records the library version, the full resolved configuration,
 the seeds, and per-point summary data.  Re-running a config, or the manifest
 itself, reproduces byte-identical outputs.
+
+Grid points that differ only in the cost constants ``t_g``/``t_c`` (for
+instance along a ``tg_tc_ratio`` axis) follow the same trajectory, so each
+distinct trajectory is simulated once and every point gets its own
+``model_time`` column from the cost table.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import csv
 import json
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import product, repeat
 from pathlib import Path
 
@@ -35,7 +40,7 @@ import numpy as np
 from . import __version__
 from .algorithms import RunConfig, run
 from .graph import Topology, build_from_edges, build_ring
-from .metrics import Trace, reference_charges
+from .metrics import Trace, reference_charges, with_model_time
 from .problems import KINDS, ProblemInstance, generate_classification
 
 __all__ = [
@@ -72,6 +77,8 @@ _SECTION_KEYS = {
     "output": ("dir", "stop_threshold"),
 }
 _SECTIONS = (*_SECTION_KEYS, "algorithm", "cost", "sweep")
+# smallest accepted value of each numeric problem key
+_PROBLEM_MINIMUM = {"seed": 0, "dimension": 1, "points_per_agent": 1, "epsilon": 0.0}
 
 
 def _parse_bool(value) -> bool:
@@ -192,9 +199,9 @@ def _validate(cfg: ExperimentConfig) -> list[RunConfig]:
             raise ConfigError(f"problem section is missing {key!r}")
     if cfg.problem["kind"] not in KINDS:
         raise ConfigError(f"unknown problem kind {cfg.problem['kind']!r}")
-    for key in ("seed", "dimension", "epsilon"):
-        if key in cfg.problem:
-            _convert(key, cfg.problem[key])
+    for key, minimum in _PROBLEM_MINIMUM.items():
+        if key in cfg.problem and not _convert(key, cfg.problem[key]) >= minimum:
+            raise ConfigError(f"problem {key} must be at least {minimum}, got {cfg.problem[key]!r}")
     n_agents = _convert("n_agents", cfg.problem["n_agents"])
     if n_agents != _convert(topology_key, cfg.topology[topology_key]):
         raise ConfigError(
@@ -403,9 +410,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute every grid point and persist CSV traces plus a manifest.
 
-    Grid points are independent and share the problem and the topology,
-    which are built once; with ``workers > 1`` the points execute in a
-    process pool, and results do not depend on the worker count.
+    Grid points share the problem and the topology, which are built once.
+    Points whose run configurations differ only in ``t_g``/``t_c`` share one
+    trajectory: it is simulated once, for the first such point, and each
+    point gets its own ``model_time`` column.  With ``workers > 1`` the
+    distinct trajectories run in a process pool; results do not depend on
+    the worker count.
     """
     grid = grid_points(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -413,14 +423,22 @@ def run_experiment(
     instance = build_instance(cfg.problem)
     topology = build_topology(cfg.topology)
     run_cfgs = [run_cfg for _, _, run_cfg in grid]
+    # every field but the cost constants, which only scale the model-time axis
+    keys = [astuple(replace(run_cfg, t_g=0.0, t_c=0.0)) for run_cfg in run_cfgs]
+    representatives: dict[tuple, RunConfig] = {}
+    for key, run_cfg in zip(keys, run_cfgs):
+        representatives.setdefault(key, run_cfg)
+    distinct = list(representatives.values())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run, repeat(instance), repeat(topology), run_cfgs))
+            simulated = list(pool.map(run, repeat(instance), repeat(topology), distinct))
     else:
-        traces = list(map(run, repeat(instance), repeat(topology), run_cfgs))
+        simulated = list(map(run, repeat(instance), repeat(topology), distinct))
+    by_key = dict(zip(representatives, simulated))
+    m_max = instance.max_points
+    traces = [with_model_time(by_key[key], run_cfg, m_max) for key, run_cfg in zip(keys, run_cfgs)]
 
     points = []
-    m_max = int(cfg.problem["points_per_agent"])
     for (label, overrides, run_cfg), trace in zip(grid, traces):
         csv_name = f"{cfg.name}_{label}.csv"
         _write_csv(out / csv_name, trace)

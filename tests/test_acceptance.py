@@ -16,7 +16,6 @@ from ltadmm.algorithms import (
     initial_iterates,
     outer_step,
     run,
-    simulate_replicate,
 )
 from ltadmm.graph import build_ring
 from ltadmm.metrics import iteration_charge, iteration_evals
@@ -254,7 +253,8 @@ def test_criterion_8_cost_model_consistency():
             t_g=t_g,
             t_c=t_c,
         )
-        trace = simulate_replicate(inst, topo, cfg, 0)
+        timed = run(inst, topo, cfg)
+        trace = timed.replicates[0]
         model = cfg.cost_model()
         evals = 0
         model_time = 0.0
@@ -262,7 +262,7 @@ def test_criterion_8_cost_model_consistency():
             evals += iteration_evals(variant, tau, m, batch, k)
             model_time += iteration_charge(model, variant, tau, m, batch, k)
             assert trace.component_evals[k + 1] == evals
-            assert trace.model_time[k + 1] == model_time
+            assert timed.columns["model_time"][k + 1] == model_time
     report(8, "evaluation counters and cost-table charges agree exactly on 100 random configs")
 
 

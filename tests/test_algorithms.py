@@ -76,6 +76,8 @@ class TestRunConfig:
             ("batch_size", 0),
             ("monte_carlo_runs", 0),
             ("master_seed", -3),
+            ("init_std", -1.0),
+            ("init_std", float("nan")),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -188,7 +190,7 @@ class TestOuterStep:
         cfg = base_config(outer_iterations=0)
         trace = simulate_replicate(inst, topo, cfg, replicate=0)
         assert len(trace.grad_norm_sq) == 1
-        assert trace.model_time.tolist() == [0.0]
+        assert run(inst, topo, cfg).columns["model_time"].tolist() == [0.0]
 
 
 class TestDeterminism:

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from ltadmm.algorithms import RunConfig, run, simulate_replicate
+from ltadmm.algorithms import RunConfig, run
 from ltadmm.graph import build_ring
 from ltadmm.metrics import (
     CostModel,
     ReplicateTrace,
+    Trace,
     aggregate_replicates,
     compute_dk,
     consensus_error,
     iteration_charge,
     iteration_evals,
     reference_charges,
+    with_model_time,
 )
 from ltadmm.problems import generate_classification, global_gradient, global_gradient_norm_sq
 
@@ -111,7 +113,8 @@ class TestCounterFormulaAgreement:
             variant=variant, gamma=0.02, rho=1.0, tau=4, outer_iterations=6,
             batch_size=2, master_seed=1, t_g=3.0, t_c=7.0,
         )
-        trace = simulate_replicate(inst, topo, cfg, 0)
+        timed = run(inst, topo, cfg)
+        trace = timed.replicates[0]
         expected_evals = 0
         expected_time = 0.0
         model = cfg.cost_model()
@@ -119,7 +122,7 @@ class TestCounterFormulaAgreement:
             expected_evals += iteration_evals(variant, cfg.tau, 11, cfg.batch_size, k)
             expected_time += iteration_charge(model, variant, cfg.tau, 11, cfg.batch_size, k)
             assert trace.component_evals[k + 1] == expected_evals
-            assert trace.model_time[k + 1] == expected_time
+            assert timed.columns["model_time"][k + 1] == expected_time
             assert trace.comms[k + 1] == (k + 1) * topo.num_directed_edges
 
 
@@ -142,15 +145,16 @@ class TestHeterogeneousDatasets:
             variant="lt_admm_vr", gamma=0.01, rho=1.0, tau=3, outer_iterations=4,
             batch_size=2, master_seed=0, t_g=1.0, t_c=0.0,
         )
-        trace = simulate_replicate(inst, topo, cfg, 0)
+        timed = run(inst, topo, cfg)
+        trace = timed.replicates[0]
         per_round = max(sizes) + (cfg.tau - 1) * cfg.batch_size
         for k in range(1, cfg.outer_iterations + 1):
             assert trace.component_evals[k] == k * per_round
-            assert trace.model_time[k] == k * per_round * cfg.t_g
+            assert timed.columns["model_time"][k] == k * per_round * cfg.t_g
 
 
 def replicate_trace(replicate, status, grad_norm_sq=(), consensus_err=(), diverged_at=None):
-    """A hand-built replicate whose counters, model time and residuals are zero."""
+    """A hand-built replicate whose counters and residuals are zero."""
     zeros = np.zeros(len(grad_norm_sq))
     return ReplicateTrace(
         replicate=replicate,
@@ -160,7 +164,6 @@ def replicate_trace(replicate, status, grad_norm_sq=(), consensus_err=(), diverg
         conservation_residual=zeros,
         component_evals=zeros.astype(int),
         comms=zeros.astype(int),
-        model_time=zeros,
         d_k=np.full(len(grad_norm_sq), np.nan),
         diverged_at=diverged_at,
     )
@@ -210,6 +213,43 @@ class TestAggregation:
         trace = aggregate_replicates([bad], record_dk=False)
         assert all(len(column) == 0 for column in trace.columns.values())
         assert trace.num_diverged == 1
+
+
+class TestModelTime:
+    def config(self, variant="lt_admm_vr_v2", t_g=1.0 / 3.0, t_c=7.7):
+        return RunConfig(
+            variant=variant, gamma=0.1, rho=1.0, tau=3, outer_iterations=1300,
+            batch_size=2, t_g=t_g, t_c=t_c,
+        )
+
+    @pytest.mark.parametrize("variant", ["exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2"])
+    def test_column_is_the_sequential_sum_of_charges(self, variant):
+        # the bits of adding each iteration's charge in turn, which the
+        # solver did before the column moved out of it
+        cfg = self.config(variant)
+        untimed = Trace(columns={"k": np.arange(1301)}, replicates=[], num_diverged=0)
+        column = with_model_time(untimed, cfg, 11).columns["model_time"]
+        expected = [0.0]
+        for k in range(1300):
+            expected.append(expected[-1] + iteration_charge(cfg.cost_model(), variant, 3, 11, 2, k))
+        assert column.tolist() == expected
+
+    def test_column_follows_k_and_replaces_an_earlier_one(self):
+        columns = {"k": np.arange(3), "grad_norm_sq_mean": np.ones(3)}
+        untimed = Trace(columns=columns, replicates=[], num_diverged=0)
+        slow = with_model_time(untimed, self.config(t_g=10.0, t_c=1.0), 11)
+        fast = with_model_time(slow, self.config(t_g=0.1, t_c=1.0), 11)
+        assert list(fast.columns) == ["k", "model_time", "grad_norm_sq_mean"]
+        # iteration 0 of lt_admm_vr_v2: an 11-row refresh and two batches of 2
+        assert fast.columns["model_time"][1] == 15 * 0.1 + 1.0
+        assert slow.columns["model_time"][1] == 15 * 10.0 + 1.0
+        assert untimed.columns is columns and list(columns) == ["k", "grad_norm_sq_mean"]
+
+    def test_no_rows_no_model_time(self):
+        untimed = Trace(columns={"k": np.arange(0)}, replicates=[], num_diverged=1)
+        timed = with_model_time(untimed, self.config(), 11)
+        assert len(timed.columns["model_time"]) == 0
+        assert timed.num_diverged == 1
 
 
 class TestConsensusError:

@@ -6,12 +6,16 @@ import sys
 import numpy as np
 import pytest
 
+from ltadmm import algorithms, runner
 from ltadmm.algorithms import RunConfig
 from ltadmm.metrics import Trace
 from ltadmm.runner import (
     ConfigError,
     ExperimentConfig,
+    build_instance,
+    build_topology,
     expand_grid,
+    grid_points,
     load_config,
     make_run_config,
     parse_config,
@@ -52,6 +56,19 @@ t_c = 2.0
 [output]
 dir = out
 """
+
+
+# 3 variants x 3 cost ratios: 9 grid points on 3 trajectories, the points of
+# one trajectory not adjacent in grid order
+COST_GRID_INI = BASIC_INI + """
+[sweep]
+variant = lt_admm, lt_admm_vr, lt_admm_vr_v2
+tg_tc_ratio = 0.1, 1, 10
+"""
+
+DIVERGING_INI = BASIC_INI.replace("gamma = 0.05", "gamma = 80000.0").replace(
+    "outer_iterations = 8", "outer_iterations = 60"
+)
 
 
 def manifest_without_n_agents() -> str:
@@ -200,6 +217,52 @@ class TestRunExperiment:
             assert a == b
 
 
+class TestSharedTrajectories:
+    def test_each_trajectory_simulated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_run(instance, topology, run_cfg):
+            calls.append(run_cfg)
+            return algorithms.run(instance, topology, run_cfg)
+
+        monkeypatch.setattr(runner, "run", counting_run)
+        result = run_experiment(parse_config(COST_GRID_INI), out_dir=tmp_path)
+        assert len(result.manifest["points"]) == 9
+        assert sorted(run_cfg.variant for run_cfg in calls) == ["lt_admm", "lt_admm_vr", "lt_admm_vr_v2"]
+        assert len({id(trace.columns) for trace in result.traces}) == 9
+
+    def test_csv_bytes_match_a_run_per_point(self, tmp_path):
+        cfg = parse_config(COST_GRID_INI)
+        result = run_experiment(cfg, out_dir=tmp_path / "grid")
+        instance = build_instance(cfg.problem)
+        topology = build_topology(cfg.topology)
+        for (label, _, run_cfg), point in zip(grid_points(cfg), result.manifest["points"]):
+            alone = tmp_path / f"{label}.csv"
+            runner._write_csv(alone, algorithms.run(instance, topology, run_cfg))
+            assert (tmp_path / "grid" / point["csv"]).read_bytes() == alone.read_bytes()
+
+    def test_workers_do_not_change_results(self, tmp_path):
+        cfg = parse_config(COST_GRID_INI)
+        r1 = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
+        r2 = run_experiment(cfg, out_dir=tmp_path / "pool", workers=2)
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
+        assert len(names) == 10
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+    def test_all_diverged_points_keep_header_only_csvs(self, tmp_path):
+        cfg = parse_config(DIVERGING_INI + "\n[sweep]\ntg_tc_ratio = 0.1, 10\n")
+        result = run_experiment(cfg, out_dir=tmp_path)
+        assert len(result.manifest["points"]) == 2
+        for point in result.manifest["points"]:
+            assert point["num_diverged"] == point["monte_carlo_runs"] == 2
+            lines = (tmp_path / point["csv"]).read_text().splitlines()
+            assert lines == [
+                "k,model_time,grad_norm_sq_mean,grad_norm_sq_std,consensus_err_mean,component_evals,comms"
+            ]
+
+
 def make_trace(grads, times=None):
     k = np.arange(len(grads))
     columns = {
@@ -302,6 +365,11 @@ class TestCli:
             ("bad.json", manifest_with_problem_key("dimension", 2.5)),
             ("bad.json", manifest_with_problem_key("seed", "abc")),
             ("bad.json", manifest_with_problem_key("epsilon", "abc")),
+            ("bad.ini", BASIC_INI.replace("seed = 3", "seed = -1")),
+            ("bad.ini", BASIC_INI.replace("dimension = 2", "dimension = 0")),
+            ("bad.ini", BASIC_INI.replace("points_per_agent = 6", "points_per_agent = 0")),
+            ("bad.ini", BASIC_INI.replace("epsilon = 0.01", "epsilon = -5")),
+            ("bad.ini", BASIC_INI.replace("batch_size = 1", "batch_size = 1\ninit_std = -1")),
         ],
         ids=[
             "sweep-tau-abc",
@@ -326,6 +394,11 @@ class TestCli:
             "manifest-fractional-dimension",
             "manifest-seed-abc",
             "manifest-epsilon-abc",
+            "negative-problem-seed",
+            "zero-dimension",
+            "zero-points-per-agent",
+            "negative-epsilon",
+            "negative-init-std",
         ],
     )
     def test_invalid_config_rejected_before_any_point(self, tmp_path, name, text):
@@ -386,10 +459,7 @@ class TestCli:
 
     def test_divergence_exit_code(self, tmp_path):
         ini = tmp_path / "exp.ini"
-        text = BASIC_INI.replace("gamma = 0.05", "gamma = 80000.0").replace(
-            "outer_iterations = 8", "outer_iterations = 60"
-        )
-        ini.write_text(text)
+        ini.write_text(DIVERGING_INI)
         proc = self.run_cli("run", str(ini), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3
         lines = (tmp_path / "out" / "tiny_point000.csv").read_text().splitlines()
