@@ -121,8 +121,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.gamma <= 0 or self.rho <= 0:
-            raise ValueError("gamma and rho must be positive")
+        if not (0 < self.gamma < np.inf and 0 < self.rho < np.inf):  # NaN too
+            raise ValueError("gamma and rho must be positive and finite")
         if self.tau < 1 or self.batch_size < 1:
             raise ValueError("tau and batch_size must be >= 1")
         if self.outer_iterations < 0:
@@ -131,10 +131,9 @@ class RunConfig:
             raise ValueError("master_seed must be nonnegative")
         if self.monte_carlo_runs < 1:
             raise ValueError("monte_carlo_runs must be >= 1")
-        if self.t_g < 0 or self.t_c < 0:
-            raise ValueError("cost constants must be nonnegative")
-        if not self.init_std >= 0:  # NaN too
-            raise ValueError("init_std must be nonnegative")
+        self.cost_model()  # checks t_g and t_c
+        if not 0 <= self.init_std < np.inf:  # NaN too
+            raise ValueError("init_std must be finite and nonnegative")
 
     def cost_model(self) -> CostModel:
         return CostModel(t_g=self.t_g, t_c=self.t_c)

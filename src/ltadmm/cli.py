@@ -17,12 +17,10 @@ import sys
 
 from .runner import (
     ConfigError,
-    build_instance,
-    build_topology,
-    grid_points,
     load_config,
     preset_fig1,
     preset_fig2,
+    resolve,
     run_experiment,
 )
 from .stepsize import certified_run_check
@@ -91,12 +89,10 @@ def main(argv=None) -> int:
             _apply_overrides(cfg, args)
             return _execute(cfg, args)
         if args.command == "certify":
-            cfg = load_config(args.config)
-            instance = build_instance(cfg.problem)
-            topology = build_topology(cfg.topology)
+            resolved = resolve(load_config(args.config))
             reports = {
-                label: certified_run_check(instance, topology, run_cfg).to_dict()
-                for label, _, run_cfg in grid_points(cfg)
+                label: certified_run_check(resolved.instance, resolved.topology, run_cfg).to_dict()
+                for label, _, run_cfg in resolved.points
             }
             print(json.dumps(reports, indent=2, sort_keys=True))
             return EXIT_OK

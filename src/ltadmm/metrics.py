@@ -116,8 +116,8 @@ class CostModel:
     t_c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.t_g < 0 or self.t_c < 0:
-            raise ValueError("cost constants must be nonnegative")
+        if not (0 <= self.t_g < np.inf and 0 <= self.t_c < np.inf):  # NaN too
+            raise ValueError("cost constants must be finite and nonnegative")
 
 
 def iteration_evals(variant: str, tau: int, m_i_max: int, batch_size: int, k: int) -> int:

@@ -26,7 +26,6 @@ from scipy.special import expit
 __all__ = [
     "LOGISTIC_NONCONVEX",
     "LEAST_SQUARES",
-    "KINDS",
     "ProblemInstance",
     "SmoothnessEstimate",
     "generate_classification",
@@ -62,8 +61,8 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:  # NaN too
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if len(self.features) != len(self.labels) or not self.features:
             raise ValueError("features and labels must pair up per agent")
         n = self.features[0].shape[1]
@@ -119,6 +118,8 @@ def generate_classification(
     """
     if n_agents < 1 or dimension < 1 or points_per_agent < 1:
         raise ValueError("all sizes must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=dimension)
     direction /= np.linalg.norm(direction)

@@ -10,8 +10,10 @@ size with each local step count).
 The fields of :class:`~ltadmm.algorithms.RunConfig` are the schema of the
 algorithm and cost keys: INI values, sweep values, manifest configs and
 preset dicts all go through the same per-field converters, so booleans are
-spelled alike everywhere and an unknown key is an error.  Every grid point's
-run configuration is built and checked before any point runs.
+spelled alike everywhere and an unknown key is an error.  Parsing a config
+runs :func:`resolve`, which builds the topology, the problem and every grid
+point's run configuration before any point runs; the constructors hold the
+range rules, and any error building them is a :class:`ConfigError`.
 
 Every grid point produces one CSV of aggregated per-iteration metrics; a
 JSON manifest records the library version, the full resolved configuration,
@@ -34,6 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import product, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from . import __version__
 from .algorithms import RunConfig, run
 from .graph import Topology, build_from_edges, build_ring
 from .metrics import Trace, reference_charges, with_model_time
-from .problems import KINDS, ProblemInstance, generate_classification
+from .problems import ProblemInstance, generate_classification
 
 __all__ = [
     "ConfigError",
@@ -52,7 +55,8 @@ __all__ = [
     "build_topology",
     "build_instance",
     "expand_grid",
-    "grid_points",
+    "Resolved",
+    "resolve",
     "make_run_config",
     "run_experiment",
     "stopping_time",
@@ -77,8 +81,6 @@ _SECTION_KEYS = {
     "output": ("dir", "stop_threshold"),
 }
 _SECTIONS = (*_SECTION_KEYS, "algorithm", "cost", "sweep")
-# smallest accepted value of each numeric problem key
-_PROBLEM_MINIMUM = {"seed": 0, "dimension": 1, "points_per_agent": 1, "epsilon": 0.0}
 
 
 def _parse_bool(value) -> bool:
@@ -146,16 +148,7 @@ class ExperimentConfig:
     stop_threshold: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "topology": dict(self.topology),
-            "problem": dict(self.problem),
-            "algorithm": dict(self.algorithm),
-            "sweep": {k: list(v) for k, v in self.sweep.items()},
-            "points": [dict(p) for p in self.points],
-            "output_dir": self.output_dir,
-            "stop_threshold": self.stop_threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -163,19 +156,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         try:
-            cfg = cls(
-                name=data["name"],
-                topology=dict(data["topology"]),
-                problem=dict(data["problem"]),
-                algorithm=dict(data["algorithm"]),
-                sweep={k: list(v) for k, v in data.get("sweep", {}).items()},
-                points=[dict(p) for p in data.get("points", [])],
-                output_dir=data.get("output_dir", "out"),
-                stop_threshold=data.get("stop_threshold"),
-            )
-        except KeyError as err:
-            raise ConfigError(f"missing config section {err}") from err
-        _validate(cfg)
+            cfg = cls(**data)
+        except TypeError as err:
+            raise ConfigError(f"incomplete config: {err}") from err
+        resolve(cfg)
         return cfg
 
 
@@ -185,66 +169,21 @@ def _check_keys(label: str, section: dict) -> None:
         raise ConfigError(f"unknown {label} key(s): {', '.join(unknown)}")
 
 
-def _validate(cfg: ExperimentConfig) -> list[RunConfig]:
-    """Check ``cfg``; returns the run configuration of every grid point."""
-    _check_keys("topology", cfg.topology)
-    _check_keys("problem", cfg.problem)
-    if ("ring" in cfg.topology) == ("edges" in cfg.topology):
-        raise ConfigError("topology needs exactly one of 'ring' or 'edges'")
-    topology_key = "ring" if "ring" in cfg.topology else "n_agents"
-    if topology_key not in cfg.topology:
-        raise ConfigError("an 'edges' topology is missing 'n_agents'")
-    for key in ("kind", "seed", "n_agents", "dimension", "points_per_agent"):
-        if key not in cfg.problem:
-            raise ConfigError(f"problem section is missing {key!r}")
-    if cfg.problem["kind"] not in KINDS:
-        raise ConfigError(f"unknown problem kind {cfg.problem['kind']!r}")
-    for key, minimum in _PROBLEM_MINIMUM.items():
-        if key in cfg.problem and not _convert(key, cfg.problem[key]) >= minimum:
-            raise ConfigError(f"problem {key} must be at least {minimum}, got {cfg.problem[key]!r}")
-    n_agents = _convert("n_agents", cfg.problem["n_agents"])
-    if n_agents != _convert(topology_key, cfg.topology[topology_key]):
-        raise ConfigError(
-            f"problem n_agents {n_agents} does not match the topology's "
-            f"{cfg.topology[topology_key]} agents"
-        )
-    points_per_agent = _convert("points_per_agent", cfg.problem["points_per_agent"])
-    if cfg.stop_threshold is not None and not _convert("stop_threshold", cfg.stop_threshold) > 0:
-        raise ConfigError(f"stop_threshold must be positive, got {cfg.stop_threshold!r}")
-    for axis, values in cfg.sweep.items():
-        if axis not in _SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
-        if not values:
-            raise ConfigError(f"sweep axis {axis!r} is empty")
-    run_cfgs = [make_run_config(cfg.algorithm, overrides) for overrides in expand_grid(cfg)]
-    for run_cfg in run_cfgs:
-        # the exact variant draws no batches
-        if (
-            run_cfg.variant != "exact"
-            and not run_cfg.batch_replacement
-            and run_cfg.batch_size > points_per_agent
-        ):
-            raise ConfigError(
-                f"batch_size {run_cfg.batch_size} exceeds points_per_agent "
-                f"{points_per_agent} with batch_replacement = false"
-            )
-    return run_cfgs
-
-
 def build_topology(spec: dict) -> Topology:
     if "ring" in spec:
-        return build_ring(int(spec["ring"]))
-    return build_from_edges(int(spec["n_agents"]), [tuple(e) for e in spec["edges"]])
+        return build_ring(_convert("ring", spec["ring"]))
+    n_agents = _convert("n_agents", spec["n_agents"])
+    return build_from_edges(n_agents, [tuple(e) for e in spec["edges"]])
 
 
 def build_instance(spec: dict) -> ProblemInstance:
     return generate_classification(
-        seed=int(spec["seed"]),
-        n_agents=int(spec["n_agents"]),
-        dimension=int(spec["dimension"]),
-        points_per_agent=int(spec["points_per_agent"]),
+        seed=_convert("seed", spec["seed"]),
+        n_agents=_convert("n_agents", spec["n_agents"]),
+        dimension=_convert("dimension", spec["dimension"]),
+        points_per_agent=_convert("points_per_agent", spec["points_per_agent"]),
         kind=spec["kind"],
-        epsilon=float(spec.get("epsilon", 0.0)),
+        epsilon=_convert("epsilon", spec.get("epsilon", 0.0)),
     )
 
 
@@ -282,13 +221,68 @@ def expand_grid(cfg: ExperimentConfig) -> list[dict]:
     return [dict(zip(names, combo)) for combo in combos]
 
 
-def grid_points(cfg: ExperimentConfig) -> list[tuple[str, dict, RunConfig]]:
-    """Label, overrides and checked run configuration of every grid point."""
-    run_cfgs = _validate(cfg)
-    return [
-        (_point_label(index, overrides), overrides, run_cfg)
-        for index, (overrides, run_cfg) in enumerate(zip(expand_grid(cfg), run_cfgs))
-    ]
+class Resolved(NamedTuple):
+    """Everything a valid config builds before any grid point runs."""
+
+    topology: Topology
+    instance: ProblemInstance
+    # label, overrides and run configuration of every grid point
+    points: list[tuple[str, dict, RunConfig]]
+    stop_threshold: float | None
+
+
+def _build(section: str, builder, spec: dict):
+    try:
+        return builder(spec)
+    except KeyError as err:
+        raise ConfigError(f"{section} section is missing {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid {section}: {err}") from err
+
+
+def resolve(cfg: ExperimentConfig) -> Resolved:
+    """Build the topology, the problem and the run configuration of every point.
+
+    Raises:
+        ConfigError: on any key, value or combination that the builders or
+            the checks below reject.
+    """
+    _check_keys("topology", cfg.topology)
+    _check_keys("problem", cfg.problem)
+    if ("ring" in cfg.topology) == ("edges" in cfg.topology):
+        raise ConfigError("topology needs exactly one of 'ring' or 'edges'")
+    for axis, values in cfg.sweep.items():
+        if axis not in _SWEEP_AXES:
+            raise ConfigError(f"unknown sweep axis {axis!r}")
+        if not values:
+            raise ConfigError(f"sweep axis {axis!r} is empty")
+    stop_threshold = cfg.stop_threshold
+    if stop_threshold is not None:
+        stop_threshold = _convert("stop_threshold", stop_threshold)
+        if not stop_threshold > 0:
+            raise ConfigError(f"stop_threshold must be positive, got {cfg.stop_threshold!r}")
+    topology = _build("topology", build_topology, cfg.topology)
+    instance = _build("problem", build_instance, cfg.problem)
+    if instance.num_agents != topology.num_agents:
+        raise ConfigError(
+            f"problem n_agents {instance.num_agents} does not match the topology's "
+            f"{topology.num_agents} agents"
+        )
+    points = []
+    for index, overrides in enumerate(expand_grid(cfg)):
+        run_cfg = make_run_config(cfg.algorithm, overrides)
+        # the exact variant draws no batches
+        if (
+            run_cfg.variant != "exact"
+            and not run_cfg.batch_replacement
+            and run_cfg.batch_size > instance.min_points
+        ):
+            raise ConfigError(
+                f"batch_size {run_cfg.batch_size} exceeds points_per_agent "
+                f"{instance.min_points} with batch_replacement = false"
+            )
+        points.append((_point_label(index, overrides), overrides, run_cfg))
+    return Resolved(topology, instance, points, stop_threshold)
 
 
 def _point_label(index: int, overrides: dict) -> str:
@@ -363,7 +357,7 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
         output_dir=str(output.get("dir", "out")),
         stop_threshold=output.get("stop_threshold"),
     )
-    _validate(cfg)
+    resolve(cfg)
     return cfg
 
 
@@ -410,18 +404,17 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute every grid point and persist CSV traces plus a manifest.
 
-    Grid points share the problem and the topology, which are built once.
-    Points whose run configurations differ only in ``t_g``/``t_c`` share one
-    trajectory: it is simulated once, for the first such point, and each
-    point gets its own ``model_time`` column.  With ``workers > 1`` the
-    distinct trajectories run in a process pool; results do not depend on
-    the worker count.
+    Grid points share the problem and the topology, which :func:`resolve`
+    builds once.  Points whose run configurations differ only in
+    ``t_g``/``t_c`` share one trajectory: it is simulated once, for the first
+    such point, and each point gets its own ``model_time`` column.  With
+    ``workers > 1`` the distinct trajectories run in a process pool of at
+    most one worker per trajectory; results do not depend on the worker
+    count.
     """
-    grid = grid_points(cfg)
+    topology, instance, grid, stop_threshold = resolve(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    instance = build_instance(cfg.problem)
-    topology = build_topology(cfg.topology)
     run_cfgs = [run_cfg for _, _, run_cfg in grid]
     # every field but the cost constants, which only scale the model-time axis
     keys = [astuple(replace(run_cfg, t_g=0.0, t_c=0.0)) for run_cfg in run_cfgs]
@@ -429,6 +422,7 @@ def run_experiment(
     for key, run_cfg in zip(keys, run_cfgs):
         representatives.setdefault(key, run_cfg)
     distinct = list(representatives.values())
+    workers = min(workers, len(distinct))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             simulated = list(pool.map(run, repeat(instance), repeat(topology), distinct))
@@ -443,8 +437,8 @@ def run_experiment(
         csv_name = f"{cfg.name}_{label}.csv"
         _write_csv(out / csv_name, trace)
         stopping = None
-        if cfg.stop_threshold is not None:
-            stopping = stopping_time(trace, _convert("stop_threshold", cfg.stop_threshold))
+        if stop_threshold is not None:
+            stopping = stopping_time(trace, stop_threshold)
         points.append(
             {
                 "label": label,

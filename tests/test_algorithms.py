@@ -78,6 +78,13 @@ class TestRunConfig:
             ("master_seed", -3),
             ("init_std", -1.0),
             ("init_std", float("nan")),
+            ("init_std", float("inf")),
+            ("gamma", float("nan")),
+            ("rho", float("nan")),
+            ("gamma", float("inf")),
+            ("t_g", float("nan")),
+            ("t_g", float("inf")),
+            ("t_c", float("nan")),
         ],
     )
     def test_rejects_bad_values(self, field, value):

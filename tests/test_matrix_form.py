@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltadmm.algorithms import (
+    VARIANTS,
     RunConfig,
     init_states,
     initial_iterates,
     outer_step,
 )
 from ltadmm.graph import build_from_edges, build_ring
-from ltadmm.problems import generate_classification, local_full_gradient
+from ltadmm.metrics import iteration_evals
+from ltadmm.problems import (
+    LEAST_SQUARES,
+    LOGISTIC_NONCONVEX,
+    ProblemInstance,
+    generate_classification,
+    local_full_gradient,
+)
 
 from conftest import random_connected_topology
 from matrix_form import (
@@ -169,3 +179,64 @@ class TestBlockForm:
         n = topo.num_agents
         g_bar = np.stack([local_full_gradient(inst, i, d.x_bar) / n for i in range(n)])
         assert np.max(np.abs(d.Y.mean(axis=0) + g_bar.mean(axis=0))) <= 1e-12
+
+
+@st.composite
+def drawn_runs(draw):
+    """A connected graph of 2-8 agents with unequal datasets and a run config."""
+    n_agents = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    topology = random_connected_topology(rng, n_agents, draw(st.sampled_from([0.0, 0.3, 0.7])))
+    points = draw(st.lists(st.integers(1, 9), min_size=n_agents, max_size=n_agents))
+    dimension = draw(st.integers(1, 4))
+    labels = tuple(rng.choice([-1.0, 1.0], size=m) for m in points)
+    instance = ProblemInstance(
+        kind=draw(st.sampled_from([LOGISTIC_NONCONVEX, LEAST_SQUARES])),
+        features=tuple(rng.normal(size=(m, dimension)) for m in points),
+        labels=labels,
+        epsilon=0.01,
+    )
+    replacement = draw(st.booleans())
+    config = RunConfig(
+        variant=draw(st.sampled_from(VARIANTS)),
+        gamma=draw(st.sampled_from([0.005, 0.02])),
+        rho=draw(st.sampled_from([0.5, 1.0, 1.7])),
+        tau=draw(st.integers(1, 6)),
+        outer_iterations=3,
+        batch_size=draw(st.integers(1, 3 if replacement else min(points))),
+        batch_replacement=replacement,
+        master_seed=draw(st.integers(0, 1000)),
+    )
+    return topology, instance, config
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn_runs())
+def test_solver_matches_oracle_on_drawn_runs(run):
+    topology, instance, config = run
+    x0 = initial_iterates(config, topology.num_agents, instance.dimension, 0)
+    states = init_states(instance, topology, config, 0)
+    cstate = compact_init(build_structure(topology), x0)
+    X, Z = x0.copy(), cstate.Z.copy()
+    for k in range(config.outer_iterations):
+        log = []
+        measured = outer_step(states, instance, topology, config, k, X, Z, log)
+        replay = None if config.variant == "exact" else [G for _, G in log]
+        cstate = compact_step(cstate, instance, config, gradients=replay)
+        assert np.max(np.abs(X - cstate.X)) <= 1e-10
+        assert np.max(np.abs(Z - cstate.Z)) <= 1e-10
+        scale = max(1.0, float(np.linalg.norm(X)))
+        assert measured.conservation_residual <= 1e-10 * scale
+        assert conservation_residual(cstate, config.rho) <= 1e-10 * scale
+    for i, state in enumerate(states):
+        expected = sum(
+            iteration_evals(config.variant, config.tau, instance.num_points(i), config.batch_size, k)
+            for k in range(config.outer_iterations)
+        )
+        assert state.counter.component_gradient_evals == expected
+    slowest = max(state.counter.component_gradient_evals for state in states)
+    assert slowest == sum(
+        iteration_evals(config.variant, config.tau, instance.max_points, config.batch_size, k)
+        for k in range(config.outer_iterations)
+    )

@@ -87,6 +87,12 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(t_g=-1.0)
 
+    @pytest.mark.parametrize("field", ["t_g", "t_c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_costs_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            CostModel(**{field: value})
+
     def test_v2_first_iteration_pays_table_init(self):
         model = CostModel(t_g=1.0, t_c=0.0)
         first = iteration_charge(model, "lt_admm_vr_v2", tau=5, m_i_max=100, batch_size=1, k=0)

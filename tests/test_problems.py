@@ -86,6 +86,15 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_classification(1, 2, 3, 0)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed"):
+            generate_classification(-1, 2, 3, 5)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+    def test_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            make_instance(epsilon=epsilon)
+
 
 class TestGradients:
     def test_regularizer_gradient_zero_at_origin(self):

@@ -1,12 +1,18 @@
+import configparser
 import dataclasses
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ltadmm import algorithms, runner
+from ltadmm import algorithms, cli, runner
 from ltadmm.algorithms import RunConfig
 from ltadmm.metrics import Trace
 from ltadmm.runner import (
@@ -15,12 +21,12 @@ from ltadmm.runner import (
     build_instance,
     build_topology,
     expand_grid,
-    grid_points,
     load_config,
     make_run_config,
     parse_config,
     preset_fig1,
     preset_fig2,
+    resolve,
     run_experiment,
     stopping_time,
 )
@@ -65,6 +71,16 @@ COST_GRID_INI = BASIC_INI + """
 variant = lt_admm, lt_admm_vr, lt_admm_vr_v2
 tg_tc_ratio = 0.1, 1, 10
 """
+
+# topologies that no builder accepts; each names its fault in the error
+BAD_TOPOLOGIES = {
+    "ring-1": "ring = 1",
+    "ring-2": "ring = 2",
+    "self-loop": "n_agents = 4\nedges = 0-0, 0-1, 1-2, 2-3",
+    "disconnected": "n_agents = 4\nedges = 0-1, 2-3",
+    "duplicate-edge": "n_agents = 4\nedges = 0-1, 1-0, 1-2, 2-3",
+    "invalid-vertex": "n_agents = 4\nedges = 0-1, 1-2, 2-9",
+}
 
 DIVERGING_INI = BASIC_INI.replace("gamma = 0.05", "gamma = 80000.0").replace(
     "outer_iterations = 8", "outer_iterations = 60"
@@ -231,12 +247,37 @@ class TestSharedTrajectories:
         assert sorted(run_cfg.variant for run_cfg in calls) == ["lt_admm", "lt_admm_vr", "lt_admm_vr_v2"]
         assert len({id(trace.columns) for trace in result.traces}) == 9
 
+    @pytest.mark.parametrize(
+        "text,workers,expected",
+        [(COST_GRID_INI, 8, [3]), (BASIC_INI, 2, [])],
+        ids=["three-trajectories", "one-trajectory"],
+    )
+    def test_pool_has_at_most_one_worker_per_trajectory(self, tmp_path, monkeypatch, text, workers, expected):
+        created = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        run_experiment(parse_config(text), out_dir=tmp_path, workers=workers)
+        assert created == expected
+
     def test_csv_bytes_match_a_run_per_point(self, tmp_path):
         cfg = parse_config(COST_GRID_INI)
         result = run_experiment(cfg, out_dir=tmp_path / "grid")
         instance = build_instance(cfg.problem)
         topology = build_topology(cfg.topology)
-        for (label, _, run_cfg), point in zip(grid_points(cfg), result.manifest["points"]):
+        for (label, _, run_cfg), point in zip(resolve(cfg).points, result.manifest["points"]):
             alone = tmp_path / f"{label}.csv"
             runner._write_csv(alone, algorithms.run(instance, topology, run_cfg))
             assert (tmp_path / "grid" / point["csv"]).read_bytes() == alone.read_bytes()
@@ -370,6 +411,14 @@ class TestCli:
             ("bad.ini", BASIC_INI.replace("points_per_agent = 6", "points_per_agent = 0")),
             ("bad.ini", BASIC_INI.replace("epsilon = 0.01", "epsilon = -5")),
             ("bad.ini", BASIC_INI.replace("batch_size = 1", "batch_size = 1\ninit_std = -1")),
+            *(("bad.ini", BASIC_INI.replace("ring = 4", topology)) for topology in BAD_TOPOLOGIES.values()),
+            ("bad.ini", BASIC_INI.replace("epsilon = 0.01", "epsilon = nan")),
+            ("bad.ini", BASIC_INI.replace("gamma = 0.05", "gamma = nan")),
+            ("bad.ini", BASIC_INI.replace("rho = 1.0", "rho = nan")),
+            ("bad.ini", BASIC_INI.replace("t_g = 1.0", "t_g = nan")),
+            ("bad.ini", BASIC_INI.replace("t_g = 1.0", "t_g = inf")),
+            ("bad.ini", BASIC_INI.replace("t_c = 2.0", "t_c = nan")),
+            ("bad.ini", BASIC_INI + "\n[sweep]\ntg_tc_ratio = 1, nan\n"),
         ],
         ids=[
             "sweep-tau-abc",
@@ -399,6 +448,14 @@ class TestCli:
             "zero-points-per-agent",
             "negative-epsilon",
             "negative-init-std",
+            *(f"topology-{name}" for name in BAD_TOPOLOGIES),
+            "nan-epsilon",
+            "nan-gamma",
+            "nan-rho",
+            "nan-t-g",
+            "inf-t-g",
+            "nan-t-c",
+            "nan-sweep-tg-tc-ratio",
         ],
     )
     def test_invalid_config_rejected_before_any_point(self, tmp_path, name, text):
@@ -409,6 +466,21 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("topology", BAD_TOPOLOGIES.values(), ids=BAD_TOPOLOGIES)
+    def test_invalid_topology_named(self, tmp_path, capsys, topology):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(BASIC_INI.replace("ring = 4", topology))
+        assert cli.main(["run", str(ini), "--out", str(tmp_path / "out")]) == 2
+        stderr = capsys.readouterr().err
+        assert "config error" in stderr and "topology" in stderr
+
+    def test_certify_invalid_topology_exit_code(self, tmp_path):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(BASIC_INI.replace("ring = 4", "ring = 1"))
+        proc = self.run_cli("certify", str(ini))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
 
     def test_missing_file_exit_code(self):
         proc = self.run_cli("run", "/nonexistent/nope.ini")
@@ -466,3 +538,69 @@ class TestCli:
         assert lines == [
             "k,model_time,grad_norm_sq_mean,grad_norm_sq_std,consensus_err_mean,component_evals,comms"
         ]
+
+
+# --- property: every config either runs or is rejected with exit code 2 ----
+
+ODD_VALUES = ("-1", "0", "0.5", "nan", "inf", "abc", "true")
+NUMERIC_KEYS = [
+    (section, key)
+    for section, keys in {
+        "problem": ("seed", "dimension", "points_per_agent", "epsilon"),
+        "algorithm": ("gamma", "rho", "tau", "batch_size", "master_seed", "init_std"),
+        "cost": ("t_g", "t_c"),
+    }.items()
+    for key in keys
+]
+
+
+@st.composite
+def drawn_configs(draw) -> str:
+    """BASIC_INI with a drawn topology and odd numeric values, one iteration long."""
+    parser = configparser.ConfigParser()
+    parser.read_string(BASIC_INI)
+    parser["algorithm"]["outer_iterations"] = "1"
+    parser["algorithm"]["monte_carlo_runs"] = "1"
+    if draw(st.booleans()):
+        parser["topology"] = {"ring": str(draw(st.integers(1, 6)))}
+    else:
+        n_agents = draw(st.integers(2, 5))
+        # a path through every agent, less a drawn edge (disconnection), plus
+        # drawn pairs (self-loops, duplicates, and vertex n_agents out of range)
+        edges = [(i, i + 1) for i in range(n_agents - 1)]
+        if draw(st.booleans()):
+            del edges[draw(st.integers(0, n_agents - 2))]
+        vertex = st.integers(0, n_agents)
+        edges += draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+        if not edges:
+            edges = [(0, 0)]
+        parser["topology"] = {
+            "n_agents": str(n_agents),
+            "edges": ", ".join(f"{i}-{j}" for i, j in edges),
+        }
+    for section, key in draw(st.lists(st.sampled_from(NUMERIC_KEYS), max_size=2, unique=True)):
+        parser[section][key] = draw(st.sampled_from(ODD_VALUES))
+    if draw(st.booleans()):
+        parser["algorithm"]["batch_replacement"] = "false"
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn_configs())
+def test_every_config_runs_or_exits_2(text):
+    try:
+        resolve(parse_config(text))
+        rejected = False
+    except ConfigError:
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "drawn.ini"
+        ini.write_text(text)
+        out = Path(tmp) / "out"
+        code = cli.main(["run", str(ini), "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert (code == 2) == rejected
+        if rejected:
+            assert not list(out.glob("*.csv"))
