@@ -7,7 +7,6 @@ bound checker, convergence metrics, and an abstract cost-time model)."""
 __version__ = "0.1.0"
 
 from .algorithms import (  # noqa: F401
-    AgentState,
     DivergenceError,
     RunConfig,
     VARIANTS,
@@ -21,7 +20,7 @@ from .graph import (  # noqa: F401
     spectral_quantities,
 )
 from .metrics import CostModel, Trace, compute_dk  # noqa: F401
-from .oracles import EvalCounter, SagaTable  # noqa: F401
+from .oracles import Streams  # noqa: F401
 from .problems import (  # noqa: F401
     ProblemInstance,
     SmoothnessEstimate,

@@ -1,6 +1,6 @@
 """Solver dynamics on stacked iterates with synchronous communication rounds.
 
-One replicate's state is two arrays: the iterates ``X`` (N x n, row i is
+A replicate's state is two arrays: the iterates ``X`` (N x n, row i is
 agent i's) and the edge variables ``Z`` (M x n, row e belongs to the directed
 edge (i, j) at position e of ``Topology.directed_edges``: agent i's variable
 for neighbor j).  One outer iteration reads
@@ -10,13 +10,17 @@ for neighbor j).  One outer iteration reads
     Z'[(i, j)] = (Z[(i, j)] - Z[(j, i)]) / 2 + rho * X'[j]
 
 where D holds the degrees, ``A^T Z`` sums each agent's edge rows, and row i
-of G_t is agent i's gradient estimate at row i of Phi_t.  The local epoch is
-t-major: each inner step collects every agent's estimate, then one stacked
-update moves all rows.  The exchange (every agent sends one payload per
-neighbor, a synchronous barrier) is two array operations over the edge
-arrays ``Topology.src`` (the owner of each edge) and ``Topology.rev`` (the
-reverse edge).  Only the estimator state is per agent: its random stream,
-its gradient table and its evaluation counter (:class:`AgentState`).
+of G_t is agent i's gradient estimate at row i of Phi_t.
+
+One engine moves a grid point's whole Monte Carlo batch: ``X`` is stacked to
+(R, N, n) and ``Z`` to (R, M, n), and every inner step updates all replicates
+and agents at once.  The local epoch is t-major: each inner step computes
+every (replicate, agent) stream's estimate in one array step
+(:mod:`ltadmm.oracles`), then one stacked update moves all rows.  The
+exchange (every agent sends one payload per neighbor, a synchronous barrier)
+is two array operations over the edge arrays ``Topology.src`` (the owner of
+each edge) and ``Topology.rev`` (the reverse edge).  A replicate that
+diverges is retired from the stack and frozen, and the others run on.
 
 Variants differ only in the local gradient estimator:
 
@@ -28,10 +32,10 @@ Variants differ only in the local gradient estimator:
 * ``lt_admm_vr_v2`` - same estimator but the table carries over between
   epochs (refreshed once at k = 0 only).
 
-Randomness is organized per (replicate, agent) stream with a fixed in-agent
+Randomness is organized per (replicate, agent) stream with a fixed in-stream
 draw order, so results are a pure function of the configuration and never
-depend on scheduling.  Initial iterates are shared across variants for a
-given master seed.
+depend on scheduling or on which replicates share the stack.  Initial
+iterates are shared across variants for a given master seed.
 
 The cost constants ``t_g`` and ``t_c`` do not enter the dynamics, the
 counters or the metrics: the solver never reads them, and :func:`run` adds
@@ -40,7 +44,8 @@ the ``model_time`` column from the cost table after its replicates finish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,9 +54,9 @@ from . import metrics
 from .graph import Topology
 from .metrics import CostModel, ReplicateTrace, Trace
 from .oracles import (
-    EvalCounter,
-    SagaTable,
+    Streams,
     draw_batch,
+    exact_estimate,
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
@@ -65,14 +70,13 @@ from .problems import (
 __all__ = [
     "VARIANTS",
     "RunConfig",
-    "AgentState",
     "DivergenceError",
     "initial_iterates",
     "init_states",
     "exchange",
     "local_training_epoch",
     "outer_step",
-    "simulate_replicate",
+    "simulate_replicates",
     "run",
 ]
 
@@ -139,16 +143,6 @@ class RunConfig:
         return CostModel(t_g=self.t_g, t_c=self.t_c)
 
 
-@dataclass
-class AgentState:
-    """One agent's estimator state: random stream, gradient table, counter."""
-
-    index: int
-    rng: np.random.Generator
-    table: SagaTable | None
-    counter: EvalCounter = field(default_factory=EvalCounter)
-
-
 def initial_iterates(
     config: RunConfig, num_agents: int, dimension: int, replicate: int
 ) -> np.ndarray:
@@ -158,47 +152,82 @@ def initial_iterates(
     return rng.normal(0.0, config.init_std, size=(num_agents, dimension))
 
 
+def _batch_draws(config: RunConfig) -> int:
+    """Inner steps of the whole run at which each stream draws a batch."""
+    K, tau = config.outer_iterations, config.tau
+    if config.variant == "lt_admm":
+        return K * tau
+    if config.variant == "lt_admm_vr":
+        return K * (tau - 1)
+    if config.variant == "lt_admm_vr_v2" and K > 0:
+        return K * tau - 1
+    return 0
+
+
 def init_states(
     instance: ProblemInstance,
     topology: Topology,
     config: RunConfig,
-    replicate: int,
-) -> list[AgentState]:
-    """Fresh estimator states with one random stream per (replicate, agent)."""
-    states = []
-    for i in range(topology.num_agents):
-        seq = np.random.SeedSequence([int(config.master_seed), int(replicate), 1 + i])
-        table = None
-        if config.variant in _VR_VARIANTS:
-            table = SagaTable(instance.num_points(i), instance.dimension)
-        states.append(AgentState(index=i, rng=np.random.default_rng(seq), table=table))
-    return states
+    replicates: Iterable[int],
+) -> Streams:
+    """Fresh estimator streams, one per (replicate, agent) of ``replicates``.
+
+    Stream (r, i) draws from its own generator, seeded by
+    (master_seed, r, 1 + i), so its draws do not depend on which other
+    replicates share the stack.
+    """
+    seed = int(config.master_seed)
+    rngs = [
+        [
+            np.random.default_rng(np.random.SeedSequence([seed, int(r), 1 + i]))
+            for i in range(topology.num_agents)
+        ]
+        for r in replicates
+    ]
+    return Streams.start(
+        instance, rngs, config.variant in _VR_VARIANTS, _batch_draws(config)
+    )
 
 
 def _estimate(
-    state: AgentState,
-    instance: ProblemInstance,
-    config: RunConfig,
-    x: np.ndarray,
-    table_is_fresh: bool,
+    streams: Streams, instance: ProblemInstance, config: RunConfig, phi: np.ndarray
 ) -> np.ndarray:
-    i = state.index
-    m = instance.num_points(i)
     if config.variant == "exact":
-        state.counter.component_gradient_evals += m
-        return local_full_gradient(instance, i, x)
+        return exact_estimate(streams, instance, phi)
+    batch = draw_batch(streams, config.batch_size, replacement=config.batch_replacement)
     if config.variant == "lt_admm":
-        batch = draw_batch(state.rng, m, config.batch_size, replacement=config.batch_replacement)
-        return sgd_estimate(instance, i, x, batch, state.counter)
-    if table_is_fresh:
-        # estimate at the refresh anchor collapses to the table mean
-        return state.table.mean()
-    batch = draw_batch(state.rng, m, config.batch_size, replacement=config.batch_replacement)
-    return saga_estimate_update(state.table, instance, i, x, batch, state.counter)
+        return sgd_estimate(streams, instance, phi, batch)
+    return saga_estimate_update(streams, instance, phi, batch)
+
+
+def _retire_diverged(
+    streams: Streams, left: np.ndarray, k: int, t: int, log: list | None, first: int
+) -> np.ndarray:
+    """Stop the live replicates with a row in ``left``; returns the survivors' flags.
+
+    Each stopped replicate gets a :class:`DivergenceError` naming its
+    lowest-index agent outside the range.  Log entries of this epoch keep
+    only the survivors' rows.
+
+    Raises:
+        DivergenceError: of the first stopped replicate, when none survives.
+    """
+    stopped = left.any(axis=1)
+    for row in np.flatnonzero(stopped):
+        error = DivergenceError(int(left[row].argmax()), k, t)
+        streams.diverged[int(streams.live[row])] = error
+    keep = ~stopped
+    if log is not None:
+        log[first:] = [(phi[keep], G[keep]) for phi, G in log[first:]]
+    lowest = int(streams.live[0])
+    streams.retire(keep)
+    if not keep.any():
+        raise streams.diverged[lowest]
+    return keep
 
 
 def local_training_epoch(
-    states: list[AgentState],
+    streams: Streams,
     instance: ProblemInstance,
     config: RunConfig,
     k: int,
@@ -209,72 +238,81 @@ def local_training_epoch(
 ) -> np.ndarray:
     """Run tau local steps from the iterates ``X``; returns the new iterates.
 
-    ``AtZ`` holds each agent's sum of edge variables and ``degrees`` its
-    neighbor count; both are fixed for the whole epoch.  For the
-    variance-reduced variants every agent's gradient table is refreshed here
-    (every epoch, or only at k = 0 for the carry-over variant) and each step's
-    fresh batch gradients are written back into the table.
+    ``X`` stacks the iterates of the live replicates, shape (L, N, n).
+    ``AtZ`` (same shape) holds each agent's sum of edge variables and
+    ``degrees`` its neighbor count; both are fixed for the whole epoch.  For
+    the variance-reduced variants every stream's gradient table is refreshed
+    here (every epoch, or only at k = 0 for the carry-over variant) and each
+    step's fresh batch gradients are written back into the table.
+
+    A replicate whose iterate leaves the finite range at some inner step is
+    retired: :meth:`Streams.retire` drops it from the live set and
+    ``streams.diverged`` records the lowest-index such agent and the step.
+    The others run on, and the result holds the survivors' rows only.
 
     ``log``, when given, receives one ``(Phi_t, G_t)`` pair per inner step:
-    the stacked inner iterate and the stacked estimator outputs.  It does not
-    affect the dynamics or the evaluation counters.
+    the stacked inner iterates and estimator outputs of the replicates that
+    finish the epoch.  It does not affect the dynamics or the counters.
 
     Raises:
-        DivergenceError: at the first inner step where an iterate leaves the
-            finite range, naming the lowest-index such agent.
+        DivergenceError: when every live replicate has left the range.
     """
     refresh = config.variant == "lt_admm_vr" or (config.variant == "lt_admm_vr_v2" and k == 0)
     if refresh:
-        for state in states:
-            saga_refresh(state.table, instance, state.index, X[state.index], state.counter)
+        saga_refresh(streams, instance, X)
 
     gamma = config.gamma
     penalty = (config.rho * degrees)[:, None]
-    phi = X.copy()  # the log keeps Phi_0 and outer_step overwrites X
+    first = len(log) if log is not None else 0
+    phi = X.copy()  # the log keeps Phi_0, which the caller may overwrite in X
     for t in range(config.tau):
-        G = np.empty_like(X)
-        for state in states:
-            G[state.index] = _estimate(state, instance, config, phi[state.index], t == 0 and refresh)
+        if t == 0 and refresh:
+            # estimate at the refresh anchor collapses to the table mean
+            G = streams.table_sum[streams.live] / streams.sizes[:, None]
+        else:
+            G = _estimate(streams, instance, config, phi)
         if log is not None:
             log.append((phi, G))
         phi = phi - gamma * (G + penalty * phi - AtZ)
-        left = ~(np.einsum("ij,ij->i", phi, phi) <= DIVERGENCE_NORM**2)
+        left = ~(np.einsum("rij,rij->ri", phi, phi) <= DIVERGENCE_NORM**2)
         if left.any():
-            raise DivergenceError(int(left.argmax()), k, t)
+            keep = _retire_diverged(streams, left, k, t, log, first)
+            phi, AtZ = phi[keep], AtZ[keep]
     return phi
 
 
 def exchange(topology: Topology, Z: np.ndarray, X: np.ndarray, rho: float) -> np.ndarray:
     """Edge variables after one exchange of payloads ``Z - 2 rho X[owner]``.
 
-    Edge (i, j) combines its own variable with the payload of (j, i).
+    Edge (i, j) combines its own variable with the payload of (j, i).  ``Z``
+    (..., M, n) and ``X`` (..., N, n) may stack replicates on leading axes.
     """
-    payload = Z - 2.0 * rho * X[topology.src]
-    return 0.5 * (Z - payload[topology.rev])
+    payload = Z - 2.0 * rho * X[..., topology.src, :]
+    return 0.5 * (Z - payload[..., topology.rev, :])
 
 
 class StateMetrics(NamedTuple):
-    """Metrics of one state (X, Z)."""
+    """Metrics of stacked states (X, Z), one entry per replicate."""
 
-    grad_norm_sq: float
-    consensus_err: float
-    conservation_residual: float
+    grad_norm_sq: np.ndarray
+    consensus_err: np.ndarray
+    conservation_residual: np.ndarray
 
 
 def _measure(
     instance: ProblemInstance, X: np.ndarray, Z: np.ndarray, degrees: np.ndarray, rho: float
 ) -> StateMetrics:
     return StateMetrics(
-        grad_norm_sq=global_gradient_norm_sq(instance, X.mean(axis=0)),
+        grad_norm_sq=global_gradient_norm_sq(instance, X.mean(axis=1)),
         consensus_err=metrics.consensus_error(X),
-        conservation_residual=float(
-            np.linalg.norm(Z.sum(axis=0) - rho * (degrees[:, None] * X).sum(axis=0))
+        conservation_residual=np.linalg.norm(
+            Z.sum(axis=1) - rho * (degrees[:, None] * X).sum(axis=1), axis=-1
         ),
     )
 
 
 def outer_step(
-    states: list[AgentState],
+    streams: Streams,
     instance: ProblemInstance,
     topology: Topology,
     config: RunConfig,
@@ -283,30 +321,108 @@ def outer_step(
     Z: np.ndarray,
     log: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> StateMetrics:
-    """One full outer iteration: epoch, exchange, auxiliary update.
+    """One full outer iteration of every live replicate: epoch, exchange, auxiliary update.
 
-    Overwrites ``X`` and ``Z`` with the new state and returns its metrics.
-    ``log`` is passed on to the epoch.
+    ``X`` (R, N, n) and ``Z`` (R, M, n) hold every replicate of the stack.
+    The rows of the replicates that finish the step are overwritten with
+    their new state, and the metrics of those states are returned, in the
+    order of ``streams.live``.  A replicate retired in this step keeps the
+    state it started the step from.  ``log`` is passed on to the epoch.
+
+    Raises:
+        DivergenceError: when every live replicate left the range.
     """
     degrees = np.asarray(topology.degrees)
-    AtZ = np.zeros_like(X)
-    np.add.at(AtZ, topology.src, Z)
-    X_new = local_training_epoch(states, instance, config, k, X, AtZ, degrees, log)
-    Z[:] = exchange(topology, Z, X_new, config.rho)
-    X[:] = X_new
-    return _measure(instance, X, Z, degrees, config.rho)
+    live = streams.live
+    AtZ = np.zeros((len(live),) + X.shape[1:])
+    np.add.at(AtZ, (slice(None), topology.src), Z[live])
+    X_new = local_training_epoch(streams, instance, config, k, X[live], AtZ, degrees, log)
+    live = streams.live
+    Z_new = exchange(topology, Z[live], X_new, config.rho)
+    Z[live] = Z_new
+    X[live] = X_new
+    return _measure(instance, X_new, Z_new, degrees, config.rho)
 
 
-def _inner_average_gradients(
-    instance: ProblemInstance, log: list[tuple[np.ndarray, np.ndarray]]
-) -> list[np.ndarray]:
-    averages = []
-    for phi, _ in log:
-        total = np.zeros(instance.dimension)
-        for i in range(phi.shape[0]):
-            total += local_full_gradient(instance, i, phi[i])
-        averages.append(total / phi.shape[0])
-    return averages
+def _inner_average_gradients(instance: ProblemInstance, phis: np.ndarray) -> np.ndarray:
+    """Across-agent averages of the true local gradients at stacked inner iterates.
+
+    ``phis`` has shape (..., N, n); the result drops the agent axis.
+    """
+    total = np.zeros(phis.shape[:-2] + phis.shape[-1:])
+    for i in range(phis.shape[-2]):
+        total += local_full_gradient(instance, i, phis[..., i, :])
+    return total / phis.shape[-2]
+
+
+def simulate_replicates(
+    instance: ProblemInstance,
+    topology: Topology,
+    config: RunConfig,
+    replicates: Iterable[int],
+) -> list[ReplicateTrace]:
+    """Run the given replicates for the configured iteration budget, stacked.
+
+    All replicates move together, one array step per inner iteration.  Each
+    replicate's trajectory is that of running it alone: its initial iterates
+    and its streams are seeded by its own index.  The metric arrays start
+    with the initial state at k = 0.  A replicate that diverges is frozen at
+    the state it started the diverging iteration from: its arrays stop
+    there and it is marked, while the others run on.  The epoch gradient
+    metric, when enabled, is stored at the index of the state the epoch
+    started from (its true gradients are measurement overhead and never hit
+    the counters).
+    """
+    replicates = [int(r) for r in replicates]
+    R, K = len(replicates), config.outer_iterations
+    degrees = np.asarray(topology.degrees)
+    X = np.stack(
+        [initial_iterates(config, topology.num_agents, instance.dimension, r) for r in replicates]
+    )
+    Z = X[:, topology.src]
+    streams = init_states(instance, topology, config, replicates)
+    measured = [np.full((K + 1, R), np.nan) for _ in StateMetrics._fields]
+    for column, values in zip(measured, _measure(instance, X, Z, degrees, config.rho)):
+        column[0] = values
+    evals = np.zeros((K + 1, R), dtype=np.int64)
+    d_k = np.full((K + 1, R), np.nan)
+
+    for k in range(config.outer_iterations):
+        tally = streams.tally.copy()
+        log: list[tuple[np.ndarray, np.ndarray]] | None = [] if config.record_dk else None
+        try:
+            step = outer_step(streams, instance, topology, config, k, X, Z, log)
+        except DivergenceError:
+            break
+        live = streams.live
+        for column, values in zip(measured, step):
+            column[k + 1, live] = values
+        # the synchronous round waits for the slowest agent
+        evals[k + 1] = evals[k] + (streams.tally - tally).max(axis=1)
+        if config.record_dk:
+            inner = _inner_average_gradients(instance, np.stack([phi for phi, _ in log]))
+            for row, r in enumerate(live):
+                d_k[k, r] = metrics.compute_dk(measured[0][k, r], list(inner[:, row]), config.tau)
+
+    traces = []
+    for r, replicate in enumerate(replicates):
+        error = streams.diverged.get(r)
+        stop = K + 1 if error is None else error.outer_iteration + 1
+        grad_norm_sq, consensus_err, residual = (column[:stop, r] for column in measured)
+        traces.append(
+            ReplicateTrace(
+                replicate=replicate,
+                status="completed" if error is None else "diverged",
+                grad_norm_sq=grad_norm_sq,
+                consensus_err=consensus_err,
+                conservation_residual=residual,
+                component_evals=evals[:stop, r],
+                comms=topology.num_directed_edges * np.arange(stop),
+                d_k=d_k[:stop, r],
+                diverged_at=None if error is None else error.outer_iteration,
+            )
+        )
+    return traces
 
 
 def simulate_replicate(
@@ -315,54 +431,8 @@ def simulate_replicate(
     config: RunConfig,
     replicate: int,
 ) -> ReplicateTrace:
-    """Run one replicate for the configured iteration budget.
-
-    The metric arrays start with the initial state at k = 0.  Divergence
-    truncates them and marks the replicate; the epoch gradient metric, when
-    enabled, is stored at the index of the state the epoch started from (its
-    true gradients are measurement overhead and never hit the counters).
-    """
-    X = initial_iterates(config, topology.num_agents, instance.dimension, replicate)
-    Z = X[topology.src]
-    states = init_states(instance, topology, config, replicate)
-    measured = [_measure(instance, X, Z, np.asarray(topology.degrees), config.rho)]
-    evals = [0]
-    comms = [0]
-    d_k: list[float] = []
-
-    status = "completed"
-    diverged_at = None
-    for k in range(config.outer_iterations):
-        evals_before = [s.counter.component_gradient_evals for s in states]
-        log: list[tuple[np.ndarray, np.ndarray]] | None = [] if config.record_dk else None
-        try:
-            measured.append(outer_step(states, instance, topology, config, k, X, Z, log))
-        except DivergenceError as err:
-            status = "diverged"
-            diverged_at = err.outer_iteration
-            break
-        deltas = [
-            s.counter.component_gradient_evals - before
-            for s, before in zip(states, evals_before)
-        ]
-        evals.append(evals[-1] + max(deltas))
-        comms.append(comms[-1] + topology.num_directed_edges)
-        if config.record_dk:
-            inner = _inner_average_gradients(instance, log)
-            d_k.append(metrics.compute_dk(measured[k].grad_norm_sq, inner, config.tau))
-    grad_norm_sq, consensus_err, residual = (np.array(column) for column in zip(*measured))
-    d_k += [np.nan] * (len(measured) - len(d_k))
-    return ReplicateTrace(
-        replicate=replicate,
-        status=status,
-        grad_norm_sq=grad_norm_sq,
-        consensus_err=consensus_err,
-        conservation_residual=residual,
-        component_evals=np.array(evals),
-        comms=np.array(comms),
-        d_k=np.array(d_k),
-        diverged_at=diverged_at,
-    )
+    """Run one replicate alone; the same trace as its row of a stacked run."""
+    return simulate_replicates(instance, topology, config, [replicate])[0]
 
 
 def run(instance: ProblemInstance, topology: Topology, config: RunConfig) -> Trace:
@@ -374,9 +444,6 @@ def run(instance: ProblemInstance, topology: Topology, config: RunConfig) -> Tra
     traces.  The ``model_time`` column is built from the cost constants
     after the replicates have run.
     """
-    replicates = [
-        simulate_replicate(instance, topology, config, r)
-        for r in range(config.monte_carlo_runs)
-    ]
+    replicates = simulate_replicates(instance, topology, config, range(config.monte_carlo_runs))
     trace = metrics.aggregate_replicates(replicates, config.record_dk)
     return metrics.with_model_time(trace, config, instance.max_points)

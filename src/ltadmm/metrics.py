@@ -102,10 +102,14 @@ def compute_dk(
     return grad_norm_sq + inner
 
 
-def consensus_error(iterates: np.ndarray) -> float:
-    """Largest distance of any agent's iterate from the network average."""
-    x_bar = iterates.mean(axis=0)
-    return float(np.max(np.linalg.norm(iterates - x_bar[None, :], axis=1)))
+def consensus_error(iterates: np.ndarray):
+    """Largest distance of any agent's iterate from the network average.
+
+    ``iterates`` has shape (N, n), giving a float, or (R, N, n) for R
+    replicates, giving one value per replicate.
+    """
+    x_bar = iterates.mean(axis=-2, keepdims=True)
+    return np.max(np.linalg.norm(iterates - x_bar, axis=-1), axis=-1)
 
 
 @dataclass(frozen=True)

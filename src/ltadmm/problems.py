@@ -19,9 +19,9 @@ noise and are fully determined by an integer seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "LOGISTIC_NONCONVEX",
@@ -30,7 +30,6 @@ __all__ = [
     "SmoothnessEstimate",
     "generate_classification",
     "component_gradients",
-    "batch_mean_gradient",
     "local_full_gradient",
     "global_gradient",
     "global_gradient_norm_sq",
@@ -83,13 +82,32 @@ class ProblemInstance:
     def num_points(self, agent: int) -> int:
         return self.features[agent].shape[0]
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Number of points m_i of every agent, shape (N,)."""
+        return np.array([a.shape[0] for a in self.features])
+
     @property
     def min_points(self) -> int:
-        return min(a.shape[0] for a in self.features)
+        return int(self.sizes.min())
 
     @property
     def max_points(self) -> int:
-        return max(a.shape[0] for a in self.features)
+        return int(self.sizes.max())
+
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of point h of agent i at row i * m_max + h.
+
+        Shapes (N * m_max, n) and (N * m_max,); the rows past each agent's
+        m_i are zero.
+        """
+        features = np.zeros((self.num_agents, self.max_points, self.dimension))
+        labels = np.zeros((self.num_agents, self.max_points))
+        for i, (a, b) in enumerate(zip(self.features, self.labels)):
+            features[i, : len(b)] = a
+            labels[i, : len(b)] = b
+        return features.reshape(-1, self.dimension), labels.ravel()
 
 
 @dataclass(frozen=True)
@@ -143,9 +161,20 @@ def generate_classification(
     )
 
 
+def _logistic(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)) elementwise, without overflow in either tail."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
 def _regularizer_gradient(x: np.ndarray) -> np.ndarray:
-    denom = 1.0 + x * x
-    return 2.0 * x / (denom * denom)
+    """2 x / (1 + x^2)^2 elementwise, in one temporary."""
+    out = x * x
+    out += 1.0
+    out *= out
+    np.divide(x, out, out=out)
+    out *= 2.0
+    return out
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -154,61 +183,63 @@ def _check_finite(x: np.ndarray) -> None:
 
 
 def component_gradients(
-    instance: ProblemInstance, agent: int, indices: np.ndarray, x: np.ndarray
+    instance: ProblemInstance, agents, indices: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """Stacked component gradients at ``x`` for the given point indices.
+    """Gradients of the components ``(agents[j], indices[j])`` at ``x[j]``.
 
+    ``agents`` is one agent or a 1-D array of agents paired with
+    ``indices``; ``x`` is one point of shape (n,) or one row per index.
     Returns an array of shape (len(indices), n); repeated indices yield
     repeated rows.
     """
-    feats = instance.features[agent][indices]
-    labs = instance.labels[agent][indices]
-    margins = feats @ x
+    features, labels = instance.padded
+    position = np.asarray(agents) * instance.max_points + indices
+    feats = features.take(position, axis=0)
+    labs = labels.take(position)
+    margins = np.einsum("...j,...j->...", feats, x)
     if instance.kind == LOGISTIC_NONCONVEX:
-        s = expit(-labs * margins)
+        s = _logistic(-labs * margins)
         rows = (-labs * s)[:, None] * feats
-        rows += instance.epsilon * _regularizer_gradient(x)[None, :]
+        rows += instance.epsilon * _regularizer_gradient(x)
         return rows
     return (margins - labs)[:, None] * feats
 
 
-def batch_mean_gradient(
-    instance: ProblemInstance, agent: int, indices: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Mean of component gradients over an index multiset (with multiplicity)."""
-    if len(indices) == 1:
-        # fast path used by the unit-batch solvers
-        return component_gradients(instance, agent, indices, x)[0]
-    return component_gradients(instance, agent, indices, x).mean(axis=0)
-
-
 def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:
-    """Exact local gradient: arithmetic mean of all component gradients."""
+    """Exact local gradient: arithmetic mean of all component gradients.
+
+    ``x`` is one point of shape (n,) or a stack of points (..., n); the
+    result has the shape of ``x``.
+    """
     _check_finite(x)
     feats = instance.features[agent]
     labs = instance.labels[agent]
-    margins = feats @ x
+    margins = x @ feats.T
     m = feats.shape[0]
     if instance.kind == LOGISTIC_NONCONVEX:
-        s = expit(-labs * margins)
-        g = feats.T @ (-labs * s) / m
+        s = _logistic(-labs * margins)
+        g = (-labs * s) @ feats / m
         return g + instance.epsilon * _regularizer_gradient(x)
-    return feats.T @ (margins - labs) / m
+    return (margins - labs) @ feats / m
 
 
 def global_gradient(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """Gradient of the network objective at a common point."""
+    """Gradient of the network objective at a common point (or a stack of them)."""
     _check_finite(x)
-    total = np.zeros(instance.dimension)
+    total = np.zeros_like(x, dtype=float)
     for i in range(instance.num_agents):
         total += local_full_gradient(instance, i, x)
     return total / instance.num_agents
 
 
-def global_gradient_norm_sq(instance: ProblemInstance, x_bar: np.ndarray) -> float:
-    """Squared Euclidean norm of the network-objective gradient at ``x_bar``."""
+def global_gradient_norm_sq(instance: ProblemInstance, x_bar: np.ndarray):
+    """Squared Euclidean norm of the network-objective gradient at ``x_bar``.
+
+    A float for one point of shape (n,), an array of shape (P,) for a stack
+    of P points.
+    """
     g = global_gradient(instance, x_bar)
-    return float(g @ g)
+    return np.einsum("...j,...j->...", g, g)[()]
 
 
 def _power_iteration_largest(matrix: np.ndarray, rel_tol: float = 1e-8, max_iters: int = 100_000) -> float:

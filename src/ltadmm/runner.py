@@ -454,14 +454,14 @@ def run_experiment(
             }
         )
 
+    # one master seed when the points agree on it; else each point's resolved one stands
+    master_seeds = {run_cfg.master_seed for run_cfg in run_cfgs}
     manifest = {
         "version": __version__,
         "name": cfg.name,
         "config": cfg.to_dict(),
         "seeds": {
-            "master_seed": _convert(
-                "master_seed", cfg.algorithm.get("master_seed", RunConfig.master_seed)
-            ),
+            "master_seed": master_seeds.pop() if len(master_seeds) == 1 else None,
             "problem_seed": int(cfg.problem["seed"]),
         },
         "points": points,

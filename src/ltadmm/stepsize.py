@@ -418,9 +418,18 @@ def certified_run_check(
 
     Errors from the block construction are carried as findings in the report
     (not raised): a candidate outside the admissible domain is simply not
-    certified.
+    certified, and neither is a one-agent topology, whose Laplacian has no
+    nonzero eigenvalue for the bounds to use.
     """
     regime = _regime_for_variant(config.variant)
+    if topology.num_agents == 1:
+        return CertificationReport(
+            regime=regime,
+            certified=False,
+            binding_bound=None,
+            bound_value=None,
+            findings=("one agent has no disagreement subspace, so the bounds do not apply",),
+        )
     try:
         ctx = make_context(instance, topology, config.rho, config.tau, config.gamma)
     except (StepSizePreconditionError, IllConditionedBlockError) as err:

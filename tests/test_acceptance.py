@@ -20,8 +20,7 @@ from ltadmm.algorithms import (
 from ltadmm.graph import build_ring
 from ltadmm.metrics import iteration_charge, iteration_evals
 from ltadmm.oracles import (
-    EvalCounter,
-    SagaTable,
+    Streams,
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
@@ -56,6 +55,12 @@ def benchmark_instance():
     )
 
 
+def single_streams(instance):
+    """Estimator streams of one replicate, with a table."""
+    rngs = [[np.random.default_rng(i) for i in range(instance.num_agents)]]
+    return Streams.start(instance, rngs, True, pending=0)
+
+
 def test_criterion_1_oracle_equivalence():
     started = time.monotonic()
     worst = 0.0
@@ -65,14 +70,14 @@ def test_criterion_1_oracle_equivalence():
         inst = generate_classification(40 + n, n, 3, 8)
         cfg = RunConfig(variant="exact", gamma=0.02, rho=1.0, tau=3, outer_iterations=20, master_seed=2)
         x0 = initial_iterates(cfg, n, 3, 0)
-        states = init_states(inst, topo, cfg, 0)
+        streams = init_states(inst, topo, cfg, [0])
         cstate = compact_init(build_structure(topo), x0)
-        X, Z = x0.copy(), cstate.Z.copy()
+        X, Z = x0[None].copy(), cstate.Z[None].copy()
         for k in range(20):
-            outer_step(states, inst, topo, cfg, k, X, Z)
+            outer_step(streams, inst, topo, cfg, k, X, Z)
             cstate = compact_step(cstate, inst, cfg)
-        worst = max(worst, float(np.max(np.abs(X - cstate.X))))
-        worst = max(worst, float(np.max(np.abs(Z - cstate.Z))))
+        worst = max(worst, float(np.max(np.abs(X[0] - cstate.X))))
+        worst = max(worst, float(np.max(np.abs(Z[0] - cstate.Z))))
     elapsed = time.monotonic() - started
     assert worst <= 1e-10
     assert elapsed < 1.0
@@ -90,13 +95,14 @@ def test_criterion_2_conservation_identity():
                 variant=variant, gamma=0.05, rho=1.3, tau=4, outer_iterations=30, master_seed=3
             )
             X = initial_iterates(cfg, n, 3, 0)
-            Z = compact_init(build_structure(topo), X).Z
-            states = init_states(inst, topo, cfg, 0)
+            Z = compact_init(build_structure(topo), X).Z[None]
+            X = X[None]
+            streams = init_states(inst, topo, cfg, [0])
             for k in range(cfg.outer_iterations):
-                rec = outer_step(states, inst, topo, cfg, k, X, Z)
+                residual = outer_step(streams, inst, topo, cfg, k, X, Z).conservation_residual[0]
                 scale = max(1.0, float(np.linalg.norm(X)))
-                assert rec.conservation_residual <= 1e-10 * scale
-                worst_ratio = max(worst_ratio, rec.conservation_residual / scale)
+                assert residual <= 1e-10 * scale
+                worst_ratio = max(worst_ratio, residual / scale)
     report(2, f"edge-variable conservation holds every iteration (worst residual ratio {worst_ratio:.2e})")
 
 
@@ -108,16 +114,17 @@ def test_criterion_3_estimator_unbiasedness():
         for trial in range(3):
             x = rng.normal(size=3, scale=2.0)
             full = local_full_gradient(inst, 0, x)
+            at_x = x[None, None]
+            streams = single_streams(inst)
             sgd_mean = sum(
-                sgd_estimate(inst, 0, x, np.array([h]), EvalCounter()) for h in range(m)
+                sgd_estimate(streams, inst, at_x, np.array([[[h]]]))[0, 0] for h in range(m)
             ) / m
-            table = SagaTable(m, 3)
             for h in range(m):
                 stale_point = rng.normal(size=3, scale=3.0)
-                table.gradients[h] = component_gradients(inst, 0, np.array([h]), stale_point)[0]
-            table.running_sum = table.gradients.sum(axis=0)
+                streams.table[0, 0, h] = component_gradients(inst, 0, np.array([h]), stale_point)[0]
+            streams.table_sum[0, 0] = streams.table[0, 0].sum(axis=0)
             saga_mean = sum(
-                saga_estimate_update(copy.deepcopy(table), inst, 0, x, np.array([h]), EvalCounter())
+                saga_estimate_update(copy.deepcopy(streams), inst, at_x, np.array([[[h]]]))[0, 0]
                 for h in range(m)
             ) / m
             worst = max(worst, float(np.max(np.abs(sgd_mean - full))))
@@ -131,14 +138,14 @@ def test_criterion_4_anchor_collapse():
     inst = generate_classification(77, 2, 4, 12)
     worst = 0.0
     for agent in range(2):
-        table = SagaTable(12, 4)
+        streams = single_streams(inst)
         anchor = rng.normal(size=4, scale=2.0)
-        saga_refresh(table, inst, agent, anchor, EvalCounter())
+        saga_refresh(streams, inst, np.tile(anchor, (1, 2, 1)))
         full = local_full_gradient(inst, agent, anchor)
         for batch in ([0], [3, 7], [1, 1, 5], list(range(12))):
             g = saga_estimate_update(
-                copy.deepcopy(table), inst, agent, anchor, np.array(batch), EvalCounter()
-            )
+                copy.deepcopy(streams), inst, np.tile(anchor, (1, 2, 1)), np.tile(batch, (1, 2, 1))
+            )[0, agent]
             worst = max(worst, float(np.max(np.abs(g - full))))
     assert worst <= 1e-14
     report(4, f"fresh-table estimate collapses to the full gradient (max dev {worst:.2e})")

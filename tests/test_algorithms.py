@@ -11,6 +11,7 @@ from ltadmm.algorithms import (
     outer_step,
     run,
     simulate_replicate,
+    simulate_replicates,
 )
 from ltadmm.graph import build_from_edges, build_ring
 from ltadmm.problems import (
@@ -52,14 +53,14 @@ def base_config(**overrides):
 
 
 def epoch(inst, topo, cfg, x0, Z=None, k=0):
-    """One local epoch from iterates ``x0``; edge variables default to the owners' rows."""
+    """One local epoch of one replicate from iterates ``x0``; edge variables default to the owners' rows."""
     structure = build_structure(topo)
     if Z is None:
         Z = structure.selector @ x0
-    states = init_states(inst, topo, cfg, 0)
+    streams = init_states(inst, topo, cfg, [0])
     return local_training_epoch(
-        states, inst, cfg, k, x0, structure.selector.T @ Z, structure.degrees
-    )
+        streams, inst, cfg, k, x0[None], (structure.selector.T @ Z)[None], structure.degrees
+    )[0]
 
 
 class TestRunConfig:
@@ -295,6 +296,7 @@ class TestConvergence:
 
 
 class TestDivergenceHandling:
+    @pytest.mark.filterwarnings("error")
     def test_diverged_replicate_not_fatal(self):
         inst = scalar_quadratic(4)
         topo = build_ring(4)
@@ -324,19 +326,104 @@ class TestRecordDk:
         inst = generate_classification(5, 4, 3, 6)
         topo = build_ring(4)
         cfg = base_config(variant=variant, record_dk=True, outer_iterations=4, gamma=0.1, tau=3)
-        X = initial_iterates(cfg, topo.num_agents, inst.dimension, 0)
-        Z = X[topo.src]
-        states = init_states(inst, topo, cfg, 0)
+        X = initial_iterates(cfg, topo.num_agents, inst.dimension, 0)[None]
+        Z = X[:, topo.src]
+        streams = init_states(inst, topo, cfg, [0])
         expected = []
         for k in range(cfg.outer_iterations):
-            x_bar = X.mean(axis=0)
+            x_bar = X[0].mean(axis=0)
             log = []
-            outer_step(states, inst, topo, cfg, k, X, Z, log)
+            outer_step(streams, inst, topo, cfg, k, X, Z, log)
             inner = 0.0
             for phi, _ in log:
-                mean = np.mean([local_full_gradient(inst, i, row) for i, row in enumerate(phi)], axis=0)
+                mean = np.mean([local_full_gradient(inst, i, row) for i, row in enumerate(phi[0])], axis=0)
                 inner += float(mean @ mean)
             expected.append(global_gradient_norm_sq(inst, x_bar) + inner / cfg.tau)
         d_k = simulate_replicate(inst, topo, cfg, 0).d_k
         for k, value in enumerate(expected):
             assert d_k[k] == pytest.approx(value, rel=1e-12)
+
+
+def unequal_problem(seed=4, points=(3, 7, 1, 5, 9), dimension=3):
+    """Logistic problem whose agents hold different numbers of points."""
+    rng = np.random.default_rng(seed)
+    return ProblemInstance(
+        kind="logistic_nonconvex",
+        features=tuple(rng.normal(size=(m, dimension)) for m in points),
+        labels=tuple(rng.choice([-1.0, 1.0], size=m) for m in points),
+        epsilon=0.01,
+    )
+
+
+def assert_same_trace(a, b, rel=1e-12):
+    assert (a.replicate, a.status, a.diverged_at) == (b.replicate, b.status, b.diverged_at)
+    assert np.array_equal(a.component_evals, b.component_evals)
+    assert np.array_equal(a.comms, b.comms)
+    for name in ("grad_norm_sq", "consensus_err", "d_k"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape
+        assert np.array_equal(np.isnan(x), np.isnan(y))
+        finite = ~np.isnan(x)
+        assert np.all(np.abs(x - y)[finite] <= rel * np.abs(y)[finite])
+
+
+class TestReplicateAxis:
+    """Stacking replicates changes no replicate's trajectory."""
+
+    @pytest.mark.parametrize("variant", ["exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2"])
+    @pytest.mark.parametrize("batch_size,replacement", [(1, True), (2, True), (1, False)])
+    def test_replicate_equals_smaller_stack_and_solo_run(self, variant, batch_size, replacement):
+        inst = unequal_problem()
+        topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
+        cfg = base_config(
+            variant=variant,
+            gamma=0.05,
+            rho=1.2,
+            tau=3,
+            outer_iterations=6,
+            batch_size=batch_size,
+            batch_replacement=replacement,
+            record_dk=True,
+            monte_carlo_runs=3,
+        )
+        stacked = simulate_replicates(inst, topo, cfg, range(3))
+        for r in range(3):
+            assert_same_trace(stacked[r], simulate_replicates(inst, topo, cfg, range(r + 1))[r])
+            assert_same_trace(stacked[r], simulate_replicate(inst, topo, cfg, r))
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverged_replicate_is_frozen_while_others_run_on(self):
+        # replicates 2 and 4 leave the range in iteration 5, the others finish
+        inst = generate_classification(5, 4, 3, 10)
+        topo = build_ring(4)
+        cfg = base_config(
+            variant="lt_admm_vr", gamma=1.5, rho=1.0, tau=6, outer_iterations=6,
+            master_seed=1, init_std=30.0, monte_carlo_runs=6,
+        )
+        traces = run(inst, topo, cfg).replicates
+        assert [t.diverged_at for t in traces] == [None, None, 5, None, 5, None]
+        for trace in traces:
+            assert_same_trace(trace, simulate_replicate(inst, topo, cfg, trace.replicate))
+
+        X = np.stack([initial_iterates(cfg, 4, 3, r) for r in range(6)])
+        Z = X[:, topo.src]
+        streams = init_states(inst, topo, cfg, range(6))
+        for k in range(cfg.outer_iterations):
+            before = X.copy(), Z.copy()
+            outer_step(streams, inst, topo, cfg, k, X, Z)
+            if k == 5:
+                frozen = before
+        assert list(streams.live) == [0, 1, 3, 5]
+        for r in (2, 4):
+            assert np.array_equal(X[r], frozen[0][r]) and np.array_equal(Z[r], frozen[1][r])
+            solo = init_states(inst, topo, cfg, [r])
+            X1 = initial_iterates(cfg, 4, 3, r)[None]
+            Z1 = X1[:, topo.src]
+            with pytest.raises(DivergenceError) as exc:
+                for k in range(cfg.outer_iterations):
+                    outer_step(solo, inst, topo, cfg, k, X1, Z1)
+            error = streams.diverged[r]
+            assert (error.agent, error.outer_iteration, error.inner_step) == (
+                exc.value.agent, exc.value.outer_iteration, exc.value.inner_step
+            )
+            assert np.max(np.abs(X[r] - X1[0])) <= 1e-12 * np.max(np.abs(X1[0]))

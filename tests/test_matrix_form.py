@@ -41,23 +41,23 @@ def exact_config(**overrides):
 def run_both(topology, instance, config, iterations, replicate=0, stochastic=False):
     """Advance the solver and the stacked oracle side by side; return final pair."""
     x0 = initial_iterates(config, topology.num_agents, instance.dimension, replicate)
-    states = init_states(instance, topology, config, replicate)
+    streams = init_states(instance, topology, config, [replicate])
     structure = build_structure(topology)
     cstate = compact_init(structure, x0)
-    X, Z = x0.copy(), cstate.Z.copy()
+    X, Z = x0[None].copy(), cstate.Z[None].copy()
     if stochastic:
         log = []
         for k in range(iterations):
-            outer_step(states, instance, topology, config, k, X, Z, log)
-        estimates = [G for _, G in log]
+            outer_step(streams, instance, topology, config, k, X, Z, log)
+        estimates = [G[0] for _, G in log]
         for k in range(iterations):
             per_step = estimates[k * config.tau : (k + 1) * config.tau]
             cstate = compact_step(cstate, instance, config, gradients=per_step)
     else:
         for k in range(iterations):
-            outer_step(states, instance, topology, config, k, X, Z)
+            outer_step(streams, instance, topology, config, k, X, Z)
             cstate = compact_step(cstate, instance, config)
-    return CompactState(structure=structure, X=X, Z=Z), cstate
+    return CompactState(structure=structure, X=X[0], Z=Z[0]), cstate
 
 
 class TestStructure:
@@ -198,6 +198,7 @@ def drawn_runs(draw):
         epsilon=0.01,
     )
     replacement = draw(st.booleans())
+    replicates = draw(st.integers(1, 3))
     config = RunConfig(
         variant=draw(st.sampled_from(VARIANTS)),
         gamma=draw(st.sampled_from([0.005, 0.02])),
@@ -207,6 +208,7 @@ def drawn_runs(draw):
         batch_size=draw(st.integers(1, 3 if replacement else min(points))),
         batch_replacement=replacement,
         master_seed=draw(st.integers(0, 1000)),
+        monte_carlo_runs=replicates,
     )
     return topology, instance, config
 
@@ -215,28 +217,31 @@ def drawn_runs(draw):
 @given(drawn_runs())
 def test_solver_matches_oracle_on_drawn_runs(run):
     topology, instance, config = run
-    x0 = initial_iterates(config, topology.num_agents, instance.dimension, 0)
-    states = init_states(instance, topology, config, 0)
-    cstate = compact_init(build_structure(topology), x0)
-    X, Z = x0.copy(), cstate.Z.copy()
+    R = config.monte_carlo_runs
+    x0 = [initial_iterates(config, topology.num_agents, instance.dimension, r) for r in range(R)]
+    streams = init_states(instance, topology, config, range(R))
+    cstates = [compact_init(build_structure(topology), x) for x in x0]
+    X, Z = np.stack(x0), np.stack([c.Z for c in cstates])
     for k in range(config.outer_iterations):
         log = []
-        measured = outer_step(states, instance, topology, config, k, X, Z, log)
-        replay = None if config.variant == "exact" else [G for _, G in log]
-        cstate = compact_step(cstate, instance, config, gradients=replay)
-        assert np.max(np.abs(X - cstate.X)) <= 1e-10
-        assert np.max(np.abs(Z - cstate.Z)) <= 1e-10
-        scale = max(1.0, float(np.linalg.norm(X)))
-        assert measured.conservation_residual <= 1e-10 * scale
-        assert conservation_residual(cstate, config.rho) <= 1e-10 * scale
-    for i, state in enumerate(states):
+        measured = outer_step(streams, instance, topology, config, k, X, Z, log)
+        for r in range(R):
+            replay = None if config.variant == "exact" else [G[r] for _, G in log]
+            cstates[r] = compact_step(cstates[r], instance, config, gradients=replay)
+            assert np.max(np.abs(X[r] - cstates[r].X)) <= 1e-10
+            assert np.max(np.abs(Z[r] - cstates[r].Z)) <= 1e-10
+            scale = max(1.0, float(np.linalg.norm(X[r])))
+            assert measured.conservation_residual[r] <= 1e-10 * scale
+            assert conservation_residual(cstates[r], config.rho) <= 1e-10 * scale
+    for stream in streams:
+        i = stream.counter.agent
         expected = sum(
             iteration_evals(config.variant, config.tau, instance.num_points(i), config.batch_size, k)
             for k in range(config.outer_iterations)
         )
-        assert state.counter.component_gradient_evals == expected
-    slowest = max(state.counter.component_gradient_evals for state in states)
-    assert slowest == sum(
+        assert stream.counter.component_gradient_evals == expected
+    slowest = streams.tally.max(axis=1)
+    assert (slowest == sum(
         iteration_evals(config.variant, config.tau, instance.max_points, config.batch_size, k)
         for k in range(config.outer_iterations)
-    )
+    )).all()

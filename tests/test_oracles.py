@@ -4,46 +4,69 @@ import numpy as np
 import pytest
 
 from ltadmm.oracles import (
-    EvalCounter,
-    SagaTable,
+    Streams,
     draw_batch,
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
 )
 from ltadmm.problems import (
+    ProblemInstance,
     component_gradients,
     generate_classification,
     local_full_gradient,
 )
 
 
-def saga_estimate(table, instance, agent, x, batch, counter):
-    """The solvers' variance-reduced estimate at ``x``, leaving ``table`` as it is."""
-    return saga_estimate_update(copy.deepcopy(table), instance, agent, x, batch, counter)
+def make_streams(instance, replicates=1, table=True):
+    rngs = [
+        [np.random.default_rng([r, i]) for i in range(instance.num_agents)]
+        for r in range(replicates)
+    ]
+    return Streams.start(instance, rngs, table, pending=0)
 
 
-# Split reference for the fused estimate-then-store step: the estimate and
-# the memory write each evaluate their own component gradients.
+def at(instance, x):
+    """The point ``x`` for every agent of one replicate, shape (1, N, n)."""
+    return np.tile(np.asarray(x, dtype=float), (1, instance.num_agents, 1))
 
 
-def split_estimate(table, instance, agent, x, batch, counter):
+def batch_of(instance, indices):
+    """The index batch ``indices`` for every agent of one replicate, shape (1, N, b)."""
+    return np.tile(np.asarray(indices), (1, instance.num_agents, 1))
+
+
+def saga_estimate(streams, instance, x, batch):
+    """The solvers' variance-reduced estimate at ``x``, leaving ``streams`` as they are."""
+    return saga_estimate_update(copy.deepcopy(streams), instance, x, batch)
+
+
+# Split reference for the fused estimate-then-store step, agent by agent: the
+# estimate and the memory write each evaluate their own component gradients.
+
+
+def split_estimate(streams, instance, x, batch):
     """Batch mean of (fresh minus stored gradient) plus the table average."""
-    batch = np.asarray(batch)
-    counter.component_gradient_evals += len(batch)
-    fresh = component_gradients(instance, agent, batch, x)
-    correction = (fresh - table.gradients[batch]).mean(axis=0)
-    return correction + table.mean()
+    estimates = np.empty(x.shape)
+    for r in range(x.shape[0]):
+        for i in range(x.shape[1]):
+            h = batch[r, i]
+            streams.tally[r, i] += len(h)
+            fresh = component_gradients(instance, i, h, x[r, i])
+            correction = (fresh - streams.table[r, i, h]).mean(axis=0)
+            estimates[r, i] = correction + streams.table_sum[r, i] / instance.num_points(i)
+    return estimates
 
 
-def split_update_memory(table, instance, agent, new_x, batch, counter):
-    """Store the gradients at ``new_x`` for the batch's deduplicated indices."""
-    batch = np.asarray(batch)
-    unique = np.unique(batch)
-    fresh = component_gradients(instance, agent, unique, new_x)
-    counter.component_gradient_evals += len(unique)
-    table.running_sum = table.running_sum + (fresh - table.gradients[unique]).sum(axis=0)
-    table.gradients[unique] = fresh
+def split_update_memory(streams, instance, new_x, batch):
+    """Store the gradients at ``new_x`` for each batch's deduplicated indices."""
+    for r in range(new_x.shape[0]):
+        for i in range(new_x.shape[1]):
+            unique = np.unique(batch[r, i])
+            fresh = component_gradients(instance, i, unique, new_x[r, i])
+            streams.tally[r, i] += len(unique)
+            streams.table_sum[r, i] += (fresh - streams.table[r, i, unique]).sum(axis=0)
+            streams.table[r, i, unique] = fresh
 
 
 @pytest.fixture
@@ -51,90 +74,96 @@ def instance():
     return generate_classification(2, 2, 4, 5)
 
 
-def fresh_table(instance, agent=0):
-    return SagaTable(instance.num_points(agent), instance.dimension)
+def stale_streams(instance, rng, replicates=1):
+    """Streams whose table entries were stored at distinct random points."""
+    streams = make_streams(instance, replicates)
+    for r in range(replicates):
+        for i in range(instance.num_agents):
+            for h in range(instance.num_points(i)):
+                point = rng.normal(size=instance.dimension)
+                streams.table[r, i, h] = component_gradients(instance, i, np.array([h]), point)[0]
+    streams.table_sum[:] = streams.table.sum(axis=2)
+    return streams
 
 
-def stale_table(instance, rng, agent=0):
-    """Table whose entries were stored at distinct random points."""
-    table = fresh_table(instance, agent)
-    m = instance.num_points(agent)
-    for h in range(m):
-        point = rng.normal(size=instance.dimension)
-        table.gradients[h] = component_gradients(instance, agent, np.array([h]), point)[0]
-    table.running_sum = table.gradients.sum(axis=0)
-    return table
+def full_gradients(instance, x):
+    return np.array([[local_full_gradient(instance, i, row) for i, row in enumerate(rep)] for rep in x])
 
 
 class TestSgdEstimate:
     def test_full_batch_equals_full_gradient(self, instance):
-        counter = EvalCounter()
-        x = np.linspace(-1, 1, instance.dimension)
-        batch = np.arange(instance.num_points(0))
-        g = sgd_estimate(instance, 0, x, batch, counter)
-        assert np.max(np.abs(g - local_full_gradient(instance, 0, x))) <= 1e-16
-        assert counter.component_gradient_evals == instance.num_points(0)
+        streams = make_streams(instance, table=False)
+        x = at(instance, np.linspace(-1, 1, instance.dimension))
+        g = sgd_estimate(streams, instance, x, batch_of(instance, np.arange(instance.num_points(0))))
+        assert np.max(np.abs(g[0, 0] - local_full_gradient(instance, 0, x[0, 0]))) <= 1e-16
+        assert (streams.tally == instance.num_points(0)).all()
 
     def test_single_index_enumeration_unbiased(self, rng):
         inst = generate_classification(4, 1, 3, 3)
-        x = rng.normal(size=3)
-        counter = EvalCounter()
-        mean = sum(
-            sgd_estimate(inst, 0, x, np.array([h]), counter) for h in range(3)
-        ) / 3.0
-        assert np.max(np.abs(mean - local_full_gradient(inst, 0, x))) <= 1e-14
+        x = at(inst, rng.normal(size=3))
+        streams = make_streams(inst, table=False)
+        mean = sum(sgd_estimate(streams, inst, x, batch_of(inst, [h])) for h in range(3)) / 3.0
+        assert np.max(np.abs(mean - full_gradients(inst, x))) <= 1e-14
 
     def test_repeated_index_counts_twice(self, instance):
-        counter = EvalCounter()
-        x = np.full(instance.dimension, 0.5)
-        g = sgd_estimate(instance, 0, x, np.array([1, 1, 3]), counter)
-        rows = component_gradients(instance, 0, np.array([1, 3]), x)
-        expected = (2.0 * rows[0] + rows[1]) / 3.0
-        assert np.allclose(g, expected, atol=1e-15)
-        assert counter.component_gradient_evals == 3
+        streams = make_streams(instance, table=False)
+        x = at(instance, np.full(instance.dimension, 0.5))
+        g = sgd_estimate(streams, instance, x, batch_of(instance, [1, 1, 3]))
+        for i in range(instance.num_agents):
+            rows = component_gradients(instance, i, np.array([1, 3]), x[0, i])
+            expected = (2.0 * rows[0] + rows[1]) / 3.0
+            assert np.allclose(g[0, i], expected, atol=1e-15)
+        assert (streams.tally == 3).all()
 
     def test_empty_batch_rejected(self, instance):
         with pytest.raises(ValueError, match="non-empty"):
-            sgd_estimate(instance, 0, np.zeros(instance.dimension), np.array([], dtype=int), EvalCounter())
+            sgd_estimate(
+                make_streams(instance), instance, at(instance, np.zeros(instance.dimension)),
+                batch_of(instance, np.array([], dtype=int)),
+            )
 
     def test_invalid_index_rejected(self, instance):
         with pytest.raises(ValueError, match="invalid"):
-            sgd_estimate(instance, 0, np.zeros(instance.dimension), np.array([99]), EvalCounter())
+            sgd_estimate(
+                make_streams(instance), instance, at(instance, np.zeros(instance.dimension)),
+                batch_of(instance, [99]),
+            )
 
 
 class TestRefresh:
     def test_mean_equals_full_gradient(self, instance):
-        table = fresh_table(instance)
-        counter = EvalCounter()
-        x = np.linspace(0, 1, instance.dimension)
-        saga_refresh(table, instance, 0, x, counter)
-        assert np.max(np.abs(table.mean() - local_full_gradient(instance, 0, x))) <= 1e-14
-        assert counter.component_gradient_evals == instance.num_points(0)
+        streams = make_streams(instance, replicates=2)
+        x = np.stack([at(instance, np.linspace(0, 1, instance.dimension))[0],
+                      at(instance, np.linspace(-2, 1, instance.dimension))[0]])
+        saga_refresh(streams, instance, x)
+        mean = streams.table_sum / instance.sizes[:, None]
+        assert np.max(np.abs(mean - full_gradients(instance, x))) <= 1e-14
+        assert (streams.tally == instance.sizes).all()
 
     def test_idempotent(self, instance):
-        t1, t2 = fresh_table(instance), fresh_table(instance)
-        x = np.full(instance.dimension, -0.2)
-        saga_refresh(t1, instance, 0, x, EvalCounter())
-        saga_refresh(t2, instance, 0, x, EvalCounter())
-        saga_refresh(t2, instance, 0, x, EvalCounter())
-        assert np.array_equal(t1.gradients, t2.gradients)
-        assert np.array_equal(t1.running_sum, t2.running_sum)
+        s1, s2 = make_streams(instance), make_streams(instance)
+        x = at(instance, np.full(instance.dimension, -0.2))
+        saga_refresh(s1, instance, x)
+        saga_refresh(s2, instance, x)
+        saga_refresh(s2, instance, x)
+        assert np.array_equal(s1.table, s2.table)
+        assert np.array_equal(s1.table_sum, s2.table_sum)
 
     def test_estimate_at_anchor_collapses(self, instance):
-        table = fresh_table(instance)
-        x = np.full(instance.dimension, 0.7)
-        saga_refresh(table, instance, 0, x, EvalCounter())
-        full = local_full_gradient(instance, 0, x)
+        streams = make_streams(instance)
+        x = at(instance, np.full(instance.dimension, 0.7))
+        saga_refresh(streams, instance, x)
+        full = full_gradients(instance, x)
         for batch in ([0], [1, 3], [2, 2, 4]):
-            g = saga_estimate(table, instance, 0, x, np.array(batch), EvalCounter())
+            g = saga_estimate(streams, instance, x, batch_of(instance, batch))
             assert np.max(np.abs(g - full)) <= 1e-14
 
     def test_zero_variance_at_anchor(self, instance):
-        table = fresh_table(instance)
-        x = np.full(instance.dimension, -1.1)
-        saga_refresh(table, instance, 0, x, EvalCounter())
+        streams = make_streams(instance)
+        x = at(instance, np.full(instance.dimension, -1.1))
+        saga_refresh(streams, instance, x)
         outputs = [
-            saga_estimate(table, instance, 0, x, np.array([h]), EvalCounter())
+            saga_estimate(streams, instance, x, batch_of(instance, [h]))
             for h in range(instance.num_points(0))
         ]
         spread = np.max([np.max(np.abs(o - outputs[0])) for o in outputs])
@@ -144,118 +173,138 @@ class TestRefresh:
 class TestSagaEstimate:
     def test_unbiased_with_stale_table(self, rng):
         inst = generate_classification(8, 1, 3, 3)
-        table = stale_table(inst, rng)
-        x = rng.normal(size=3)
-        mean = sum(
-            saga_estimate(table, inst, 0, x, np.array([h]), EvalCounter()) for h in range(3)
-        ) / 3.0
-        assert np.max(np.abs(mean - local_full_gradient(inst, 0, x))) <= 1e-14
+        streams = stale_streams(inst, rng)
+        x = at(inst, rng.normal(size=3))
+        mean = sum(saga_estimate(streams, inst, x, batch_of(inst, [h])) for h in range(3)) / 3.0
+        assert np.max(np.abs(mean - full_gradients(inst, x))) <= 1e-14
 
     def test_unbiased_with_pair_batches(self, rng):
         # enumeration over all ordered pairs: batch size 2 with replacement
         inst = generate_classification(8, 1, 3, 3)
-        table = stale_table(inst, rng)
-        x = rng.normal(size=3)
-        total = np.zeros(3)
+        streams = stale_streams(inst, rng)
+        x = at(inst, rng.normal(size=3))
+        total = np.zeros(x.shape)
         for h1 in range(3):
             for h2 in range(3):
-                total += saga_estimate(table, inst, 0, x, np.array([h1, h2]), EvalCounter())
+                total += saga_estimate(streams, inst, x, batch_of(inst, [h1, h2]))
         mean = total / 9.0
-        assert np.max(np.abs(mean - local_full_gradient(inst, 0, x))) <= 1e-14
+        assert np.max(np.abs(mean - full_gradients(inst, x))) <= 1e-14
 
     def test_full_batch_cancels_table(self, rng, instance):
-        table = stale_table(instance, rng)
-        x = rng.normal(size=instance.dimension)
-        batch = np.arange(instance.num_points(0))
-        g = saga_estimate(table, instance, 0, x, batch, EvalCounter())
-        assert np.max(np.abs(g - local_full_gradient(instance, 0, x))) <= 1e-13
+        streams = stale_streams(instance, rng)
+        x = at(instance, rng.normal(size=instance.dimension))
+        batch = batch_of(instance, np.arange(instance.num_points(0)))
+        g = saga_estimate(streams, instance, x, batch)
+        assert np.max(np.abs(g - full_gradients(instance, x))) <= 1e-13
 
     def test_counter_charge(self, rng, instance):
-        table = stale_table(instance, rng)
-        counter = EvalCounter()
-        saga_estimate(table, instance, 0, np.zeros(instance.dimension), np.array([0, 0, 1]), counter)
-        assert counter.component_gradient_evals == 3
+        streams = stale_streams(instance, rng)
+        saga_estimate_update(
+            streams, instance, at(instance, np.zeros(instance.dimension)), batch_of(instance, [0, 0, 1])
+        )
+        assert (streams.tally == 3).all()
+        assert [s.counter.component_gradient_evals for s in streams] == [3] * instance.num_agents
 
     def test_empty_batch_rejected(self, instance):
-        table = fresh_table(instance)
         with pytest.raises(ValueError, match="non-empty"):
-            saga_estimate(table, instance, 0, np.zeros(instance.dimension), np.array([], dtype=int), EvalCounter())
+            saga_estimate(
+                make_streams(instance), instance, at(instance, np.zeros(instance.dimension)),
+                batch_of(instance, np.array([], dtype=int)),
+            )
 
 
 class TestMemoryUpdate:
     def test_update_at_anchor_is_noop(self, instance):
-        table = fresh_table(instance)
-        x = np.full(instance.dimension, 0.4)
-        saga_refresh(table, instance, 0, x, EvalCounter())
-        before = table.gradients.copy()
-        split_update_memory(table, instance, 0, x, np.array([0, 2]), EvalCounter())
-        assert np.array_equal(table.gradients, before)
+        streams = make_streams(instance)
+        x = at(instance, np.full(instance.dimension, 0.4))
+        saga_refresh(streams, instance, x)
+        before = streams.table.copy()
+        split_update_memory(streams, instance, x, batch_of(instance, [0, 2]))
+        assert np.array_equal(streams.table, before)
 
     def test_update_all_equals_refresh(self, rng, instance):
-        table = stale_table(instance, rng)
-        x = rng.normal(size=instance.dimension)
-        counter = EvalCounter()
-        split_update_memory(table, instance, 0, x, np.arange(instance.num_points(0)), counter)
-        reference = fresh_table(instance)
-        saga_refresh(reference, instance, 0, x, EvalCounter())
-        assert np.max(np.abs(table.gradients - reference.gradients)) <= 1e-15
-        assert counter.component_gradient_evals == instance.num_points(0)
+        streams = stale_streams(instance, rng)
+        x = at(instance, rng.normal(size=instance.dimension))
+        split_update_memory(streams, instance, x, batch_of(instance, np.arange(instance.num_points(0))))
+        reference = make_streams(instance)
+        saga_refresh(reference, instance, x)
+        assert np.max(np.abs(streams.table - reference.table)) <= 1e-15
+        assert (streams.tally == instance.num_points(0)).all()
 
     def test_counter_deduplicates(self, rng, instance):
-        table = stale_table(instance, rng)
-        counter = EvalCounter()
-        split_update_memory(table, instance, 0, np.zeros(instance.dimension), np.array([1, 1, 4]), counter)
-        assert counter.component_gradient_evals == 2
+        streams = stale_streams(instance, rng)
+        split_update_memory(
+            streams, instance, at(instance, np.zeros(instance.dimension)), batch_of(instance, [1, 1, 4])
+        )
+        assert (streams.tally == 2).all()
 
     def test_running_sum_stays_exact(self, rng):
         inst = generate_classification(9, 1, 5, 20)
-        table = fresh_table(inst)
-        saga_refresh(table, inst, 0, np.zeros(5), EvalCounter())
+        streams = make_streams(inst)
+        saga_refresh(streams, inst, np.zeros((1, 1, 5)))
         for _ in range(100):
-            batch = draw_batch(rng, 20, int(rng.integers(1, 6)))
-            point = rng.normal(size=5)
-            split_update_memory(table, inst, 0, point, batch, EvalCounter())
-        assert np.max(np.abs(table.running_sum - table.gradients.sum(axis=0))) <= 1e-11
+            batch = draw_batch(streams, int(rng.integers(1, 6)))
+            point = rng.normal(size=(1, 1, 5))
+            saga_estimate_update(streams, inst, point, batch)
+        assert np.max(np.abs(streams.table_sum - streams.table.sum(axis=2))) <= 1e-11
 
 
 class TestFusedEstimateUpdate:
     @pytest.mark.parametrize("batch", [[0], [1, 3], [2, 2, 0]])
     def test_equivalent_to_estimate_then_update(self, rng, instance, batch):
-        batch = np.array(batch)
-        x = rng.normal(size=instance.dimension)
-        t1 = stale_table(instance, np.random.default_rng(5))
-        t2 = SagaTable(instance.num_points(0), instance.dimension)
-        t2.gradients[:] = t1.gradients
-        t2.running_sum = t1.running_sum.copy()
+        batch = batch_of(instance, batch)
+        x = rng.normal(size=(1, instance.num_agents, instance.dimension))
+        fused = stale_streams(instance, np.random.default_rng(5))
+        split = copy.deepcopy(fused)
 
-        c1 = EvalCounter()
-        g_fused = saga_estimate_update(t1, instance, 0, x, batch, c1)
-
-        c2 = EvalCounter()
-        g_split = split_estimate(t2, instance, 0, x, batch, c2)
-        split_update_memory(t2, instance, 0, x, batch, c2)
+        g_fused = saga_estimate_update(fused, instance, x, batch)
+        g_split = split_estimate(split, instance, x, batch)
+        split_update_memory(split, instance, x, batch)
 
         assert np.max(np.abs(g_fused - g_split)) <= 1e-15
-        assert np.max(np.abs(t1.gradients - t2.gradients)) <= 1e-15
-        assert np.max(np.abs(t1.running_sum - t2.running_sum)) <= 1e-12
+        assert np.max(np.abs(fused.table - split.table)) <= 1e-15
+        assert np.max(np.abs(fused.table_sum - split.table_sum)) <= 1e-12
         # sharing: the fused call charges only the estimate's evaluations
-        assert c1.component_gradient_evals == len(batch)
-        assert c2.component_gradient_evals == len(batch) + len(np.unique(batch))
+        b = batch.shape[-1]
+        assert (fused.tally == b).all()
+        assert (split.tally == b + len(np.unique(batch))).all()
 
 
 class TestBatchDrawing:
-    def test_with_replacement_multiset(self, rng):
-        batch = draw_batch(rng, 5, 64)
-        assert len(batch) == 64
+    def test_with_replacement_multiset(self):
+        inst = generate_classification(3, 2, 2, 5)
+        batch = draw_batch(make_streams(inst, replicates=3), 64)
+        assert batch.shape == (3, 2, 64)
         assert batch.min() >= 0 and batch.max() < 5
-        assert len(np.unique(batch)) < 64  # must repeat by pigeonhole
+        for row in batch.reshape(-1, 64):
+            assert len(np.unique(row)) < 64  # must repeat by pigeonhole
 
-    def test_without_replacement_subset(self, rng):
-        batch = draw_batch(rng, 8, 8, replacement=False)
-        assert sorted(batch) == list(range(8))
+    def test_without_replacement_subset(self):
+        inst = generate_classification(3, 2, 2, 8)
+        batch = draw_batch(make_streams(inst, replicates=2), 8, replacement=False)
+        for row in batch.reshape(-1, 8):
+            assert sorted(row) == list(range(8))
         with pytest.raises(ValueError):
-            draw_batch(rng, 4, 5, replacement=False)
+            draw_batch(make_streams(generate_classification(3, 2, 2, 4)), 5, replacement=False)
 
-    def test_positive_size_required(self, rng):
+    def test_positive_size_required(self):
         with pytest.raises(ValueError):
-            draw_batch(rng, 4, 0)
+            draw_batch(make_streams(generate_classification(3, 2, 2, 4)), 0)
+
+    def test_streams_draw_from_their_own_range(self):
+        # agents with 1, 3 and 7 points: each stream draws below its own m_i,
+        # and a block drawn ahead equals drawing step by step
+        rng = np.random.default_rng(0)
+        sizes = (1, 3, 7)
+        inst = ProblemInstance(
+            kind="least_squares",
+            features=tuple(rng.normal(size=(m, 2)) for m in sizes),
+            labels=tuple(np.ones(m) for m in sizes),
+        )
+        ahead = make_streams(inst, replicates=2)
+        ahead.pending = 40
+        steps = np.stack([draw_batch(ahead, 2) for _ in range(40)])
+        one_by_one = make_streams(inst, replicates=2)
+        singles = np.stack([draw_batch(one_by_one, 2) for _ in range(40)])
+        assert np.array_equal(steps, singles)
+        assert (steps < np.array(sizes)[:, None]).all()

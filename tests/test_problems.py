@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from ltadmm.problems import (
     LEAST_SQUARES,
     LOGISTIC_NONCONVEX,
     ProblemInstance,
+    _logistic,
     component_gradients,
     generate_classification,
     global_gradient_norm_sq,
@@ -164,6 +168,32 @@ class TestGradients:
         assert np.allclose(rows.mean(axis=0), component_gradients(inst, 1, np.array([2]), x)[0], atol=1e-16)
 
 
+class TestLogistic:
+    def test_matches_scipy_expit_in_both_tails(self, rng):
+        t = np.concatenate(
+            [rng.normal(scale=s, size=2000) for s in (1.0, 30.0, 300.0)]
+            + [np.array([0.0, 700.0, -700.0, 1e3, -1e3, 1e12, -1e12])]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logistic(t)
+        reference = expit(t)
+        # below the smallest normal number expit flushes to zero
+        tolerance = 4 * np.finfo(float).eps * reference + np.finfo(float).tiny
+        assert np.all(np.abs(got - reference) <= tolerance)
+        assert got[-4:].tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_gradients_at_divergence_scale_raise_no_warning(self):
+        inst = make_instance()
+        x = np.full(inst.dimension, 1e12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sign in (1.0, -1.0):
+                rows = component_gradients(inst, 0, np.arange(inst.num_points(0)), sign * x)
+                g = local_full_gradient(inst, 0, sign * x)
+        assert np.all(np.isfinite(rows)) and np.all(np.isfinite(g))
+
+
 class TestGlobalObjective:
     def test_stationary_point_least_squares(self):
         inst = make_instance(kind=LEAST_SQUARES, epsilon=0.0, n_agents=4, m=30)
@@ -195,8 +225,6 @@ class TestGlobalObjective:
         stacked_feats = np.vstack(inst.features)
         stacked_labs = np.concatenate(inst.labels)
         margins = stacked_feats @ x
-        from scipy.special import expit
-
         rows = (-stacked_labs * expit(-stacked_labs * margins))[:, None] * stacked_feats
         denom = 1.0 + x * x
         reg = 2.0 * x / (denom * denom)

@@ -223,6 +223,17 @@ class TestRunExperiment:
         assert [p["resolved"]["variant"] for p in result.manifest["points"]] == ["exact", "lt_admm"]
         assert result.manifest["seeds"]["master_seed"] == 1
 
+    def test_manifest_master_seed_follows_the_points(self, tmp_path):
+        cfg = parse_config(BASIC_INI)
+        cfg.points = [{"master_seed": 5}]
+        result = run_experiment(cfg, out_dir=tmp_path / "one")
+        assert result.manifest["seeds"]["master_seed"] == 5
+        assert result.manifest["points"][0]["resolved"]["master_seed"] == 5
+        cfg.points = [{"master_seed": 5}, {"master_seed": 6}]
+        result = run_experiment(cfg, out_dir=tmp_path / "two")
+        assert result.manifest["seeds"]["master_seed"] is None
+        assert [p["resolved"]["master_seed"] for p in result.manifest["points"]] == [5, 6]
+
     def test_workers_do_not_change_results(self, tmp_path):
         cfg = parse_config(BASIC_INI + "\n[sweep]\ngamma = 0.05, 0.02\n")
         r1 = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
@@ -281,6 +292,17 @@ class TestSharedTrajectories:
             alone = tmp_path / f"{label}.csv"
             runner._write_csv(alone, algorithms.run(instance, topology, run_cfg))
             assert (tmp_path / "grid" / point["csv"]).read_bytes() == alone.read_bytes()
+
+    def test_manifest_master_seed_follows_the_points(self, tmp_path):
+        cfg = parse_config(BASIC_INI)
+        cfg.points = [{"master_seed": 5}]
+        result = run_experiment(cfg, out_dir=tmp_path / "one")
+        assert result.manifest["seeds"]["master_seed"] == 5
+        assert result.manifest["points"][0]["resolved"]["master_seed"] == 5
+        cfg.points = [{"master_seed": 5}, {"master_seed": 6}]
+        result = run_experiment(cfg, out_dir=tmp_path / "two")
+        assert result.manifest["seeds"]["master_seed"] is None
+        assert [p["resolved"]["master_seed"] for p in result.manifest["points"]] == [5, 6]
 
     def test_workers_do_not_change_results(self, tmp_path):
         cfg = parse_config(COST_GRID_INI)
@@ -481,6 +503,21 @@ class TestCli:
         proc = self.run_cli("certify", str(ini))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    def test_certify_one_agent_is_not_certified(self, tmp_path):
+        run_experiment(parse_config(BASIC_INI), out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "tiny_manifest.json").read_text())
+        manifest["config"]["topology"] = {"n_agents": 1, "edges": []}
+        manifest["config"]["problem"]["n_agents"] = 1
+        path = tmp_path / "one_agent.json"
+        path.write_text(json.dumps(manifest))
+        proc = self.run_cli("certify", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)["point000"]
+        assert report["certified"] is False
+        assert "one agent" in report["findings"][0]
+        assert self.run_cli("run", str(path), "--out", str(tmp_path / "run")).returncode == 0
 
     def test_missing_file_exit_code(self):
         proc = self.run_cli("run", "/nonexistent/nope.ini")
