@@ -64,7 +64,8 @@ from .oracles import (
 from .problems import (
     ProblemInstance,
     global_gradient_norm_sq,
-    local_full_gradient,
+    local_full_gradient,  # noqa: F401  (wrapped by benchmarks/tracer.py)
+    local_gradients,
 )
 
 __all__ = [
@@ -349,10 +350,7 @@ def _inner_average_gradients(instance: ProblemInstance, phis: np.ndarray) -> np.
 
     ``phis`` has shape (..., N, n); the result drops the agent axis.
     """
-    total = np.zeros(phis.shape[:-2] + phis.shape[-1:])
-    for i in range(phis.shape[-2]):
-        total += local_full_gradient(instance, i, phis[..., i, :])
-    return total / phis.shape[-2]
+    return local_gradients(instance, phis).mean(axis=-2)
 
 
 def simulate_replicates(
@@ -401,8 +399,7 @@ def simulate_replicates(
         evals[k + 1] = evals[k] + (streams.tally - tally).max(axis=1)
         if config.record_dk:
             inner = _inner_average_gradients(instance, np.stack([phi for phi, _ in log]))
-            for row, r in enumerate(live):
-                d_k[k, r] = metrics.compute_dk(measured[0][k, r], list(inner[:, row]), config.tau)
+            d_k[k, live] = metrics.compute_dk(measured[0][k, live], inner, config.tau)
 
     traces = []
     for r, replicate in enumerate(replicates):

@@ -82,24 +82,27 @@ class Trace:
 
 
 def compute_dk(
-    grad_norm_sq: float,
-    inner_average_gradients: list[np.ndarray],
+    grad_norm_sq: float | np.ndarray,
+    inner_average_gradients: list[np.ndarray] | np.ndarray,
     tau: int,
-) -> float:
-    """Single-replicate gradient metric of one local-training epoch.
+):
+    """Gradient metric of one local-training epoch, per replicate.
 
     ``grad_norm_sq`` is the squared network gradient at the epoch's starting
     mean iterate.  ``inner_average_gradients`` must hold, for each of the
     ``tau`` inner steps, the across-agent average of the true local gradients
-    at the inner iterates.  The expectation over estimator noise is realized
-    as the Monte Carlo mean at the runner level.
+    at the inner iterates.  One replicate passes a float and ``tau`` vectors
+    of shape (n,) and gets a float; L stacked replicates pass an array of
+    shape (L,) and one of shape (tau, L, n) and get one value per replicate.
+    The expectation over estimator noise is realized as the Monte Carlo mean
+    at the runner level.
     """
     if len(inner_average_gradients) != tau:
         raise ValueError(
             f"expected {tau} inner average gradients, got {len(inner_average_gradients)}"
         )
-    inner = sum(float(v @ v) for v in inner_average_gradients) / tau
-    return grad_norm_sq + inner
+    inner = np.asarray(inner_average_gradients)
+    return (grad_norm_sq + np.einsum("...j,...j->...", inner, inner).sum(axis=0) / tau)[()]
 
 
 def consensus_error(iterates: np.ndarray):

@@ -16,6 +16,12 @@ gradient that the estimate just produced.  Agents may hold different numbers
 of points m_i: the table has m_max rows per stream, and rows past m_i stay
 zero and are never drawn.
 
+Each stream draws its batches ahead, a block of steps in one ``integers``
+call, which yields the values of drawing step by step: with replacement the
+indices themselves, without replacement the bounded integers that
+``Generator.choice`` draws, from which the subsets of all streams are
+rebuilt at once.
+
 Every component-gradient evaluation is tallied per stream; the cost model
 converts those tallies into abstract time.
 """
@@ -40,8 +46,14 @@ __all__ = [
     "saga_estimate_update",
 ]
 
-# Largest block of batch indices drawn ahead at once (int64 entries, 16 MB).
+# Largest block of random integers drawn ahead at once (at most 16 MB).
 _BLOCK_ENTRIES = 1 << 21
+# Largest batch drawn without replacement in blocks.  ``Generator.choice(m,
+# b, replace=False)`` runs Floyd's algorithm and a Fisher-Yates shuffle
+# unless m > 10000 and b > m // 50 (so b > 200), and only those can be
+# rebuilt from a block; the rebuild also costs b^2 per draw and passes the
+# cost of one ``choice`` call near b = 64.
+_FLOYD_MAX_BATCH = 32
 
 
 class EvalCounter(NamedTuple):
@@ -75,9 +87,9 @@ class Streams:
     replicate-major.  ``live`` holds the stack positions of the replicates
     still running, ascending; the estimators read and write only their rows
     and their arguments stack only them: an iterate argument has shape
-    (len(live), N, n).  ``pending`` is the number of with-replacement batch
-    draws per stream still to come in the run; it sizes the blocks drawn
-    ahead and never changes a value drawn.
+    (len(live), N, n).  ``pending`` is the number of batch draws per stream
+    still to come in the run, with or without replacement; it sizes the
+    blocks drawn ahead and never changes a value drawn.
 
     Attributes:
         tally: evaluations of every stream, shape (R, N).
@@ -147,28 +159,81 @@ class Streams:
         self.tally[self.live] += evals
 
 
+def _choice_integers(rng: np.random.Generator, m: int, b: int, steps: int) -> np.ndarray:
+    """The bounded integers of ``steps`` Floyd ``choice(m, b)`` calls, in one draw.
+
+    Each call draws 2b - 1 of them: Floyd's pass j from [0, m - b + j], then
+    the shuffle's pass for position i from [0, i], for i = b - 1 down to 1.
+    Shape (steps, 2b - 1).
+    """
+    highs = np.concatenate([np.arange(m - b + 1, m + 1), np.arange(b, 1, -1)])
+    return rng.integers(0, np.broadcast_to(highs, (steps, len(highs))))
+
+
+def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
+    """The subsets Floyd's ``choice`` builds from its bounded draws, for every row at once.
+
+    ``draws`` (..., 2b - 1) holds the draws of :func:`_choice_integers` and
+    ``sizes`` (broadcast to ``draws.shape[:-1]``) the range m of each row;
+    the subsets overwrite the first b draws of each row and are returned as
+    a view of them.
+
+    Floyd's pass j keeps its draw unless an earlier pass took that value,
+    and then takes m - b + j, which no earlier pass can hold; b - 1 swaps
+    then shuffle the subset.  Pass j compares with the j values before it,
+    so the cost per row grows as b^2.
+    """
+    b = (draws.shape[-1] + 1) // 2
+    flat = draws.reshape(-1, draws.shape[-1])
+    offsets = np.broadcast_to(sizes, draws.shape[:-1]).ravel() - b
+    subset = flat[:, :b]
+    for j in range(1, b):
+        taken = (subset[:, :j] == subset[:, j, None]).any(axis=1)
+        subset[taken, j] = offsets[taken] + j
+    rows = np.arange(len(flat))
+    for i in range(b - 1, 0, -1):
+        j = flat[:, 2 * b - 1 - i]
+        swapped = subset[rows, j]
+        subset[rows, j] = subset[:, i]
+        subset[:, i] = swapped
+    return subset.reshape(draws.shape[:-1] + (b,))
+
+
 def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -> np.ndarray:
     """One inner step's batch indices of every live stream, shape (L, N, b).
 
-    Each stream draws uniformly from its own m_i points.  With replacement
-    the batches come from a block that each stream draws ahead in one
-    ``integers`` call, which yields the values of drawing step by step;
-    without replacement each stream draws a uniform subset with ``choice``
-    (requires ``batch_size <= m_i``).
+    Each stream draws uniformly from its own m_i points, with replacement or
+    as a uniform subset without it (requires ``batch_size <= m_i``).  The
+    batches come from a block that each stream draws ahead in one
+    ``integers`` call, which yields the values of drawing step by step.  With
+    replacement a step takes b indices of the block.  Without replacement
+    it takes the 2b - 1 bounded integers that ``choice`` draws for one
+    subset, and :func:`_floyd_subsets` rebuilds the subsets of all streams
+    at once; above ``_FLOYD_MAX_BATCH`` each stream calls ``choice`` once
+    per step instead.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
     shape = (len(streams.live), len(streams.sizes), batch_size)
     live = streams._live_streams
-    if not replacement:
+    if not replacement and batch_size > _FLOYD_MAX_BATCH:
         subsets = [s.rng.choice(s.num_points, batch_size, replace=False) for s in live]
         return np.array(subsets).reshape(shape)
     if streams._block is None or streams._cursor == streams._block.shape[2]:
-        cap = max(1, _BLOCK_ENTRIES // (len(live) * batch_size))
+        if not replacement and batch_size > streams.sizes.min():
+            raise ValueError("batch size exceeds an agent's number of points")
+        entries = batch_size if replacement else 2 * batch_size - 1
+        cap = max(1, _BLOCK_ENTRIES // (len(live) * entries))
         steps = min(max(streams.pending, 1), cap)
         streams.pending = max(streams.pending - steps, 0)
-        block = [s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in live]
-        streams._block = np.array(block).reshape(shape[:2] + (steps, batch_size))
+        if replacement:
+            block = np.array([s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in live])
+        else:
+            draws = np.empty((len(live), steps, entries), dtype=np.int64)
+            for row, s in zip(draws, live):
+                row[:] = _choice_integers(s.rng, s.num_points, batch_size, steps)
+            block = _floyd_subsets(draws, np.array([s.num_points for s in live])[:, None])
+        streams._block = block.reshape(shape[:2] + (steps, batch_size))
         streams._cursor = 0
     batch = streams._block[:, :, streams._cursor]
     streams._cursor += 1

@@ -30,7 +30,7 @@ __all__ = [
     "SmoothnessEstimate",
     "generate_classification",
     "component_gradients",
-    "local_full_gradient",
+    "local_gradients",
     "global_gradient",
     "global_gradient_norm_sq",
     "smoothness_constant",
@@ -206,10 +206,11 @@ def component_gradients(
 
 
 def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:
-    """Exact local gradient: arithmetic mean of all component gradients.
+    """Exact local gradient of one agent: the mean of its component gradients.
 
     ``x`` is one point of shape (n,) or a stack of points (..., n); the
-    result has the shape of ``x``.
+    result has the shape of ``x``.  The per-agent form of
+    :func:`local_gradients`, kept as its reference.
     """
     _check_finite(x)
     feats = instance.features[agent]
@@ -223,13 +224,38 @@ def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) ->
     return (margins - labs) @ feats / m
 
 
+def local_gradients(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
+    """Every agent's exact local gradient at its own row of ``x``.
+
+    ``x`` stacks one point per agent, shape (..., N, n); row i of the result
+    is agent i's gradient at row i of ``x``.  The agents are evaluated
+    together on the padded features, agent axis leading, in two batched
+    matrix products; padded rows have zero features and labels and add
+    nothing.
+    """
+    _check_finite(x)
+    features, labels = instance.padded
+    N, n = instance.num_agents, instance.dimension
+    feats = features.reshape(N, -1, n)
+    labs = labels.reshape(N, 1, -1)
+    points = np.moveaxis(x, -2, 0).reshape(N, -1, n)
+    margins = points @ feats.transpose(0, 2, 1)  # (N, P, m_max)
+    if instance.kind == LOGISTIC_NONCONVEX:
+        weights = -labs * _logistic(-labs * margins)
+    else:
+        weights = margins - labs
+    g = weights @ feats
+    g /= instance.sizes[:, None, None]
+    g = np.moveaxis(g.reshape((N,) + x.shape[:-2] + (n,)), 0, -2)
+    if instance.kind == LOGISTIC_NONCONVEX:
+        g += instance.epsilon * _regularizer_gradient(x)
+    return g
+
+
 def global_gradient(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """Gradient of the network objective at a common point (or a stack of them)."""
-    _check_finite(x)
-    total = np.zeros_like(x, dtype=float)
-    for i in range(instance.num_agents):
-        total += local_full_gradient(instance, i, x)
-    return total / instance.num_agents
+    shape = x.shape[:-1] + (instance.num_agents, x.shape[-1])
+    return local_gradients(instance, np.broadcast_to(x[..., None, :], shape)).mean(axis=-2)
 
 
 def global_gradient_norm_sq(instance: ProblemInstance, x_bar: np.ndarray):

@@ -63,6 +63,22 @@ class TestComputeDk:
         assert compute_dk(global_gradient_norm_sq(inst, x_bar), inner, tau=3) >= float(g @ g)
 
 
+    def test_stacked_replicates_equal_scalar_form(self, rng):
+        inst = generate_classification(2, 4, 3, 5)
+        tau, L = 3, 4
+        x_bar = rng.normal(size=(L, 3))
+        inner = rng.normal(size=(tau, L, 3))
+        stacked = compute_dk(global_gradient_norm_sq(inst, x_bar), inner, tau=tau)
+        assert stacked.shape == (L,)
+        for r in range(L):
+            one = compute_dk(global_gradient_norm_sq(inst, x_bar[r]), list(inner[:, r]), tau=tau)
+            assert stacked[r] == pytest.approx(one, rel=1e-15)
+
+    def test_stacked_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="inner average gradients"):
+            compute_dk(np.zeros(2), np.zeros((2, 2, 3)), tau=3)
+
+
 class TestCostModel:
     def test_sgd_variant_charge(self):
         model = CostModel(t_g=1.0, t_c=10.0)

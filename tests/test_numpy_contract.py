@@ -1,14 +1,20 @@
-"""numpy behaviour that a batched redesign of the batch draws relies on.
+"""numpy behaviour that drawing a run's batches ahead, in blocks, relies on.
 
-Drawing a whole run's batches in one ``Generator.integers`` call reproduces
-today's per-step draws only if a size-k draw yields the same values as k
-draws of size 1 from the same stream state.  ``pyproject.toml`` admits any
-numpy from 1.24 on, so a release that changes this must fail here, not as
-silently different trajectories.
+With replacement, one ``Generator.integers`` call for a whole block yields
+the values of the per-step draws only if a size-k draw equals k draws of
+size 1 from the same stream state.  Without replacement, the block rebuilds
+``choice``: where numpy runs Floyd's algorithm and a Fisher-Yates shuffle,
+one ``integers`` call (``oracles._choice_integers``) consumes the stream
+exactly as the per-step ``choice`` calls do, and
+``oracles._floyd_subsets`` turns those integers into the same subsets.
+``pyproject.toml`` admits any numpy from 1.24 on, so a release that changes
+either must fail here, not as silently different trajectories.
 """
 
 import numpy as np
 import pytest
+
+from ltadmm.oracles import _FLOYD_MAX_BATCH, _choice_integers, _floyd_subsets
 
 
 @pytest.mark.parametrize("m", [7, 40, 100, 2**20])
@@ -28,3 +34,45 @@ def test_k_by_b_block_equals_row_draws(m):
     rows = np.stack([rng.integers(0, m, size=batch) for _ in range(steps)])
     assert block.shape == (steps, batch)
     assert np.array_equal(block, rows)
+
+
+def rebuilt_choices(rng: np.random.Generator, m: int, b: int, steps: int) -> np.ndarray:
+    return _floyd_subsets(_choice_integers(rng, m, b, steps), m)
+
+
+def runs_floyd(m: int, b: int) -> bool:
+    """numpy shuffles the tail of range(m) instead for m > 10000 and b > m // 50."""
+    return m <= 10000 or b <= m // 50
+
+
+FLOYD_CASES = [
+    (m, b)
+    for m in (7, 40, 100, 10000, 20000, 2**20)
+    for b in (1, 2, 8, _FLOYD_MAX_BATCH, m)
+    if b <= m and runs_floyd(m, b)
+]
+
+
+@pytest.mark.parametrize("m, b", FLOYD_CASES)
+def test_rebuilt_subsets_equal_choice(m, b):
+    steps = 1 if b >= 1000 else 37
+    seed = np.random.SeedSequence([3, m, b])
+    per_step = np.random.default_rng(seed)
+    choices = np.stack([per_step.choice(m, b, replace=False) for _ in range(steps)])
+    block = np.random.default_rng(seed)
+    assert np.array_equal(rebuilt_choices(block, m, b, steps), choices)
+    assert block.bit_generator.state == per_step.bit_generator.state
+
+
+@pytest.mark.parametrize("b", [400, 401])
+def test_rebuild_ends_where_choice_leaves_floyd(b):
+    m = 20000
+    seed = np.random.SeedSequence([9, b])
+    choices = np.random.default_rng(seed).choice(m, b, replace=False)
+    rebuilt = rebuilt_choices(np.random.default_rng(seed), m, b, 1)[0]
+    assert np.array_equal(rebuilt, choices) is runs_floyd(m, b)
+
+
+def test_blocks_stay_in_the_floyd_regime():
+    # every m > 10000 admits b up to m // 50 >= 200
+    assert all(runs_floyd(m, _FLOYD_MAX_BATCH) for m in (10001, 20000, 2**20))

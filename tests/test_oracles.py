@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from ltadmm import oracles
 from ltadmm.oracles import (
     Streams,
     draw_batch,
@@ -308,3 +309,82 @@ class TestBatchDrawing:
         singles = np.stack([draw_batch(one_by_one, 2) for _ in range(40)])
         assert np.array_equal(steps, singles)
         assert (steps < np.array(sizes)[:, None]).all()
+
+
+def uneven_instance(sizes):
+    rng = np.random.default_rng(0)
+    return ProblemInstance(
+        kind="least_squares",
+        features=tuple(rng.normal(size=(m, 2)) for m in sizes),
+        labels=tuple(np.ones(m) for m in sizes),
+    )
+
+
+def per_step_choices(instance, replicate, agent, b, steps):
+    """Stream (replicate, agent)'s subsets drawn by one ``choice`` call per step."""
+    rng = np.random.default_rng([replicate, agent])
+    return np.stack([rng.choice(instance.num_points(agent), b, replace=False) for _ in range(steps)])
+
+
+class CountingRng:
+    """A generator that counts the ``choice`` and ``integers`` calls made on it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = {"choice": 0, "integers": 0}
+
+    def choice(self, *args, **kwargs):
+        self.calls["choice"] += 1
+        return self.rng.choice(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls["integers"] += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestDrawsWithoutReplacement:
+    sizes = (3, 8, 40)
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_each_stream_equals_its_per_step_choices(self, monkeypatch, b):
+        # 6 streams of 2b - 1 entries a step: blocks of 2 steps, refilled 10 times
+        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 12 * (2 * b - 1))
+        inst = uneven_instance(self.sizes)
+        streams = make_streams(inst, replicates=2)
+        streams.pending = 20
+        batches = np.stack([draw_batch(streams, b, replacement=False) for _ in range(20)])
+        for r in range(2):
+            for i in range(inst.num_agents):
+                assert np.array_equal(batches[:, r, i], per_step_choices(inst, r, i, b, 20))
+                rng = np.random.default_rng([r, i])
+                for _ in range(20):
+                    rng.choice(inst.num_points(i), b, replace=False)
+                assert streams.streams[r * inst.num_agents + i].rng.bit_generator.state == rng.bit_generator.state
+
+    def test_retired_replicate_leaves_the_block(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 10**6)
+        inst = uneven_instance(self.sizes)
+        streams = make_streams(inst, replicates=3)
+        streams.pending = 12
+        before = np.stack([draw_batch(streams, 2, replacement=False) for _ in range(5)])
+        streams.retire(np.array([True, False, True]))
+        after = np.stack([draw_batch(streams, 2, replacement=False) for _ in range(7)])
+        assert after.shape == (7, 2, inst.num_agents, 2)
+        for row, r in enumerate([0, 2]):
+            for i in range(inst.num_agents):
+                expected = per_step_choices(inst, r, i, 2, 12)
+                assert np.array_equal(before[:, r, i], expected[:5])
+                assert np.array_equal(after[:, row, i], expected[5:])
+
+    @pytest.mark.parametrize(
+        "m, b, blocks",
+        [(20000, 32, True), (20000, 33, False), (100, 32, True), (100, 33, False)],
+    )
+    def test_choice_is_called_only_above_the_block_limit(self, m, b, blocks):
+        assert oracles._FLOYD_MAX_BATCH == 32
+        inst = uneven_instance((m,))
+        rng = CountingRng(np.random.default_rng([0, 0]))
+        streams = Streams.start(inst, [[rng]], False, pending=3)
+        batches = np.stack([draw_batch(streams, b, replacement=False) for _ in range(3)])
+        assert np.array_equal(batches[:, 0, 0], per_step_choices(inst, 0, 0, b, 3))
+        assert rng.calls == ({"choice": 0, "integers": 1} if blocks else {"choice": 3, "integers": 0})

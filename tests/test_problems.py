@@ -11,8 +11,10 @@ from ltadmm.problems import (
     _logistic,
     component_gradients,
     generate_classification,
+    global_gradient,
     global_gradient_norm_sq,
     local_full_gradient,
+    local_gradients,
     smoothness_constant,
 )
 
@@ -166,6 +168,56 @@ class TestGradients:
         x = np.full(inst.dimension, 0.3)
         rows = component_gradients(inst, 1, np.array([2, 2]), x)
         assert np.allclose(rows.mean(axis=0), component_gradients(inst, 1, np.array([2]), x)[0], atol=1e-16)
+
+
+def uneven_instance(kind, sizes=(1, 4, 9, 2), dimension=3, seed=8):
+    """Agents with different numbers of points, so most padded rows are empty."""
+    rng = np.random.default_rng(seed)
+    return ProblemInstance(
+        kind=kind,
+        features=tuple(rng.normal(size=(m, dimension)) for m in sizes),
+        labels=tuple(rng.choice([-1.0, 1.0], size=m) for m in sizes),
+        epsilon=0.01 if kind == LOGISTIC_NONCONVEX else 0.0,
+    )
+
+
+class TestLocalGradients:
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_equals_per_agent_loop(self, kind, lead, rng):
+        inst = uneven_instance(kind)
+        x = rng.normal(scale=3.0, size=lead + (inst.num_agents, inst.dimension))
+        got = local_gradients(inst, x)
+        expected = np.stack([local_full_gradient(inst, i, x[..., i, :]) for i in range(inst.num_agents)], axis=-2)
+        assert got.shape == x.shape
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.max(np.abs(got - expected)) <= 1e-15 * scale
+
+    def test_non_finite_rejected(self):
+        inst = uneven_instance(LEAST_SQUARES)
+        x = np.zeros((inst.num_agents, inst.dimension))
+        x[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            local_gradients(inst, x)
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_global_gradient_is_agent_average(self, kind, rng):
+        inst = uneven_instance(kind)
+        points = rng.normal(size=(5, inst.dimension))
+        stacked = global_gradient(inst, points)
+        assert stacked.shape == points.shape
+        norms = global_gradient_norm_sq(inst, points)
+        assert norms.shape == (5,)
+        for p, x in enumerate(points):
+            expected = sum(local_full_gradient(inst, i, x) for i in range(inst.num_agents)) / inst.num_agents
+            one = global_gradient(inst, x)
+            assert one.shape == x.shape
+            tolerance = 1e-15 * max(1.0, float(np.abs(expected).max()))
+            assert np.max(np.abs(one - expected)) <= tolerance
+            assert np.max(np.abs(stacked[p] - expected)) <= tolerance
+            norm = global_gradient_norm_sq(inst, x)
+            assert isinstance(norm, float)
+            assert norms[p] == pytest.approx(norm, rel=1e-14)
 
 
 class TestLogistic:

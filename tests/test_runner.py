@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltadmm
 from ltadmm import algorithms, cli, runner
 from ltadmm.algorithms import RunConfig
 from ltadmm.metrics import Trace
@@ -383,10 +385,15 @@ class TestPresets:
 
 class TestCli:
     def run_cli(self, *args):
+        # the child imports the ltadmm under test, installed or not
+        package_parent = str(Path(ltadmm.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": package_parent + (os.pathsep + path if path else "")}
         return subprocess.run(
             [sys.executable, "-m", "ltadmm.cli", *args],
             capture_output=True,
             text=True,
+            env=env,
         )
 
     def test_run_subcommand(self, tmp_path):
