@@ -20,7 +20,8 @@ every (replicate, agent) stream's estimate in one array step
 exchange (every agent sends one payload per neighbor, a synchronous barrier)
 is two array operations over the edge arrays ``Topology.src`` (the owner of
 each edge) and ``Topology.rev`` (the reverse edge).  A replicate that
-diverges is retired from the stack and frozen, and the others run on.
+diverges stays in the stack, held at the state it started that outer
+iteration from, and the others run on.
 
 Variants differ only in the local gradient estimator:
 
@@ -201,32 +202,6 @@ def _estimate(
     return saga_estimate_update(streams, instance, phi, batch)
 
 
-def _retire_diverged(
-    streams: Streams, left: np.ndarray, k: int, t: int, log: list | None, first: int
-) -> np.ndarray:
-    """Stop the live replicates with a row in ``left``; returns the survivors' flags.
-
-    Each stopped replicate gets a :class:`DivergenceError` naming its
-    lowest-index agent outside the range.  Log entries of this epoch keep
-    only the survivors' rows.
-
-    Raises:
-        DivergenceError: of the first stopped replicate, when none survives.
-    """
-    stopped = left.any(axis=1)
-    for row in np.flatnonzero(stopped):
-        error = DivergenceError(int(left[row].argmax()), k, t)
-        streams.diverged[int(streams.live[row])] = error
-    keep = ~stopped
-    if log is not None:
-        log[first:] = [(phi[keep], G[keep]) for phi, G in log[first:]]
-    lowest = int(streams.live[0])
-    streams.retire(keep)
-    if not keep.any():
-        raise streams.diverged[lowest]
-    return keep
-
-
 def local_training_epoch(
     streams: Streams,
     instance: ProblemInstance,
@@ -239,24 +214,26 @@ def local_training_epoch(
 ) -> np.ndarray:
     """Run tau local steps from the iterates ``X``; returns the new iterates.
 
-    ``X`` stacks the iterates of the live replicates, shape (L, N, n).
+    ``X`` stacks the iterates of every replicate, shape (R, N, n).
     ``AtZ`` (same shape) holds each agent's sum of edge variables and
     ``degrees`` its neighbor count; both are fixed for the whole epoch.  For
     the variance-reduced variants every stream's gradient table is refreshed
     here (every epoch, or only at k = 0 for the carry-over variant) and each
     step's fresh batch gradients are written back into the table.
 
-    A replicate whose iterate leaves the finite range at some inner step is
-    retired: :meth:`Streams.retire` drops it from the live set and
-    ``streams.diverged`` records the lowest-index such agent and the step.
-    The others run on, and the result holds the survivors' rows only.
+    When a replicate's iterate first leaves the finite range,
+    ``streams.diverged`` records its lowest-index agent outside the range
+    and the step.  Whenever its rows leave the range they are reset to its
+    rows of ``X``, so they stay finite; its streams keep drawing and
+    counting, and :func:`outer_step` holds its state.  The others run on.
 
     ``log``, when given, receives one ``(Phi_t, G_t)`` pair per inner step:
-    the stacked inner iterates and estimator outputs of the replicates that
-    finish the epoch.  It does not affect the dynamics or the counters.
+    the stacked inner iterates and estimator outputs of every replicate.  It
+    does not affect the dynamics or the counters.
 
     Raises:
-        DivergenceError: when every live replicate has left the range.
+        DivergenceError: once every replicate has left the range: the error
+            of the lowest-index replicate among those that left last.
     """
     refresh = config.variant == "lt_admm_vr" or (config.variant == "lt_admm_vr_v2" and k == 0)
     if refresh:
@@ -264,12 +241,11 @@ def local_training_epoch(
 
     gamma = config.gamma
     penalty = (config.rho * degrees)[:, None]
-    first = len(log) if log is not None else 0
     phi = X.copy()  # the log keeps Phi_0, which the caller may overwrite in X
     for t in range(config.tau):
         if t == 0 and refresh:
             # estimate at the refresh anchor collapses to the table mean
-            G = streams.table_sum[streams.live] / streams.sizes[:, None]
+            G = streams.table_sum / streams.sizes[:, None]
         else:
             G = _estimate(streams, instance, config, phi)
         if log is not None:
@@ -277,8 +253,13 @@ def local_training_epoch(
         phi = phi - gamma * (G + penalty * phi - AtZ)
         left = ~(np.einsum("rij,rij->ri", phi, phi) <= DIVERGENCE_NORM**2)
         if left.any():
-            keep = _retire_diverged(streams, left, k, t, log, first)
-            phi, AtZ = phi[keep], AtZ[keep]
+            out = left.any(axis=1)
+            new = [r for r in map(int, np.flatnonzero(out)) if r not in streams.diverged]
+            for r in new:
+                streams.diverged[r] = DivergenceError(int(left[r].argmax()), k, t)
+            if new and len(streams.diverged) == len(X):
+                raise streams.diverged[new[0]]
+            phi[out] = X[out]
     return phi
 
 
@@ -322,27 +303,26 @@ def outer_step(
     Z: np.ndarray,
     log: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> StateMetrics:
-    """One full outer iteration of every live replicate: epoch, exchange, auxiliary update.
+    """One full outer iteration of every replicate: epoch, exchange, auxiliary update.
 
-    ``X`` (R, N, n) and ``Z`` (R, M, n) hold every replicate of the stack.
-    The rows of the replicates that finish the step are overwritten with
-    their new state, and the metrics of those states are returned, in the
-    order of ``streams.live``.  A replicate retired in this step keeps the
-    state it started the step from.  ``log`` is passed on to the epoch.
+    ``X`` (R, N, n) and ``Z`` (R, M, n) hold every replicate of the stack
+    and are overwritten with the new states, whose metrics are returned.  A
+    diverged replicate (one in ``streams.diverged``) is held: its rows keep
+    the state it started the step from.  ``log`` is passed on to the epoch.
 
     Raises:
-        DivergenceError: when every live replicate left the range.
+        DivergenceError: when every replicate has left the range.
     """
     degrees = np.asarray(topology.degrees)
-    live = streams.live
-    AtZ = np.zeros((len(live),) + X.shape[1:])
-    np.add.at(AtZ, (slice(None), topology.src), Z[live])
-    X_new = local_training_epoch(streams, instance, config, k, X[live], AtZ, degrees, log)
-    live = streams.live
-    Z_new = exchange(topology, Z[live], X_new, config.rho)
-    Z[live] = Z_new
-    X[live] = X_new
-    return _measure(instance, X_new, Z_new, degrees, config.rho)
+    AtZ = np.zeros(X.shape)
+    np.add.at(AtZ, (slice(None), topology.src), Z)
+    X_new = local_training_epoch(streams, instance, config, k, X, AtZ, degrees, log)
+    Z_new = exchange(topology, Z, X_new, config.rho)
+    if streams.diverged:
+        held = list(streams.diverged)
+        X_new[held], Z_new[held] = X[held], Z[held]
+    X[...], Z[...] = X_new, Z_new
+    return _measure(instance, X, Z, degrees, config.rho)
 
 
 def _inner_average_gradients(instance: ProblemInstance, phis: np.ndarray) -> np.ndarray:
@@ -364,7 +344,7 @@ def simulate_replicates(
     All replicates move together, one array step per inner iteration.  Each
     replicate's trajectory is that of running it alone: its initial iterates
     and its streams are seeded by its own index.  The metric arrays start
-    with the initial state at k = 0.  A replicate that diverges is frozen at
+    with the initial state at k = 0.  A replicate that diverges is held at
     the state it started the diverging iteration from: its arrays stop
     there and it is marked, while the others run on.  The epoch gradient
     metric, when enabled, is stored at the index of the state the epoch
@@ -392,19 +372,19 @@ def simulate_replicates(
             step = outer_step(streams, instance, topology, config, k, X, Z, log)
         except DivergenceError:
             break
-        live = streams.live
         for column, values in zip(measured, step):
-            column[k + 1, live] = values
+            column[k + 1] = values
         # the synchronous round waits for the slowest agent
         evals[k + 1] = evals[k] + (streams.tally - tally).max(axis=1)
         if config.record_dk:
             inner = _inner_average_gradients(instance, np.stack([phi for phi, _ in log]))
-            d_k[k, live] = metrics.compute_dk(measured[0][k, live], inner, config.tau)
+            d_k[k] = metrics.compute_dk(measured[0][k], inner, config.tau)
 
     traces = []
     for r, replicate in enumerate(replicates):
         error = streams.diverged.get(r)
         stop = K + 1 if error is None else error.outer_iteration + 1
+        d_k[stop - 1, r] = np.nan  # no epoch starts from a trace's last state
         grad_norm_sq, consensus_err, residual = (column[:stop, r] for column in measured)
         traces.append(
             ReplicateTrace(

@@ -4,11 +4,12 @@ A grid point runs R Monte Carlo replicates of N agents, and each (replicate,
 agent) pair is one estimator stream: a random generator for its batch draws,
 its rows of the stored-gradient table and an evaluation tally.
 :class:`Streams` holds all of them stacked, and every estimator moves all
-live streams in one array step: it gathers the rows it needs as 1-D (agent,
+streams in one array step: it gathers the rows it needs as 1-D (agent,
 index) arrays, evaluates them in one ``component_gradients`` call and
-reduces them per stream.  Three estimators feed the local-training loop: the
-exact local gradient, a mini-batch average, and a variance-reduced estimator
-backed by the table.
+reduces them per stream; the streams of a diverged replicate keep drawing
+and counting with the rest.  Three estimators feed the local-training loop:
+the exact local gradient, a mini-batch average, and a variance-reduced
+estimator backed by the table.
 
 The table keeps one gradient per data point plus their running sum, so the
 correction average is O(1) per step and a memory write never recomputes a
@@ -84,12 +85,12 @@ class Streams:
     """Estimator state of every (replicate, agent) stream of a grid point.
 
     Iterating yields the :class:`Stream` of each (replicate, agent),
-    replicate-major.  ``live`` holds the stack positions of the replicates
-    still running, ascending; the estimators read and write only their rows
-    and their arguments stack only them: an iterate argument has shape
-    (len(live), N, n).  ``pending`` is the number of batch draws per stream
-    still to come in the run, with or without replacement; it sizes the
-    blocks drawn ahead and never changes a value drawn.
+    replicate-major.  The estimators move every stream, and an iterate
+    argument stacks every replicate: shape (R, N, n).  A diverged replicate
+    stays in the stack, and its streams keep drawing and counting.
+    ``pending`` is the number of batch draws per stream still to come in
+    the run, with or without replacement; it sizes the blocks drawn ahead
+    and never changes a value drawn.
 
     Attributes:
         tally: evaluations of every stream, shape (R, N).
@@ -105,15 +106,12 @@ class Streams:
     tally: np.ndarray
     table: np.ndarray | None
     table_sum: np.ndarray | None
-    live: np.ndarray
     pending: int
     diverged: dict[int, Exception] = field(default_factory=dict)
-    _live_streams: list[Stream] = field(init=False, repr=False)
     _block: np.ndarray | None = field(default=None, init=False, repr=False)
     _cursor: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._live_streams = list(self.streams)
         m = self.sizes
         # every (agent, index) component in agent order, and where each agent's run starts
         self._agents = np.repeat(np.arange(len(m)), m)
@@ -141,22 +139,14 @@ class Streams:
         if with_table:
             table = np.zeros(shape + (instance.max_points, instance.dimension))
             table_sum = np.zeros(shape + (instance.dimension,))
-        return cls(streams, sizes, tally, table, table_sum, np.arange(shape[0]), pending)
+        return cls(streams, sizes, tally, table, table_sum, pending)
 
     def __iter__(self):
         return iter(self.streams)
 
-    def retire(self, keep: np.ndarray) -> None:
-        """Stop the live replicates where ``keep`` (one flag per live replicate) is False."""
-        self.live = self.live[keep]
-        per_stream = np.repeat(keep, len(self.sizes))
-        self._live_streams = [s for s, k in zip(self._live_streams, per_stream) if k]
-        if self._block is not None:
-            self._block = self._block[keep]
-
     def charge(self, evals) -> None:
-        """Add ``evals`` (a count, or one per agent) to every live stream."""
-        self.tally[self.live] += evals
+        """Add ``evals`` (a count, or one per agent) to every stream."""
+        self.tally += evals
 
 
 def _choice_integers(rng: np.random.Generator, m: int, b: int, steps: int) -> np.ndarray:
@@ -200,7 +190,7 @@ def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
 
 
 def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -> np.ndarray:
-    """One inner step's batch indices of every live stream, shape (L, N, b).
+    """One inner step's batch indices of every stream, shape (R, N, b).
 
     Each stream draws uniformly from its own m_i points, with replacement or
     as a uniform subset without it (requires ``batch_size <= m_i``).  The
@@ -214,25 +204,24 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
-    shape = (len(streams.live), len(streams.sizes), batch_size)
-    live = streams._live_streams
+    shape = streams.tally.shape + (batch_size,)
     if not replacement and batch_size > _FLOYD_MAX_BATCH:
-        subsets = [s.rng.choice(s.num_points, batch_size, replace=False) for s in live]
+        subsets = [s.rng.choice(s.num_points, batch_size, replace=False) for s in streams]
         return np.array(subsets).reshape(shape)
     if streams._block is None or streams._cursor == streams._block.shape[2]:
         if not replacement and batch_size > streams.sizes.min():
             raise ValueError("batch size exceeds an agent's number of points")
         entries = batch_size if replacement else 2 * batch_size - 1
-        cap = max(1, _BLOCK_ENTRIES // (len(live) * entries))
+        cap = max(1, _BLOCK_ENTRIES // (len(streams.streams) * entries))
         steps = min(max(streams.pending, 1), cap)
         streams.pending = max(streams.pending - steps, 0)
         if replacement:
-            block = np.array([s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in live])
+            block = np.array([s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in streams])
         else:
-            draws = np.empty((len(live), steps, entries), dtype=np.int64)
-            for row, s in zip(draws, live):
+            draws = np.empty((len(streams.streams), steps, entries), dtype=np.int64)
+            for row, s in zip(draws, streams):
                 row[:] = _choice_integers(s.rng, s.num_points, batch_size, steps)
-            block = _floyd_subsets(draws, np.array([s.num_points for s in live])[:, None])
+            block = _floyd_subsets(draws, np.array([s.num_points for s in streams])[:, None])
         streams._block = block.reshape(shape[:2] + (steps, batch_size))
         streams._cursor = 0
     batch = streams._block[:, :, streams._cursor]
@@ -241,19 +230,19 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
 
 
 def _all_components(streams: Streams, instance: ProblemInstance, x: np.ndarray):
-    """Every component gradient of every live stream at its row of ``x``.
+    """Every component gradient of every stream at its row of ``x``.
 
     Returns the rows, stream by stream in agent order, and each stream's
-    column sum, shape (L, N, n).  Charges m_i evaluations per stream.
+    column sum, shape (R, N, n).  Charges m_i evaluations per stream.
     """
-    L = len(streams.live)
+    R = len(x)
     rows = component_gradients(
         instance,
-        np.tile(streams._agents, L),
-        np.tile(streams._indices, L),
-        np.repeat(x.reshape(-1, x.shape[-1]), np.tile(streams.sizes, L), axis=0),
+        np.tile(streams._agents, R),
+        np.tile(streams._indices, R),
+        np.repeat(x.reshape(-1, x.shape[-1]), np.tile(streams.sizes, R), axis=0),
     )
-    starts = (len(streams._agents) * np.arange(L)[:, None] + streams._starts).ravel()
+    starts = (len(streams._agents) * np.arange(R)[:, None] + streams._starts).ravel()
     sums = np.add.reduceat(rows, starts, axis=0).reshape(x.shape)
     streams.charge(streams.sizes)
     return rows, sums
@@ -289,7 +278,7 @@ def sgd_estimate(
 ) -> np.ndarray:
     """Mini-batch estimates: each stream's mean of its batch's component gradients.
 
-    ``batch`` has shape (L, N, b); repeated indices count with multiplicity.
+    ``batch`` has shape (R, N, b); repeated indices count with multiplicity.
     Charges b evaluations per stream.
     """
     _, rows = _batch_rows(streams, instance, x, batch)
@@ -297,22 +286,21 @@ def sgd_estimate(
 
 
 def saga_refresh(streams: Streams, instance: ProblemInstance, anchor: np.ndarray) -> None:
-    """Recompute every live stream's stored gradients at its row of ``anchor``.
+    """Recompute every stream's stored gradients at its row of ``anchor``.
 
     Charges m_i evaluations per stream.
     """
     rows, sums = _all_components(streams, instance, anchor)
-    live = streams.live
-    streams.table[live[:, None], streams._agents, streams._indices] = rows.reshape(
-        len(live), -1, anchor.shape[-1]
+    streams.table[:, streams._agents, streams._indices] = rows.reshape(
+        len(anchor), -1, anchor.shape[-1]
     )
-    streams.table_sum[live] = sums
+    streams.table_sum[...] = sums
 
 
 def saga_estimate_update(
     streams: Streams, instance: ProblemInstance, x: np.ndarray, batch: np.ndarray
 ) -> np.ndarray:
-    """Fused estimate-then-store step of every live stream.
+    """Fused estimate-then-store step of every stream.
 
     Each stream's variance-reduced estimate at its row of ``x`` is the batch
     mean of (fresh minus stored gradient) plus the table average; the fresh
@@ -320,17 +308,15 @@ def saga_estimate_update(
     recomputing, and the running sum moves by each distinct index's change
     once.  Total charge: b evaluations per stream.
     """
-    live = streams.live
     agents, fresh = _batch_rows(streams, instance, x, batch)
-    replicates = np.repeat(live, batch[0].size)
+    replicates = np.repeat(np.arange(len(x)), batch[0].size)
     indices = batch.ravel()
     stored = streams.table[replicates, agents, indices].reshape(fresh.shape)
     delta = fresh - stored
-    sums = streams.table_sum[live]
-    average = sums / streams.sizes[:, None]
+    average = streams.table_sum / streams.sizes[:, None]
     if batch.shape[-1] == 1:
         estimate = delta[:, :, 0] + average
-        streams.table_sum[live] = sums + delta[:, :, 0]
+        streams.table_sum += delta[:, :, 0]
     else:
         estimate = delta.mean(axis=2) + average
         # sum each distinct index's change once, in ascending index order
@@ -339,6 +325,6 @@ def saga_estimate_update(
         first = np.ones(batch.shape, dtype=bool)
         first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
         change = np.take_along_axis(delta, order[..., None], axis=2) * first[..., None]
-        streams.table_sum[live] = sums + change.sum(axis=2)
+        streams.table_sum += change.sum(axis=2)
     streams.table[replicates, agents, indices] = fresh.reshape(-1, x.shape[-1])
     return estimate

@@ -11,9 +11,11 @@ The fields of :class:`~ltadmm.algorithms.RunConfig` are the schema of the
 algorithm and cost keys: INI values, sweep values, manifest configs and
 preset dicts all go through the same per-field converters, so booleans are
 spelled alike everywhere and an unknown key is an error.  Parsing a config
-runs :func:`resolve`, which builds the topology, the problem and every grid
-point's run configuration before any point runs; the constructors hold the
-range rules, and any error building them is a :class:`ConfigError`.
+only reads it; :func:`resolve` is the one gate, called once per command by
+:func:`run_experiment` and by ``ltadmm certify``.  It builds the topology,
+the problem and every grid point's run configuration before any point runs;
+the constructors hold the range rules, and any error building them is a
+:class:`ConfigError`.
 
 Every grid point produces one CSV of aggregated per-iteration metrics; a
 JSON manifest records the library version, the full resolved configuration,
@@ -156,11 +158,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         try:
-            cfg = cls(**data)
+            return cls(**data)
         except TypeError as err:
             raise ConfigError(f"incomplete config: {err}") from err
-        resolve(cfg)
-        return cfg
 
 
 def _check_keys(label: str, section: dict) -> None:
@@ -348,7 +348,7 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
 
     experiment = section("experiment", required=False)
     _check_keys("experiment", experiment)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         name=str(experiment.get("name", name)),
         topology=topology,
         problem=problem,
@@ -357,8 +357,6 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
         output_dir=str(output.get("dir", "out")),
         stop_threshold=output.get("stop_threshold"),
     )
-    resolve(cfg)
-    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -413,7 +413,7 @@ class TestReplicateAxis:
             outer_step(streams, inst, topo, cfg, k, X, Z)
             if k == 5:
                 frozen = before
-        assert list(streams.live) == [0, 1, 3, 5]
+        assert sorted(streams.diverged) == [2, 4]
         for r in (2, 4):
             assert np.array_equal(X[r], frozen[0][r]) and np.array_equal(Z[r], frozen[1][r])
             solo = init_states(inst, topo, cfg, [r])
@@ -427,3 +427,62 @@ class TestReplicateAxis:
                 exc.value.agent, exc.value.outer_iteration, exc.value.inner_step
             )
             assert np.max(np.abs(X[r] - X1[0])) <= 1e-12 * np.max(np.abs(X1[0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_held_replicate_keeps_its_start_over_a_long_tail(self):
+        inst = unequal_problem()
+        topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
+        cfg = base_config(
+            variant="lt_admm_vr", gamma=0.05, rho=1.2, tau=3, outer_iterations=30,
+            batch_size=2, monte_carlo_runs=3,
+        )
+        solo_start = {r: initial_iterates(cfg, 5, 3, r)[None] for r in (0, 2)}
+        X = np.concatenate([solo_start[0], np.full((1, 5, 3), 1e13), solo_start[2]])
+        Z = X[:, topo.src]
+        start = X[1].copy(), Z[1].copy()
+        streams = init_states(inst, topo, cfg, range(3))
+        for k in range(cfg.outer_iterations):
+            outer_step(streams, inst, topo, cfg, k, X, Z)
+        assert np.array_equal(X[1], start[0]) and np.array_equal(Z[1], start[1])
+        assert list(streams.diverged) == [1]
+        error = streams.diverged[1]
+        assert (error.outer_iteration, error.inner_step) == (0, 0)
+        for r, X1 in solo_start.items():
+            Z1 = X1[:, topo.src]
+            solo = init_states(inst, topo, cfg, [r])
+            for k in range(cfg.outer_iterations):
+                outer_step(solo, inst, topo, cfg, k, X1, Z1)
+            assert np.max(np.abs(X[r] - X1[0])) <= 1e-12 * np.max(np.abs(X1[0]))
+            assert np.max(np.abs(Z[r] - Z1[0])) <= 1e-12 * np.max(np.abs(Z1[0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_last_replicates_to_leave_raise_the_lowest_index_error(self):
+        # replicate 0 leaves at once; 1 and 2 start alike and leave together later
+        inst = scalar_quadratic()
+        topo = build_ring(3)
+        cfg = base_config(variant="exact", gamma=50.0, rho=3.0, tau=2, monte_carlo_runs=3)
+        x = initial_iterates(cfg, 3, 1, 1)
+        X = np.stack([np.full((3, 1), 1e13), x, x])
+        Z = X[:, topo.src]
+        streams = init_states(inst, topo, cfg, range(3))
+        with pytest.raises(DivergenceError) as exc:
+            for k in range(cfg.outer_iterations):
+                outer_step(streams, inst, topo, cfg, k, X, Z)
+        first, *last = (streams.diverged[r] for r in range(3))
+        assert (first.outer_iteration, first.inner_step) == (0, 0)
+        steps = {(e.outer_iteration, e.inner_step) for e in last}
+        assert len(steps) == 1 and steps != {(0, 0)}
+        assert exc.value is streams.diverged[1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_held_rows_stay_finite_through_a_long_epoch(self):
+        # at this step size a nonzero state grows about 349-fold per inner step
+        inst = scalar_quadratic()
+        topo = build_ring(3)
+        cfg = base_config(gamma=50.0, rho=3.0, tau=200, outer_iterations=1, monte_carlo_runs=2)
+        X = np.stack([np.zeros((3, 1)), np.ones((3, 1))])
+        Z = X[:, topo.src]
+        streams = init_states(inst, topo, cfg, range(2))
+        outer_step(streams, inst, topo, cfg, 0, X, Z)
+        assert list(streams.diverged) == [1]
+        assert np.array_equal(X, np.stack([np.zeros((3, 1)), np.ones((3, 1))]))

@@ -361,21 +361,6 @@ class TestDrawsWithoutReplacement:
                     rng.choice(inst.num_points(i), b, replace=False)
                 assert streams.streams[r * inst.num_agents + i].rng.bit_generator.state == rng.bit_generator.state
 
-    def test_retired_replicate_leaves_the_block(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 10**6)
-        inst = uneven_instance(self.sizes)
-        streams = make_streams(inst, replicates=3)
-        streams.pending = 12
-        before = np.stack([draw_batch(streams, 2, replacement=False) for _ in range(5)])
-        streams.retire(np.array([True, False, True]))
-        after = np.stack([draw_batch(streams, 2, replacement=False) for _ in range(7)])
-        assert after.shape == (7, 2, inst.num_agents, 2)
-        for row, r in enumerate([0, 2]):
-            for i in range(inst.num_agents):
-                expected = per_step_choices(inst, r, i, 2, 12)
-                assert np.array_equal(before[:, r, i], expected[:5])
-                assert np.array_equal(after[:, row, i], expected[5:])
-
     @pytest.mark.parametrize(
         "m, b, blocks",
         [(20000, 32, True), (20000, 33, False), (100, 32, True), (100, 33, False)],

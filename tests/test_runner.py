@@ -135,19 +135,19 @@ class TestParsing:
     def test_both_topology_forms_rejected(self):
         text = BASIC_INI.replace("ring = 4", "ring = 4\nn_agents = 3\nedges = 0-1, 1-2, 2-0")
         with pytest.raises(ConfigError, match="exactly one"):
-            parse_config(text)
+            resolve(parse_config(text))
 
     def test_empty_sweep_axis_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
-            parse_config(BASIC_INI + "\n[sweep]\ngamma =\n")
+            resolve(parse_config(BASIC_INI + "\n[sweep]\ngamma =\n"))
 
     def test_unknown_sweep_axis_rejected(self):
         with pytest.raises(ConfigError, match="unknown sweep axis"):
-            parse_config(BASIC_INI + "\n[sweep]\nwhatever = 1, 2\n")
+            resolve(parse_config(BASIC_INI + "\n[sweep]\nwhatever = 1, 2\n"))
 
     def test_bad_variant_rejected(self):
         with pytest.raises(ConfigError, match="algorithm"):
-            parse_config(BASIC_INI.replace("variant = lt_admm", "variant = bogus"))
+            resolve(parse_config(BASIC_INI.replace("variant = lt_admm", "variant = bogus")))
 
     def test_sweep_grid_product(self):
         cfg = parse_config(BASIC_INI + "\n[sweep]\ngamma = 0.1, 0.05\ntau = 2, 3\n")
@@ -503,6 +503,31 @@ class TestCli:
         assert cli.main(["run", str(ini), "--out", str(tmp_path / "out")]) == 2
         stderr = capsys.readouterr().err
         assert "config error" in stderr and "topology" in stderr
+
+    @pytest.mark.parametrize("command", ["run", "preset"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_rejected(self, tmp_path, capsys, command, workers):
+        target = str(tmp_path / "exp.ini") if command == "run" else "fig1"
+        (tmp_path / "exp.ini").write_text(BASIC_INI)
+        out = tmp_path / "out"
+        assert cli.main([command, target, "--out", str(out), "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_each_command_builds_the_problem_once(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counting_build_instance(spec):
+            calls.append(spec)
+            return build_instance(spec)
+
+        monkeypatch.setattr(runner, "build_instance", counting_build_instance)
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BASIC_INI.replace("ring = 4", "ring = 3"))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli.main([command, str(ini), *extra]) == 0
+        assert len(calls) == 1
 
     def test_certify_invalid_topology_exit_code(self, tmp_path):
         ini = tmp_path / "bad.ini"
