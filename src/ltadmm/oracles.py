@@ -2,20 +2,22 @@
 
 A grid point runs R Monte Carlo replicates of N agents, and each (replicate,
 agent) pair is one estimator stream: a random generator for its batch draws,
-its rows of the stored-gradient table and an evaluation tally.
+its slots of the stored-gradient table and an evaluation tally.
 :class:`Streams` holds all of them stacked, and every estimator moves all
-streams in one array step: it gathers the rows it needs as 1-D (agent,
-index) arrays, evaluates them in one ``component_gradients`` call and
-reduces them per stream; the streams of a diverged replicate keep drawing
-and counting with the rest.  Three estimators feed the local-training loop:
-the exact local gradient, a mini-batch average, and a variance-reduced
-estimator backed by the table.
+streams in one array step: one ``component_gradients`` call evaluates b
+components of every stream at its own point of the (R, N, n) stack (b = m_max
+for a refresh or an exact gradient), the results are reduced per stream, and
+a batch step reads and writes its table rows through one array of flat
+slots; the streams of a diverged replicate keep drawing and counting with
+the rest.  Three estimators feed the local-training loop: the exact local
+gradient, a mini-batch average, and a variance-reduced estimator backed by
+the table.
 
 The table keeps one gradient per data point plus their running sum, so the
 correction average is O(1) per step and a memory write never recomputes a
 gradient that the estimate just produced.  Agents may hold different numbers
-of points m_i: the table has m_max rows per stream, and rows past m_i stay
-zero and are never drawn.
+of points m_i: the table has m_max rows per stream, and rows past m_i are
+zeroed at each refresh and never drawn.
 
 Each stream draws its batches ahead, a block of steps in one ``integers``
 call, which yields the values of drawing step by step: with replacement the
@@ -92,10 +94,16 @@ class Streams:
     the run, with or without replacement; it sizes the blocks drawn ahead
     and never changes a value drawn.
 
+    The table gives each stream m_max consecutive slots: component h of
+    stream (r, i) sits at flat slot (r * N + i) * m_max + h of
+    ``table.reshape(-1, n)``, which a batch step gathers and scatters in
+    one index array.  :func:`saga_refresh` rebinds ``table`` and
+    ``table_sum`` to freshly computed arrays rather than writing into them.
+
     Attributes:
         tally: evaluations of every stream, shape (R, N).
-        table: stored component gradients, shape (R, N, m_max, n); None for
-            the estimators without a table.
+        table: stored component gradients, shape (R, N, m_max, n), C-ordered;
+            None for the estimators without a table.
         table_sum: column sums of ``table``, shape (R, N, n).
         diverged: stack position of each replicate that left the finite
             range, with the error that names where it did.
@@ -112,11 +120,13 @@ class Streams:
     _cursor: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = self.sizes
-        # every (agent, index) component in agent order, and where each agent's run starts
-        self._agents = np.repeat(np.arange(len(m)), m)
-        self._indices = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-        self._starts = np.cumsum(m) - m
+        streams, m_max = self.tally.size, int(self.sizes.max())
+        # each stream's first table slot, every index below m_max for each
+        # stream, and the padding places past each agent's m_i (None if none)
+        self._bases = (m_max * np.arange(streams)).reshape(self.tally.shape + (1,))
+        self._every = np.tile(np.arange(m_max), streams)
+        padding = np.arange(m_max) >= self.sizes[:, None]
+        self._padding = padding if padding.any() else None
 
     @classmethod
     def start(
@@ -229,21 +239,18 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
     return batch
 
 
-def _all_components(streams: Streams, instance: ProblemInstance, x: np.ndarray):
+def _every_component(streams: Streams, instance: ProblemInstance, x: np.ndarray):
     """Every component gradient of every stream at its row of ``x``.
 
-    Returns the rows, stream by stream in agent order, and each stream's
-    column sum, shape (R, N, n).  Charges m_i evaluations per stream.
+    Returns the rows, shape (R, N, m_max, n), with the padding rows past
+    each m_i set to zero, and each stream's column sum, shape (R, N, n).
+    Charges m_i evaluations per stream.
     """
-    R = len(x)
-    rows = component_gradients(
-        instance,
-        np.tile(streams._agents, R),
-        np.tile(streams._indices, R),
-        np.repeat(x.reshape(-1, x.shape[-1]), np.tile(streams.sizes, R), axis=0),
-    )
-    starts = (len(streams._agents) * np.arange(R)[:, None] + streams._starts).ravel()
-    sums = np.add.reduceat(rows, starts, axis=0).reshape(x.shape)
+    rows = component_gradients(instance, x, streams._every)
+    if streams._padding is not None:
+        rows[:, streams._padding] = 0.0
+    flat = rows.reshape(-1, x.shape[-1])
+    sums = np.add.reduceat(flat, streams._bases.ravel(), axis=0).reshape(x.shape)
     streams.charge(streams.sizes)
     return rows, sums
 
@@ -253,24 +260,19 @@ def exact_estimate(streams: Streams, instance: ProblemInstance, x: np.ndarray) -
 
     Charges m_i evaluations per stream.
     """
-    _, sums = _all_components(streams, instance, x)
+    _, sums = _every_component(streams, instance, x)
     return sums / streams.sizes[:, None]
 
 
 def _batch_rows(streams: Streams, instance: ProblemInstance, x: np.ndarray, batch: np.ndarray):
     """Component gradients of every stream's batch at its row of ``x``; charges b each."""
-    b = batch.shape[-1]
-    if b == 0:
+    if batch.shape[-1] == 0:
         raise ValueError("batch must be non-empty")
     if batch.min() < 0 or (batch >= streams.sizes[:, None]).any():
         raise ValueError("batch contains invalid component indices")
-    points = x.reshape(-1, x.shape[-1])
-    agents = np.broadcast_to(np.arange(x.shape[1])[:, None], batch.shape).ravel()
-    rows = component_gradients(
-        instance, agents, batch.ravel(), points if b == 1 else np.repeat(points, b, axis=0)
-    )
-    streams.charge(b)
-    return agents, rows.reshape(batch.shape + x.shape[-1:])
+    rows = component_gradients(instance, x, batch.ravel())
+    streams.charge(batch.shape[-1])
+    return rows
 
 
 def sgd_estimate(
@@ -281,20 +283,17 @@ def sgd_estimate(
     ``batch`` has shape (R, N, b); repeated indices count with multiplicity.
     Charges b evaluations per stream.
     """
-    _, rows = _batch_rows(streams, instance, x, batch)
+    rows = _batch_rows(streams, instance, x, batch)
     return rows[:, :, 0] if batch.shape[-1] == 1 else rows.mean(axis=2)
 
 
 def saga_refresh(streams: Streams, instance: ProblemInstance, anchor: np.ndarray) -> None:
     """Recompute every stream's stored gradients at its row of ``anchor``.
 
+    Rebinds ``streams.table`` and ``streams.table_sum`` to the new arrays.
     Charges m_i evaluations per stream.
     """
-    rows, sums = _all_components(streams, instance, anchor)
-    streams.table[:, streams._agents, streams._indices] = rows.reshape(
-        len(anchor), -1, anchor.shape[-1]
-    )
-    streams.table_sum[...] = sums
+    streams.table, streams.table_sum = _every_component(streams, instance, anchor)
 
 
 def saga_estimate_update(
@@ -308,10 +307,10 @@ def saga_estimate_update(
     recomputing, and the running sum moves by each distinct index's change
     once.  Total charge: b evaluations per stream.
     """
-    agents, fresh = _batch_rows(streams, instance, x, batch)
-    replicates = np.repeat(np.arange(len(x)), batch[0].size)
-    indices = batch.ravel()
-    stored = streams.table[replicates, agents, indices].reshape(fresh.shape)
+    fresh = _batch_rows(streams, instance, x, batch)
+    slots = (streams._bases + batch).ravel()
+    table = streams.table.reshape(-1, x.shape[-1])
+    stored = table[slots].reshape(fresh.shape)
     delta = fresh - stored
     average = streams.table_sum / streams.sizes[:, None]
     if batch.shape[-1] == 1:
@@ -326,5 +325,5 @@ def saga_estimate_update(
         first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
         change = np.take_along_axis(delta, order[..., None], axis=2) * first[..., None]
         streams.table_sum += change.sum(axis=2)
-    streams.table[replicates, agents, indices] = fresh.reshape(-1, x.shape[-1])
+    table[slots] = fresh.reshape(-1, x.shape[-1])
     return estimate

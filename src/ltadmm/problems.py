@@ -91,7 +91,7 @@ class ProblemInstance:
     def min_points(self) -> int:
         return int(self.sizes.min())
 
-    @property
+    @cached_property
     def max_points(self) -> int:
         return int(self.sizes.max())
 
@@ -182,27 +182,35 @@ def _check_finite(x: np.ndarray) -> None:
         raise ValueError("non-finite input point")
 
 
-def component_gradients(
-    instance: ProblemInstance, agents, indices: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Gradients of the components ``(agents[j], indices[j])`` at ``x[j]``.
+def component_gradients(instance: ProblemInstance, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Component gradients of every stream at its own point.
 
-    ``agents`` is one agent or a 1-D array of agents paired with
-    ``indices``; ``x`` is one point of shape (n,) or one row per index.
-    Returns an array of shape (len(indices), n); repeated indices yield
-    repeated rows.
+    ``x`` stacks one point per stream, shape (..., N, n): row i of each
+    stack belongs to agent i.  ``indices`` lists b component indices per
+    stream, stream-major and flat, so it has ``b * x[..., 0].size`` entries
+    and each must lie below m_max.  Returns shape (..., N, b, n): entry
+    (..., i, j) is the gradient of agent i's component ``indices`` names at
+    that place, at agent i's point; repeated indices yield repeated rows.
+
+    An index in [m_i, m_max) names a zero padding row of agent i: its
+    gradient is 0 for least squares and the regularizer gradient for the
+    logistic family.  Evaluating every index below m_max, as a table refresh
+    does, therefore computes m_max rows per stream even where m_i < m_max.
     """
     features, labels = instance.padded
-    position = np.asarray(agents) * instance.max_points + indices
+    N = instance.num_agents
+    position = indices.reshape(x.shape[:-1] + (-1,)) + instance.max_points * np.arange(N)[:, None]
     feats = features.take(position, axis=0)
     labs = labels.take(position)
-    margins = np.einsum("...j,...j->...", feats, x)
+    margins = np.einsum("...j,...j->...", feats, x[..., None, :])
     if instance.kind == LOGISTIC_NONCONVEX:
-        s = _logistic(-labs * margins)
-        rows = (-labs * s)[:, None] * feats
-        rows += instance.epsilon * _regularizer_gradient(x)
-        return rows
-    return (margins - labs)[:, None] * feats
+        weights = -labs * _logistic(-labs * margins)
+    else:
+        weights = margins - labs
+    feats *= weights[..., None]  # the gathered copy becomes the rows
+    if instance.kind == LOGISTIC_NONCONVEX:
+        feats += (instance.epsilon * _regularizer_gradient(x))[..., None, :]
+    return feats
 
 
 def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ltadmm.graph import Topology, build_from_edges, build_ring, spectral_quantities
+from ltadmm.problems import component_gradients
 from ltadmm.stepsize import BoundContext, build_v_hat_inverse_norm
 
 
@@ -18,6 +19,17 @@ def random_connected_topology(rng: np.random.Generator, n: int, extra_edge_prob:
             if (i, j) not in edges and rng.random() < extra_edge_prob:
                 edges.add((i, j))
     return build_from_edges(n, sorted(edges))
+
+
+def agent_components(instance, agent: int, indices, x: np.ndarray) -> np.ndarray:
+    """Gradients of agent ``agent``'s components ``indices`` at the point ``x``, shape (b, n).
+
+    Evaluates the same components of every agent at ``x`` through the
+    stacked kernel and keeps agent ``agent``'s rows.
+    """
+    indices = np.asarray(indices)
+    points = np.broadcast_to(x, (instance.num_agents, len(x)))
+    return component_gradients(instance, points, np.tile(indices, instance.num_agents))[agent]
 
 
 def random_bound_context(rng: np.random.Generator) -> BoundContext:

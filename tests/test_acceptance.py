@@ -27,14 +27,13 @@ from ltadmm.oracles import (
 )
 from ltadmm.problems import (
     LEAST_SQUARES,
-    component_gradients,
     generate_classification,
     local_full_gradient,
 )
 from ltadmm.runner import preset_fig2, run_experiment, stopping_time
 from ltadmm.stepsize import build_v_hat_inverse_norm, evaluate_bounds
 
-from conftest import random_bound_context, random_connected_topology
+from conftest import agent_components, random_bound_context, random_connected_topology
 from matrix_form import build_structure, compact_init, compact_step
 
 
@@ -121,7 +120,7 @@ def test_criterion_3_estimator_unbiasedness():
             ) / m
             for h in range(m):
                 stale_point = rng.normal(size=3, scale=3.0)
-                streams.table[0, 0, h] = component_gradients(inst, 0, np.array([h]), stale_point)[0]
+                streams.table[0, 0, h] = agent_components(inst, 0, np.array([h]), stale_point)[0]
             streams.table_sum[0, 0] = streams.table[0, 0].sum(axis=0)
             saga_mean = sum(
                 saga_estimate_update(copy.deepcopy(streams), inst, at_x, np.array([[[h]]]))[0, 0]

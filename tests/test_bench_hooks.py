@@ -32,31 +32,42 @@ def test_tracer_target_resolves(target):
     assert callable(getattr(importlib.import_module(module_name), attr))
 
 
+# replicate stacking, and batches drawn without and with replacement
+SAMPLINGS = (
+    {"monte_carlo_runs": 2},
+    {"batch_size": 2, "batch_replacement": False},
+    {"batch_size": 3, "batch_replacement": True},
+)
+
+
 def test_traced_run_charges_one_evaluation_per_row(tmp_path):
     tracer_module = load_tracer()
-    cfg = ExperimentConfig(
-        name="traced",
-        topology={"ring": 4},
-        problem={
-            "kind": "logistic_nonconvex",
-            "seed": 3,
-            "n_agents": 4,
-            "dimension": 2,
-            "points_per_agent": 6,
-        },
-        algorithm={
-            "variant": "exact",
-            "gamma": 0.05,
-            "rho": 1.0,
-            "tau": 3,
-            "outer_iterations": 2,
-        },
-        sweep={"variant": ["lt_admm_vr", "exact"]},
-    )
-    started = time.perf_counter()
-    with tracer_module.Tracer() as tracer:
-        run_experiment(cfg, out_dir=tmp_path)
-    metrics = tracer_module.layer_metrics(tracer, time.perf_counter() - started)
-    assert metrics["oracles.charged_per_row"] == 1.0
-    for variant in ("lt_admm_vr", "exact"):
-        assert metrics[f"algorithms.local_training_epoch.{variant}.calls"] > 0
+    variants = ["exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2"]
+    for case, sampling in enumerate(SAMPLINGS):
+        cfg = ExperimentConfig(
+            name="traced",
+            topology={"ring": 4},
+            problem={
+                "kind": "logistic_nonconvex",
+                "seed": 3,
+                "n_agents": 4,
+                "dimension": 2,
+                "points_per_agent": 6,
+            },
+            algorithm={
+                "variant": "exact",
+                "gamma": 0.05,
+                "rho": 1.0,
+                "tau": 3,
+                "outer_iterations": 2,
+                **sampling,
+            },
+            sweep={"variant": variants},
+        )
+        started = time.perf_counter()
+        with tracer_module.Tracer() as tracer:
+            run_experiment(cfg, out_dir=tmp_path / str(case))
+        metrics = tracer_module.layer_metrics(tracer, time.perf_counter() - started)
+        assert metrics["oracles.charged_per_row"] == 1.0, sampling
+        for variant in variants:
+            assert metrics[f"algorithms.local_training_epoch.{variant}.calls"] > 0

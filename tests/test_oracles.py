@@ -7,16 +7,21 @@ from ltadmm import oracles
 from ltadmm.oracles import (
     Streams,
     draw_batch,
+    exact_estimate,
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
 )
 from ltadmm.problems import (
+    LEAST_SQUARES,
+    LOGISTIC_NONCONVEX,
     ProblemInstance,
-    component_gradients,
     generate_classification,
     local_full_gradient,
+    local_gradients,
 )
+
+from conftest import agent_components
 
 
 def make_streams(instance, replicates=1, table=True):
@@ -53,7 +58,7 @@ def split_estimate(streams, instance, x, batch):
         for i in range(x.shape[1]):
             h = batch[r, i]
             streams.tally[r, i] += len(h)
-            fresh = component_gradients(instance, i, h, x[r, i])
+            fresh = agent_components(instance, i, h, x[r, i])
             correction = (fresh - streams.table[r, i, h]).mean(axis=0)
             estimates[r, i] = correction + streams.table_sum[r, i] / instance.num_points(i)
     return estimates
@@ -64,7 +69,7 @@ def split_update_memory(streams, instance, new_x, batch):
     for r in range(new_x.shape[0]):
         for i in range(new_x.shape[1]):
             unique = np.unique(batch[r, i])
-            fresh = component_gradients(instance, i, unique, new_x[r, i])
+            fresh = agent_components(instance, i, unique, new_x[r, i])
             streams.tally[r, i] += len(unique)
             streams.table_sum[r, i] += (fresh - streams.table[r, i, unique]).sum(axis=0)
             streams.table[r, i, unique] = fresh
@@ -82,7 +87,7 @@ def stale_streams(instance, rng, replicates=1):
         for i in range(instance.num_agents):
             for h in range(instance.num_points(i)):
                 point = rng.normal(size=instance.dimension)
-                streams.table[r, i, h] = component_gradients(instance, i, np.array([h]), point)[0]
+                streams.table[r, i, h] = agent_components(instance, i, np.array([h]), point)[0]
     streams.table_sum[:] = streams.table.sum(axis=2)
     return streams
 
@@ -111,7 +116,7 @@ class TestSgdEstimate:
         x = at(instance, np.full(instance.dimension, 0.5))
         g = sgd_estimate(streams, instance, x, batch_of(instance, [1, 1, 3]))
         for i in range(instance.num_agents):
-            rows = component_gradients(instance, i, np.array([1, 3]), x[0, i])
+            rows = agent_components(instance, i, np.array([1, 3]), x[0, i])
             expected = (2.0 * rows[0] + rows[1]) / 3.0
             assert np.allclose(g[0, i], expected, atol=1e-15)
         assert (streams.tally == 3).all()
@@ -311,13 +316,66 @@ class TestBatchDrawing:
         assert (steps < np.array(sizes)[:, None]).all()
 
 
-def uneven_instance(sizes):
+def uneven_instance(sizes, kind=LEAST_SQUARES):
     rng = np.random.default_rng(0)
     return ProblemInstance(
-        kind="least_squares",
+        kind=kind,
         features=tuple(rng.normal(size=(m, 2)) for m in sizes),
         labels=tuple(np.ones(m) for m in sizes),
+        epsilon=0.01 if kind == LOGISTIC_NONCONVEX else 0.0,
     )
+
+
+@pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+class TestUnevenTable:
+    """Two replicates of agents holding 3, 7 and 5 points: m_max = 7."""
+
+    sizes = (3, 7, 5)
+
+    def stale_streams(self, instance):
+        """Streams whose every table row, padding too, holds a stale random value."""
+        streams = make_streams(instance, replicates=2)
+        streams.table[:] = np.random.default_rng(4).normal(size=streams.table.shape)
+        streams.table_sum[:] = streams.table.sum(axis=2)
+        return streams
+
+    def test_refresh_zeroes_padding_and_sums_valid_rows(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        streams = self.stale_streams(inst)
+        x = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
+        saga_refresh(streams, inst, x)
+        for r in range(2):
+            for i, m in enumerate(self.sizes):
+                valid = streams.table[r, i, :m]
+                assert np.array_equal(valid, agent_components(inst, i, np.arange(m), x[r, i]))
+                assert (streams.table[r, i, m:] == 0.0).all()
+                scale = np.abs(valid).sum(axis=0).max()
+                assert np.max(np.abs(streams.table_sum[r, i] - valid.sum(axis=0))) <= 1e-15 * scale
+        assert (streams.tally == self.sizes).all()
+
+    def test_exact_estimate_matches_local_gradients(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        streams = make_streams(inst, replicates=2, table=False)
+        x = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
+        g = exact_estimate(streams, inst, x)
+        assert np.max(np.abs(g - local_gradients(inst, x))) <= 1e-13
+        assert (streams.tally == self.sizes).all()
+
+    def test_batch_step_reads_and_writes_its_own_slots(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        fused = self.stale_streams(inst)
+        saga_refresh(fused, inst, rng.normal(size=(2, inst.num_agents, inst.dimension)))
+        split = copy.deepcopy(fused)
+        batch = draw_batch(make_streams(inst, replicates=2), 3)
+        x = rng.normal(size=(2, inst.num_agents, inst.dimension))
+
+        g_fused = saga_estimate_update(fused, inst, x, batch)
+        g_split = split_estimate(split, inst, x, batch)
+        split_update_memory(split, inst, x, batch)
+
+        assert np.max(np.abs(g_fused - g_split)) <= 1e-15
+        assert np.max(np.abs(fused.table - split.table)) <= 1e-15
+        assert np.max(np.abs(fused.table_sum - split.table_sum)) <= 1e-12
 
 
 def per_step_choices(instance, replicate, agent, b, steps):

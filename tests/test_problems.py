@@ -18,6 +18,8 @@ from ltadmm.problems import (
     smoothness_constant,
 )
 
+from conftest import agent_components
+
 
 def make_instance(seed=1, n_agents=3, dimension=4, m=7, kind=LOGISTIC_NONCONVEX, epsilon=0.01):
     return generate_classification(seed, n_agents, dimension, m, kind=kind, epsilon=epsilon)
@@ -111,7 +113,7 @@ class TestGradients:
             epsilon=0.01,
         )
         # zero features kill the logistic part; regularizer gradient is odd
-        g = component_gradients(inst, 0, np.array([0]), np.zeros(3))[0]
+        g = agent_components(inst, 0, np.array([0]), np.zeros(3))[0]
         assert np.array_equal(g, np.zeros(3))
 
     def test_regularizer_gradient_value(self):
@@ -121,7 +123,7 @@ class TestGradients:
             labels=(np.ones(1),),
             epsilon=0.01,
         )
-        g = component_gradients(inst, 0, np.array([0]), np.array([1.0, 0.0]))[0]
+        g = agent_components(inst, 0, np.array([0]), np.array([1.0, 0.0]))[0]
         # analytic slope of eps * u^2/(1+u^2) at u=1 is 2*eps/4
         assert g[0] == pytest.approx(0.005, abs=1e-15)
         assert g[1] == 0.0
@@ -133,7 +135,7 @@ class TestGradients:
             agent = int(rng.integers(0, inst.num_agents))
             index = int(rng.integers(0, inst.num_points(agent)))
             x = rng.normal(size=inst.dimension)
-            g = component_gradients(inst, agent, np.array([index]), x)[0]
+            g = agent_components(inst, agent, np.array([index]), x)[0]
             fd = finite_difference_gradient(lambda v: component_loss(inst, agent, index, v), x)
             assert np.max(np.abs(g - fd)) <= 1e-6
 
@@ -155,19 +157,19 @@ class TestGradients:
     def test_full_gradient_single_point(self):
         inst = make_instance(m=1)
         x = np.linspace(-1, 1, inst.dimension)
-        assert np.allclose(local_full_gradient(inst, 0, x), component_gradients(inst, 0, np.array([0]), x)[0], atol=1e-16)
+        assert np.allclose(local_full_gradient(inst, 0, x), agent_components(inst, 0, np.array([0]), x)[0], atol=1e-16)
 
     def test_full_gradient_is_component_mean(self, rng):
         inst = make_instance(m=100)
         x = rng.normal(size=inst.dimension)
-        mean = sum(component_gradients(inst, 0, np.array([h]), x)[0] for h in range(100)) / 100.0
+        mean = sum(agent_components(inst, 0, np.array([h]), x)[0] for h in range(100)) / 100.0
         assert np.max(np.abs(local_full_gradient(inst, 0, x) - mean)) <= 1e-14
 
     def test_duplicated_component_mean_idempotent(self):
         inst = make_instance(m=3)
         x = np.full(inst.dimension, 0.3)
-        rows = component_gradients(inst, 1, np.array([2, 2]), x)
-        assert np.allclose(rows.mean(axis=0), component_gradients(inst, 1, np.array([2]), x)[0], atol=1e-16)
+        rows = agent_components(inst, 1, np.array([2, 2]), x)
+        assert np.allclose(rows.mean(axis=0), agent_components(inst, 1, np.array([2]), x)[0], atol=1e-16)
 
 
 def uneven_instance(kind, sizes=(1, 4, 9, 2), dimension=3, seed=8):
@@ -179,6 +181,46 @@ def uneven_instance(kind, sizes=(1, 4, 9, 2), dimension=3, seed=8):
         labels=tuple(rng.choice([-1.0, 1.0], size=m) for m in sizes),
         epsilon=0.01 if kind == LOGISTIC_NONCONVEX else 0.0,
     )
+
+
+class TestStackedComponentKernel:
+    """``component_gradients`` on an (R, N, n) stack with b indices per stream."""
+
+    sizes = (3, 7, 5)
+
+    def stacked_indices(self, rng, b):
+        """b valid indices per stream of two replicates; the last repeats the first."""
+        indices = np.moveaxis(rng.integers(0, self.sizes, size=(b, 2, len(self.sizes))), 0, -1)
+        indices[..., -1] = indices[..., 0]
+        return indices
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    @pytest.mark.parametrize("b", [1, 2, 4])
+    def test_each_row_equals_its_component_alone(self, kind, b, rng):
+        inst = uneven_instance(kind, sizes=self.sizes)
+        x = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
+        indices = self.stacked_indices(rng, b)
+        rows = component_gradients(inst, x, indices.ravel())
+        assert rows.shape == (2, inst.num_agents, b, inst.dimension)
+        for r in range(2):
+            for i in range(inst.num_agents):
+                for j, h in enumerate(indices[r, i]):
+                    # a b = 1 stack whose every stream names component h
+                    alone = component_gradients(inst, x[r], np.full(inst.num_agents, h))[i, 0]
+                    assert np.array_equal(rows[r, i, j], alone)
+                    fd = finite_difference_gradient(lambda v: component_loss(inst, i, h, v), x[r, i])
+                    assert np.max(np.abs(rows[r, i, j] - fd)) <= 1e-6
+        assert np.array_equal(rows[..., 0, :], rows[..., -1, :])
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_padding_index_yields_the_regularizer_gradient(self, kind, rng):
+        # index 6 lies past the m_i of agents 0 and 2: a zero padding row
+        inst = uneven_instance(kind, sizes=self.sizes)
+        x = rng.normal(size=(inst.num_agents, inst.dimension))
+        rows = component_gradients(inst, x, np.full(inst.num_agents, 6))[:, 0]
+        expected = 2.0 * inst.epsilon * x / (1.0 + x * x) ** 2  # epsilon is 0 for least squares
+        for i in (0, 2):
+            assert np.allclose(rows[i], expected[i], rtol=1e-14, atol=0.0)
 
 
 class TestLocalGradients:
@@ -241,7 +283,7 @@ class TestLogistic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for sign in (1.0, -1.0):
-                rows = component_gradients(inst, 0, np.arange(inst.num_points(0)), sign * x)
+                rows = agent_components(inst, 0, np.arange(inst.num_points(0)), sign * x)
                 g = local_full_gradient(inst, 0, sign * x)
         assert np.all(np.isfinite(rows)) and np.all(np.isfinite(g))
 
