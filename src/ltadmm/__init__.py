@@ -26,7 +26,6 @@ from .problems import (  # noqa: F401
     SmoothnessEstimate,
     generate_classification,
     global_gradient_norm_sq,
-    local_full_gradient,
     smoothness_constant,
 )
 from .stepsize import BoundContext, BoundReport, certified_run_check  # noqa: F401

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import metrics
 from .graph import Topology
-from .metrics import CostModel, ReplicateTrace, Trace
+from .metrics import CostModel, Replicates, Trace
 from .oracles import (
     Streams,
     draw_batch,
@@ -83,7 +83,6 @@ __all__ = [
 ]
 
 VARIANTS = ("exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2")
-_VR_VARIANTS = ("lt_admm_vr", "lt_admm_vr_v2")
 
 DIVERGENCE_NORM = 1e12
 
@@ -186,9 +185,7 @@ def init_states(
         ]
         for r in replicates
     ]
-    return Streams.start(
-        instance, rngs, config.variant in _VR_VARIANTS, _batch_draws(config)
-    )
+    return Streams.start(instance, rngs, _batch_draws(config))
 
 
 def _estimate(
@@ -325,31 +322,26 @@ def outer_step(
     return _measure(instance, X, Z, degrees, config.rho)
 
 
-def _inner_average_gradients(instance: ProblemInstance, phis: np.ndarray) -> np.ndarray:
-    """Across-agent averages of the true local gradients at stacked inner iterates.
-
-    ``phis`` has shape (..., N, n); the result drops the agent axis.
-    """
-    return local_gradients(instance, phis).mean(axis=-2)
-
-
 def simulate_replicates(
     instance: ProblemInstance,
     topology: Topology,
     config: RunConfig,
     replicates: Iterable[int],
-) -> list[ReplicateTrace]:
+) -> Replicates:
     """Run the given replicates for the configured iteration budget, stacked.
 
-    All replicates move together, one array step per inner iteration.  Each
-    replicate's trajectory is that of running it alone: its initial iterates
-    and its streams are seeded by its own index.  The metric arrays start
-    with the initial state at k = 0.  A replicate that diverges is held at
-    the state it started the diverging iteration from: its arrays stop
-    there and it is marked, while the others run on.  The epoch gradient
-    metric, when enabled, is stored at the index of the state the epoch
-    started from (its true gradients are measurement overhead and never hit
-    the counters).
+    All replicates move together, one array step per inner iteration, and
+    column r of every returned metric belongs to the r-th of
+    ``replicates``.  Each replicate's trajectory is that of running it
+    alone: its initial iterates and its streams are seeded by its own index.
+    Row 0 holds the initial state.  A replicate that diverges is held at the
+    state it started the diverging iteration from: its column is blanked
+    after that state and it is marked, while the others run on.  The epoch
+    gradient metric, when enabled, is stored at the row of the state the
+    epoch started from (its true gradients are measurement overhead and
+    never hit the counters).  Once every replicate has diverged the run
+    stops: no column has rows past that state, and ``component_evals``
+    stays 0 there.
     """
     replicates = [int(r) for r in replicates]
     R, K = len(replicates), config.outer_iterations
@@ -362,7 +354,7 @@ def simulate_replicates(
     measured = [np.full((K + 1, R), np.nan) for _ in StateMetrics._fields]
     for column, values in zip(measured, _measure(instance, X, Z, degrees, config.rho)):
         column[0] = values
-    evals = np.zeros((K + 1, R), dtype=np.int64)
+    evals = np.zeros(K + 1, dtype=np.int64)
     d_k = np.full((K + 1, R), np.nan)
 
     for k in range(config.outer_iterations):
@@ -375,31 +367,27 @@ def simulate_replicates(
         for column, values in zip(measured, step):
             column[k + 1] = values
         # the synchronous round waits for the slowest agent
-        evals[k + 1] = evals[k] + (streams.tally - tally).max(axis=1)
+        evals[k + 1] = evals[k] + (streams.tally - tally).max()
         if config.record_dk:
-            inner = _inner_average_gradients(instance, np.stack([phi for phi, _ in log]))
+            inner = local_gradients(instance, np.stack([phi for phi, _ in log])).mean(axis=-2)
             d_k[k] = metrics.compute_dk(measured[0][k], inner, config.tau)
 
-    traces = []
-    for r, replicate in enumerate(replicates):
-        error = streams.diverged.get(r)
-        stop = K + 1 if error is None else error.outer_iteration + 1
-        d_k[stop - 1, r] = np.nan  # no epoch starts from a trace's last state
-        grad_norm_sq, consensus_err, residual = (column[:stop, r] for column in measured)
-        traces.append(
-            ReplicateTrace(
-                replicate=replicate,
-                status="completed" if error is None else "diverged",
-                grad_norm_sq=grad_norm_sq,
-                consensus_err=consensus_err,
-                conservation_residual=residual,
-                component_evals=evals[:stop, r],
-                comms=topology.num_directed_edges * np.arange(stop),
-                d_k=d_k[:stop, r],
-                diverged_at=None if error is None else error.outer_iteration,
-            )
-        )
-    return traces
+    diverged_at: list[int | None] = [None] * R
+    for r, error in streams.diverged.items():
+        last = diverged_at[r] = error.outer_iteration
+        for column in measured:
+            column[last + 1 :, r] = np.nan
+        d_k[last:, r] = np.nan  # no epoch starts from a held state
+    grad_norm_sq, consensus_err, residual = measured
+    return Replicates(
+        grad_norm_sq=grad_norm_sq,
+        consensus_err=consensus_err,
+        conservation_residual=residual,
+        d_k=d_k,
+        component_evals=evals,
+        comms=topology.num_directed_edges * np.arange(K + 1),
+        diverged_at=diverged_at,
+    )
 
 
 def simulate_replicate(
@@ -407,9 +395,9 @@ def simulate_replicate(
     topology: Topology,
     config: RunConfig,
     replicate: int,
-) -> ReplicateTrace:
-    """Run one replicate alone; the same trace as its row of a stacked run."""
-    return simulate_replicates(instance, topology, config, [replicate])[0]
+) -> Replicates:
+    """Run one replicate alone; the same metrics as its column of a stacked run."""
+    return simulate_replicates(instance, topology, config, [replicate])
 
 
 def run(instance: ProblemInstance, topology: Topology, config: RunConfig) -> Trace:

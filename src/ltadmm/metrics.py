@@ -1,9 +1,10 @@
-"""Convergence metrics, per-replicate and aggregated traces, and the abstract cost model.
+"""Convergence metrics, stacked and aggregated traces, and the abstract cost model.
 
-A replicate's trace holds one array per metric; entry k is the state after k
-outer iterations.  Aggregation stacks the surviving replicates of a metric
-into a (K+1, R) array and reduces it along the replicate axis, and the
-aggregated trace is a dict of the CSV columns, in CSV order.
+A run's replicates come as one stacked record, :class:`Replicates`: each
+metric is one (K+1, R) array, row k the state after k outer iterations and
+column r replicate r.  Aggregation reduces the columns of the surviving
+replicates along the replicate axis, and the aggregated trace is a dict of
+the CSV columns, in CSV order.
 
 Time is measured in abstract units: ``t_g`` per component-gradient
 evaluation and ``t_c`` per synchronous communication round.  Each solver
@@ -29,7 +30,7 @@ if TYPE_CHECKING:
     from .algorithms import RunConfig
 
 __all__ = [
-    "ReplicateTrace",
+    "Replicates",
     "Trace",
     "CostModel",
     "compute_dk",
@@ -43,41 +44,43 @@ __all__ = [
 
 
 @dataclass
-class ReplicateTrace:
-    """Per-iteration metrics of one Monte Carlo replicate, one array each.
+class Replicates:
+    """Per-iteration metrics of a stack of R Monte Carlo replicates.
 
-    Entry k of every array is the state after k outer iterations; a diverged
-    replicate's arrays stop at the last state it reached.  ``d_k[k]`` is the
-    gradient metric of the local-training epoch *starting* at state k
-    (squared mean-iterate gradient plus the averaged squared inner-average
-    gradients); it is NaN for the final state or when its recording is
-    disabled.  Counters are cumulative; ``component_evals`` is the slowest
+    Row k of every metric array is the state after k outer iterations and
+    column r is replicate r of the stack, shape (K+1, R).  A replicate that
+    diverged in outer iteration e (``diverged_at[r] == e``; None for a
+    survivor) keeps the state it reached there: its column is NaN after row
+    e.  ``d_k[k]`` is the gradient metric of the local-training epoch
+    *starting* at state k (squared mean-iterate gradient plus the averaged
+    squared inner-average gradients); it is NaN for the final state, for a
+    diverged replicate from row e on, and everywhere when its recording is
+    disabled.  The counters are cumulative and the same for every
+    replicate, one (K+1,) vector each; ``component_evals`` is the slowest
     agent's tally.  Model time is not a replicate metric: it depends on the
     cost constants only, and :func:`with_model_time` adds it to the
     aggregated trace.
     """
 
-    replicate: int
-    status: str  # "completed" or "diverged"
     grad_norm_sq: np.ndarray
     consensus_err: np.ndarray
     conservation_residual: np.ndarray
+    d_k: np.ndarray
     component_evals: np.ndarray
     comms: np.ndarray
-    d_k: np.ndarray
-    diverged_at: int | None = None
+    diverged_at: list[int | None]
 
 
 @dataclass
 class Trace:
-    """Aggregated result of a Monte Carlo batch plus the raw replicates.
+    """Aggregated result of a Monte Carlo batch plus its stacked replicates.
 
     ``columns`` maps each CSV column name to its array, in CSV order;
     ``d_k_mean`` is present only when the epoch metric was recorded.
     """
 
     columns: dict[str, np.ndarray]
-    replicates: list[ReplicateTrace]
+    replicates: Replicates
     num_diverged: int
 
 
@@ -170,38 +173,38 @@ def reference_charges(model: CostModel, tau: int, m_i_max: int) -> dict[str, flo
     }
 
 
-def aggregate_replicates(replicates: list[ReplicateTrace], record_dk: bool) -> Trace:
-    """Average the surviving replicates' metrics index by index.
+def aggregate_replicates(replicates: Replicates, record_dk: bool) -> Trace:
+    """Average the surviving replicates' metrics row by row.
 
-    Each metric is stacked into a (K+1, R) array and reduced along its last
-    axis, so every row is summed in the order of a 1-D mean over the
-    replicates.  Counters are the same in every replicate.  Diverged
-    replicates are excluded from the averages but kept in the trace; if every
-    replicate diverged every column is empty.  The columns hold no
-    ``model_time``; :func:`with_model_time` adds it.
+    Each metric's survivor columns are taken as one C-ordered (K+1, S)
+    array and reduced along its last axis, so every row is summed in the
+    order of a 1-D mean over the survivors.  Diverged replicates are
+    excluded from the averages but kept in the trace; if every replicate
+    diverged every column is empty.  The columns hold no ``model_time``;
+    :func:`with_model_time` adds it.
     """
-    survivors = [r for r in replicates if r.status == "completed"]
+    survivors = [r for r, at in enumerate(replicates.diverged_at) if at is None]
+    rows = len(replicates.comms) if survivors else 0
 
-    def stacked(name: str) -> np.ndarray:
+    def reduce(statistic, column: np.ndarray) -> np.ndarray:
         if not survivors:
-            return np.empty((0, 1))  # no rows; column 0 stands in for a replicate
-        return np.stack([getattr(r, name) for r in survivors], axis=1)
+            return np.empty(0)  # reducing no replicates would warn
+        return statistic(column.take(survivors, axis=1), axis=1)
 
-    grads = stacked("grad_norm_sq")
     columns = {
-        "k": np.arange(len(grads)),
-        "grad_norm_sq_mean": grads.mean(axis=1),
-        "grad_norm_sq_std": grads.std(axis=1),
+        "k": np.arange(rows),
+        "grad_norm_sq_mean": reduce(np.mean, replicates.grad_norm_sq),
+        "grad_norm_sq_std": reduce(np.std, replicates.grad_norm_sq),
     }
     if record_dk:
-        columns["d_k_mean"] = stacked("d_k").mean(axis=1)
-    columns["consensus_err_mean"] = stacked("consensus_err").mean(axis=1)
-    columns["component_evals"] = stacked("component_evals")[:, 0]
-    columns["comms"] = stacked("comms")[:, 0]
+        columns["d_k_mean"] = reduce(np.mean, replicates.d_k)
+    columns["consensus_err_mean"] = reduce(np.mean, replicates.consensus_err)
+    columns["component_evals"] = replicates.component_evals[:rows]
+    columns["comms"] = replicates.comms[:rows]
     return Trace(
         columns=columns,
         replicates=replicates,
-        num_diverged=len(replicates) - len(survivors),
+        num_diverged=len(replicates.diverged_at) - len(survivors),
     )
 
 

@@ -97,13 +97,13 @@ class Streams:
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
     ``table.reshape(-1, n)``, which a batch step gathers and scatters in
-    one index array.  :func:`saga_refresh` rebinds ``table`` and
+    one index array.  :func:`saga_refresh` binds ``table`` and
     ``table_sum`` to freshly computed arrays rather than writing into them.
 
     Attributes:
         tally: evaluations of every stream, shape (R, N).
         table: stored component gradients, shape (R, N, m_max, n), C-ordered;
-            None for the estimators without a table.
+            None until the first refresh.
         table_sum: column sums of ``table``, shape (R, N, n).
         diverged: stack position of each replicate that left the finite
             range, with the error that names where it did.
@@ -112,9 +112,9 @@ class Streams:
     streams: list[Stream]
     sizes: np.ndarray
     tally: np.ndarray
-    table: np.ndarray | None
-    table_sum: np.ndarray | None
     pending: int
+    table: np.ndarray | None = None
+    table_sum: np.ndarray | None = None
     diverged: dict[int, Exception] = field(default_factory=dict)
     _block: np.ndarray | None = field(default=None, init=False, repr=False)
     _cursor: int = field(default=0, init=False, repr=False)
@@ -133,23 +133,20 @@ class Streams:
         cls,
         instance: ProblemInstance,
         rngs: list[list[np.random.Generator]],
-        with_table: bool,
         pending: int,
     ) -> "Streams":
-        """Fresh streams from one generator per (replicate, agent): ``rngs[r][i]``."""
+        """Fresh streams from one generator per (replicate, agent): ``rngs[r][i]``.
+
+        They hold no table; :func:`saga_refresh` creates it.
+        """
         sizes = instance.sizes
-        shape = (len(rngs), len(sizes))
-        tally = np.zeros(shape, dtype=np.int64)
+        tally = np.zeros((len(rngs), len(sizes)), dtype=np.int64)
         streams = [
             Stream(rng, int(sizes[i]), EvalCounter(tally, r, i))
             for r, row in enumerate(rngs)
             for i, rng in enumerate(row)
         ]
-        table = table_sum = None
-        if with_table:
-            table = np.zeros(shape + (instance.max_points, instance.dimension))
-            table_sum = np.zeros(shape + (instance.dimension,))
-        return cls(streams, sizes, tally, table, table_sum, pending)
+        return cls(streams, sizes, tally, pending)
 
     def __iter__(self):
         return iter(self.streams)

@@ -177,6 +177,13 @@ def _regularizer_gradient(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _loss_weights(instance: ProblemInstance, margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Derivative of each component's data loss in its margin ``a . x``."""
+    if instance.kind == LOGISTIC_NONCONVEX:
+        return -labels * _logistic(-labels * margins)
+    return margins - labels
+
+
 def _check_finite(x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input point")
@@ -203,11 +210,7 @@ def component_gradients(instance: ProblemInstance, x: np.ndarray, indices: np.nd
     feats = features.take(position, axis=0)
     labs = labels.take(position)
     margins = np.einsum("...j,...j->...", feats, x[..., None, :])
-    if instance.kind == LOGISTIC_NONCONVEX:
-        weights = -labs * _logistic(-labs * margins)
-    else:
-        weights = margins - labs
-    feats *= weights[..., None]  # the gathered copy becomes the rows
+    feats *= _loss_weights(instance, margins, labs)[..., None]  # the gathered copy becomes the rows
     if instance.kind == LOGISTIC_NONCONVEX:
         feats += (instance.epsilon * _regularizer_gradient(x))[..., None, :]
     return feats
@@ -223,13 +226,10 @@ def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) ->
     _check_finite(x)
     feats = instance.features[agent]
     labs = instance.labels[agent]
-    margins = x @ feats.T
-    m = feats.shape[0]
+    g = _loss_weights(instance, x @ feats.T, labs) @ feats / feats.shape[0]
     if instance.kind == LOGISTIC_NONCONVEX:
-        s = _logistic(-labs * margins)
-        g = (-labs * s) @ feats / m
-        return g + instance.epsilon * _regularizer_gradient(x)
-    return (margins - labs) @ feats / m
+        g += instance.epsilon * _regularizer_gradient(x)
+    return g
 
 
 def local_gradients(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
@@ -248,11 +248,7 @@ def local_gradients(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
     labs = labels.reshape(N, 1, -1)
     points = np.moveaxis(x, -2, 0).reshape(N, -1, n)
     margins = points @ feats.transpose(0, 2, 1)  # (N, P, m_max)
-    if instance.kind == LOGISTIC_NONCONVEX:
-        weights = -labs * _logistic(-labs * margins)
-    else:
-        weights = margins - labs
-    g = weights @ feats
+    g = _loss_weights(instance, margins, labs) @ feats
     g /= instance.sizes[:, None, None]
     g = np.moveaxis(g.reshape((N,) + x.shape[:-2] + (n,)), 0, -2)
     if instance.kind == LOGISTIC_NONCONVEX:

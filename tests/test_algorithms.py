@@ -188,7 +188,7 @@ class TestOuterStep:
         inst = generate_classification(5, 6, 3, 8)
         cfg = base_config(variant=variant, gamma=0.02, rho=1.4, outer_iterations=15)
         trace = simulate_replicate(inst, topo, cfg, replicate=0)
-        for grad_norm_sq, residual in zip(trace.grad_norm_sq[1:], trace.conservation_residual[1:]):
+        for grad_norm_sq, residual in zip(trace.grad_norm_sq[1:, 0], trace.conservation_residual[1:, 0]):
             scale = max(1.0, np.sqrt(grad_norm_sq) + 1.0)
             assert residual <= 1e-10 * scale
 
@@ -247,9 +247,9 @@ class TestVariantRelations:
         )
         t_exact = simulate_replicate(inst, topo, exact_cfg, 0)
         t_sgd = simulate_replicate(inst, topo, sgd_cfg, 0)
-        for a, b in zip(t_exact.grad_norm_sq, t_sgd.grad_norm_sq):
+        for a, b in zip(t_exact.grad_norm_sq[:, 0], t_sgd.grad_norm_sq[:, 0]):
             assert abs(a - b) <= 1e-13 * max(1.0, a)
-        for a, b in zip(t_exact.consensus_err, t_sgd.consensus_err):
+        for a, b in zip(t_exact.consensus_err[:, 0], t_sgd.consensus_err[:, 0]):
             assert abs(a - b) <= 1e-13
 
     def test_vr_variants_identical_first_iteration(self):
@@ -259,8 +259,8 @@ class TestVariantRelations:
         cfg_v2 = base_config(variant="lt_admm_vr_v2", gamma=0.04, outer_iterations=1)
         s_vr = simulate_replicate(inst, topo, cfg_vr, 0)
         s_v2 = simulate_replicate(inst, topo, cfg_v2, 0)
-        assert s_vr.grad_norm_sq[-1] == s_v2.grad_norm_sq[-1]
-        assert s_vr.consensus_err[-1] == s_v2.consensus_err[-1]
+        assert s_vr.grad_norm_sq[-1, 0] == s_v2.grad_norm_sq[-1, 0]
+        assert s_vr.consensus_err[-1, 0] == s_v2.consensus_err[-1, 0]
 
     def test_vr_variants_diverge_later(self):
         inst = generate_classification(6, 4, 3, 7)
@@ -269,7 +269,7 @@ class TestVariantRelations:
         cfg_v2 = base_config(variant="lt_admm_vr_v2", gamma=0.04, outer_iterations=6)
         s_vr = simulate_replicate(inst, topo, cfg_vr, 0)
         s_v2 = simulate_replicate(inst, topo, cfg_v2, 0)
-        assert s_vr.grad_norm_sq[-1] != s_v2.grad_norm_sq[-1]
+        assert s_vr.grad_norm_sq[-1, 0] != s_v2.grad_norm_sq[-1, 0]
 
 
 class TestConvergence:
@@ -303,9 +303,7 @@ class TestDivergenceHandling:
         cfg = base_config(variant="exact", gamma=50.0, rho=3.0, tau=8, outer_iterations=200, monte_carlo_runs=2)
         trace = run(inst, topo, cfg)
         assert trace.num_diverged >= 1
-        for rep in trace.replicates:
-            if rep.status == "diverged":
-                assert rep.diverged_at is not None
+        assert sum(at is not None for at in trace.replicates.diverged_at) == trace.num_diverged
 
 
 class TestRecordDk:
@@ -314,11 +312,11 @@ class TestRecordDk:
         topo = build_ring(3)
         cfg = base_config(record_dk=True, outer_iterations=4)
         trace = simulate_replicate(inst, topo, cfg, 0)
-        values = trace.d_k
+        values = trace.d_k[:, 0]
         assert all(np.isfinite(values[:-1]))
         assert np.isnan(values[-1])
         # the metric dominates the squared mean-iterate gradient
-        for d_k, grad_norm_sq in zip(trace.d_k[:-1], trace.grad_norm_sq[:-1]):
+        for d_k, grad_norm_sq in zip(values[:-1], trace.grad_norm_sq[:-1, 0]):
             assert d_k >= grad_norm_sq - 1e-15
 
     @pytest.mark.parametrize("variant", ["exact", "lt_admm", "lt_admm_vr"])
@@ -339,7 +337,7 @@ class TestRecordDk:
                 mean = np.mean([local_full_gradient(inst, i, row) for i, row in enumerate(phi[0])], axis=0)
                 inner += float(mean @ mean)
             expected.append(global_gradient_norm_sq(inst, x_bar) + inner / cfg.tau)
-        d_k = simulate_replicate(inst, topo, cfg, 0).d_k
+        d_k = simulate_replicate(inst, topo, cfg, 0).d_k[:, 0]
         for k, value in enumerate(expected):
             assert d_k[k] == pytest.approx(value, rel=1e-12)
 
@@ -355,12 +353,15 @@ def unequal_problem(seed=4, points=(3, 7, 1, 5, 9), dimension=3):
     )
 
 
-def assert_same_trace(a, b, rel=1e-12):
-    assert (a.replicate, a.status, a.diverged_at) == (b.replicate, b.status, b.diverged_at)
-    assert np.array_equal(a.component_evals, b.component_evals)
-    assert np.array_equal(a.comms, b.comms)
+def assert_same_trace(a, r, b, s, rel=1e-12):
+    """Column r of the stacked replicates ``a`` matches column s of ``b``."""
+    assert a.diverged_at[r] == b.diverged_at[s]
+    # the counters up to the column's last state: a run stops once all have diverged
+    stop = len(a.comms) if a.diverged_at[r] is None else a.diverged_at[r] + 1
+    assert np.array_equal(a.component_evals[:stop], b.component_evals[:stop])
+    assert np.array_equal(a.comms[:stop], b.comms[:stop])
     for name in ("grad_norm_sq", "consensus_err", "d_k"):
-        x, y = getattr(a, name), getattr(b, name)
+        x, y = getattr(a, name)[:, r], getattr(b, name)[:, s]
         assert x.shape == y.shape
         assert np.array_equal(np.isnan(x), np.isnan(y))
         finite = ~np.isnan(x)
@@ -388,8 +389,8 @@ class TestReplicateAxis:
         )
         stacked = simulate_replicates(inst, topo, cfg, range(3))
         for r in range(3):
-            assert_same_trace(stacked[r], simulate_replicates(inst, topo, cfg, range(r + 1))[r])
-            assert_same_trace(stacked[r], simulate_replicate(inst, topo, cfg, r))
+            assert_same_trace(stacked, r, simulate_replicates(inst, topo, cfg, range(r + 1)), r)
+            assert_same_trace(stacked, r, simulate_replicate(inst, topo, cfg, r), 0)
 
     @pytest.mark.filterwarnings("error")
     def test_diverged_replicate_is_frozen_while_others_run_on(self):
@@ -400,10 +401,10 @@ class TestReplicateAxis:
             variant="lt_admm_vr", gamma=1.5, rho=1.0, tau=6, outer_iterations=6,
             master_seed=1, init_std=30.0, monte_carlo_runs=6,
         )
-        traces = run(inst, topo, cfg).replicates
-        assert [t.diverged_at for t in traces] == [None, None, 5, None, 5, None]
-        for trace in traces:
-            assert_same_trace(trace, simulate_replicate(inst, topo, cfg, trace.replicate))
+        replicates = run(inst, topo, cfg).replicates
+        assert replicates.diverged_at == [None, None, 5, None, 5, None]
+        for r in range(6):
+            assert_same_trace(replicates, r, simulate_replicate(inst, topo, cfg, r), 0)
 
         X = np.stack([initial_iterates(cfg, 4, 3, r) for r in range(6)])
         Z = X[:, topo.src]
@@ -427,6 +428,47 @@ class TestReplicateAxis:
                 exc.value.agent, exc.value.outer_iteration, exc.value.inner_step
             )
             assert np.max(np.abs(X[r] - X1[0])) <= 1e-12 * np.max(np.abs(X1[0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_held_columns_are_blank_after_divergence(self):
+        # the config above with d_k recorded: replicates 2 and 4 leave in iteration 5 of 6
+        inst = generate_classification(5, 4, 3, 10)
+        topo = build_ring(4)
+        cfg = base_config(
+            variant="lt_admm_vr", gamma=1.5, rho=1.0, tau=6, outer_iterations=6,
+            master_seed=1, init_std=30.0, monte_carlo_runs=6, record_dk=True,
+        )
+        replicates = simulate_replicates(inst, topo, cfg, range(6))
+        assert replicates.diverged_at == [None, None, 5, None, 5, None]
+        for r, at in enumerate(replicates.diverged_at):
+            last = cfg.outer_iterations if at is None else at
+            for name in ("grad_norm_sq", "consensus_err", "conservation_residual"):
+                column = getattr(replicates, name)[:, r]
+                assert np.isfinite(column[: last + 1]).all()
+                assert np.isnan(column[last + 1 :]).all()
+            assert np.isfinite(replicates.d_k[:last, r]).all()
+            assert np.isnan(replicates.d_k[last:, r]).all()
+
+    @pytest.mark.parametrize("variant", ["exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2"])
+    def test_component_evals_is_every_replicates_count(self, variant):
+        inst = unequal_problem()
+        topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
+        cfg = base_config(
+            variant=variant, gamma=0.05, rho=1.2, tau=3, outer_iterations=6,
+            batch_size=2, monte_carlo_runs=3,
+        )
+        replicates = simulate_replicates(inst, topo, cfg, range(3))
+        X = np.stack([initial_iterates(cfg, 5, inst.dimension, r) for r in range(3)])
+        Z = X[:, topo.src]
+        streams = init_states(inst, topo, cfg, range(3))
+        counts = [np.zeros(3, dtype=np.int64)]
+        for k in range(cfg.outer_iterations):
+            before = streams.tally.copy()
+            outer_step(streams, inst, topo, cfg, k, X, Z)
+            # each replicate's round waits for its own slowest agent
+            counts.append(counts[-1] + (streams.tally - before).max(axis=1))
+        for r in range(3):
+            assert np.array_equal(replicates.component_evals, [count[r] for count in counts])
 
     @pytest.mark.filterwarnings("error")
     def test_held_replicate_keeps_its_start_over_a_long_tail(self):

@@ -5,7 +5,7 @@ from ltadmm.algorithms import RunConfig, run
 from ltadmm.graph import build_ring
 from ltadmm.metrics import (
     CostModel,
-    ReplicateTrace,
+    Replicates,
     Trace,
     aggregate_replicates,
     compute_dk,
@@ -136,16 +136,16 @@ class TestCounterFormulaAgreement:
             batch_size=2, master_seed=1, t_g=3.0, t_c=7.0,
         )
         timed = run(inst, topo, cfg)
-        trace = timed.replicates[0]
+        replicates = timed.replicates
         expected_evals = 0
         expected_time = 0.0
         model = cfg.cost_model()
         for k in range(cfg.outer_iterations):
             expected_evals += iteration_evals(variant, cfg.tau, 11, cfg.batch_size, k)
             expected_time += iteration_charge(model, variant, cfg.tau, 11, cfg.batch_size, k)
-            assert trace.component_evals[k + 1] == expected_evals
+            assert replicates.component_evals[k + 1] == expected_evals
             assert timed.columns["model_time"][k + 1] == expected_time
-            assert trace.comms[k + 1] == (k + 1) * topo.num_directed_edges
+            assert replicates.comms[k + 1] == (k + 1) * topo.num_directed_edges
 
 
 class TestHeterogeneousDatasets:
@@ -168,26 +168,25 @@ class TestHeterogeneousDatasets:
             batch_size=2, master_seed=0, t_g=1.0, t_c=0.0,
         )
         timed = run(inst, topo, cfg)
-        trace = timed.replicates[0]
+        replicates = timed.replicates
         per_round = max(sizes) + (cfg.tau - 1) * cfg.batch_size
         for k in range(1, cfg.outer_iterations + 1):
-            assert trace.component_evals[k] == k * per_round
+            assert replicates.component_evals[k] == k * per_round
             assert timed.columns["model_time"][k] == k * per_round * cfg.t_g
 
 
-def replicate_trace(replicate, status, grad_norm_sq=(), consensus_err=(), diverged_at=None):
-    """A hand-built replicate whose counters and residuals are zero."""
-    zeros = np.zeros(len(grad_norm_sq))
-    return ReplicateTrace(
-        replicate=replicate,
-        status=status,
-        grad_norm_sq=np.asarray(grad_norm_sq, dtype=float),
+def stacked_replicates(grad_norm_sq, consensus_err, diverged_at):
+    """Hand-built stacked replicates, (K+1, R) columns, whose counters and residuals are zero."""
+    grad_norm_sq = np.asarray(grad_norm_sq, dtype=float)
+    zeros = np.zeros(len(grad_norm_sq), dtype=int)
+    return Replicates(
+        grad_norm_sq=grad_norm_sq,
         consensus_err=np.asarray(consensus_err, dtype=float),
-        conservation_residual=zeros,
-        component_evals=zeros.astype(int),
-        comms=zeros.astype(int),
-        d_k=np.full(len(grad_norm_sq), np.nan),
-        diverged_at=diverged_at,
+        conservation_residual=np.zeros(grad_norm_sq.shape),
+        d_k=np.full(grad_norm_sq.shape, np.nan),
+        component_evals=zeros,
+        comms=zeros,
+        diverged_at=list(diverged_at),
     )
 
 
@@ -203,36 +202,36 @@ class TestAggregation:
         assert len(trace.columns["k"]) == 6
         reps = trace.replicates
         for k in range(6):
-            values = [r.grad_norm_sq[k] for r in reps]
+            values = reps.grad_norm_sq[k]
             assert trace.columns["grad_norm_sq_mean"][k] == pytest.approx(float(np.mean(values)), rel=1e-15)
             assert trace.columns["grad_norm_sq_std"][k] == pytest.approx(float(np.std(values)), rel=1e-12, abs=1e-300)
 
     def test_rows_reduce_like_a_per_replicate_mean(self, rng):
         # byte-identical CSVs need each row reduced in the order of a 1-D
         # mean over the replicates, also past numpy's 8-way unrolled sums
-        reps = [
-            replicate_trace(r, "completed", grad_norm_sq=rng.lognormal(size=7), consensus_err=rng.random(7))
-            for r in range(13)
-        ]
+        columns = [(rng.lognormal(size=7), rng.random(7)) for _ in range(13)]
+        reps = stacked_replicates(
+            np.stack([g for g, _ in columns], axis=1), np.stack([c for _, c in columns], axis=1), [None] * 13
+        )
         trace = aggregate_replicates(reps, record_dk=False)
         for k in range(7):
-            grads = np.array([r.grad_norm_sq[k] for r in reps])
-            cons = np.array([r.consensus_err[k] for r in reps])
+            grads = np.array([g[k] for g, _ in columns])
+            cons = np.array([c[k] for _, c in columns])
             assert trace.columns["grad_norm_sq_mean"][k] == grads.mean()
             assert trace.columns["grad_norm_sq_std"][k] == grads.std()
             assert trace.columns["consensus_err_mean"][k] == cons.mean()
 
     def test_diverged_replicates_excluded(self):
-        good = replicate_trace(0, "completed", grad_norm_sq=[1.0], consensus_err=[0.5])
-        bad = replicate_trace(1, "diverged", diverged_at=0)
-        trace = aggregate_replicates([good, bad], record_dk=False)
+        # replicate 1 diverged in iteration 0: its state-0 values are not averaged
+        reps = stacked_replicates([[1.0, 7.0]], [[0.5, 9.0]], diverged_at=[None, 0])
+        trace = aggregate_replicates(reps, record_dk=False)
         assert trace.num_diverged == 1
         assert len(trace.columns["k"]) == 1
         assert trace.columns["grad_norm_sq_mean"][0] == 1.0
 
     def test_all_diverged_empty_aggregate(self):
-        bad = replicate_trace(0, "diverged", diverged_at=2)
-        trace = aggregate_replicates([bad], record_dk=False)
+        bad = stacked_replicates([[1.0], [2.0], [3.0]], [[0.5], [0.4], [0.3]], diverged_at=[2])
+        trace = aggregate_replicates(bad, record_dk=False)
         assert all(len(column) == 0 for column in trace.columns.values())
         assert trace.num_diverged == 1
 

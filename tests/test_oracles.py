@@ -24,12 +24,12 @@ from ltadmm.problems import (
 from conftest import agent_components
 
 
-def make_streams(instance, replicates=1, table=True):
+def make_streams(instance, replicates=1):
     rngs = [
         [np.random.default_rng([r, i]) for i in range(instance.num_agents)]
         for r in range(replicates)
     ]
-    return Streams.start(instance, rngs, table, pending=0)
+    return Streams.start(instance, rngs, pending=0)
 
 
 def at(instance, x):
@@ -83,12 +83,13 @@ def instance():
 def stale_streams(instance, rng, replicates=1):
     """Streams whose table entries were stored at distinct random points."""
     streams = make_streams(instance, replicates)
+    table = np.zeros((replicates, instance.num_agents, instance.max_points, instance.dimension))
     for r in range(replicates):
         for i in range(instance.num_agents):
             for h in range(instance.num_points(i)):
                 point = rng.normal(size=instance.dimension)
-                streams.table[r, i, h] = agent_components(instance, i, np.array([h]), point)[0]
-    streams.table_sum[:] = streams.table.sum(axis=2)
+                table[r, i, h] = agent_components(instance, i, np.array([h]), point)[0]
+    streams.table, streams.table_sum = table, table.sum(axis=2)
     return streams
 
 
@@ -98,7 +99,7 @@ def full_gradients(instance, x):
 
 class TestSgdEstimate:
     def test_full_batch_equals_full_gradient(self, instance):
-        streams = make_streams(instance, table=False)
+        streams = make_streams(instance)
         x = at(instance, np.linspace(-1, 1, instance.dimension))
         g = sgd_estimate(streams, instance, x, batch_of(instance, np.arange(instance.num_points(0))))
         assert np.max(np.abs(g[0, 0] - local_full_gradient(instance, 0, x[0, 0]))) <= 1e-16
@@ -107,12 +108,12 @@ class TestSgdEstimate:
     def test_single_index_enumeration_unbiased(self, rng):
         inst = generate_classification(4, 1, 3, 3)
         x = at(inst, rng.normal(size=3))
-        streams = make_streams(inst, table=False)
+        streams = make_streams(inst)
         mean = sum(sgd_estimate(streams, inst, x, batch_of(inst, [h])) for h in range(3)) / 3.0
         assert np.max(np.abs(mean - full_gradients(inst, x))) <= 1e-14
 
     def test_repeated_index_counts_twice(self, instance):
-        streams = make_streams(instance, table=False)
+        streams = make_streams(instance)
         x = at(instance, np.full(instance.dimension, 0.5))
         g = sgd_estimate(streams, instance, x, batch_of(instance, [1, 1, 3]))
         for i in range(instance.num_agents):
@@ -335,8 +336,9 @@ class TestUnevenTable:
     def stale_streams(self, instance):
         """Streams whose every table row, padding too, holds a stale random value."""
         streams = make_streams(instance, replicates=2)
-        streams.table[:] = np.random.default_rng(4).normal(size=streams.table.shape)
-        streams.table_sum[:] = streams.table.sum(axis=2)
+        shape = (2, instance.num_agents, instance.max_points, instance.dimension)
+        table = np.random.default_rng(4).normal(size=shape)
+        streams.table, streams.table_sum = table, table.sum(axis=2)
         return streams
 
     def test_refresh_zeroes_padding_and_sums_valid_rows(self, kind, rng):
@@ -355,7 +357,7 @@ class TestUnevenTable:
 
     def test_exact_estimate_matches_local_gradients(self, kind, rng):
         inst = uneven_instance(self.sizes, kind)
-        streams = make_streams(inst, replicates=2, table=False)
+        streams = make_streams(inst, replicates=2)
         x = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
         g = exact_estimate(streams, inst, x)
         assert np.max(np.abs(g - local_gradients(inst, x))) <= 1e-13
@@ -427,7 +429,7 @@ class TestDrawsWithoutReplacement:
         assert oracles._FLOYD_MAX_BATCH == 32
         inst = uneven_instance((m,))
         rng = CountingRng(np.random.default_rng([0, 0]))
-        streams = Streams.start(inst, [[rng]], False, pending=3)
+        streams = Streams.start(inst, [[rng]], pending=3)
         batches = np.stack([draw_batch(streams, b, replacement=False) for _ in range(3)])
         assert np.array_equal(batches[:, 0, 0], per_step_choices(inst, 0, 0, b, 3))
         assert rng.calls == ({"choice": 0, "integers": 1} if blocks else {"choice": 3, "integers": 0})

@@ -1,5 +1,6 @@
 """Every public name of the package is used by the package itself: a name in
-a module's ``__all__`` that no module of ``src/ltadmm`` loads belongs in the tests."""
+a module's ``__all__``, or re-exported by ``ltadmm/__init__``, that no other
+module of ``src/ltadmm`` loads belongs in the tests."""
 
 import ast
 from pathlib import Path
@@ -25,4 +26,7 @@ def test_every_public_name_is_loaded_by_the_package():
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 unused += [f"{name}:{v}" for v in ast.literal_eval(node.value) if v not in loaded]
+    for node in trees["__init__.py"].body:
+        if isinstance(node, ast.ImportFrom):
+            unused += [f"__init__.py:{alias.name}" for alias in node.names if alias.name not in loaded]
     assert not unused
