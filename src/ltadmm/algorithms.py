@@ -23,15 +23,16 @@ each edge) and ``Topology.rev`` (the reverse edge).  A replicate that
 diverges stays in the stack, held at the state it started that outer
 iteration from, and the others run on.
 
-Variants differ only in the local gradient estimator:
+Variants differ only in the local gradient estimator.  An inner step either
+refreshes every stream's gradient table at its iterate and uses the table
+average, which is the true local gradient there, or draws a batch:
 
-* ``exact``      - true local gradient,
+* ``exact``      - a table refresh at every inner step,
 * ``lt_admm``    - mini-batch average, redrawn every inner step,
 * ``lt_admm_vr`` - variance-reduced estimator whose gradient table is
-  refreshed at the start of every epoch; the first inner step reuses the
-  fresh table at no extra evaluation cost,
+  refreshed at the first inner step of every epoch, later steps draw,
 * ``lt_admm_vr_v2`` - same estimator but the table carries over between
-  epochs (refreshed once at k = 0 only).
+  epochs (refreshed once, at k = 0, t = 0).
 
 Randomness is organized per (replicate, agent) stream with a fixed in-stream
 draw order, so results are a pure function of the configuration and never
@@ -57,7 +58,6 @@ from .metrics import CostModel, Replicates, Trace
 from .oracles import (
     Streams,
     draw_batch,
-    exact_estimate,
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
@@ -88,7 +88,7 @@ DIVERGENCE_NORM = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """A local iterate became non-finite or numerically unbounded."""
+    """Where a replicate's local iterate first left the finite range (kept in ``Streams.diverged``)."""
 
     def __init__(self, agent: int, outer_iteration: int, inner_step: int):
         self.agent = agent
@@ -153,18 +153,6 @@ def initial_iterates(
     return rng.normal(0.0, config.init_std, size=(num_agents, dimension))
 
 
-def _batch_draws(config: RunConfig) -> int:
-    """Inner steps of the whole run at which each stream draws a batch."""
-    K, tau = config.outer_iterations, config.tau
-    if config.variant == "lt_admm":
-        return K * tau
-    if config.variant == "lt_admm_vr":
-        return K * (tau - 1)
-    if config.variant == "lt_admm_vr_v2" and K > 0:
-        return K * tau - 1
-    return 0
-
-
 def init_states(
     instance: ProblemInstance,
     topology: Topology,
@@ -175,7 +163,8 @@ def init_states(
 
     Stream (r, i) draws from its own generator, seeded by
     (master_seed, r, 1 + i), so its draws do not depend on which other
-    replicates share the stack.
+    replicates share the stack.  Each stream draws at most one batch per
+    inner step, so the K * tau steps of the run bound its pending draws.
     """
     seed = int(config.master_seed)
     rngs = [
@@ -185,18 +174,7 @@ def init_states(
         ]
         for r in replicates
     ]
-    return Streams.start(instance, rngs, _batch_draws(config))
-
-
-def _estimate(
-    streams: Streams, instance: ProblemInstance, config: RunConfig, phi: np.ndarray
-) -> np.ndarray:
-    if config.variant == "exact":
-        return exact_estimate(streams, instance, phi)
-    batch = draw_batch(streams, config.batch_size, replacement=config.batch_replacement)
-    if config.variant == "lt_admm":
-        return sgd_estimate(streams, instance, phi, batch)
-    return saga_estimate_update(streams, instance, phi, batch)
+    return Streams.start(instance, rngs, config.outer_iterations * config.tau)
 
 
 def local_training_epoch(
@@ -213,49 +191,57 @@ def local_training_epoch(
 
     ``X`` stacks the iterates of every replicate, shape (R, N, n).
     ``AtZ`` (same shape) holds each agent's sum of edge variables and
-    ``degrees`` its neighbor count; both are fixed for the whole epoch.  For
-    the variance-reduced variants every stream's gradient table is refreshed
-    here (every epoch, or only at k = 0 for the carry-over variant) and each
-    step's fresh batch gradients are written back into the table.
+    ``degrees`` its neighbor count; both are fixed for the whole epoch.
+
+    This is the one place that picks each inner step's estimator.  A
+    refresh step (every step of ``exact``, t = 0 of ``lt_admm_vr``, and
+    k = 0, t = 0 of ``lt_admm_vr_v2``) recomputes every stream's gradient
+    table at its row of Phi_t, and G_t is the table average: the exact local
+    gradient.  Every other step draws a batch; ``lt_admm`` averages its
+    gradients, and the variance-reduced variants write them back into the
+    table.
 
     When a replicate's iterate first leaves the finite range,
     ``streams.diverged`` records its lowest-index agent outside the range
     and the step.  Whenever its rows leave the range they are reset to its
     rows of ``X``, so they stay finite; its streams keep drawing and
-    counting, and :func:`outer_step` holds its state.  The others run on.
+    counting, and :func:`outer_step` holds its state.  The others run on,
+    and the epoch runs to its end even when every replicate has left.
 
     ``log``, when given, receives one ``(Phi_t, G_t)`` pair per inner step:
     the stacked inner iterates and estimator outputs of every replicate.  It
     does not affect the dynamics or the counters.
-
-    Raises:
-        DivergenceError: once every replicate has left the range: the error
-            of the lowest-index replicate among those that left last.
     """
-    refresh = config.variant == "lt_admm_vr" or (config.variant == "lt_admm_vr_v2" and k == 0)
-    if refresh:
-        saga_refresh(streams, instance, X)
+    variant = config.variant
+    if variant == "exact":
+        refreshes = config.tau
+    elif variant == "lt_admm_vr" or (variant == "lt_admm_vr_v2" and k == 0):
+        refreshes = 1
+    else:
+        refreshes = 0
 
     gamma = config.gamma
     penalty = (config.rho * degrees)[:, None]
     phi = X.copy()  # the log keeps Phi_0, which the caller may overwrite in X
     for t in range(config.tau):
-        if t == 0 and refresh:
-            # estimate at the refresh anchor collapses to the table mean
+        if t < refreshes:
+            saga_refresh(streams, instance, phi)
             G = streams.table_sum / streams.sizes[:, None]
         else:
-            G = _estimate(streams, instance, config, phi)
+            batch = draw_batch(streams, config.batch_size, replacement=config.batch_replacement)
+            if variant == "lt_admm":
+                G = sgd_estimate(streams, instance, phi, batch)
+            else:
+                G = saga_estimate_update(streams, instance, phi, batch)
         if log is not None:
             log.append((phi, G))
         phi = phi - gamma * (G + penalty * phi - AtZ)
         left = ~(np.einsum("rij,rij->ri", phi, phi) <= DIVERGENCE_NORM**2)
         if left.any():
             out = left.any(axis=1)
-            new = [r for r in map(int, np.flatnonzero(out)) if r not in streams.diverged]
-            for r in new:
-                streams.diverged[r] = DivergenceError(int(left[r].argmax()), k, t)
-            if new and len(streams.diverged) == len(X):
-                raise streams.diverged[new[0]]
+            for r in map(int, np.flatnonzero(out)):
+                if r not in streams.diverged:
+                    streams.diverged[r] = DivergenceError(int(left[r].argmax()), k, t)
             phi[out] = X[out]
     return phi
 
@@ -305,10 +291,8 @@ def outer_step(
     ``X`` (R, N, n) and ``Z`` (R, M, n) hold every replicate of the stack
     and are overwritten with the new states, whose metrics are returned.  A
     diverged replicate (one in ``streams.diverged``) is held: its rows keep
-    the state it started the step from.  ``log`` is passed on to the epoch.
-
-    Raises:
-        DivergenceError: when every replicate has left the range.
+    the state it started the step from, and the step runs on when every
+    replicate is held.  ``log`` is passed on to the epoch.
     """
     degrees = np.asarray(topology.degrees)
     AtZ = np.zeros(X.shape)
@@ -339,9 +323,9 @@ def simulate_replicates(
     after that state and it is marked, while the others run on.  The epoch
     gradient metric, when enabled, is stored at the row of the state the
     epoch started from (its true gradients are measurement overhead and
-    never hit the counters).  Once every replicate has diverged the run
-    stops: no column has rows past that state, and ``component_evals``
-    stays 0 there.
+    never hit the counters).  The run takes all K iterations even when
+    every replicate has diverged, so ``component_evals`` and ``comms``
+    count every row.
     """
     replicates = [int(r) for r in replicates]
     R, K = len(replicates), config.outer_iterations
@@ -360,10 +344,7 @@ def simulate_replicates(
     for k in range(config.outer_iterations):
         tally = streams.tally.copy()
         log: list[tuple[np.ndarray, np.ndarray]] | None = [] if config.record_dk else None
-        try:
-            step = outer_step(streams, instance, topology, config, k, X, Z, log)
-        except DivergenceError:
-            break
+        step = outer_step(streams, instance, topology, config, k, X, Z, log)
         for column, values in zip(measured, step):
             column[k + 1] = values
         # the synchronous round waits for the slowest agent

@@ -6,12 +6,12 @@ its slots of the stored-gradient table and an evaluation tally.
 :class:`Streams` holds all of them stacked, and every estimator moves all
 streams in one array step: one ``component_gradients`` call evaluates b
 components of every stream at its own point of the (R, N, n) stack (b = m_max
-for a refresh or an exact gradient), the results are reduced per stream, and
-a batch step reads and writes its table rows through one array of flat
-slots; the streams of a diverged replicate keep drawing and counting with
-the rest.  Three estimators feed the local-training loop: the exact local
-gradient, a mini-batch average, and a variance-reduced estimator backed by
-the table.
+for a refresh), the results are reduced per stream, and a batch step reads
+and writes its table rows through one array of flat slots; the streams of a
+diverged replicate keep drawing and counting with the rest.  The local
+training loop uses a table refresh, after which the table average is the
+exact local gradient at the refresh point, and two batch estimators: a
+mini-batch average and a variance-reduced estimator backed by the table.
 
 The table keeps one gradient per data point plus their running sum, so the
 correction average is O(1) per step and a memory write never recomputes a
@@ -43,7 +43,6 @@ __all__ = [
     "Stream",
     "Streams",
     "draw_batch",
-    "exact_estimate",
     "sgd_estimate",
     "saga_refresh",
     "saga_estimate_update",
@@ -90,9 +89,10 @@ class Streams:
     replicate-major.  The estimators move every stream, and an iterate
     argument stacks every replicate: shape (R, N, n).  A diverged replicate
     stays in the stack, and its streams keep drawing and counting.
-    ``pending`` is the number of batch draws per stream still to come in
-    the run, with or without replacement; it sizes the blocks drawn ahead
-    and never changes a value drawn.
+    ``pending`` bounds the number of batch draws per stream still to come
+    in the run, with or without replacement; it sizes the blocks drawn
+    ahead and never changes a value drawn, since a block is a prefix of
+    the draws of a longer one.
 
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
@@ -236,31 +236,6 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
     return batch
 
 
-def _every_component(streams: Streams, instance: ProblemInstance, x: np.ndarray):
-    """Every component gradient of every stream at its row of ``x``.
-
-    Returns the rows, shape (R, N, m_max, n), with the padding rows past
-    each m_i set to zero, and each stream's column sum, shape (R, N, n).
-    Charges m_i evaluations per stream.
-    """
-    rows = component_gradients(instance, x, streams._every)
-    if streams._padding is not None:
-        rows[:, streams._padding] = 0.0
-    flat = rows.reshape(-1, x.shape[-1])
-    sums = np.add.reduceat(flat, streams._bases.ravel(), axis=0).reshape(x.shape)
-    streams.charge(streams.sizes)
-    return rows, sums
-
-
-def exact_estimate(streams: Streams, instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """True local gradients: every stream's component average at its row of ``x``.
-
-    Charges m_i evaluations per stream.
-    """
-    _, sums = _every_component(streams, instance, x)
-    return sums / streams.sizes[:, None]
-
-
 def _batch_rows(streams: Streams, instance: ProblemInstance, x: np.ndarray, batch: np.ndarray):
     """Component gradients of every stream's batch at its row of ``x``; charges b each."""
     if batch.shape[-1] == 0:
@@ -287,10 +262,18 @@ def sgd_estimate(
 def saga_refresh(streams: Streams, instance: ProblemInstance, anchor: np.ndarray) -> None:
     """Recompute every stream's stored gradients at its row of ``anchor``.
 
-    Rebinds ``streams.table`` and ``streams.table_sum`` to the new arrays.
-    Charges m_i evaluations per stream.
+    Rebinds ``streams.table`` to the new rows, shape (R, N, m_max, n), with
+    the padding rows past each m_i set to zero, and ``streams.table_sum`` to
+    their sums, so that ``table_sum / sizes`` is each stream's exact local
+    gradient at ``anchor``.  Charges m_i evaluations per stream.
     """
-    streams.table, streams.table_sum = _every_component(streams, instance, anchor)
+    rows = component_gradients(instance, anchor, streams._every)
+    if streams._padding is not None:
+        rows[:, streams._padding] = 0.0
+    flat = rows.reshape(-1, anchor.shape[-1])
+    sums = np.add.reduceat(flat, streams._bases.ravel(), axis=0).reshape(anchor.shape)
+    streams.charge(streams.sizes)
+    streams.table, streams.table_sum = rows, sums
 
 
 def saga_estimate_update(

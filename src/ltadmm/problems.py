@@ -272,22 +272,6 @@ def global_gradient_norm_sq(instance: ProblemInstance, x_bar: np.ndarray):
     return np.einsum("...j,...j->...", g, g)[()]
 
 
-def _power_iteration_largest(matrix: np.ndarray, rel_tol: float = 1e-8, max_iters: int = 100_000) -> float:
-    v = np.ones(matrix.shape[0]) / np.sqrt(matrix.shape[0])
-    value = 0.0
-    for _ in range(max_iters):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_value = float(v @ (matrix @ v))
-        if abs(new_value - value) <= rel_tol * max(abs(new_value), 1e-300):
-            return new_value
-        value = new_value
-    return value
-
-
 def smoothness_constant(instance: ProblemInstance) -> SmoothnessEstimate:
     """Upper bound on the Lipschitz constant of every local gradient.
 
@@ -295,7 +279,7 @@ def smoothness_constant(instance: ProblemInstance) -> SmoothnessEstimate:
     ``max_{i,h} ||a_{i,h}||^2 / 4 + 2 * epsilon`` (logistic curvature is at
     most 1/4, the regularizer's per-coordinate curvature at most 2 in absolute
     value).  For least squares it is the largest local Hessian eigenvalue,
-    found by power iteration to relative tolerance 1e-8.
+    from a symmetric eigensolver.
     """
     if instance.kind == LOGISTIC_NONCONVEX:
         max_sq = max(float(np.max(np.sum(a * a, axis=1))) for a in instance.features)
@@ -303,5 +287,5 @@ def smoothness_constant(instance: ProblemInstance) -> SmoothnessEstimate:
     best = 0.0
     for a in instance.features:
         hessian = a.T @ a / a.shape[0]
-        best = max(best, _power_iteration_largest(hessian))
-    return SmoothnessEstimate(L=best, method="power_iteration")
+        best = max(best, float(np.linalg.eigvalsh(hessian)[-1]))
+    return SmoothnessEstimate(L=best, method="eigvalsh")

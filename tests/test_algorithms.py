@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ltadmm.algorithms import (
-    DivergenceError,
     RunConfig,
     exchange,
     init_states,
@@ -14,6 +13,7 @@ from ltadmm.algorithms import (
     simulate_replicates,
 )
 from ltadmm.graph import build_from_edges, build_ring
+from ltadmm.metrics import iteration_evals
 from ltadmm.problems import (
     LEAST_SQUARES,
     ProblemInstance,
@@ -52,12 +52,13 @@ def base_config(**overrides):
     return RunConfig(**defaults)
 
 
-def epoch(inst, topo, cfg, x0, Z=None, k=0):
+def epoch(inst, topo, cfg, x0, Z=None, k=0, streams=None):
     """One local epoch of one replicate from iterates ``x0``; edge variables default to the owners' rows."""
     structure = build_structure(topo)
     if Z is None:
         Z = structure.selector @ x0
-    streams = init_states(inst, topo, cfg, [0])
+    if streams is None:
+        streams = init_states(inst, topo, cfg, [0])
     return local_training_epoch(
         streams, inst, cfg, k, x0[None], (structure.selector.T @ Z)[None], structure.degrees
     )[0]
@@ -143,10 +144,14 @@ class TestLocalTrainingEpoch:
         inst = scalar_quadratic()
         topo = build_ring(3)
         cfg = base_config(gamma=0.05, rho=1.0, tau=4)
-        with pytest.raises(DivergenceError) as exc:
-            epoch(inst, topo, cfg, np.full((3, 1), 1e13), k=2)
-        assert exc.value.agent == 0
-        assert exc.value.outer_iteration == 2
+        streams = init_states(inst, topo, cfg, [0])
+        x0 = np.full((3, 1), 1e13)
+        got = epoch(inst, topo, cfg, x0, k=2, streams=streams)
+        error = streams.diverged[0]
+        assert (error.agent, error.outer_iteration, error.inner_step) == (0, 2, 0)
+        # the epoch runs to its end, its rows reset to the start at every step
+        assert np.array_equal(got, x0)
+        assert (streams.tally == cfg.tau).all()
 
 
 class TestZUpdate:
@@ -356,10 +361,8 @@ def unequal_problem(seed=4, points=(3, 7, 1, 5, 9), dimension=3):
 def assert_same_trace(a, r, b, s, rel=1e-12):
     """Column r of the stacked replicates ``a`` matches column s of ``b``."""
     assert a.diverged_at[r] == b.diverged_at[s]
-    # the counters up to the column's last state: a run stops once all have diverged
-    stop = len(a.comms) if a.diverged_at[r] is None else a.diverged_at[r] + 1
-    assert np.array_equal(a.component_evals[:stop], b.component_evals[:stop])
-    assert np.array_equal(a.comms[:stop], b.comms[:stop])
+    assert np.array_equal(a.component_evals, b.component_evals)
+    assert np.array_equal(a.comms, b.comms)
     for name in ("grad_norm_sq", "consensus_err", "d_k"):
         x, y = getattr(a, name)[:, r], getattr(b, name)[:, s]
         assert x.shape == y.shape
@@ -420,12 +423,12 @@ class TestReplicateAxis:
             solo = init_states(inst, topo, cfg, [r])
             X1 = initial_iterates(cfg, 4, 3, r)[None]
             Z1 = X1[:, topo.src]
-            with pytest.raises(DivergenceError) as exc:
-                for k in range(cfg.outer_iterations):
-                    outer_step(solo, inst, topo, cfg, k, X1, Z1)
-            error = streams.diverged[r]
+            for k in range(cfg.outer_iterations):
+                outer_step(solo, inst, topo, cfg, k, X1, Z1)
+            error, alone = streams.diverged[r], solo.diverged[0]
+            assert error.outer_iteration == 5
             assert (error.agent, error.outer_iteration, error.inner_step) == (
-                exc.value.agent, exc.value.outer_iteration, exc.value.inner_step
+                alone.agent, alone.outer_iteration, alone.inner_step
             )
             assert np.max(np.abs(X[r] - X1[0])) <= 1e-12 * np.max(np.abs(X1[0]))
 
@@ -498,7 +501,7 @@ class TestReplicateAxis:
             assert np.max(np.abs(Z[r] - Z1[0])) <= 1e-12 * np.max(np.abs(Z1[0]))
 
     @pytest.mark.filterwarnings("error")
-    def test_last_replicates_to_leave_raise_the_lowest_index_error(self):
+    def test_last_replicates_to_leave_are_recorded_where_they_left(self):
         # replicate 0 leaves at once; 1 and 2 start alike and leave together later
         inst = scalar_quadratic()
         topo = build_ring(3)
@@ -507,14 +510,30 @@ class TestReplicateAxis:
         X = np.stack([np.full((3, 1), 1e13), x, x])
         Z = X[:, topo.src]
         streams = init_states(inst, topo, cfg, range(3))
-        with pytest.raises(DivergenceError) as exc:
-            for k in range(cfg.outer_iterations):
-                outer_step(streams, inst, topo, cfg, k, X, Z)
+        for k in range(cfg.outer_iterations):
+            outer_step(streams, inst, topo, cfg, k, X, Z)
         first, *last = (streams.diverged[r] for r in range(3))
-        assert (first.outer_iteration, first.inner_step) == (0, 0)
-        steps = {(e.outer_iteration, e.inner_step) for e in last}
-        assert len(steps) == 1 and steps != {(0, 0)}
-        assert exc.value is streams.diverged[1]
+        assert (first.agent, first.outer_iteration, first.inner_step) == (0, 0, 0)
+        where = {(e.agent, e.outer_iteration, e.inner_step) for e in last}
+        assert where == {(0, 2, 0)}
+        # every replicate is held from then on, and its rows stay finite
+        assert np.isfinite(X).all() and np.isfinite(Z).all()
+        assert np.array_equal(X[1], X[2]) and np.array_equal(Z[1], Z[2])
+        assert (streams.tally == cfg.outer_iterations * cfg.tau).all()
+
+    @pytest.mark.parametrize("variant", ["exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2"])
+    def test_all_diverged_run_counts_every_iteration(self, variant):
+        inst = unequal_problem()
+        topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
+        cfg = base_config(
+            variant=variant, gamma=80000.0, rho=1.2, tau=3, outer_iterations=6,
+            batch_size=2, monte_carlo_runs=3, record_dk=True,
+        )
+        replicates = simulate_replicates(inst, topo, cfg, range(3))
+        assert None not in replicates.diverged_at
+        charges = [iteration_evals(variant, 3, inst.max_points, 2, k) for k in range(6)]
+        assert np.array_equal(replicates.component_evals, np.cumsum([0] + charges))
+        assert np.array_equal(replicates.comms, topo.num_directed_edges * np.arange(7))
 
     @pytest.mark.filterwarnings("error")
     def test_held_rows_stay_finite_through_a_long_epoch(self):

@@ -7,7 +7,6 @@ from ltadmm import oracles
 from ltadmm.oracles import (
     Streams,
     draw_batch,
-    exact_estimate,
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
@@ -298,9 +297,11 @@ class TestBatchDrawing:
         with pytest.raises(ValueError):
             draw_batch(make_streams(generate_classification(3, 2, 2, 4)), 0)
 
-    def test_streams_draw_from_their_own_range(self):
+    @pytest.mark.parametrize("pending", [40, 57])
+    def test_streams_draw_from_their_own_range(self, pending):
         # agents with 1, 3 and 7 points: each stream draws below its own m_i,
-        # and a block drawn ahead equals drawing step by step
+        # and a block drawn ahead, for exactly the steps drawn or for more,
+        # equals drawing step by step
         rng = np.random.default_rng(0)
         sizes = (1, 3, 7)
         inst = ProblemInstance(
@@ -309,7 +310,7 @@ class TestBatchDrawing:
             labels=tuple(np.ones(m) for m in sizes),
         )
         ahead = make_streams(inst, replicates=2)
-        ahead.pending = 40
+        ahead.pending = pending
         steps = np.stack([draw_batch(ahead, 2) for _ in range(40)])
         one_by_one = make_streams(inst, replicates=2)
         singles = np.stack([draw_batch(one_by_one, 2) for _ in range(40)])
@@ -359,7 +360,9 @@ class TestUnevenTable:
         inst = uneven_instance(self.sizes, kind)
         streams = make_streams(inst, replicates=2)
         x = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
-        g = exact_estimate(streams, inst, x)
+        # the exact variant's estimate: the mean of a freshly refreshed table
+        saga_refresh(streams, inst, x)
+        g = streams.table_sum / streams.sizes[:, None]
         assert np.max(np.abs(g - local_gradients(inst, x))) <= 1e-13
         assert (streams.tally == self.sizes).all()
 
