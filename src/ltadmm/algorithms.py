@@ -323,9 +323,10 @@ def simulate_replicates(
     after that state and it is marked, while the others run on.  The epoch
     gradient metric, when enabled, is stored at the row of the state the
     epoch started from (its true gradients are measurement overhead and
-    never hit the counters).  The run takes all K iterations even when
-    every replicate has diverged, so ``component_evals`` and ``comms``
-    count every row.
+    never hit the counters).  Once every replicate has diverged the run
+    stops, and ``component_evals`` is completed from the cost model
+    (:func:`metrics.iteration_evals`), so it and ``comms`` read as if the
+    held states had run the whole budget.
     """
     replicates = [int(r) for r in replicates]
     R, K = len(replicates), config.outer_iterations
@@ -352,6 +353,16 @@ def simulate_replicates(
         if config.record_dk:
             inner = local_gradients(instance, np.stack([phi for phi, _ in log])).mean(axis=-2)
             d_k[k] = metrics.compute_dk(measured[0][k], inner, config.tau)
+        if len(streams.diverged) == R:
+            # every replicate is held: the rest of the budget would only count
+            rest = [
+                metrics.iteration_evals(
+                    config.variant, config.tau, instance.max_points, config.batch_size, j
+                )
+                for j in range(k + 1, K)
+            ]
+            evals[k + 2 :] = evals[k + 1] + np.cumsum(rest, dtype=np.int64)
+            break
 
     diverged_at: list[int | None] = [None] * R
     for r, error in streams.diverged.items():

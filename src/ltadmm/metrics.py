@@ -133,10 +133,13 @@ class CostModel:
 def iteration_evals(variant: str, tau: int, m_i_max: int, batch_size: int, k: int) -> int:
     """Component evaluations the slowest agent performs in outer iteration k.
 
-    The variance-reduced variant refreshes its table (m evaluations) and the
-    first inner step reuses the fresh table at no cost, so an iteration costs
-    ``m + (tau - 1) * batch``.  The no-refresh variant pays that only at
-    k = 0 (its single table initialization) and ``tau * batch`` afterwards.
+    A refresh step recomputes the agent's whole table (m evaluations) and
+    uses the table mean; every other inner step draws a batch (``batch``
+    evaluations).  ``exact`` refreshes at every step, ``lt_admm`` never, and
+    ``lt_admm_vr`` at the first step, so its iteration costs
+    ``m + (tau - 1) * batch``; ``lt_admm_vr_v2`` pays that only at k = 0 and
+    ``tau * batch`` afterwards.  This closed form is the cost model's
+    reference for the counters the engine keeps.
     """
     if variant == "exact":
         return tau * m_i_max

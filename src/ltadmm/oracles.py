@@ -267,6 +267,7 @@ def saga_refresh(streams: Streams, instance: ProblemInstance, anchor: np.ndarray
     their sums, so that ``table_sum / sizes`` is each stream's exact local
     gradient at ``anchor``.  Charges m_i evaluations per stream.
     """
+    streams.table = None  # free the old rows before the new ones are built
     rows = component_gradients(instance, anchor, streams._every)
     if streams._padding is not None:
         rows[:, streams._padding] = 0.0

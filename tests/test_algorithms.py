@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ltadmm import algorithms
 from ltadmm.algorithms import (
     RunConfig,
     exchange,
@@ -521,16 +522,27 @@ class TestReplicateAxis:
         assert np.array_equal(X[1], X[2]) and np.array_equal(Z[1], Z[2])
         assert (streams.tally == cfg.outer_iterations * cfg.tau).all()
 
+    @pytest.mark.parametrize("gamma", [10.0, 80000.0])
     @pytest.mark.parametrize("variant", ["exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2"])
-    def test_all_diverged_run_counts_every_iteration(self, variant):
+    def test_all_diverged_run_counts_every_iteration(self, monkeypatch, variant, gamma):
+        steps = []
+
+        def counted_outer_step(*args):
+            steps.append(args[4])
+            return outer_step(*args)
+
+        monkeypatch.setattr(algorithms, "outer_step", counted_outer_step)
         inst = unequal_problem()
         topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
         cfg = base_config(
-            variant=variant, gamma=80000.0, rho=1.2, tau=3, outer_iterations=6,
+            variant=variant, gamma=gamma, rho=1.2, tau=3, outer_iterations=6,
             batch_size=2, monte_carlo_runs=3, record_dk=True,
         )
         replicates = simulate_replicates(inst, topo, cfg, range(3))
         assert None not in replicates.diverged_at
+        # the run stops once the last replicate has diverged
+        assert steps == list(range(max(replicates.diverged_at) + 1))
+        assert len(steps) < cfg.outer_iterations
         charges = [iteration_evals(variant, 3, inst.max_points, 2, k) for k in range(6)]
         assert np.array_equal(replicates.component_evals, np.cumsum([0] + charges))
         assert np.array_equal(replicates.comms, topo.num_directed_edges * np.arange(7))
