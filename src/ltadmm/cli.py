@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .runner import (
     ConfigError,
@@ -57,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args) -> None:
-    if getattr(args, "seed", None) is not None:
+    # a malformed algorithm section is left for resolve to reject
+    if getattr(args, "seed", None) is not None and isinstance(cfg.algorithm, dict):
         cfg.algorithm["master_seed"] = args.seed
     if getattr(args, "out", None) is not None:
         cfg.output_dir = args.out
@@ -93,7 +95,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             resolved = resolve(load_config(args.config))
             reports = {
-                label: certified_run_check(resolved.instance, resolved.topology, run_cfg).to_dict()
+                label: asdict(certified_run_check(resolved.instance, resolved.topology, run_cfg))
                 for label, _, run_cfg in resolved.points
             }
             print(json.dumps(reports, indent=2, sort_keys=True))

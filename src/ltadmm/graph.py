@@ -162,14 +162,19 @@ class SpectralInfo:
 
 
 def spectral_quantities(topology: Topology) -> SpectralInfo:
-    """Extreme nonzero Laplacian eigenvalues of a connected topology."""
+    """Extreme nonzero Laplacian eigenvalues of a connected topology.
+
+    Raises:
+        ValueError: on a single agent, whose Laplacian has no nonzero
+            eigenvalue.
+    """
+    if topology.num_agents == 1:
+        raise ValueError("a single agent has no nonzero Laplacian eigenvalue")
     lap = laplacian(topology)
     eigenvalues = np.linalg.eigvalsh(lap)
     # connected graph: single zero eigenvalue, all others strictly positive
     scale = max(1.0, float(eigenvalues[-1]))
-    if abs(eigenvalues[0]) > 1e-9 * scale or (
-        topology.num_agents > 1 and eigenvalues[1] <= 1e-9 * scale
-    ):
+    if abs(eigenvalues[0]) > 1e-9 * scale or eigenvalues[1] <= 1e-9 * scale:
         raise ValueError("Laplacian spectrum inconsistent with connectivity")
     nonzero = eigenvalues[1:].copy()
     info = SpectralInfo(

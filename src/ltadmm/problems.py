@@ -40,6 +40,8 @@ LOGISTIC_NONCONVEX = "logistic_nonconvex"
 LEAST_SQUARES = "least_squares"
 KINDS = (LOGISTIC_NONCONVEX, LEAST_SQUARES)
 
+_CLASS_SEPARATION = 3.0
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
@@ -126,12 +128,11 @@ def generate_classification(
     *,
     kind: str = LOGISTIC_NONCONVEX,
     epsilon: float = 0.01,
-    class_separation: float = 3.0,
 ) -> ProblemInstance:
     """Synthesize a balanced two-cluster classification dataset.
 
     Features of class +/-1 are drawn around two antipodal cluster centers
-    (``class_separation`` apart along a random direction) with unit-variance
+    (``_CLASS_SEPARATION`` apart along a random direction) with unit-variance
     Gaussian noise.  Identical seeds give bit-identical datasets.
     """
     if n_agents < 1 or dimension < 1 or points_per_agent < 1:
@@ -141,7 +142,7 @@ def generate_classification(
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=dimension)
     direction /= np.linalg.norm(direction)
-    center = 0.5 * class_separation * direction
+    center = 0.5 * _CLASS_SEPARATION * direction
 
     features = []
     labels = []

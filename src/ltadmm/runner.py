@@ -33,6 +33,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -136,8 +137,8 @@ class ExperimentConfig:
     """Fully resolved experiment description.
 
     ``sweep`` maps axis names to value lists (Cartesian product); ``points``
-    is an explicit list of override dicts and takes precedence over
-    ``sweep`` when non-empty.
+    is an explicit list of override dicts.  A config sets at most one of
+    the two.
     """
 
     name: str
@@ -148,9 +149,6 @@ class ExperimentConfig:
     points: list = field(default_factory=list)
     output_dir: str = "out"
     stop_threshold: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -247,6 +245,18 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
         ConfigError: on any key, value or combination that the builders or
             the checks below reject.
     """
+    name = cfg.name
+    if not isinstance(name, str) or name in (".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+        raise ConfigError(f"experiment name {name!r} must be a file name, not a path")
+    if not isinstance(cfg.output_dir, (str, os.PathLike)) or "\0" in str(cfg.output_dir):
+        raise ConfigError(f"output dir must be a path, got {cfg.output_dir!r}")
+    for section in ("topology", "problem", "algorithm", "sweep"):
+        if not isinstance(getattr(cfg, section), dict):
+            raise ConfigError(f"{section} must be a mapping, got {getattr(cfg, section)!r}")
+    if not isinstance(cfg.points, list) or not all(isinstance(p, dict) for p in cfg.points):
+        raise ConfigError(f"points must be a list of mappings, got {cfg.points!r}")
+    if cfg.points and cfg.sweep:
+        raise ConfigError("a config takes explicit points or a sweep, not both")
     _check_keys("topology", cfg.topology)
     _check_keys("problem", cfg.problem)
     if ("ring" in cfg.topology) == ("edges" in cfg.topology):
@@ -254,8 +264,8 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     for axis, values in cfg.sweep.items():
         if axis not in _SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}")
-        if not values:
-            raise ConfigError(f"sweep axis {axis!r} is empty")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep axis {axis!r} must be a non-empty list, got {values!r}")
     stop_threshold = cfg.stop_threshold
     if stop_threshold is not None:
         stop_threshold = _convert("stop_threshold", stop_threshold)
@@ -362,12 +372,19 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load an experiment config from an INI file or a previous manifest."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    if path.suffix == ".json":
-        data = json.loads(path.read_text())
-        return ExperimentConfig.from_dict(data["config"])
-    return parse_config(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
+    if path.suffix != ".json":
+        return parse_config(text, name=path.stem)
+    try:
+        data = json.loads(text)
+    except ValueError as err:
+        raise ConfigError(f"cannot parse manifest {path}: {err}") from err
+    if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
+        raise ConfigError(f"manifest {path} has no 'config' object")
+    return ExperimentConfig.from_dict(data["config"])
 
 
 # --- execution -----------------------------------------------------------
@@ -457,7 +474,7 @@ def run_experiment(
     manifest = {
         "version": __version__,
         "name": cfg.name,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "seeds": {
             "master_seed": master_seeds.pop() if len(master_seeds) == 1 else None,
             "problem_seed": int(cfg.problem["seed"]),

@@ -23,7 +23,7 @@ certification does not predict empirical divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -42,12 +42,7 @@ __all__ = [
     "bound_constants",
     "evaluate_bounds",
     "certified_run_check",
-    "REGIME_SGD",
-    "REGIME_SARAH",
 ]
-
-REGIME_SGD = "sgd"
-REGIME_SARAH = "sarah"
 
 _SGD_INDICES = (1, 2, 3, 4, 5, 6, 7)
 _SARAH_INDICES = (1, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17)
@@ -170,21 +165,8 @@ class BoundContext:
     v_inv_norm: float
 
     def __post_init__(self) -> None:
-        positives = (
-            self.L,
-            self.rho,
-            self.tau,
-            self.gamma_candidate,
-            self.d_u,
-            self.lambda_tilde_min_abs,
-            self.lambda_tilde_max_abs,
-            self.m_l,
-            self.m_u,
-            self.num_agents,
-            self.v_inv_norm,
-        )
-        if any(v <= 0 for v in positives):
-            raise ValueError("all context quantities must be strictly positive")
+        if not all(0 < v < math.inf for v in astuple(self)):  # NaN too
+            raise ValueError("all context quantities must be positive and finite")
         if self.m_l > self.m_u:
             raise ValueError("m_l must not exceed m_u")
 
@@ -257,20 +239,6 @@ class BoundReport:
     binding_sgd: int
     binding_sarah: int
     notes: tuple[str, ...] = _NOTES
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma_candidate": self.gamma_candidate,
-            "gamma_bars": {str(i): v for i, v in self.gamma_bars.items()},
-            "constants": dict(self.constants),
-            "gamma_bar_sgd": self.gamma_bar_sgd,
-            "gamma_bar_sarah": self.gamma_bar_sarah,
-            "sgd_satisfied": self.sgd_satisfied,
-            "sarah_satisfied": self.sarah_satisfied,
-            "binding_sgd": self.binding_sgd,
-            "binding_sarah": self.binding_sarah,
-            "notes": list(self.notes),
-        }
 
 
 def evaluate_bounds(ctx: BoundContext) -> BoundReport:
@@ -368,22 +336,6 @@ class CertificationReport:
     findings: tuple[str, ...]
     report: BoundReport | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "certified": self.certified,
-            "binding_bound": self.binding_bound,
-            "bound_value": self.bound_value,
-            "findings": list(self.findings),
-            "report": self.report.to_dict() if self.report is not None else None,
-        }
-
-
-def _regime_for_variant(variant: str) -> str:
-    if variant in ("lt_admm_vr", "lt_admm_vr_v2"):
-        return REGIME_SARAH
-    return REGIME_SGD
-
 
 def make_context(
     instance: ProblemInstance,
@@ -421,7 +373,7 @@ def certified_run_check(
     certified, and neither is a one-agent topology, whose Laplacian has no
     nonzero eigenvalue for the bounds to use.
     """
-    regime = _regime_for_variant(config.variant)
+    regime = "sarah" if config.variant in ("lt_admm_vr", "lt_admm_vr_v2") else "sgd"
     if topology.num_agents == 1:
         return CertificationReport(
             regime=regime,
@@ -441,7 +393,7 @@ def certified_run_check(
             findings=(str(err),),
         )
     report = evaluate_bounds(ctx)
-    if regime == REGIME_SARAH:
+    if regime == "sarah":
         certified = report.sarah_satisfied
         binding = report.binding_sarah
         bound_value = report.gamma_bar_sarah

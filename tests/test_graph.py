@@ -103,6 +103,10 @@ class TestSpectrum:
         assert info.lambda_tilde_max_abs == pytest.approx(2.0, abs=1e-12)
         assert info.lambda_tilde_min_abs == pytest.approx(2.0, abs=1e-12)
 
+    def test_single_agent_rejected(self):
+        with pytest.raises(ValueError, match="single agent"):
+            spectral_quantities(build_from_edges(1, []))
+
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_cycle_closed_form(self, n):
         info = spectral_quantities(build_ring(n))

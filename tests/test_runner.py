@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -90,20 +91,21 @@ DIVERGING_INI = BASIC_INI.replace("gamma = 0.05", "gamma = 80000.0").replace(
 
 
 def manifest_without_n_agents() -> str:
-    config = parse_config(BASIC_INI).to_dict()
+    config = dataclasses.asdict(parse_config(BASIC_INI))
     del config["problem"]["n_agents"]
     return json.dumps({"config": config})
 
 
 def manifest_with_problem_key(key: str, value) -> str:
-    config = parse_config(BASIC_INI).to_dict()
+    config = dataclasses.asdict(parse_config(BASIC_INI))
     config["problem"][key] = value
     return json.dumps({"config": config})
 
 
-def manifest_with_key(key: str, value) -> str:
-    config = parse_config(BASIC_INI).to_dict()
+def manifest_with_key(key: str, value, **more) -> str:
+    config = dataclasses.asdict(parse_config(BASIC_INI))
     config[key] = value
+    config.update(more)
     return json.dumps({"config": config})
 
 
@@ -114,8 +116,8 @@ class TestParsing:
         assert cfg.topology == {"ring": 4}
         assert cfg.problem["points_per_agent"] == 6
         assert cfg.algorithm["t_c"] == 2.0
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
+        again = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
+        assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
     def test_edge_list_form(self):
         text = BASIC_INI.replace("ring = 4", "n_agents = 3\nedges = 0-1, 1-2, 2-0")
@@ -164,6 +166,15 @@ class TestParsing:
             make_run_config({**algorithm, "tau": 2.7}, {})
         with pytest.raises(ConfigError, match="outer_iterations"):
             make_run_config({**algorithm, "outer_iterations": True}, {})
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"name": "."}, {"name": ".."}, {"name": "a\0b"}, {"name": 5}, {"output_dir": None}, {"output_dir": "a\0b"}],
+        ids=["name-dot", "name-dot-dot", "name-nul", "name-int", "output-dir-none", "output-dir-nul"],
+    )
+    def test_name_and_output_dir_checked(self, changes):
+        with pytest.raises(ConfigError):
+            resolve(dataclasses.replace(parse_config(BASIC_INI), **changes))
 
     def test_explicit_points_take_precedence(self):
         cfg = parse_config(BASIC_INI)
@@ -448,6 +459,17 @@ class TestCli:
             ("bad.ini", BASIC_INI.replace("t_g = 1.0", "t_g = inf")),
             ("bad.ini", BASIC_INI.replace("t_c = 2.0", "t_c = nan")),
             ("bad.ini", BASIC_INI + "\n[sweep]\ntg_tc_ratio = 1, nan\n"),
+            ("bad.json", manifest_with_key("name", "tiny")[:40]),
+            ("bad.json", json.dumps([json.loads(manifest_with_key("name", "tiny"))])),
+            ("bad.json", json.dumps(dataclasses.asdict(parse_config(BASIC_INI)))),
+            ("bad.json", manifest_with_key("sweep", {"gamma": 0.1})),
+            ("bad.json", manifest_with_key("topology", 5)),
+            ("bad.json", manifest_with_key("points", [1, 2])),
+            ("bad.json", manifest_with_key("sweep", {"gamma": [0.1, 0.2, 0.3]}, points=[{"gamma": 0.05}])),
+            ("bad.ini", BASIC_INI.replace("name = tiny", "name = sub/x")),
+            ("bad.ini", BASIC_INI.replace("name = tiny", "name = ../escaped")),
+            ("bad.json", manifest_with_key("name", "sub/x")),
+            ("bad.json", manifest_with_key("name", "../escaped")),
         ],
         ids=[
             "sweep-tau-abc",
@@ -485,6 +507,17 @@ class TestCli:
             "inf-t-g",
             "nan-t-c",
             "nan-sweep-tg-tc-ratio",
+            "manifest-truncated",
+            "manifest-json-list",
+            "manifest-without-config",
+            "manifest-scalar-sweep-axis",
+            "manifest-scalar-topology",
+            "manifest-points-not-mappings",
+            "manifest-points-and-sweep",
+            "name-with-directory",
+            "name-outside-out",
+            "manifest-name-with-directory",
+            "manifest-name-outside-out",
         ],
     )
     def test_invalid_config_rejected_before_any_point(self, tmp_path, name, text):
@@ -494,7 +527,21 @@ class TestCli:
         proc = self.run_cli("run", str(ini), "--out", str(out))
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
-        assert not list(out.glob("*.csv"))
+        # nothing written in --out or beside it
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_seed_override_of_a_malformed_algorithm_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(manifest_with_key("algorithm", None))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--seed", "2"]) == 2
+        assert "algorithm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_directory_as_config_exits_2(self, tmp_path, command):
+        proc = self.run_cli(command, str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr
 
     @pytest.mark.parametrize("topology", BAD_TOPOLOGIES.values(), ids=BAD_TOPOLOGIES)
     def test_invalid_topology_named(self, tmp_path, capsys, topology):
@@ -673,3 +720,75 @@ def test_every_config_runs_or_exits_2(text):
         assert (code == 2) == rejected
         if rejected:
             assert not list(out.glob("*.csv"))
+
+
+# --- property: every manifest either runs or is rejected with exit code 2 --
+
+# as text, so that no drawn list or dict is shared between examples
+ODD_JSON = ("null", "-1", "0.5", '"abc"', "[]", "{}", "[1, 2]")
+
+
+@functools.cache
+def basic_manifest() -> str:
+    """Manifest that run_experiment writes for BASIC_INI at one iteration."""
+    cfg = parse_config(BASIC_INI.replace("outer_iterations = 8", "outer_iterations = 1"))
+    with tempfile.TemporaryDirectory() as tmp:
+        run_experiment(cfg, out_dir=tmp)
+        return (Path(tmp) / "tiny_manifest.json").read_text()
+
+
+def json_paths(node, prefix=()):
+    """Path of every key and list item below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield (*prefix, key)
+        yield from json_paths(child, (*prefix, key))
+
+
+@st.composite
+def drawn_manifests(draw) -> str:
+    """basic_manifest with keys dropped, values replaced and the text truncated.
+
+    Below the top level only the ``config`` block is mutated, since it is
+    all that ``load_config`` reads.
+    """
+    data = json.loads(basic_manifest())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in json_paths(data) if len(p) == 1 or p[0] == "config"]
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(lambda node, k: node[k], parents, data)
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = json.loads(draw(st.sampled_from(ODD_JSON)))
+    text = json.dumps(data)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(drawn_manifests())
+def test_every_manifest_runs_or_exits_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.json"
+        path.write_text(text)
+        try:
+            resolve(load_config(path))
+            rejected = False
+        except ConfigError:
+            rejected = True
+        out = Path(tmp) / "out"
+        for command in (["run", str(path), "--out", str(out)], ["certify", str(path)]):
+            code = cli.main(command)
+            assert code in (0, 2, 3)
+            assert (code == 2) == rejected
+        if rejected:
+            assert not list(Path(tmp).rglob("*.csv"))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ class TestBoundValues:
 
     def test_report_serializes_to_json(self):
         report = evaluate_bounds(ring_context())
-        text = json.dumps(report.to_dict())
+        text = json.dumps(asdict(report))
         assert "gamma_bar_sgd" in text
         assert len(report.notes) == 2
 
@@ -212,5 +213,11 @@ class TestConstants:
     def test_context_validation(self):
         with pytest.raises(ValueError, match="positive"):
             ring_context(L=-1.0)
+        # a NaN bound drops out of min(), so a NaN context would certify
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive"):
+                ring_context(L=bad)
+            with pytest.raises(ValueError, match="positive"):
+                replace(ring_context(), v_inv_norm=bad)
         with pytest.raises(ValueError, match="m_l"):
             ring_context(m_l=200, m_u=100)
