@@ -97,8 +97,8 @@ class Streams:
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
     ``table.reshape(-1, n)``, which a batch step gathers and scatters in
-    one index array.  :func:`saga_refresh` binds ``table`` and
-    ``table_sum`` to freshly computed arrays rather than writing into them.
+    one index array.  :func:`saga_refresh` rewrites ``table`` in place
+    and binds ``table_sum`` to a freshly computed array.
 
     Attributes:
         tally: evaluations of every stream, shape (R, N).
@@ -237,10 +237,17 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
 
 
 def _batch_rows(streams: Streams, instance: ProblemInstance, x: np.ndarray, batch: np.ndarray):
-    """Component gradients of every stream's batch at its row of ``x``; charges b each."""
+    """Component gradients of every stream's batch at its row of ``x``; charges b each.
+
+    A batch that is a view of the block :func:`draw_batch` drew, each stream
+    from its own range, is used as it is; any other batch is range-checked.
+    """
     if batch.shape[-1] == 0:
         raise ValueError("batch must be non-empty")
-    if batch.min() < 0 or (batch >= streams.sizes[:, None]).any():
+    # a view's base is the array that owns the memory, the drawn block's too
+    block = streams._block
+    drawn = block is not None and batch.base is not None and batch.base is block.base
+    if not drawn and (batch.min() < 0 or (batch >= streams.sizes[:, None]).any()):
         raise ValueError("batch contains invalid component indices")
     rows = component_gradients(instance, x, batch.ravel())
     streams.charge(batch.shape[-1])
@@ -262,13 +269,13 @@ def sgd_estimate(
 def saga_refresh(streams: Streams, instance: ProblemInstance, anchor: np.ndarray) -> None:
     """Recompute every stream's stored gradients at its row of ``anchor``.
 
-    Rebinds ``streams.table`` to the new rows, shape (R, N, m_max, n), with
-    the padding rows past each m_i set to zero, and ``streams.table_sum`` to
-    their sums, so that ``table_sum / sizes`` is each stream's exact local
-    gradient at ``anchor``.  Charges m_i evaluations per stream.
+    Writes the new rows, shape (R, N, m_max, n), into ``streams.table`` (the
+    first refresh creates it), with the padding rows past each m_i set to
+    zero, and rebinds ``streams.table_sum`` to their sums, so that
+    ``table_sum / sizes`` is each stream's exact local gradient at
+    ``anchor``.  Charges m_i evaluations per stream.
     """
-    streams.table = None  # free the old rows before the new ones are built
-    rows = component_gradients(instance, anchor, streams._every)
+    rows = component_gradients(instance, anchor, streams._every, out=streams.table)
     if streams._padding is not None:
         rows[:, streams._padding] = 0.0
     flat = rows.reshape(-1, anchor.shape[-1])

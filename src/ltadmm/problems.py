@@ -14,6 +14,13 @@ provided:
 
 Datasets are synthesized from two Gaussian class clusters with unit-variance
 noise and are fully determined by an integer seed.
+
+Three dense kernels read the agents' features zero-padded to m_max rows each
+(``ProblemInstance.padded``): :func:`component_gradients` yields the
+solvers' rows (batch steps and table refreshes), :func:`local_gradients`
+every agent's gradient at its own point (the ``record_dk`` metric), and
+:func:`global_gradient` the network gradient at a common point (the
+``grad_norm_sq`` metric).
 """
 
 from __future__ import annotations
@@ -111,6 +118,21 @@ class ProblemInstance:
             labels[i, : len(b)] = b
         return features.reshape(-1, self.dimension), labels.ravel()
 
+    @cached_property
+    def row_offsets(self) -> np.ndarray:
+        """First padded row of every agent, i * m_max, shape (N, 1)."""
+        return self.max_points * np.arange(self.num_agents)[:, None]
+
+    @cached_property
+    def row_weights(self) -> np.ndarray:
+        """Weight of every padded row in the network average, shape (N * m_max,).
+
+        1 / (N m_i) on agent i's rows and 0 on its padding rows, so that a
+        sum of weighted rows is the average over agents of each agent's mean.
+        """
+        real = np.arange(self.max_points) < self.sizes[:, None]
+        return (real / (self.num_agents * self.sizes[:, None])).ravel()
+
 
 @dataclass(frozen=True)
 class SmoothnessEstimate:
@@ -163,9 +185,12 @@ def generate_classification(
 
 
 def _logistic(t: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-t)) elementwise, without overflow in either tail."""
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    """1 / (1 + exp(-t)) elementwise, without overflow in either tail.
+
+    Both exponents are at most 0: the numerator is exp(t) below 0 and 1
+    above it, the denominator 1 + exp(-|t|).
+    """
+    return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
 
 
 def _regularizer_gradient(x: np.ndarray) -> np.ndarray:
@@ -190,7 +215,9 @@ def _check_finite(x: np.ndarray) -> None:
         raise ValueError("non-finite input point")
 
 
-def component_gradients(instance: ProblemInstance, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def component_gradients(
+    instance: ProblemInstance, x: np.ndarray, indices: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Component gradients of every stream at its own point.
 
     ``x`` stacks one point per stream, shape (..., N, n): row i of each
@@ -200,16 +227,29 @@ def component_gradients(instance: ProblemInstance, x: np.ndarray, indices: np.nd
     (..., i, j) is the gradient of agent i's component ``indices`` names at
     that place, at agent i's point; repeated indices yield repeated rows.
 
+    ``out``, when given, is a C-ordered float array of the result's shape
+    that the rows are written into and that is returned, so a table refresh
+    reuses its table instead of allocating a second one; with it every index
+    must lie in [0, m_max), or a ``ValueError`` is raised before anything is
+    written.
+
     An index in [m_i, m_max) names a zero padding row of agent i: its
     gradient is 0 for least squares and the regularizer gradient for the
     logistic family.  Evaluating every index below m_max, as a table refresh
     does, therefore computes m_max rows per stream even where m_i < m_max.
     """
     features, labels = instance.padded
-    N = instance.num_agents
-    position = indices.reshape(x.shape[:-1] + (-1,)) + instance.max_points * np.arange(N)[:, None]
-    feats = features.take(position, axis=0)
+    position = indices.reshape(x.shape[:-1] + (-1,)) + instance.row_offsets
+    if out is None:
+        feats = features.take(position, axis=0)
+    else:
+        # take(out=) with mode="raise" first gathers into a buffer the size of
+        # ``out``; checked indices gather directly under mode="clip" instead
+        if indices.min() < 0 or indices.max() >= instance.max_points:
+            raise ValueError("component index outside [0, m_max)")
+        feats = features.take(position, axis=0, out=out, mode="clip")
     labs = labels.take(position)
+    del position  # not needed past the gathers: free it before the loss temporaries
     margins = np.einsum("...j,...j->...", feats, x[..., None, :])
     feats *= _loss_weights(instance, margins, labs)[..., None]  # the gathered copy becomes the rows
     if instance.kind == LOGISTIC_NONCONVEX:
@@ -240,7 +280,9 @@ def local_gradients(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
     is agent i's gradient at row i of ``x``.  The agents are evaluated
     together on the padded features, agent axis leading, in two batched
     matrix products; padded rows have zero features and labels and add
-    nothing.
+    nothing.  This is the kernel of the epoch gradient metric
+    (``record_dk``); the network-gradient metric, whose agents share one
+    point, uses :func:`global_gradient`.
     """
     _check_finite(x)
     features, labels = instance.padded
@@ -258,9 +300,22 @@ def local_gradients(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
 
 
 def global_gradient(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """Gradient of the network objective at a common point (or a stack of them)."""
-    shape = x.shape[:-1] + (instance.num_agents, x.shape[-1])
-    return local_gradients(instance, np.broadcast_to(x[..., None, :], shape)).mean(axis=-2)
+    """Gradient of the network objective at a common point (or a stack of them).
+
+    ``x`` has shape (..., n), and so has the result.  Since every agent
+    shares the point, all padded rows are scored in two flat matrix products
+    with the features, each row weighted by :attr:`ProblemInstance.row_weights`:
+    this is the metric's kernel.  It equals the mean over agents of
+    :func:`local_gradients` at the broadcast point up to rounding.
+    """
+    _check_finite(x)
+    features, labels = instance.padded
+    weights = _loss_weights(instance, x @ features.T, labels)
+    weights *= instance.row_weights
+    g = weights @ features
+    if instance.kind == LOGISTIC_NONCONVEX:
+        g += instance.epsilon * _regularizer_gradient(x)
+    return g
 
 
 def global_gradient_norm_sq(instance: ProblemInstance, x_bar: np.ndarray):

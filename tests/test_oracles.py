@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ class TestRefresh:
         ]
         spread = np.max([np.max(np.abs(o - outputs[0])) for o in outputs])
         assert spread <= 1e-15
+
+    def test_second_refresh_allocates_no_second_table(self, rng):
+        # a 3.2 MB table: R = 4 streams of 4 agents, 500 points, 50 dimensions
+        inst = generate_classification(3, 4, 50, 500)
+        streams = make_streams(inst, replicates=4)
+        anchors = rng.normal(size=(2, 4, inst.num_agents, inst.dimension))
+        saga_refresh(streams, inst, anchors[0])
+        tracemalloc.start()
+        try:
+            saga_refresh(streams, inst, anchors[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the live table plus everything the second refresh allocated at once
+        assert streams.table.nbytes + peak < 1.5 * streams.table.nbytes
 
 
 class TestSagaEstimate:
@@ -355,6 +371,21 @@ class TestUnevenTable:
                 scale = np.abs(valid).sum(axis=0).max()
                 assert np.max(np.abs(streams.table_sum[r, i] - valid.sum(axis=0))) <= 1e-15 * scale
         assert (streams.tally == self.sizes).all()
+
+    def test_second_refresh_rewrites_the_table_in_place(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        streams = make_streams(inst, replicates=2)
+        saga_refresh(streams, inst, rng.normal(size=(2, inst.num_agents, inst.dimension)))
+        table = streams.table
+        anchor = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
+        saga_refresh(streams, inst, anchor)
+        assert streams.table is table
+        fresh = make_streams(inst, replicates=2)
+        saga_refresh(fresh, inst, anchor)
+        assert np.array_equal(streams.table.view(np.int64), fresh.table.view(np.int64))
+        assert np.array_equal(streams.table_sum.view(np.int64), fresh.table_sum.view(np.int64))
+        for i, m in enumerate(self.sizes):
+            assert (streams.table[:, i, m:].view(np.int64) == 0).all()  # +0.0, bit for bit
 
     def test_exact_estimate_matches_local_gradients(self, kind, rng):
         inst = uneven_instance(self.sizes, kind)

@@ -213,6 +213,26 @@ class TestStackedComponentKernel:
         assert np.array_equal(rows[..., 0, :], rows[..., -1, :])
 
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_out_receives_the_rows(self, kind, rng):
+        inst = uneven_instance(kind, sizes=self.sizes)
+        x = rng.normal(size=(2, inst.num_agents, inst.dimension))
+        indices = self.stacked_indices(rng, 4).ravel()
+        out = np.full((2, inst.num_agents, 4, inst.dimension), np.nan)
+        assert component_gradients(inst, x, indices, out=out) is out
+        assert np.array_equal(out, component_gradients(inst, x, indices))
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_out_rejects_an_index_outside_the_padded_range(self, bad, rng):
+        inst = uneven_instance(LEAST_SQUARES, sizes=self.sizes)
+        x = rng.normal(size=(inst.num_agents, inst.dimension))
+        out = np.full((inst.num_agents, 1, inst.dimension), np.nan)
+        indices = np.array([0, 1, 2])
+        indices[2] = bad
+        with pytest.raises(ValueError, match="m_max"):
+            component_gradients(inst, x, indices, out=out)
+        assert np.isnan(out).all()
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
     def test_padding_index_yields_the_regularizer_gradient(self, kind, rng):
         # index 6 lies past the m_i of agents 0 and 2: a zero padding row
         inst = uneven_instance(kind, sizes=self.sizes)
@@ -243,23 +263,29 @@ class TestLocalGradients:
             local_gradients(inst, x)
 
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
-    def test_global_gradient_is_agent_average(self, kind, rng):
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 5)])
+    def test_global_gradient_is_agent_average(self, kind, lead, rng):
         inst = uneven_instance(kind)
-        points = rng.normal(size=(5, inst.dimension))
+        # garbage in the padding rows: they must carry zero weight
+        features, labels = inst.padded
+        padding = (np.arange(inst.max_points) >= inst.sizes[:, None]).ravel()
+        features[padding], labels[padding] = 7.0, 1.0
+        points = rng.normal(size=lead + (inst.dimension,))
         stacked = global_gradient(inst, points)
         assert stacked.shape == points.shape
         norms = global_gradient_norm_sq(inst, points)
-        assert norms.shape == (5,)
-        for p, x in enumerate(points):
+        assert np.shape(norms) == lead
+        for place in np.ndindex(lead):
+            x = points[place]
             expected = sum(local_full_gradient(inst, i, x) for i in range(inst.num_agents)) / inst.num_agents
             one = global_gradient(inst, x)
             assert one.shape == x.shape
             tolerance = 1e-15 * max(1.0, float(np.abs(expected).max()))
             assert np.max(np.abs(one - expected)) <= tolerance
-            assert np.max(np.abs(stacked[p] - expected)) <= tolerance
+            assert np.max(np.abs(stacked[place] - expected)) <= tolerance
             norm = global_gradient_norm_sq(inst, x)
             assert isinstance(norm, float)
-            assert norms[p] == pytest.approx(norm, rel=1e-14)
+            assert np.asarray(norms)[place] == pytest.approx(norm, rel=1e-14)
 
 
 class TestLogistic:
@@ -276,6 +302,20 @@ class TestLogistic:
         tolerance = 4 * np.finfo(float).eps * reference + np.finfo(float).tiny
         assert np.all(np.abs(got - reference) <= tolerance)
         assert got[-4:].tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_bit_identical_to_the_select_form(self, rng):
+        tiny = np.finfo(float).tiny
+        edges = [0.0, 745.0, 1e308, np.inf, tiny, tiny / 2, 5e-324, 1.0, 36.0, 710.0]
+        t = np.concatenate(
+            [np.array(edges), -np.array(edges)]
+            + [rng.normal(scale=s, size=2000) for s in (1.0, 30.0, 300.0)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logistic(t)
+            e = np.exp(-np.abs(t))
+            reference = np.where(t >= 0, 1.0, e) / (1.0 + e)
+        assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
     def test_gradients_at_divergence_scale_raise_no_warning(self):
         inst = make_instance()
