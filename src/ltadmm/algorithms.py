@@ -144,13 +144,97 @@ class RunConfig:
         return CostModel(t_g=self.t_g, t_c=self.t_c)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands a bit generator the state words a SeedSequence would generate.
+
+    ``PCG64`` asks for ``generate_state(4, np.uint64)``: the 4 words held.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hashmixer(const: int, mult: int):
+    """SeedSequence's ``hashmix`` on uint32 arrays; each call advances the hash constant.
+
+    The constants do not depend on the data, so they advance as Python ints.
+    """
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _seeded_generators(master_seed: int, rows: np.ndarray) -> list[np.random.Generator]:
+    """``default_rng(SeedSequence([master_seed, *row]))`` for every row of ``rows``.
+
+    ``rows`` is an (S, k) array of ints in [0, 2**32), one entropy word
+    each.  The SeedSequence hash (a pool of 4 words: ``hashmix`` of the
+    entropy, ``mix`` of every pair of pool words, the entropy past the pool,
+    then ``generate_state(4, uint64)``) runs once over all S rows as uint32
+    array operations, and each PCG64 is built from its row of words.
+    """
+    seed, rows = int(master_seed), np.asarray(rows)
+    if seed < 0 or rows.size and (rows.min() < 0 or rows.max() > _MASK32):
+        raise ValueError("the master seed must be nonnegative and row entries in [0, 2**32)")
+    # the master seed's little-endian 32-bit words (0 is one word) lead every row
+    entropy = [
+        np.full(len(rows), (seed >> shift) & _MASK32, np.uint32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ] + list(rows.astype(np.uint32).T)
+    hashmix = _hashmixer(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    # entropy shorter than the pool is padded with 0
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(len(rows), np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = _hashmixer(_INIT_B, _MULT_B)
+    state = np.stack([out(pool[i % 4]) for i in range(8)], axis=1)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
+
+
 def initial_iterates(
-    config: RunConfig, num_agents: int, dimension: int, replicate: int
+    config: RunConfig, num_agents: int, dimension: int, replicates: Iterable[int]
 ) -> np.ndarray:
-    """Gaussian initial iterates, shared across variants for a given seed."""
-    seq = np.random.SeedSequence([int(config.master_seed), int(replicate), 0])
-    rng = np.random.default_rng(seq)
-    return rng.normal(0.0, config.init_std, size=(num_agents, dimension))
+    """Gaussian initial iterates of ``replicates``, shape (R, N, n).
+
+    Replicate r draws from ``default_rng(SeedSequence([master_seed, r, 0]))``,
+    so its iterates are shared across variants for a given seed; the R
+    generators are seeded in one vectorized SeedSequence pass.
+    """
+    rows = np.array([(int(r), 0) for r in replicates], dtype=np.int64)
+    return np.stack(
+        [
+            rng.normal(0.0, config.init_std, size=(num_agents, dimension))
+            for rng in _seeded_generators(config.master_seed, rows)
+        ]
+    )
 
 
 def init_states(
@@ -161,20 +245,20 @@ def init_states(
 ) -> Streams:
     """Fresh estimator streams, one per (replicate, agent) of ``replicates``.
 
-    Stream (r, i) draws from its own generator, seeded by
-    (master_seed, r, 1 + i), so its draws do not depend on which other
-    replicates share the stack.  Each stream draws at most one batch per
-    inner step, so the K * tau steps of the run bound its pending draws.
+    Stream (r, i) draws from its own generator,
+    ``default_rng(SeedSequence([master_seed, r, 1 + i]))``, so its draws do
+    not depend on which other replicates share the stack; all R * N
+    generators are seeded in one vectorized SeedSequence pass.  Each stream
+    draws at most one batch per inner step, so the K * tau steps of the run
+    bound its pending draws.
     """
-    seed = int(config.master_seed)
-    rngs = [
-        [
-            np.random.default_rng(np.random.SeedSequence([seed, int(r), 1 + i]))
-            for i in range(topology.num_agents)
-        ]
-        for r in replicates
-    ]
-    return Streams.start(instance, rngs, config.outer_iterations * config.tau)
+    N = topology.num_agents
+    reps = np.array([int(r) for r in replicates], dtype=np.int64)
+    rows = np.stack(np.broadcast_arrays(reps[:, None], 1 + np.arange(N)), axis=-1)
+    rngs = _seeded_generators(config.master_seed, rows.reshape(-1, 2))
+    return Streams.start(
+        instance, [rngs[j : j + N] for j in range(0, len(rngs), N)], config.outer_iterations * config.tau
+    )
 
 
 def local_training_epoch(
@@ -331,9 +415,7 @@ def simulate_replicates(
     replicates = [int(r) for r in replicates]
     R, K = len(replicates), config.outer_iterations
     degrees = np.asarray(topology.degrees)
-    X = np.stack(
-        [initial_iterates(config, topology.num_agents, instance.dimension, r) for r in replicates]
-    )
+    X = initial_iterates(config, topology.num_agents, instance.dimension, replicates)
     Z = X[:, topology.src]
     streams = init_states(instance, topology, config, replicates)
     measured = [np.full((K + 1, R), np.nan) for _ in StateMetrics._fields]

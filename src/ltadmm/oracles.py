@@ -141,8 +141,9 @@ class Streams:
         """
         sizes = instance.sizes
         tally = np.zeros((len(rngs), len(sizes)), dtype=np.int64)
+        points = sizes.tolist()
         streams = [
-            Stream(rng, int(sizes[i]), EvalCounter(tally, r, i))
+            Stream(rng, points[i], EvalCounter(tally, r, i))
             for r, row in enumerate(rngs)
             for i, rng in enumerate(row)
         ]

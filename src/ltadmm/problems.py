@@ -222,16 +222,16 @@ def component_gradients(
 
     ``x`` stacks one point per stream, shape (..., N, n): row i of each
     stack belongs to agent i.  ``indices`` lists b component indices per
-    stream, stream-major and flat, so it has ``b * x[..., 0].size`` entries
-    and each must lie below m_max.  Returns shape (..., N, b, n): entry
+    stream, stream-major and flat, so it has ``b * x[..., 0].size``
+    entries.  Returns shape (..., N, b, n): entry
     (..., i, j) is the gradient of agent i's component ``indices`` names at
     that place, at agent i's point; repeated indices yield repeated rows.
 
-    ``out``, when given, is a C-ordered float array of the result's shape
-    that the rows are written into and that is returned, so a table refresh
-    reuses its table instead of allocating a second one; with it every index
-    must lie in [0, m_max), or a ``ValueError`` is raised before anything is
-    written.
+    Every index must lie in [0, m_max), or a ``ValueError`` is raised
+    before anything is written.  ``out``, when given, is a C-ordered float
+    array of the result's shape that the rows are written into and that is
+    returned, so a table refresh reuses its table instead of allocating a
+    second one.
 
     An index in [m_i, m_max) names a zero padding row of agent i: its
     gradient is 0 for least squares and the regularizer gradient for the
@@ -239,15 +239,13 @@ def component_gradients(
     does, therefore computes m_max rows per stream even where m_i < m_max.
     """
     features, labels = instance.padded
+    # one comparison rejects negative indices too: they wrap to huge uint64s
+    if np.asarray(indices, np.int64).view(np.uint64).max() >= instance.max_points:
+        raise ValueError("component index outside [0, m_max)")
     position = indices.reshape(x.shape[:-1] + (-1,)) + instance.row_offsets
-    if out is None:
-        feats = features.take(position, axis=0)
-    else:
-        # take(out=) with mode="raise" first gathers into a buffer the size of
-        # ``out``; checked indices gather directly under mode="clip" instead
-        if indices.min() < 0 or indices.max() >= instance.max_points:
-            raise ValueError("component index outside [0, m_max)")
-        feats = features.take(position, axis=0, out=out, mode="clip")
+    # take(out=) with mode="raise" first gathers into a buffer the size of
+    # ``out``; checked indices gather directly under mode="clip" instead
+    feats = features.take(position, axis=0, out=out, mode="clip")
     labs = labels.take(position)
     del position  # not needed past the gathers: free it before the loss temporaries
     margins = np.einsum("...j,...j->...", feats, x[..., None, :])

@@ -71,7 +71,7 @@ def test_criterion_1_oracle_equivalence():
         topo = random_connected_topology(rng, n)
         inst = generate_classification(40 + n, n, 3, 8)
         cfg = RunConfig(variant="exact", gamma=0.02, rho=1.0, tau=3, outer_iterations=20, master_seed=2)
-        x0 = initial_iterates(cfg, n, 3, 0)
+        x0 = initial_iterates(cfg, n, 3, [0])[0]
         streams = init_states(inst, topo, cfg, [0])
         cstate = compact_init(build_structure(topo), x0)
         X, Z = x0[None].copy(), cstate.Z[None].copy()
@@ -96,7 +96,7 @@ def test_criterion_2_conservation_identity():
             cfg = RunConfig(
                 variant=variant, gamma=0.05, rho=1.3, tau=4, outer_iterations=30, master_seed=3
             )
-            X = initial_iterates(cfg, n, 3, 0)
+            X = initial_iterates(cfg, n, 3, [0])[0]
             Z = compact_init(build_structure(topo), X).Z[None]
             X = X[None]
             streams = init_states(inst, topo, cfg, [0])

@@ -228,13 +228,32 @@ class TestDeterminism:
     def test_initial_iterates_shared_across_variants(self):
         cfg_a = base_config(variant="lt_admm")
         cfg_b = base_config(variant="lt_admm_vr")
-        xa = initial_iterates(cfg_a, 5, 3, replicate=2)
-        xb = initial_iterates(cfg_b, 5, 3, replicate=2)
+        xa = initial_iterates(cfg_a, 5, 3, [2])
+        xb = initial_iterates(cfg_b, 5, 3, [2])
         assert np.array_equal(xa, xb)
+
+    def test_generators_equal_the_per_stream_seed_sequences(self):
+        inst = generate_classification(5, 4, 3, 6)
+        topo = build_ring(4)
+        cfg = base_config(variant="lt_admm", master_seed=2**40 + 7, init_std=3.0)
+        replicates = [3, 0, 7]
+
+        def reference(r, tag):
+            return np.random.default_rng(np.random.SeedSequence([cfg.master_seed, r, tag]))
+
+        streams = list(init_states(inst, topo, cfg, replicates))
+        assert len(streams) == len(replicates) * topo.num_agents
+        for stream, (r, i) in zip(streams, [(r, i) for r in replicates for i in range(4)]):
+            assert stream.rng.bit_generator.state == reference(r, 1 + i).bit_generator.state
+        X = initial_iterates(cfg, topo.num_agents, inst.dimension, replicates)
+        assert X.shape == (3, topo.num_agents, inst.dimension)
+        for row, r in zip(X, replicates):
+            expected = reference(r, 0).normal(0.0, cfg.init_std, size=(topo.num_agents, inst.dimension))
+            assert np.array_equal(row, expected)
 
     def test_initial_scale(self):
         cfg = base_config()
-        x0 = initial_iterates(cfg, 400, 5, replicate=0)
+        x0 = initial_iterates(cfg, 400, 5, [0])
         # variance 100 per coordinate
         assert 9.0 < x0.std() < 11.0
 
@@ -330,7 +349,7 @@ class TestRecordDk:
         inst = generate_classification(5, 4, 3, 6)
         topo = build_ring(4)
         cfg = base_config(variant=variant, record_dk=True, outer_iterations=4, gamma=0.1, tau=3)
-        X = initial_iterates(cfg, topo.num_agents, inst.dimension, 0)[None]
+        X = initial_iterates(cfg, topo.num_agents, inst.dimension, [0])
         Z = X[:, topo.src]
         streams = init_states(inst, topo, cfg, [0])
         expected = []
@@ -410,7 +429,7 @@ class TestReplicateAxis:
         for r in range(6):
             assert_same_trace(replicates, r, simulate_replicate(inst, topo, cfg, r), 0)
 
-        X = np.stack([initial_iterates(cfg, 4, 3, r) for r in range(6)])
+        X = initial_iterates(cfg, 4, 3, range(6))
         Z = X[:, topo.src]
         streams = init_states(inst, topo, cfg, range(6))
         for k in range(cfg.outer_iterations):
@@ -422,7 +441,7 @@ class TestReplicateAxis:
         for r in (2, 4):
             assert np.array_equal(X[r], frozen[0][r]) and np.array_equal(Z[r], frozen[1][r])
             solo = init_states(inst, topo, cfg, [r])
-            X1 = initial_iterates(cfg, 4, 3, r)[None]
+            X1 = initial_iterates(cfg, 4, 3, [r])
             Z1 = X1[:, topo.src]
             for k in range(cfg.outer_iterations):
                 outer_step(solo, inst, topo, cfg, k, X1, Z1)
@@ -462,7 +481,7 @@ class TestReplicateAxis:
             batch_size=2, monte_carlo_runs=3,
         )
         replicates = simulate_replicates(inst, topo, cfg, range(3))
-        X = np.stack([initial_iterates(cfg, 5, inst.dimension, r) for r in range(3)])
+        X = initial_iterates(cfg, 5, inst.dimension, range(3))
         Z = X[:, topo.src]
         streams = init_states(inst, topo, cfg, range(3))
         counts = [np.zeros(3, dtype=np.int64)]
@@ -482,7 +501,7 @@ class TestReplicateAxis:
             variant="lt_admm_vr", gamma=0.05, rho=1.2, tau=3, outer_iterations=30,
             batch_size=2, monte_carlo_runs=3,
         )
-        solo_start = {r: initial_iterates(cfg, 5, 3, r)[None] for r in (0, 2)}
+        solo_start = {r: initial_iterates(cfg, 5, 3, [r]) for r in (0, 2)}
         X = np.concatenate([solo_start[0], np.full((1, 5, 3), 1e13), solo_start[2]])
         Z = X[:, topo.src]
         start = X[1].copy(), Z[1].copy()
@@ -507,7 +526,7 @@ class TestReplicateAxis:
         inst = scalar_quadratic()
         topo = build_ring(3)
         cfg = base_config(variant="exact", gamma=50.0, rho=3.0, tau=2, monte_carlo_runs=3)
-        x = initial_iterates(cfg, 3, 1, 1)
+        x = initial_iterates(cfg, 3, 1, [1])[0]
         X = np.stack([np.full((3, 1), 1e13), x, x])
         Z = X[:, topo.src]
         streams = init_states(inst, topo, cfg, range(3))

@@ -40,7 +40,7 @@ def exact_config(**overrides):
 
 def run_both(topology, instance, config, iterations, replicate=0, stochastic=False):
     """Advance the solver and the stacked oracle side by side; return final pair."""
-    x0 = initial_iterates(config, topology.num_agents, instance.dimension, replicate)
+    x0 = initial_iterates(config, topology.num_agents, instance.dimension, [replicate])[0]
     streams = init_states(instance, topology, config, [replicate])
     structure = build_structure(topology)
     cstate = compact_init(structure, x0)
@@ -127,7 +127,7 @@ class TestConservation:
         topo = build_ring(6)
         inst = generate_classification(9, 6, 3, 12)
         cfg = exact_config(rho=1.7)
-        x0 = initial_iterates(cfg, 6, 3, 0)
+        x0 = initial_iterates(cfg, 6, 3, [0])[0]
         cstate = compact_init(build_structure(topo), x0)
         for k in range(10):
             cstate = compact_step(cstate, inst, cfg)
@@ -138,7 +138,7 @@ class TestConservation:
         topo = build_ring(6)
         inst = generate_classification(9, 6, 3, 12)
         cfg = exact_config()
-        cstate = compact_init(build_structure(topo), initial_iterates(cfg, 6, 3, 0))
+        cstate = compact_init(build_structure(topo), initial_iterates(cfg, 6, 3, [0])[0])
         cstate = compact_step(cstate, inst, cfg)
         cstate.Z[3, 0] += 1.0
         assert conservation_residual(cstate, cfg.rho) >= 0.5
@@ -158,7 +158,7 @@ class TestBlockForm:
         topo = build_ring(5)
         inst = generate_classification(7, 5, 4, 10)
         cfg = exact_config(rho=1.3)
-        cstate = compact_init(build_structure(topo), initial_iterates(cfg, 5, 4, 0))
+        cstate = compact_init(build_structure(topo), initial_iterates(cfg, 5, 4, [0])[0])
         for _ in range(3):
             cstate = compact_step(cstate, inst, cfg)
         x_next, y_next, yt_next = step_via_block_form(cstate, inst, cfg)
@@ -172,7 +172,7 @@ class TestBlockForm:
         topo = build_ring(5)
         inst = generate_classification(7, 5, 4, 10)
         cfg = exact_config(rho=1.3)
-        cstate = compact_init(build_structure(topo), initial_iterates(cfg, 5, 4, 0))
+        cstate = compact_init(build_structure(topo), initial_iterates(cfg, 5, 4, [0])[0])
         for _ in range(2):
             cstate = compact_step(cstate, inst, cfg)
         d = diagnostics(cstate, inst, cfg.rho)
@@ -218,7 +218,7 @@ def drawn_runs(draw):
 def test_solver_matches_oracle_on_drawn_runs(run):
     topology, instance, config = run
     R = config.monte_carlo_runs
-    x0 = [initial_iterates(config, topology.num_agents, instance.dimension, r) for r in range(R)]
+    x0 = initial_iterates(config, topology.num_agents, instance.dimension, range(R))
     streams = init_states(instance, topology, config, range(R))
     cstates = [compact_init(build_structure(topology), x) for x in x0]
     X, Z = np.stack(x0), np.stack([c.Z for c in cstates])

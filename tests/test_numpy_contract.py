@@ -7,14 +7,46 @@ size 1 from the same stream state.  Without replacement, the block rebuilds
 one ``integers`` call (``oracles._choice_integers``) consumes the stream
 exactly as the per-step ``choice`` calls do, and
 ``oracles._floyd_subsets`` turns those integers into the same subsets.
+The simulator seeds its generators without building a ``SeedSequence``
+per stream: ``algorithms._seeded_generators`` runs SeedSequence's hash over
+all rows at once and hands each ``PCG64`` its finished state words, which
+must give the state of ``default_rng(SeedSequence([seed, *row]))``.
 ``pyproject.toml`` admits any numpy from 1.24 on, so a release that changes
-either must fail here, not as silently different trajectories.
+any of these must fail here, not as silently different trajectories.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ltadmm.algorithms import _seeded_generators
 from ltadmm.oracles import _FLOYD_MAX_BATCH, _choice_integers, _floyd_subsets
+
+WORD = st.integers(0, 2**32 - 1)
+# S rows of k one-word entries, k from 1 to 3, S = 1 included
+SEED_ROWS = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(WORD, min_size=k, max_size=k), min_size=1, max_size=4)
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**96 - 1), rows=SEED_ROWS)
+@example(seed=0, rows=[[0]])
+@example(seed=2**32, rows=[[5, 0], [0, 1]])
+@example(seed=2**64, rows=[[2**32 - 1, 7, 1]])
+def test_vectorized_seeding_equals_seed_sequence(seed, rows):
+    generators = _seeded_generators(seed, np.array(rows, dtype=np.int64))
+    assert len(generators) == len(rows)
+    for rng, row in zip(generators, rows):
+        reference = np.random.default_rng(np.random.SeedSequence([seed, *row]))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("entry", [2**32, 2**40, -1])
+def test_vectorized_seeding_rejects_an_entry_that_is_not_one_word(entry):
+    with pytest.raises(ValueError):
+        _seeded_generators(3, np.array([[0, 1], [entry, 2]], dtype=np.int64))
 
 
 @pytest.mark.parametrize("m", [7, 40, 100, 2**20])

@@ -232,6 +232,16 @@ class TestStackedComponentKernel:
             component_gradients(inst, x, indices, out=out)
         assert np.isnan(out).all()
 
+    @pytest.mark.parametrize("with_out", [False, True])
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_rejects_an_index_outside_the_padded_range_for_agent_0(self, bad, with_out, rng):
+        # without the check, index m_max for agent 0 is agent 1's component 0
+        inst = uneven_instance(LEAST_SQUARES, sizes=self.sizes)
+        x = rng.normal(size=(inst.num_agents, inst.dimension))
+        out = np.full((inst.num_agents, 1, inst.dimension), np.nan) if with_out else None
+        with pytest.raises(ValueError, match="m_max"):
+            component_gradients(inst, x, np.array([bad, 1, 2]), out=out)
+
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
     def test_padding_index_yields_the_regularizer_gradient(self, kind, rng):
         # index 6 lies past the m_i of agents 0 and 2: a zero padding row
