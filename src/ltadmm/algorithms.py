@@ -36,8 +36,14 @@ average, which is the true local gradient there, or draws a batch:
 
 Randomness is organized per (replicate, agent) stream with a fixed in-stream
 draw order, so results are a pure function of the configuration and never
-depend on scheduling or on which replicates share the stack.  Initial
-iterates are shared across variants for a given master seed.
+depend on scheduling or on which replicates share the stack.  A run's random
+inputs depend only on its random key: the master seed, the replicates, the
+batch size, the sampling mode and ``init_std``.  Variant, gamma, rho and tau
+only change how many batches it draws.  Runs of one problem with the same
+key can therefore share one :class:`SharedInputs`: one set of R * N stream
+generators, one first block of batches, sized for the run that draws most,
+and one set of initial iterates.  Each run reads its own prefix of the
+block, copies the iterates and keeps its own streams (tally, cursor, table).
 
 The cost constants ``t_g`` and ``t_c`` do not enter the dynamics, the
 counters or the metrics: the solver never reads them, and :func:`run` adds
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +63,7 @@ from . import metrics
 from .graph import Topology
 from .metrics import CostModel, Replicates, Trace
 from .oracles import (
+    SharedDraws,
     Streams,
     draw_batch,
     saga_estimate_update,
@@ -74,6 +82,9 @@ __all__ = [
     "RunConfig",
     "DivergenceError",
     "initial_iterates",
+    "random_key",
+    "SharedInputs",
+    "shared_inputs",
     "init_states",
     "exchange",
     "local_training_epoch",
@@ -237,28 +248,86 @@ def initial_iterates(
     )
 
 
+def _batch_draws(config: RunConfig) -> int:
+    """Batches each stream draws in a full run: one per inner step that is no refresh."""
+    K, tau = config.outer_iterations, config.tau
+    refreshes = {"exact": K * tau, "lt_admm": 0, "lt_admm_vr": K, "lt_admm_vr_v2": min(K, 1)}
+    return K * tau - refreshes[config.variant]
+
+
+def random_key(config: RunConfig, replicates: Iterable[int]) -> tuple:
+    """What a run's random inputs depend on, besides the problem and the topology."""
+    replicates = tuple(int(r) for r in replicates)
+    return (config.master_seed, replicates, config.batch_size, config.batch_replacement, config.init_std)
+
+
+@dataclass(eq=False)
+class SharedInputs:
+    """Random inputs of one random key, which several runs read; see :func:`shared_inputs`.
+
+    Each part is made when a run first reads it, so its cost falls inside
+    that run.
+    """
+
+    key: tuple
+    config: RunConfig
+    num_agents: int
+    dimension: int
+    steps: int
+
+    @cached_property
+    def iterates(self) -> np.ndarray:
+        """The initial iterates (:func:`initial_iterates`); each run copies them."""
+        return initial_iterates(self.config, self.num_agents, self.dimension, self.key[1])
+
+    @cached_property
+    def draws(self) -> SharedDraws:
+        """The R * N stream generators, seeded in one vectorized pass, and their first block."""
+        N = self.num_agents
+        reps = np.array(self.key[1], dtype=np.int64)
+        rows = np.stack(np.broadcast_arrays(reps[:, None], 1 + np.arange(N)), axis=-1)
+        rngs = _seeded_generators(self.config.master_seed, rows.reshape(-1, 2))
+        return SharedDraws([rngs[j : j + N] for j in range(0, len(rngs), N)], self.steps)
+
+
+def shared_inputs(
+    instance: ProblemInstance,
+    topology: Topology,
+    configs: list[RunConfig],
+    replicates: Iterable[int],
+) -> SharedInputs:
+    """The random inputs of ``replicates`` for runs of ``configs``, which share one random key.
+
+    They are the initial iterates and the R * N stream generators, stream
+    (r, i) seeded from ``SeedSequence([master_seed, r, 1 + i])``, whose first
+    block is sized for the configuration that draws most.
+    """
+    key = random_key(configs[0], replicates)
+    if any(random_key(config, key[1]) != key for config in configs):
+        raise ValueError("shared inputs need one master seed, batch size, sampling mode and init_std")
+    steps = max(map(_batch_draws, configs))
+    return SharedInputs(key, configs[0], topology.num_agents, instance.dimension, steps)
+
+
 def init_states(
     instance: ProblemInstance,
     topology: Topology,
     config: RunConfig,
     replicates: Iterable[int],
+    shared: SharedInputs | None = None,
 ) -> Streams:
     """Fresh estimator streams, one per (replicate, agent) of ``replicates``.
 
     Stream (r, i) draws from its own generator,
     ``default_rng(SeedSequence([master_seed, r, 1 + i]))``, so its draws do
-    not depend on which other replicates share the stack; all R * N
-    generators are seeded in one vectorized SeedSequence pass.  Each stream
-    draws at most one batch per inner step, so the K * tau steps of the run
-    bound its pending draws.
+    not depend on which other replicates share the stack.  The generators
+    and their first block of batches are those of ``shared`` (built for this
+    run alone when not given); the tally, the table and the place in the
+    block are the run's own.
     """
-    N = topology.num_agents
-    reps = np.array([int(r) for r in replicates], dtype=np.int64)
-    rows = np.stack(np.broadcast_arrays(reps[:, None], 1 + np.arange(N)), axis=-1)
-    rngs = _seeded_generators(config.master_seed, rows.reshape(-1, 2))
-    return Streams.start(
-        instance, [rngs[j : j + N] for j in range(0, len(rngs), N)], config.outer_iterations * config.tau
-    )
+    if shared is None:
+        shared = shared_inputs(instance, topology, [config], replicates)
+    return Streams.start(instance, shared.draws.rngs, _batch_draws(config), shared.draws)
 
 
 def local_training_epoch(
@@ -395,6 +464,7 @@ def simulate_replicates(
     topology: Topology,
     config: RunConfig,
     replicates: Iterable[int],
+    shared: SharedInputs | None = None,
 ) -> Replicates:
     """Run the given replicates for the configured iteration budget, stacked.
 
@@ -402,6 +472,9 @@ def simulate_replicates(
     column r of every returned metric belongs to the r-th of
     ``replicates``.  Each replicate's trajectory is that of running it
     alone: its initial iterates and its streams are seeded by its own index.
+    ``shared`` holds the random inputs of this run's random key, which other
+    runs read too (:func:`shared_inputs`); without it they are built for
+    this run alone.  Either way the trajectory is the same.
     Row 0 holds the initial state.  A replicate that diverges is held at the
     state it started the diverging iteration from: its column is blanked
     after that state and it is marked, while the others run on.  The epoch
@@ -415,9 +488,13 @@ def simulate_replicates(
     replicates = [int(r) for r in replicates]
     R, K = len(replicates), config.outer_iterations
     degrees = np.asarray(topology.degrees)
-    X = initial_iterates(config, topology.num_agents, instance.dimension, replicates)
+    if shared is None:
+        shared = shared_inputs(instance, topology, [config], replicates)
+    elif shared.key != random_key(config, replicates):
+        raise ValueError("the shared inputs belong to another random key")
+    X = shared.iterates.copy()
     Z = X[:, topology.src]
-    streams = init_states(instance, topology, config, replicates)
+    streams = init_states(instance, topology, config, replicates, shared)
     measured = [np.full((K + 1, R), np.nan) for _ in StateMetrics._fields]
     for column, values in zip(measured, _measure(instance, X, Z, degrees, config.rho)):
         column[0] = values
@@ -474,15 +551,21 @@ def simulate_replicate(
     return simulate_replicates(instance, topology, config, [replicate])
 
 
-def run(instance: ProblemInstance, topology: Topology, config: RunConfig) -> Trace:
+def run(
+    instance: ProblemInstance,
+    topology: Topology,
+    config: RunConfig,
+    shared: SharedInputs | None = None,
+) -> Trace:
     """Run all Monte Carlo replicates and aggregate their metrics.
 
     Replicates share the problem data; initialization and estimator
     randomness vary per replicate.  Divergence of a replicate is recorded,
     not fatal.  Two runs with the same configuration produce bit-identical
-    traces.  The ``model_time`` column is built from the cost constants
-    after the replicates have run.
+    traces, with or without ``shared`` (see :func:`simulate_replicates`).
+    The ``model_time`` column is built from the cost constants after the
+    replicates have run.
     """
-    replicates = simulate_replicates(instance, topology, config, range(config.monte_carlo_runs))
+    replicates = simulate_replicates(instance, topology, config, range(config.monte_carlo_runs), shared)
     trace = metrics.aggregate_replicates(replicates, config.record_dk)
     return metrics.with_model_time(trace, config, instance.max_points)

@@ -23,7 +23,8 @@ Each stream draws its batches ahead, a block of steps in one ``integers``
 call, which yields the values of drawing step by step: with replacement the
 indices themselves, without replacement the bounded integers that
 ``Generator.choice`` draws, from which the subsets of all streams are
-rebuilt at once.
+rebuilt at once.  Runs whose draws come from the same generators share them
+and their first block (:class:`SharedDraws`).
 
 Every component-gradient evaluation is tallied per stream; the cost model
 converts those tallies into abstract time.
@@ -41,6 +42,7 @@ from .problems import ProblemInstance, component_gradients
 __all__ = [
     "EvalCounter",
     "Stream",
+    "SharedDraws",
     "Streams",
     "draw_batch",
     "sgd_estimate",
@@ -82,6 +84,30 @@ class Stream(NamedTuple):
 
 
 @dataclass(eq=False)
+class SharedDraws:
+    """Stream generators and the first block of batches they draw, which several runs read.
+
+    Runs whose batches come from the same generators differ only in how many
+    batches they draw, and a block is a prefix of the draws of a longer one.
+    So the generators draw one first block, sized for the run that draws
+    most, and each run reads its own prefix of it.  They draw nothing else:
+    a run that draws past the block, or calls ``choice`` step by step,
+    first copies them (:meth:`Streams.own_generators`).
+
+    Attributes:
+        rngs: ``rngs[r][i]`` is the generator of stream (replicate r, agent i).
+        steps: batch draws per stream of the run that draws most.
+        block: the first block, shape (R, N, steps, b) with at most
+            ``_BLOCK_ENTRIES`` entries, read-only; the first :func:`draw_batch`
+            call of any of the runs draws it.
+    """
+
+    rngs: list[list[np.random.Generator]]
+    steps: int
+    block: np.ndarray | None = None
+
+
+@dataclass(eq=False)
 class Streams:
     """Estimator state of every (replicate, agent) stream of a grid point.
 
@@ -92,7 +118,9 @@ class Streams:
     ``pending`` bounds the number of batch draws per stream still to come
     in the run, with or without replacement; it sizes the blocks drawn
     ahead and never changes a value drawn, since a block is a prefix of
-    the draws of a longer one.
+    the draws of a longer one.  With ``shared`` set, the streams' generators
+    are that object's: the first block is its block, which other runs read
+    too, and the streams draw past it only from copies of the generators.
 
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
@@ -113,6 +141,7 @@ class Streams:
     sizes: np.ndarray
     tally: np.ndarray
     pending: int
+    shared: SharedDraws | None = None
     table: np.ndarray | None = None
     table_sum: np.ndarray | None = None
     diverged: dict[int, Exception] = field(default_factory=dict)
@@ -134,10 +163,12 @@ class Streams:
         instance: ProblemInstance,
         rngs: list[list[np.random.Generator]],
         pending: int,
+        shared: SharedDraws | None = None,
     ) -> "Streams":
         """Fresh streams from one generator per (replicate, agent): ``rngs[r][i]``.
 
-        They hold no table; :func:`saga_refresh` creates it.
+        With ``shared``, ``rngs`` are its generators.  The streams hold no
+        table; :func:`saga_refresh` creates it.
         """
         sizes = instance.sizes
         tally = np.zeros((len(rngs), len(sizes)), dtype=np.int64)
@@ -147,7 +178,7 @@ class Streams:
             for r, row in enumerate(rngs)
             for i, rng in enumerate(row)
         ]
-        return cls(streams, sizes, tally, pending)
+        return cls(streams, sizes, tally, pending, shared)
 
     def __iter__(self):
         return iter(self.streams)
@@ -155,6 +186,22 @@ class Streams:
     def charge(self, evals) -> None:
         """Add ``evals`` (a count, or one per agent) to every stream."""
         self.tally += evals
+
+    def own_generators(self) -> None:
+        """Give every stream a copy of its shared generator, at the state it holds.
+
+        The shared generators draw only the first block, so the copies go on
+        from where that block ends.
+        """
+        if self.shared is None:
+            return
+        for k, stream in enumerate(self.streams):
+            bit_generator = stream.rng.bit_generator
+            # built from the cheapest seed at hand, then moved to the state
+            own = type(bit_generator)(bit_generator.seed_seq)
+            own.state = bit_generator.state
+            self.streams[k] = stream._replace(rng=np.random.Generator(own))
+        self.shared = None
 
 
 def _choice_integers(rng: np.random.Generator, m: int, b: int, steps: int) -> np.ndarray:
@@ -197,6 +244,24 @@ def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
     return subset.reshape(draws.shape[:-1] + (b,))
 
 
+def _draw_block(streams: Streams, batch_size: int, replacement: bool, pending: int) -> np.ndarray:
+    """The next block of every stream, shape (R, N, steps, b), for ``pending`` draws to come.
+
+    It holds at most ``_BLOCK_ENTRIES`` entries and at least one step.
+    """
+    entries = batch_size if replacement else 2 * batch_size - 1
+    cap = max(1, _BLOCK_ENTRIES // (len(streams.streams) * entries))
+    steps = min(max(pending, 1), cap)
+    if replacement:
+        block = np.array([s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in streams])
+    else:
+        draws = np.empty((len(streams.streams), steps, entries), dtype=np.int64)
+        for row, s in zip(draws, streams):
+            row[:] = _choice_integers(s.rng, s.num_points, batch_size, steps)
+        block = _floyd_subsets(draws, np.array([s.num_points for s in streams])[:, None])
+    return block.reshape(streams.tally.shape + (steps, batch_size))
+
+
 def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -> np.ndarray:
     """One inner step's batch indices of every stream, shape (R, N, b).
 
@@ -208,30 +273,29 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
     it takes the 2b - 1 bounded integers that ``choice`` draws for one
     subset, and :func:`_floyd_subsets` rebuilds the subsets of all streams
     at once; above ``_FLOYD_MAX_BATCH`` each stream calls ``choice`` once
-    per step instead.
+    per step instead.  Streams with ``shared`` read its block first.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
     shape = streams.tally.shape + (batch_size,)
     if not replacement and batch_size > _FLOYD_MAX_BATCH:
+        streams.own_generators()
         subsets = [s.rng.choice(s.num_points, batch_size, replace=False) for s in streams]
         return np.array(subsets).reshape(shape)
     if streams._block is None or streams._cursor == streams._block.shape[2]:
         if not replacement and batch_size > streams.sizes.min():
             raise ValueError("batch size exceeds an agent's number of points")
-        entries = batch_size if replacement else 2 * batch_size - 1
-        cap = max(1, _BLOCK_ENTRIES // (len(streams.streams) * entries))
-        steps = min(max(streams.pending, 1), cap)
-        streams.pending = max(streams.pending - steps, 0)
-        if replacement:
-            block = np.array([s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in streams])
+        shared = streams.shared
+        if streams._block is None and shared is not None:
+            if shared.block is None:
+                shared.block = _draw_block(streams, batch_size, replacement, shared.steps)
+                shared.block.flags.writeable = False
+            block = shared.block
         else:
-            draws = np.empty((len(streams.streams), steps, entries), dtype=np.int64)
-            for row, s in zip(draws, streams):
-                row[:] = _choice_integers(s.rng, s.num_points, batch_size, steps)
-            block = _floyd_subsets(draws, np.array([s.num_points for s in streams])[:, None])
-        streams._block = block.reshape(shape[:2] + (steps, batch_size))
-        streams._cursor = 0
+            streams.own_generators()
+            block = _draw_block(streams, batch_size, replacement, streams.pending)
+        streams.pending = max(streams.pending - block.shape[2], 0)
+        streams._block, streams._cursor = block, 0
     batch = streams._block[:, :, streams._cursor]
     streams._cursor += 1
     return batch

@@ -18,14 +18,17 @@ the constructors hold the range rules, and any error building them is a
 :class:`ConfigError`.
 
 Every grid point produces one CSV of aggregated per-iteration metrics; a
-JSON manifest records the library version, the full resolved configuration,
-the seeds, and per-point summary data.  Re-running a config, or the manifest
-itself, reproduces byte-identical outputs.
+JSON manifest records the library version, the Python and numpy versions,
+the full resolved configuration, the seeds, and per-point summary data.
+Re-running a config, or the manifest itself, reproduces byte-identical
+outputs.
 
 Grid points that differ only in the cost constants ``t_g``/``t_c`` (for
 instance along a ``tg_tc_ratio`` axis) follow the same trajectory, so each
 distinct trajectory is simulated once and every point gets its own
-``model_time`` column from the cost table.
+``model_time`` column from the cost table.  Distinct trajectories of one
+call with the same random key share their random inputs
+(:func:`~ltadmm.algorithms.shared_inputs`) for the length of the call.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import configparser
 import csv
 import json
 import os
+import platform
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -44,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .algorithms import RunConfig, run
+from .algorithms import RunConfig, random_key, run, shared_inputs
 from .graph import Topology, build_from_edges, build_ring
 from .metrics import Trace, reference_charges, with_model_time
 from .problems import ProblemInstance, generate_classification
@@ -422,10 +426,13 @@ def run_experiment(
     Grid points share the problem and the topology, which :func:`resolve`
     builds once.  Points whose run configurations differ only in
     ``t_g``/``t_c`` share one trajectory: it is simulated once, for the first
-    such point, and each point gets its own ``model_time`` column.  With
-    ``workers > 1`` the distinct trajectories run in a process pool of at
-    most one worker per trajectory; results do not depend on the worker
-    count.
+    such point, and each point gets its own ``model_time`` column.  Distinct
+    trajectories with the same random key (master seed, replicates, batch
+    size, sampling mode and ``init_std``) run one after another on one
+    :class:`~ltadmm.algorithms.SharedInputs`, which lives until the next key
+    starts.  With ``workers > 1`` the distinct trajectories run in a process
+    pool of at most one worker per trajectory, each task on inputs of its
+    own; results do not depend on the worker count.
     """
     topology, instance, grid, stop_threshold = resolve(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -440,10 +447,18 @@ def run_experiment(
     workers = min(workers, len(distinct))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            simulated = list(pool.map(run, repeat(instance), repeat(topology), distinct))
+            simulated = pool.map(run, repeat(instance), repeat(topology), distinct)
+            by_key = dict(zip(representatives, simulated))
     else:
-        simulated = list(map(run, repeat(instance), repeat(topology), distinct))
-    by_key = dict(zip(representatives, simulated))
+        groups: dict[tuple, list[tuple]] = {}
+        for key, run_cfg in representatives.items():
+            groups.setdefault(random_key(run_cfg, range(run_cfg.monte_carlo_runs)), []).append(key)
+        by_key = {}
+        for group in groups.values():
+            configs = [representatives[key] for key in group]
+            shared = shared_inputs(instance, topology, configs, range(configs[0].monte_carlo_runs))
+            for key, run_cfg in zip(group, configs):
+                by_key[key] = run(instance, topology, run_cfg, shared)
     m_max = instance.max_points
     traces = [with_model_time(by_key[key], run_cfg, m_max) for key, run_cfg in zip(keys, run_cfgs)]
 
@@ -480,6 +495,8 @@ def run_experiment(
             "problem_seed": int(cfg.problem["seed"]),
         },
         "points": points,
+        # the bytes of the CSVs depend on them
+        "versions": {"numpy": np.__version__, "python": platform.python_version()},
     }
     manifest_path = out / f"{cfg.name}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -10,6 +10,7 @@ from ltadmm.algorithms import (
     local_training_epoch,
     outer_step,
     run,
+    shared_inputs,
     simulate_replicate,
     simulate_replicates,
 )
@@ -250,6 +251,22 @@ class TestDeterminism:
         for row, r in zip(X, replicates):
             expected = reference(r, 0).normal(0.0, cfg.init_std, size=(topo.num_agents, inst.dimension))
             assert np.array_equal(row, expected)
+
+    def test_shared_inputs_belong_to_one_random_key(self):
+        inst = generate_classification(5, 4, 3, 6)
+        topo = build_ring(4)
+        vr = base_config(variant="lt_admm_vr", outer_iterations=3)
+        shared = shared_inputs(
+            inst, topo, [vr, base_config(variant="lt_admm", tau=4, gamma=0.2, outer_iterations=3)], range(2)
+        )
+        # the run that draws most sizes the block: lt_admm, 3 x 4 draws
+        assert shared.draws.steps == 12
+        with pytest.raises(ValueError, match="random key"):
+            simulate_replicates(inst, topo, vr, range(3), shared)
+        with pytest.raises(ValueError, match="random key"):
+            simulate_replicates(inst, topo, base_config(variant="lt_admm_vr", master_seed=8), range(2), shared)
+        with pytest.raises(ValueError, match="init_std"):
+            shared_inputs(inst, topo, [vr, base_config(init_std=1.0)], range(2))
 
     def test_initial_scale(self):
         cfg = base_config()

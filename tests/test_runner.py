@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ltadmm
-from ltadmm import algorithms, cli, runner
+from ltadmm import algorithms, cli, oracles, runner
 from ltadmm.algorithms import RunConfig
 from ltadmm.metrics import Trace
 from ltadmm.runner import (
@@ -209,6 +210,11 @@ class TestRunExperiment:
         field_names = {f.name for f in dataclasses.fields(RunConfig)}
         assert set(point["resolved"]) == field_names
 
+    def test_manifest_records_versions(self, tmp_path):
+        run_experiment(parse_config(BASIC_INI), out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "tiny_manifest.json").read_text())
+        assert manifest["versions"] == {"numpy": np.__version__, "python": platform.python_version()}
+
     def test_rerun_from_manifest(self, tmp_path):
         cfg = parse_config(BASIC_INI)
         run_experiment(cfg, out_dir=tmp_path / "first")
@@ -261,9 +267,9 @@ class TestSharedTrajectories:
     def test_each_trajectory_simulated_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting_run(instance, topology, run_cfg):
+        def counting_run(instance, topology, run_cfg, *shared):
             calls.append(run_cfg)
-            return algorithms.run(instance, topology, run_cfg)
+            return algorithms.run(instance, topology, run_cfg, *shared)
 
         monkeypatch.setattr(runner, "run", counting_run)
         result = run_experiment(parse_config(COST_GRID_INI), out_dir=tmp_path)
@@ -657,6 +663,108 @@ class TestCli:
 
 
 # --- property: every config either runs or is rejected with exit code 2 ----
+
+# --- shared random inputs: a point does not depend on the other points ---
+
+# a ring of 3 with 40 points per agent, so that b = 33 fits without replacement
+SHARED_INPUTS_INI = BASIC_INI.replace("ring = 4", "ring = 3").replace(
+    "points_per_agent = 6", "points_per_agent = 40"
+).replace("outer_iterations = 8", "outer_iterations = 2")
+
+# fields of a point's random inputs besides the call's batch size and
+# sampling mode, each with a second value that puts a point in another group
+OTHER_GROUP = {"master_seed": 2, "monte_carlo_runs": 1, "init_std": 0.5}
+
+
+@st.composite
+def drawn_points(draw) -> list[dict]:
+    """2-5 grid points of every variant, tau and gamma, some in groups of their own."""
+    points = []
+    for _ in range(draw(st.integers(2, 5))):
+        point = {
+            "variant": draw(st.sampled_from(algorithms.VARIANTS)),
+            "tau": draw(st.integers(1, 3)),
+            "gamma": draw(st.sampled_from([0.05, 0.2])),
+        }
+        for key in draw(st.lists(st.sampled_from(sorted(OTHER_GROUP)), max_size=1)):
+            point[key] = OTHER_GROUP[key]
+        points.append(point)
+    return points
+
+
+# b = 33 without replacement draws with one choice call per step and stream
+@pytest.mark.parametrize("replacement", [True, False])
+@pytest.mark.parametrize("batch_size", [1, 3, 33])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(points=drawn_points())
+def test_a_point_does_not_depend_on_the_other_points(points, batch_size, replacement):
+    cfg = parse_config(SHARED_INPUTS_INI)
+    cfg.algorithm.update(batch_size=batch_size, batch_replacement=replacement)
+    cfg.points = points
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        grids = {w: run_experiment(cfg, out_dir=tmp / f"grid{w}", workers=w) for w in (1, 2)}
+        for index, point in enumerate(grids[1].manifest["points"]):
+            alone = parse_config(SHARED_INPUTS_INI)
+            alone.algorithm = dict(point["resolved"])
+            run_experiment(alone, out_dir=tmp / f"alone{index}")
+            expected = (tmp / f"alone{index}" / "tiny_point000.csv").read_bytes()
+            for workers in (1, 2):
+                assert (tmp / f"grid{workers}" / point["csv"]).read_bytes() == expected, (index, workers)
+
+
+# draws per stream of a run of K outer iterations of tau inner steps
+DRAWS = {
+    "exact": lambda K, tau: 0,
+    "lt_admm": lambda K, tau: K * tau,
+    "lt_admm_vr": lambda K, tau: K * (tau - 1),
+    "lt_admm_vr_v2": lambda K, tau: K * tau - 1,
+}
+
+
+@pytest.mark.parametrize("batch_size,replacement", [(1, True), (2, False)])
+def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replacement):
+    text = BASIC_INI.replace("tau = 2", "tau = 3").replace("outer_iterations = 8", "outer_iterations = 4")
+    cfg = parse_config(text + "\n[sweep]\nvariant = exact, lt_admm, lt_admm_vr, lt_admm_vr_v2\n")
+    cfg.algorithm.update(batch_size=batch_size, batch_replacement=replacement)
+    topology, instance, grid, _ = resolve(cfg)
+    alone = {}
+    for label, _, run_cfg in grid:
+        alone[label] = tmp_path / f"{label}.csv"
+        runner._write_csv(alone[label], algorithms.run(instance, topology, run_cfg))
+
+    # blocks of 3 steps for the 2 x 4 streams: the first block is shared,
+    # and every point that draws reads past it (the longest needs 4 blocks)
+    entries = batch_size if replacement else 2 * batch_size - 1
+    monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 3 * 8 * entries)
+    started = []
+    init_states = algorithms.init_states
+
+    def recording_init_states(*args):
+        started.append((args[2], init_states(*args)))
+        return started[-1][1]
+
+    monkeypatch.setattr(algorithms, "init_states", recording_init_states)
+    result = run_experiment(cfg, out_dir=tmp_path / "grid")
+    for label, _, _ in grid:
+        assert (tmp_path / "grid" / f"tiny_{label}.csv").read_bytes() == alone[label].read_bytes()
+
+    # no replicate diverges, so every run draws its whole budget
+    assert all(point["num_diverged"] == 0 for point in result.manifest["points"])
+    assert sorted(run_cfg.variant for run_cfg, _ in started) == sorted(DRAWS)
+    for run_cfg, streams in started:
+        # a stream's generator drew its run's batches, or the shared block if that is longer
+        steps = max(DRAWS[run_cfg.variant](4, 3), 3)
+        for index, stream in enumerate(streams):
+            r, i = divmod(index, 4)
+            reference = np.random.default_rng(np.random.SeedSequence([1, r, 1 + i]))
+            for _ in range(steps):
+                if replacement:
+                    reference.integers(0, stream.num_points, size=batch_size)
+                else:
+                    reference.choice(stream.num_points, batch_size, replace=False)
+            assert stream.rng.bit_generator.state == reference.bit_generator.state, (run_cfg.variant, r, i)
+
 
 ODD_VALUES = ("-1", "0", "0.5", "nan", "inf", "abc", "true")
 NUMERIC_KEYS = [
