@@ -23,7 +23,6 @@ from .metrics import CostModel, Trace, compute_dk  # noqa: F401
 from .oracles import Streams  # noqa: F401
 from .problems import (  # noqa: F401
     ProblemInstance,
-    SmoothnessEstimate,
     generate_classification,
     global_gradient_norm_sq,
     smoothness_constant,

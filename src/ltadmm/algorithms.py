@@ -25,14 +25,10 @@ iteration from, and the others run on.
 
 Variants differ only in the local gradient estimator.  An inner step either
 refreshes every stream's gradient table at its iterate and uses the table
-average, which is the true local gradient there, or draws a batch:
-
-* ``exact``      - a table refresh at every inner step,
-* ``lt_admm``    - mini-batch average, redrawn every inner step,
-* ``lt_admm_vr`` - variance-reduced estimator whose gradient table is
-  refreshed at the first inner step of every epoch, later steps draw,
-* ``lt_admm_vr_v2`` - same estimator but the table carries over between
-  epochs (refreshed once, at k = 0, t = 0).
+average, which is the true local gradient there, or draws a batch; which
+steps refresh is :func:`metrics.refresh_steps`.  A batch step of ``lt_admm``
+averages the batch's gradients; one of the variance-reduced variants
+(``lt_admm_vr``, ``lt_admm_vr_v2``) corrects them with the table.
 
 Randomness is organized per (replicate, agent) stream with a fixed in-stream
 draw order, so results are a pure function of the configuration and never
@@ -81,6 +77,7 @@ __all__ = [
     "VARIANTS",
     "RunConfig",
     "DivergenceError",
+    "batch_draws",
     "initial_iterates",
     "random_key",
     "SharedInputs",
@@ -248,11 +245,10 @@ def initial_iterates(
     )
 
 
-def _batch_draws(config: RunConfig) -> int:
+def batch_draws(config: RunConfig) -> int:
     """Batches each stream draws in a full run: one per inner step that is no refresh."""
-    K, tau = config.outer_iterations, config.tau
-    refreshes = {"exact": K * tau, "lt_admm": 0, "lt_admm_vr": K, "lt_admm_vr_v2": min(K, 1)}
-    return K * tau - refreshes[config.variant]
+    tau = config.tau
+    return sum(tau - metrics.refresh_steps(config.variant, tau, k) for k in range(config.outer_iterations))
 
 
 def random_key(config: RunConfig, replicates: Iterable[int]) -> tuple:
@@ -305,7 +301,7 @@ def shared_inputs(
     key = random_key(configs[0], replicates)
     if any(random_key(config, key[1]) != key for config in configs):
         raise ValueError("shared inputs need one master seed, batch size, sampling mode and init_std")
-    steps = max(map(_batch_draws, configs))
+    steps = max(map(batch_draws, configs))
     return SharedInputs(key, configs[0], topology.num_agents, instance.dimension, steps)
 
 
@@ -327,7 +323,7 @@ def init_states(
     """
     if shared is None:
         shared = shared_inputs(instance, topology, [config], replicates)
-    return Streams.start(instance, shared.draws.rngs, _batch_draws(config), shared.draws)
+    return Streams.start(instance, shared.draws.rngs, batch_draws(config), shared.draws)
 
 
 def local_training_epoch(
@@ -346,13 +342,11 @@ def local_training_epoch(
     ``AtZ`` (same shape) holds each agent's sum of edge variables and
     ``degrees`` its neighbor count; both are fixed for the whole epoch.
 
-    This is the one place that picks each inner step's estimator.  A
-    refresh step (every step of ``exact``, t = 0 of ``lt_admm_vr``, and
-    k = 0, t = 0 of ``lt_admm_vr_v2``) recomputes every stream's gradient
-    table at its row of Phi_t, and G_t is the table average: the exact local
-    gradient.  Every other step draws a batch; ``lt_admm`` averages its
-    gradients, and the variance-reduced variants write them back into the
-    table.
+    The first :func:`metrics.refresh_steps` inner steps recompute every
+    stream's gradient table at its row of Phi_t, and G_t is the table
+    average: the exact local gradient.  Every other step draws a batch;
+    ``lt_admm`` averages its gradients, and the variance-reduced variants
+    write them back into the table.
 
     When a replicate's iterate first leaves the finite range,
     ``streams.diverged`` records its lowest-index agent outside the range
@@ -366,13 +360,7 @@ def local_training_epoch(
     does not affect the dynamics or the counters.
     """
     variant = config.variant
-    if variant == "exact":
-        refreshes = config.tau
-    elif variant == "lt_admm_vr" or (variant == "lt_admm_vr_v2" and k == 0):
-        refreshes = 1
-    else:
-        refreshes = 0
-
+    refreshes = metrics.refresh_steps(variant, config.tau, k)
     gamma = config.gamma
     penalty = (config.rho * degrees)[:, None]
     phi = X.copy()  # the log keeps Phi_0, which the caller may overwrite in X

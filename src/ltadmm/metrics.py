@@ -8,8 +8,9 @@ the CSV columns, in CSV order.
 
 Time is measured in abstract units: ``t_g`` per component-gradient
 evaluation and ``t_c`` per synchronous communication round.  Each solver
-variant has a closed-form per-iteration charge; the simulator's evaluation
-counters reproduce those charges exactly, which the test suite asserts.
+variant's per-iteration charge follows from its schedule of table refreshes
+and batch steps (:func:`refresh_steps`), which the engine reads too; the
+simulator's evaluation counters reproduce those charges exactly.
 The cost constants never reach the solver: a run's ``model_time`` column is
 the running sum of those charges, built after the run by
 :func:`with_model_time`, so runs that differ only in ``t_g``/``t_c`` share
@@ -38,6 +39,7 @@ __all__ = [
     "iteration_charge",
     "iteration_evals",
     "reference_charges",
+    "refresh_steps",
     "aggregate_replicates",
     "with_model_time",
 ]
@@ -130,28 +132,31 @@ class CostModel:
             raise ValueError("cost constants must be finite and nonnegative")
 
 
+def refresh_steps(variant: str, tau: int, k: int) -> int:
+    """How many inner steps of outer iteration k refresh the gradient table; they come first.
+
+    This is the one statement of the variants' schedule.  A refresh step
+    recomputes every stream's table at its iterate and uses the table mean,
+    the exact local gradient; every other inner step draws a batch.
+    ``exact`` refreshes at every step, ``lt_admm`` never, ``lt_admm_vr`` at
+    the first step of every epoch, and ``lt_admm_vr_v2`` at the first step
+    of k = 0 only, its table carrying over between epochs.
+    """
+    try:
+        return {"exact": tau, "lt_admm": 0, "lt_admm_vr": 1, "lt_admm_vr_v2": int(k == 0)}[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
+
+
 def iteration_evals(variant: str, tau: int, m_i_max: int, batch_size: int, k: int) -> int:
     """Component evaluations the slowest agent performs in outer iteration k.
 
-    A refresh step recomputes the agent's whole table (m evaluations) and
-    uses the table mean; every other inner step draws a batch (``batch``
-    evaluations).  ``exact`` refreshes at every step, ``lt_admm`` never, and
-    ``lt_admm_vr`` at the first step, so its iteration costs
-    ``m + (tau - 1) * batch``; ``lt_admm_vr_v2`` pays that only at k = 0 and
-    ``tau * batch`` afterwards.  This closed form is the cost model's
-    reference for the counters the engine keeps.
+    Each of the r = :func:`refresh_steps` refreshes costs m evaluations and
+    each of the other tau - r steps one batch: ``r * m + (tau - r) * batch``.
+    This is the cost model's reference for the counters the engine keeps.
     """
-    if variant == "exact":
-        return tau * m_i_max
-    if variant == "lt_admm":
-        return tau * batch_size
-    if variant == "lt_admm_vr":
-        return m_i_max + (tau - 1) * batch_size
-    if variant == "lt_admm_vr_v2":
-        if k == 0:
-            return m_i_max + (tau - 1) * batch_size
-        return tau * batch_size
-    raise ValueError(f"unknown variant {variant!r}")
+    refreshes = refresh_steps(variant, tau, k)
+    return refreshes * m_i_max + (tau - refreshes) * batch_size
 
 
 def iteration_charge(

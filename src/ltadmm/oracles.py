@@ -19,12 +19,14 @@ gradient that the estimate just produced.  Agents may hold different numbers
 of points m_i: the table has m_max rows per stream, and rows past m_i are
 zeroed at each refresh and never drawn.
 
-Each stream draws its batches ahead, a block of steps in one ``integers``
-call, which yields the values of drawing step by step: with replacement the
-indices themselves, without replacement the bounded integers that
-``Generator.choice`` draws, from which the subsets of all streams are
-rebuilt at once.  Runs whose draws come from the same generators share them
-and their first block (:class:`SharedDraws`).
+Each stream draws every batch from a block of steps drawn ahead, which
+yields the values of drawing step by step.  With replacement a block is one
+``integers`` call of the indices themselves.  Without replacement it is one
+``integers`` call of the bounded integers that ``Generator.choice`` draws,
+from which the subsets of all streams are rebuilt at once, or, for batches
+above ``_FLOYD_MAX_BATCH``, one ``choice`` call per step.  Runs whose draws
+come from the same generators share them and their first block
+(:class:`SharedDraws`).
 
 Every component-gradient evaluation is tallied per stream; the cost model
 converts those tallies into abstract time.
@@ -52,11 +54,12 @@ __all__ = [
 
 # Largest block of random integers drawn ahead at once (at most 16 MB).
 _BLOCK_ENTRIES = 1 << 21
-# Largest batch drawn without replacement in blocks.  ``Generator.choice(m,
-# b, replace=False)`` runs Floyd's algorithm and a Fisher-Yates shuffle
-# unless m > 10000 and b > m // 50 (so b > 200), and only those can be
-# rebuilt from a block; the rebuild also costs b^2 per draw and passes the
-# cost of one ``choice`` call near b = 64.
+# Largest batch without replacement rebuilt from a block of bounded
+# integers; larger ones fill their block by ``choice`` calls.
+# ``Generator.choice(m, b, replace=False)`` runs Floyd's algorithm and a
+# Fisher-Yates shuffle unless m > 10000 and b > m // 50 (so b > 200), and
+# only those can be rebuilt; the rebuild also costs b^2 per draw and passes
+# the cost of one ``choice`` call near b = 64.
 _FLOYD_MAX_BATCH = 32
 
 
@@ -91,8 +94,8 @@ class SharedDraws:
     batches they draw, and a block is a prefix of the draws of a longer one.
     So the generators draw one first block, sized for the run that draws
     most, and each run reads its own prefix of it.  They draw nothing else:
-    a run that draws past the block, or calls ``choice`` step by step,
-    first copies them (:meth:`Streams.own_generators`).
+    a run that draws past the block first copies them
+    (:meth:`Streams.own_generators`).
 
     Attributes:
         rngs: ``rngs[r][i]`` is the generator of stream (replicate r, agent i).
@@ -116,11 +119,11 @@ class Streams:
     argument stacks every replicate: shape (R, N, n).  A diverged replicate
     stays in the stack, and its streams keep drawing and counting.
     ``pending`` bounds the number of batch draws per stream still to come
-    in the run, with or without replacement; it sizes the blocks drawn
-    ahead and never changes a value drawn, since a block is a prefix of
-    the draws of a longer one.  With ``shared`` set, the streams' generators
-    are that object's: the first block is its block, which other runs read
-    too, and the streams draw past it only from copies of the generators.
+    in the run; it sizes the blocks drawn ahead and never changes a value
+    drawn, since a block is a prefix of the draws of a longer one.  With
+    ``shared`` set, the streams' generators are that object's: the first
+    block is its block, which other runs read too, and the streams draw
+    past it only from copies of the generators.
 
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
@@ -190,8 +193,9 @@ class Streams:
     def own_generators(self) -> None:
         """Give every stream a copy of its shared generator, at the state it holds.
 
-        The shared generators draw only the first block, so the copies go on
-        from where that block ends.
+        :func:`draw_batch` calls this before the streams draw a block of
+        their own.  The shared generators draw only the first block, so the
+        copies go on from where that block ends.
         """
         if self.shared is None:
             return
@@ -247,13 +251,21 @@ def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
 def _draw_block(streams: Streams, batch_size: int, replacement: bool, pending: int) -> np.ndarray:
     """The next block of every stream, shape (R, N, steps, b), for ``pending`` draws to come.
 
-    It holds at most ``_BLOCK_ENTRIES`` entries and at least one step.
+    It holds at most ``_BLOCK_ENTRIES`` entries (2b - 1 a step without
+    replacement) and at least one step.  A batch above ``_FLOYD_MAX_BATCH``
+    without replacement takes one ``choice`` call per step and stream; each
+    stream owns its generator, so these are the values of drawing step by
+    step too.
     """
     entries = batch_size if replacement else 2 * batch_size - 1
     cap = max(1, _BLOCK_ENTRIES // (len(streams.streams) * entries))
     steps = min(max(pending, 1), cap)
     if replacement:
         block = np.array([s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in streams])
+    elif batch_size > _FLOYD_MAX_BATCH:
+        block = np.array(
+            [[s.rng.choice(s.num_points, batch_size, replace=False) for _ in range(steps)] for s in streams]
+        )
     else:
         draws = np.empty((len(streams.streams), steps, entries), dtype=np.int64)
         for row, s in zip(draws, streams):
@@ -266,22 +278,13 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
     """One inner step's batch indices of every stream, shape (R, N, b).
 
     Each stream draws uniformly from its own m_i points, with replacement or
-    as a uniform subset without it (requires ``batch_size <= m_i``).  The
-    batches come from a block that each stream draws ahead in one
-    ``integers`` call, which yields the values of drawing step by step.  With
-    replacement a step takes b indices of the block.  Without replacement
-    it takes the 2b - 1 bounded integers that ``choice`` draws for one
-    subset, and :func:`_floyd_subsets` rebuilds the subsets of all streams
-    at once; above ``_FLOYD_MAX_BATCH`` each stream calls ``choice`` once
-    per step instead.  Streams with ``shared`` read its block first.
+    as a uniform subset without it (requires ``batch_size <= m_i``).  Every
+    step takes the next step of a block that the streams drew ahead
+    (:func:`_draw_block`), which yields the values of drawing step by step.
+    Streams with ``shared`` read its block first.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
-    shape = streams.tally.shape + (batch_size,)
-    if not replacement and batch_size > _FLOYD_MAX_BATCH:
-        streams.own_generators()
-        subsets = [s.rng.choice(s.num_points, batch_size, replace=False) for s in streams]
-        return np.array(subsets).reshape(shape)
     if streams._block is None or streams._cursor == streams._block.shape[2]:
         if not replacement and batch_size > streams.sizes.min():
             raise ValueError("batch size exceeds an agent's number of points")
@@ -304,15 +307,13 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
 def _batch_rows(streams: Streams, instance: ProblemInstance, x: np.ndarray, batch: np.ndarray):
     """Component gradients of every stream's batch at its row of ``x``; charges b each.
 
-    A batch that is a view of the block :func:`draw_batch` drew, each stream
-    from its own range, is used as it is; any other batch is range-checked.
+    Where agents hold different numbers of points, every index is checked
+    against its stream's m_i here; otherwise ``component_gradients``' check
+    against m_max is the whole check.
     """
     if batch.shape[-1] == 0:
         raise ValueError("batch must be non-empty")
-    # a view's base is the array that owns the memory, the drawn block's too
-    block = streams._block
-    drawn = block is not None and batch.base is not None and batch.base is block.base
-    if not drawn and (batch.min() < 0 or (batch >= streams.sizes[:, None]).any()):
+    if streams._padding is not None and (batch.min() < 0 or (batch >= streams.sizes[:, None]).any()):
         raise ValueError("batch contains invalid component indices")
     rows = component_gradients(instance, x, batch.ravel())
     streams.charge(batch.shape[-1])

@@ -34,7 +34,6 @@ __all__ = [
     "LOGISTIC_NONCONVEX",
     "LEAST_SQUARES",
     "ProblemInstance",
-    "SmoothnessEstimate",
     "generate_classification",
     "component_gradients",
     "local_gradients",
@@ -132,14 +131,6 @@ class ProblemInstance:
         """
         real = np.arange(self.max_points) < self.sizes[:, None]
         return (real / (self.num_agents * self.sizes[:, None])).ravel()
-
-
-@dataclass(frozen=True)
-class SmoothnessEstimate:
-    """Lipschitz constant of the local gradients and how it was obtained."""
-
-    L: float
-    method: str
 
 
 def generate_classification(
@@ -241,7 +232,7 @@ def component_gradients(
     features, labels = instance.padded
     # one comparison rejects negative indices too: they wrap to huge uint64s
     if np.asarray(indices, np.int64).view(np.uint64).max() >= instance.max_points:
-        raise ValueError("component index outside [0, m_max)")
+        raise ValueError("invalid component index: outside [0, m_max)")
     position = indices.reshape(x.shape[:-1] + (-1,)) + instance.row_offsets
     # take(out=) with mode="raise" first gathers into a buffer the size of
     # ``out``; checked indices gather directly under mode="clip" instead
@@ -326,7 +317,7 @@ def global_gradient_norm_sq(instance: ProblemInstance, x_bar: np.ndarray):
     return np.einsum("...j,...j->...", g, g)[()]
 
 
-def smoothness_constant(instance: ProblemInstance) -> SmoothnessEstimate:
+def smoothness_constant(instance: ProblemInstance) -> float:
     """Upper bound on the Lipschitz constant of every local gradient.
 
     For the logistic family this is the analytic bound
@@ -337,9 +328,9 @@ def smoothness_constant(instance: ProblemInstance) -> SmoothnessEstimate:
     """
     if instance.kind == LOGISTIC_NONCONVEX:
         max_sq = max(float(np.max(np.sum(a * a, axis=1))) for a in instance.features)
-        return SmoothnessEstimate(L=0.25 * max_sq + 2.0 * instance.epsilon, method="analytic_bound")
+        return 0.25 * max_sq + 2.0 * instance.epsilon
     best = 0.0
     for a in instance.features:
         hessian = a.T @ a / a.shape[0]
         best = max(best, float(np.linalg.eigvalsh(hessian)[-1]))
-    return SmoothnessEstimate(L=best, method="eigvalsh")
+    return best

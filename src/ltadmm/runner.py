@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .algorithms import RunConfig, random_key, run, shared_inputs
+from .algorithms import RunConfig, batch_draws, random_key, run, shared_inputs
 from .graph import Topology, build_from_edges, build_ring
 from .metrics import Trace, reference_charges, with_model_time
 from .problems import ProblemInstance, generate_classification
@@ -285,11 +285,11 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
     points = []
     for index, overrides in enumerate(expand_grid(cfg)):
         run_cfg = make_run_config(cfg.algorithm, overrides)
-        # the exact variant draws no batches
+        # a point that draws no batch never needs the batch to fit
         if (
-            run_cfg.variant != "exact"
-            and not run_cfg.batch_replacement
+            not run_cfg.batch_replacement
             and run_cfg.batch_size > instance.min_points
+            and batch_draws(run_cfg) > 0
         ):
             raise ConfigError(
                 f"batch_size {run_cfg.batch_size} exceeds points_per_agent "

@@ -346,10 +346,9 @@ def make_context(
 ) -> BoundContext:
     """Assemble a bound context from problem, topology, and candidate."""
     spectral = spectral_quantities(topology)
-    smooth = smoothness_constant(instance)
     v_inv = build_v_hat_inverse_norm(spectral, rho, tau, gamma)
     return BoundContext(
-        L=smooth.L,
+        L=smoothness_constant(instance),
         rho=rho,
         tau=tau,
         gamma_candidate=gamma,

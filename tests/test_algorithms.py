@@ -156,6 +156,45 @@ class TestLocalTrainingEpoch:
         assert (streams.tally == cfg.tau).all()
 
 
+# (saga_refresh calls, draw_batch calls) of the epochs at k = 0 and k = 1,
+# by variant and tau
+EPOCH_CALLS = {
+    ("exact", 1): ((1, 0), (1, 0)),
+    ("exact", 4): ((4, 0), (4, 0)),
+    ("lt_admm", 1): ((0, 1), (0, 1)),
+    ("lt_admm", 4): ((0, 4), (0, 4)),
+    ("lt_admm_vr", 1): ((1, 0), (1, 0)),
+    ("lt_admm_vr", 4): ((1, 3), (1, 3)),
+    ("lt_admm_vr_v2", 1): ((1, 0), (0, 1)),
+    ("lt_admm_vr_v2", 4): ((1, 3), (0, 4)),
+}
+
+
+@pytest.mark.parametrize("variant,tau", sorted(EPOCH_CALLS))
+def test_refreshes_and_draws_per_epoch(monkeypatch, variant, tau, rng):
+    calls = {"saga_refresh": 0, "draw_batch": 0}
+
+    def counting(name):
+        original = getattr(algorithms, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(algorithms, name, counting(name))
+    inst, topo = generate_classification(2, 3, 2, 5), build_ring(3)
+    cfg = base_config(variant=variant, tau=tau, batch_size=2)
+    streams = init_states(inst, topo, cfg, [0])
+    x0 = rng.normal(size=(3, 2))
+    for k, expected in enumerate(EPOCH_CALLS[variant, tau]):
+        calls.update(saga_refresh=0, draw_batch=0)
+        epoch(inst, topo, cfg, x0, k=k, streams=streams)
+        assert (calls["saga_refresh"], calls["draw_batch"]) == expected, k
+
+
 class TestZUpdate:
     """The stacked exchange: edge (i, j) reads the payload of edge (j, i)."""
 

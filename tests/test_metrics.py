@@ -126,6 +126,36 @@ class TestCostModel:
         assert ref["lt_admm_vr"] == 114.0
 
 
+# evaluations of outer iterations k = 0 and k = 1 at m = 100, by (variant,
+# tau, batch size), worked out by hand from the variants' schedules
+ITERATION_EVALS = {
+    ("exact", 1, 1): (100, 100),
+    ("exact", 1, 3): (100, 100),
+    ("exact", 5, 1): (500, 500),
+    ("exact", 5, 3): (500, 500),
+    ("lt_admm", 1, 1): (1, 1),
+    ("lt_admm", 1, 3): (3, 3),
+    ("lt_admm", 5, 1): (5, 5),
+    ("lt_admm", 5, 3): (15, 15),
+    ("lt_admm_vr", 1, 1): (100, 100),
+    ("lt_admm_vr", 1, 3): (100, 100),
+    ("lt_admm_vr", 5, 1): (104, 104),
+    ("lt_admm_vr", 5, 3): (112, 112),
+    ("lt_admm_vr_v2", 1, 1): (100, 1),
+    ("lt_admm_vr_v2", 1, 3): (100, 3),
+    ("lt_admm_vr_v2", 5, 1): (104, 5),
+    ("lt_admm_vr_v2", 5, 3): (112, 15),
+}
+
+
+@pytest.mark.parametrize("variant,tau,batch_size", sorted(ITERATION_EVALS))
+def test_iteration_evals_by_hand(variant, tau, batch_size):
+    # the engine and the cost model read one schedule, so the counters agree
+    # with it whatever it says; these literal numbers pin what it says
+    evals = tuple(iteration_evals(variant, tau, 100, batch_size, k) for k in (0, 1))
+    assert evals == ITERATION_EVALS[variant, tau, batch_size]
+
+
 class TestCounterFormulaAgreement:
     @pytest.mark.parametrize("variant", ["lt_admm", "lt_admm_vr", "lt_admm_vr_v2", "exact"])
     def test_counters_match_charges(self, variant):

@@ -439,11 +439,12 @@ class CountingRng:
 class TestDrawsWithoutReplacement:
     sizes = (3, 8, 40)
 
-    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("b", [1, 3, 33])
     def test_each_stream_equals_its_per_step_choices(self, monkeypatch, b):
-        # 6 streams of 2b - 1 entries a step: blocks of 2 steps, refilled 10 times
+        # 6 streams of 2b - 1 entries a step: blocks of 2 steps, refilled 10
+        # times; b = 33 draws its blocks with one choice call per step
         monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 12 * (2 * b - 1))
-        inst = uneven_instance(self.sizes)
+        inst = uneven_instance(tuple(max(m, b) for m in self.sizes))
         streams = make_streams(inst, replicates=2)
         streams.pending = 20
         batches = np.stack([draw_batch(streams, b, replacement=False) for _ in range(20)])

@@ -386,9 +386,7 @@ class TestSmoothness:
             labels=(np.ones(1),),
             epsilon=0.0,
         )
-        est = smoothness_constant(inst)
-        assert est.L == pytest.approx(0.25, abs=1e-15)
-        assert est.method == "analytic_bound"
+        assert smoothness_constant(inst) == pytest.approx(0.25, abs=1e-15)
 
     def test_regularizer_only_bound(self):
         inst = ProblemInstance(
@@ -397,11 +395,11 @@ class TestSmoothness:
             labels=(np.array([1.0, -1.0]),),
             epsilon=0.01,
         )
-        assert smoothness_constant(inst).L == pytest.approx(0.02, abs=1e-15)
+        assert smoothness_constant(inst) == pytest.approx(0.02, abs=1e-15)
 
     def test_empirical_ratio_never_exceeds_bound(self, rng):
         inst = make_instance()
-        L = smoothness_constant(inst).L
+        L = smoothness_constant(inst)
         worst = 0.0
         for _ in range(1000):
             agent = int(rng.integers(0, inst.num_agents))
@@ -413,12 +411,10 @@ class TestSmoothness:
 
     def test_least_squares_largest_eigenvalue(self):
         inst = make_instance(kind=LEAST_SQUARES, epsilon=0.0, n_agents=3, m=40)
-        est = smoothness_constant(inst)
-        assert est.method == "eigvalsh"
         # the spectral norm of a symmetric positive semidefinite matrix is its
         # largest eigenvalue; numpy computes it from the SVD
         expected = max(float(np.linalg.norm(a.T @ a / a.shape[0], 2)) for a in inst.features)
-        assert est.L == pytest.approx(expected, rel=1e-12)
+        assert smoothness_constant(inst) == pytest.approx(expected, rel=1e-12)
 
 
 class TestShapeProperties:

@@ -662,6 +662,45 @@ class TestCli:
         ]
 
 
+# --- the batch fit: only a point that draws a batch needs b <= m ----------
+
+
+def unfit_batch_ini(variant: str, tau: int, iterations: int) -> str:
+    """BASIC_INI with batches of 7 from 6 points per agent, without replacement."""
+    return (
+        BASIC_INI.replace("batch_size = 1", "batch_size = 7\nbatch_replacement = false")
+        .replace("variant = lt_admm\n", f"variant = {variant}\n")
+        .replace("tau = 2", f"tau = {tau}")
+        .replace("outer_iterations = 8", f"outer_iterations = {iterations}")
+    )
+
+
+# each refreshes at every inner step it runs, or runs none
+@pytest.mark.parametrize(
+    "variant,tau,iterations",
+    [("lt_admm_vr", 1, 2), ("lt_admm", 2, 0), ("lt_admm_vr_v2", 1, 1), ("exact", 2, 2)],
+)
+def test_a_point_that_draws_no_batch_runs_with_an_unfit_batch(tmp_path, variant, tau, iterations):
+    text = unfit_batch_ini(variant, tau, iterations)
+    assert [run_cfg.variant for _, _, run_cfg in resolve(parse_config(text)).points] == [variant]
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    assert cli.main(["run", str(ini), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "tiny_point000.csv").read_text().splitlines()) == iterations + 2
+
+
+# lt_admm_vr_v2 at tau = 1 draws from its second outer iteration on
+@pytest.mark.parametrize("variant", ["lt_admm", "lt_admm_vr_v2"])
+def test_a_point_that_draws_a_batch_needs_it_to_fit(tmp_path, variant):
+    text = unfit_batch_ini(variant, 1, 2)
+    with pytest.raises(ConfigError, match="batch_size 7 exceeds"):
+        resolve(parse_config(text))
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    assert cli.main(["run", str(ini), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 # --- property: every config either runs or is rejected with exit code 2 ----
 
 # --- shared random inputs: a point does not depend on the other points ---
