@@ -7,7 +7,7 @@ bound checker, convergence metrics, and an abstract cost-time model)."""
 __version__ = "0.1.0"
 
 from .algorithms import (  # noqa: F401
-    DivergenceError,
+    Divergence,
     RunConfig,
     VARIANTS,
     run,
@@ -19,7 +19,7 @@ from .graph import (  # noqa: F401
     build_ring,
     spectral_quantities,
 )
-from .metrics import CostModel, Trace, compute_dk  # noqa: F401
+from .metrics import Trace, compute_dk  # noqa: F401
 from .oracles import Streams  # noqa: F401
 from .problems import (  # noqa: F401
     ProblemInstance,

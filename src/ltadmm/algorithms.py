@@ -57,9 +57,8 @@ import numpy as np
 
 from . import metrics
 from .graph import Topology
-from .metrics import CostModel, Replicates, Trace
+from .metrics import Replicates, Trace
 from .oracles import (
-    SharedDraws,
     Streams,
     draw_batch,
     saga_estimate_update,
@@ -76,7 +75,7 @@ from .problems import (
 __all__ = [
     "VARIANTS",
     "RunConfig",
-    "DivergenceError",
+    "Divergence",
     "batch_draws",
     "initial_iterates",
     "random_key",
@@ -95,17 +94,12 @@ VARIANTS = ("exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2")
 DIVERGENCE_NORM = 1e12
 
 
-class DivergenceError(RuntimeError):
+class Divergence(NamedTuple):
     """Where a replicate's local iterate first left the finite range (kept in ``Streams.diverged``)."""
 
-    def __init__(self, agent: int, outer_iteration: int, inner_step: int):
-        self.agent = agent
-        self.outer_iteration = outer_iteration
-        self.inner_step = inner_step
-        super().__init__(
-            f"divergence at agent {agent}, iteration {outer_iteration}, "
-            f"inner step {inner_step}"
-        )
+    agent: int
+    outer_iteration: int
+    inner_step: int
 
 
 @dataclass
@@ -144,12 +138,10 @@ class RunConfig:
             raise ValueError("master_seed must be nonnegative")
         if self.monte_carlo_runs < 1:
             raise ValueError("monte_carlo_runs must be >= 1")
-        self.cost_model()  # checks t_g and t_c
+        if not (0 <= self.t_g < np.inf and 0 <= self.t_c < np.inf):  # NaN too
+            raise ValueError("cost constants must be finite and nonnegative")
         if not 0 <= self.init_std < np.inf:  # NaN too
             raise ValueError("init_std must be finite and nonnegative")
-
-    def cost_model(self) -> CostModel:
-        return CostModel(t_g=self.t_g, t_c=self.t_c)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -262,7 +254,14 @@ class SharedInputs:
     """Random inputs of one random key, which several runs read; see :func:`shared_inputs`.
 
     Each part is made when a run first reads it, so its cost falls inside
-    that run.
+    that run.  The generators draw only ``block``: a run that draws past it
+    first copies them (:meth:`~ltadmm.oracles.Streams.own_generators`).
+
+    Attributes:
+        steps: batch draws per stream of the run that draws most.
+        block: the first block of batches, shape (R, N, steps, b), read-only;
+            the first :func:`~ltadmm.oracles.draw_batch` call of any of the
+            runs draws it.
     """
 
     key: tuple
@@ -270,6 +269,7 @@ class SharedInputs:
     num_agents: int
     dimension: int
     steps: int
+    block: np.ndarray | None = None
 
     @cached_property
     def iterates(self) -> np.ndarray:
@@ -277,13 +277,16 @@ class SharedInputs:
         return initial_iterates(self.config, self.num_agents, self.dimension, self.key[1])
 
     @cached_property
-    def draws(self) -> SharedDraws:
-        """The R * N stream generators, seeded in one vectorized pass, and their first block."""
+    def rngs(self) -> list[list[np.random.Generator]]:
+        """The R * N stream generators, seeded in one vectorized pass.
+
+        ``rngs[r][i]`` is the generator of stream (replicate r, agent i).
+        """
         N = self.num_agents
         reps = np.array(self.key[1], dtype=np.int64)
         rows = np.stack(np.broadcast_arrays(reps[:, None], 1 + np.arange(N)), axis=-1)
         rngs = _seeded_generators(self.config.master_seed, rows.reshape(-1, 2))
-        return SharedDraws([rngs[j : j + N] for j in range(0, len(rngs), N)], self.steps)
+        return [rngs[j : j + N] for j in range(0, len(rngs), N)]
 
 
 def shared_inputs(
@@ -323,7 +326,7 @@ def init_states(
     """
     if shared is None:
         shared = shared_inputs(instance, topology, [config], replicates)
-    return Streams.start(instance, shared.draws.rngs, batch_draws(config), shared.draws)
+    return Streams.start(instance, shared.rngs, batch_draws(config), shared)
 
 
 def local_training_epoch(
@@ -382,7 +385,7 @@ def local_training_epoch(
             out = left.any(axis=1)
             for r in map(int, np.flatnonzero(out)):
                 if r not in streams.diverged:
-                    streams.diverged[r] = DivergenceError(int(left[r].argmax()), k, t)
+                    streams.diverged[r] = Divergence(int(left[r].argmax()), k, t)
             phi[out] = X[out]
     return phi
 
@@ -469,7 +472,7 @@ def simulate_replicates(
     gradient metric, when enabled, is stored at the row of the state the
     epoch started from (its true gradients are measurement overhead and
     never hit the counters).  Once every replicate has diverged the run
-    stops, and ``component_evals`` is completed from the cost model
+    stops, and ``component_evals`` is completed from the cost table
     (:func:`metrics.iteration_evals`), so it and ``comms`` read as if the
     held states had run the whole budget.
     """
@@ -512,8 +515,8 @@ def simulate_replicates(
             break
 
     diverged_at: list[int | None] = [None] * R
-    for r, error in streams.diverged.items():
-        last = diverged_at[r] = error.outer_iteration
+    for r, divergence in streams.diverged.items():
+        last = diverged_at[r] = divergence.outer_iteration
         for column in measured:
             column[last + 1 :, r] = np.nan
         d_k[last:, r] = np.nan  # no epoch starts from a held state

@@ -1,4 +1,4 @@
-"""Convergence metrics, stacked and aggregated traces, and the abstract cost model.
+"""Convergence metrics, stacked and aggregated traces, and the abstract cost table.
 
 A run's replicates come as one stacked record, :class:`Replicates`: each
 metric is one (K+1, R) array, row k the state after k outer iterations and
@@ -7,7 +7,8 @@ replicates along the replicate axis, and the aggregated trace is a dict of
 the CSV columns, in CSV order.
 
 Time is measured in abstract units: ``t_g`` per component-gradient
-evaluation and ``t_c`` per synchronous communication round.  Each solver
+evaluation and ``t_c`` per synchronous communication round, the two cost
+constants of a :class:`~ltadmm.algorithms.RunConfig`.  Each solver
 variant's per-iteration charge follows from its schedule of table refreshes
 and batch steps (:func:`refresh_steps`), which the engine reads too; the
 simulator's evaluation counters reproduce those charges exactly.
@@ -33,7 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Replicates",
     "Trace",
-    "CostModel",
     "compute_dk",
     "consensus_error",
     "iteration_charge",
@@ -120,18 +120,6 @@ def consensus_error(iterates: np.ndarray):
     return np.max(np.linalg.norm(iterates - x_bar, axis=-1), axis=-1)
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Abstract per-operation times: gradient evaluation and comm round."""
-
-    t_g: float = 1.0
-    t_c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.t_g < np.inf and 0 <= self.t_c < np.inf):  # NaN too
-            raise ValueError("cost constants must be finite and nonnegative")
-
-
 def refresh_steps(variant: str, tau: int, k: int) -> int:
     """How many inner steps of outer iteration k refresh the gradient table; they come first.
 
@@ -159,25 +147,25 @@ def iteration_evals(variant: str, tau: int, m_i_max: int, batch_size: int, k: in
     return refreshes * m_i_max + (tau - refreshes) * batch_size
 
 
-def iteration_charge(
-    model: CostModel, variant: str, tau: int, m_i_max: int, batch_size: int, k: int
-) -> float:
-    """Model time consumed by outer iteration k (one comm round included)."""
-    return iteration_evals(variant, tau, m_i_max, batch_size, k) * model.t_g + model.t_c
+def iteration_charge(config: RunConfig, m_i_max: int, k: int) -> float:
+    """Model time that ``config`` consumes in outer iteration k (one comm round included)."""
+    evals = iteration_evals(config.variant, config.tau, m_i_max, config.batch_size, k)
+    return evals * config.t_g + config.t_c
 
 
-def reference_charges(model: CostModel, tau: int, m_i_max: int) -> dict[str, float]:
-    """Per-tau-iterations charges of reference algorithms, for annotation only.
+def reference_charges(config: RunConfig, m_i_max: int) -> dict[str, float]:
+    """Per-tau-iterations charges of reference algorithms at ``config``'s tau and costs.
 
     These algorithms are not simulated; the dictionary lets reports place
     their nominal time cost next to the implemented variants.
     """
+    tau, t_g, t_c = config.tau, config.t_g, config.t_c
     return {
-        "led_kgt": tau * model.t_g + 2.0 * model.t_c,
-        "gt_sarah": (m_i_max + tau - 1) * model.t_g + 2.0 * tau * model.t_c,
-        "gt_saga": tau * (model.t_g + 2.0 * model.t_c),
-        "lt_admm": tau * model.t_g + model.t_c,
-        "lt_admm_vr": (m_i_max + tau - 1) * model.t_g + model.t_c,
+        "led_kgt": tau * t_g + 2.0 * t_c,
+        "gt_sarah": (m_i_max + tau - 1) * t_g + 2.0 * tau * t_c,
+        "gt_saga": tau * (t_g + 2.0 * t_c),
+        "lt_admm": tau * t_g + t_c,
+        "lt_admm_vr": (m_i_max + tau - 1) * t_g + t_c,
     }
 
 
@@ -227,11 +215,7 @@ def with_model_time(trace: Trace, config: RunConfig, m_i_max: int) -> Trace:
     has its own columns dict.
     """
     rows = len(trace.columns["k"])
-    cost = config.cost_model()
-    charges = [
-        iteration_charge(cost, config.variant, config.tau, m_i_max, config.batch_size, k)
-        for k in range(rows - 1)
-    ]
+    charges = [iteration_charge(config, m_i_max, k) for k in range(rows - 1)]
     model_time = np.concatenate([[0.0], np.cumsum(charges)]) if rows else np.empty(0)
     columns = {"k": trace.columns["k"], "model_time": model_time}
     columns.update((name, column) for name, column in trace.columns.items() if name != "model_time")

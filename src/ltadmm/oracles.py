@@ -25,26 +25,28 @@ yields the values of drawing step by step.  With replacement a block is one
 ``integers`` call of the bounded integers that ``Generator.choice`` draws,
 from which the subsets of all streams are rebuilt at once, or, for batches
 above ``_FLOYD_MAX_BATCH``, one ``choice`` call per step.  Runs whose draws
-come from the same generators share them and their first block
-(:class:`SharedDraws`).
+come from the same generators share them and their first block, both held by
+one :class:`~ltadmm.algorithms.SharedInputs`.
 
-Every component-gradient evaluation is tallied per stream; the cost model
-converts those tallies into abstract time.
+Every component-gradient evaluation is tallied per stream; the cost table
+(:mod:`ltadmm.metrics`) converts those tallies into abstract time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .problems import ProblemInstance, component_gradients
 
+if TYPE_CHECKING:
+    from .algorithms import Divergence, SharedInputs
+
 __all__ = [
     "EvalCounter",
     "Stream",
-    "SharedDraws",
     "Streams",
     "draw_batch",
     "sgd_estimate",
@@ -87,30 +89,6 @@ class Stream(NamedTuple):
 
 
 @dataclass(eq=False)
-class SharedDraws:
-    """Stream generators and the first block of batches they draw, which several runs read.
-
-    Runs whose batches come from the same generators differ only in how many
-    batches they draw, and a block is a prefix of the draws of a longer one.
-    So the generators draw one first block, sized for the run that draws
-    most, and each run reads its own prefix of it.  They draw nothing else:
-    a run that draws past the block first copies them
-    (:meth:`Streams.own_generators`).
-
-    Attributes:
-        rngs: ``rngs[r][i]`` is the generator of stream (replicate r, agent i).
-        steps: batch draws per stream of the run that draws most.
-        block: the first block, shape (R, N, steps, b) with at most
-            ``_BLOCK_ENTRIES`` entries, read-only; the first :func:`draw_batch`
-            call of any of the runs draws it.
-    """
-
-    rngs: list[list[np.random.Generator]]
-    steps: int
-    block: np.ndarray | None = None
-
-
-@dataclass(eq=False)
 class Streams:
     """Estimator state of every (replicate, agent) stream of a grid point.
 
@@ -121,8 +99,8 @@ class Streams:
     ``pending`` bounds the number of batch draws per stream still to come
     in the run; it sizes the blocks drawn ahead and never changes a value
     drawn, since a block is a prefix of the draws of a longer one.  With
-    ``shared`` set, the streams' generators are that object's: the first
-    block is its block, which other runs read too, and the streams draw
+    ``shared`` set, the streams' generators are its ``rngs``: their first
+    block is its ``block``, which other runs read too, and the streams draw
     past it only from copies of the generators.
 
     The table gives each stream m_max consecutive slots: component h of
@@ -137,17 +115,18 @@ class Streams:
             None until the first refresh.
         table_sum: column sums of ``table``, shape (R, N, n).
         diverged: stack position of each replicate that left the finite
-            range, with the error that names where it did.
+            range, with the :class:`~ltadmm.algorithms.Divergence` that
+            names where it did.
     """
 
     streams: list[Stream]
     sizes: np.ndarray
     tally: np.ndarray
     pending: int
-    shared: SharedDraws | None = None
+    shared: SharedInputs | None = None
     table: np.ndarray | None = None
     table_sum: np.ndarray | None = None
-    diverged: dict[int, Exception] = field(default_factory=dict)
+    diverged: dict[int, Divergence] = field(default_factory=dict)
     _block: np.ndarray | None = field(default=None, init=False, repr=False)
     _cursor: int = field(default=0, init=False, repr=False)
 
@@ -166,11 +145,11 @@ class Streams:
         instance: ProblemInstance,
         rngs: list[list[np.random.Generator]],
         pending: int,
-        shared: SharedDraws | None = None,
+        shared: SharedInputs | None = None,
     ) -> "Streams":
         """Fresh streams from one generator per (replicate, agent): ``rngs[r][i]``.
 
-        With ``shared``, ``rngs`` are its generators.  The streams hold no
+        With ``shared``, ``rngs`` is ``shared.rngs``.  The streams hold no
         table; :func:`saga_refresh` creates it.
         """
         sizes = instance.sizes
@@ -194,8 +173,9 @@ class Streams:
         """Give every stream a copy of its shared generator, at the state it holds.
 
         :func:`draw_batch` calls this before the streams draw a block of
-        their own.  The shared generators draw only the first block, so the
-        copies go on from where that block ends.
+        their own.  The generators of ``shared`` draw only its first block,
+        so the copies go on from where that block ends, and the streams then
+        let go of ``shared``.
         """
         if self.shared is None:
             return
@@ -281,7 +261,8 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
     as a uniform subset without it (requires ``batch_size <= m_i``).  Every
     step takes the next step of a block that the streams drew ahead
     (:func:`_draw_block`), which yields the values of drawing step by step.
-    Streams with ``shared`` read its block first.
+    Streams with ``shared`` read its ``block`` first, drawing it for
+    ``shared.steps`` steps if no run has yet.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")

@@ -41,7 +41,7 @@ import platform
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -416,6 +416,12 @@ def _write_csv(path: Path, trace: Trace) -> None:
         writer.writerows(zip(*(column.tolist() for column in trace.columns.values())))
 
 
+def _run_group(instance: ProblemInstance, topology: Topology, configs: list[RunConfig]) -> list[Trace]:
+    """The traces of ``configs``, which share one random key, run on one set of shared inputs."""
+    shared = shared_inputs(instance, topology, configs, range(configs[0].monte_carlo_runs))
+    return [run(instance, topology, config, shared) for config in configs]
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -431,8 +437,9 @@ def run_experiment(
     size, sampling mode and ``init_std``) run one after another on one
     :class:`~ltadmm.algorithms.SharedInputs`, which lives until the next key
     starts.  With ``workers > 1`` the distinct trajectories run in a process
-    pool of at most one worker per trajectory, each task on inputs of its
-    own; results do not depend on the worker count.
+    pool of at most one worker per trajectory, each task on shared inputs of
+    its own; results do not depend on the worker count.  Either way every
+    task is one :func:`_run_group` call.
     """
     topology, instance, grid, stop_threshold = resolve(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -443,22 +450,19 @@ def run_experiment(
     representatives: dict[tuple, RunConfig] = {}
     for key, run_cfg in zip(keys, run_cfgs):
         representatives.setdefault(key, run_cfg)
-    distinct = list(representatives.values())
-    workers = min(workers, len(distinct))
+    workers = min(workers, len(representatives))
+    # a serial task is a random-key group, a pool task one trajectory
+    tasks: dict[tuple, list[tuple]] = {}
+    for key, run_cfg in representatives.items():
+        task = key if workers > 1 else random_key(run_cfg, range(run_cfg.monte_carlo_runs))
+        tasks.setdefault(task, []).append(key)
+    configs = [[representatives[key] for key in task] for task in tasks.values()]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            simulated = pool.map(run, repeat(instance), repeat(topology), distinct)
-            by_key = dict(zip(representatives, simulated))
+            simulated = list(pool.map(_run_group, repeat(instance), repeat(topology), configs))
     else:
-        groups: dict[tuple, list[tuple]] = {}
-        for key, run_cfg in representatives.items():
-            groups.setdefault(random_key(run_cfg, range(run_cfg.monte_carlo_runs)), []).append(key)
-        by_key = {}
-        for group in groups.values():
-            configs = [representatives[key] for key in group]
-            shared = shared_inputs(instance, topology, configs, range(configs[0].monte_carlo_runs))
-            for key, run_cfg in zip(group, configs):
-                by_key[key] = run(instance, topology, run_cfg, shared)
+        simulated = list(map(_run_group, repeat(instance), repeat(topology), configs))
+    by_key = dict(zip(chain.from_iterable(tasks.values()), chain.from_iterable(simulated)))
     m_max = instance.max_points
     traces = [with_model_time(by_key[key], run_cfg, m_max) for key, run_cfg in zip(keys, run_cfgs)]
 
@@ -478,9 +482,7 @@ def run_experiment(
                 "num_diverged": trace.num_diverged,
                 "stopping": stopping,
                 "resolved": asdict(run_cfg),
-                "reference_charges": reference_charges(
-                    run_cfg.cost_model(), run_cfg.tau, m_max
-                ),
+                "reference_charges": reference_charges(run_cfg, m_max),
             }
         )
 

@@ -264,12 +264,11 @@ def test_criterion_8_cost_model_consistency():
         )
         timed = run(inst, topo, cfg)
         replicates = timed.replicates
-        model = cfg.cost_model()
         evals = 0
         model_time = 0.0
         for k in range(iters):
             evals += iteration_evals(variant, tau, m, batch, k)
-            model_time += iteration_charge(model, variant, tau, m, batch, k)
+            model_time += iteration_charge(cfg, m, k)
             assert replicates.component_evals[k + 1] == evals
             assert timed.columns["model_time"][k + 1] == model_time
     report(8, "evaluation counters and cost-table charges agree exactly on 100 random configs")

@@ -299,7 +299,7 @@ class TestDeterminism:
             inst, topo, [vr, base_config(variant="lt_admm", tau=4, gamma=0.2, outer_iterations=3)], range(2)
         )
         # the run that draws most sizes the block: lt_admm, 3 x 4 draws
-        assert shared.draws.steps == 12
+        assert shared.steps == 12
         with pytest.raises(ValueError, match="random key"):
             simulate_replicates(inst, topo, vr, range(3), shared)
         with pytest.raises(ValueError, match="random key"):

@@ -4,7 +4,6 @@ import pytest
 from ltadmm.algorithms import RunConfig, run
 from ltadmm.graph import build_ring
 from ltadmm.metrics import (
-    CostModel,
     Replicates,
     Trace,
     aggregate_replicates,
@@ -79,46 +78,52 @@ class TestComputeDk:
             compute_dk(np.zeros(2), np.zeros((2, 2, 3)), tau=3)
 
 
+def cost_config(variant="lt_admm", **costs) -> RunConfig:
+    """A run configuration at tau = 5 and unit batches with the given cost constants."""
+    return RunConfig(variant=variant, gamma=0.1, rho=1.0, tau=5, outer_iterations=1, batch_size=1, **costs)
+
+
 class TestCostModel:
     def test_sgd_variant_charge(self):
-        model = CostModel(t_g=1.0, t_c=10.0)
-        assert iteration_charge(model, "lt_admm", tau=5, m_i_max=100, batch_size=1, k=0) == 15.0
+        config = cost_config("lt_admm", t_g=1.0, t_c=10.0)
+        assert iteration_charge(config, m_i_max=100, k=0) == 15.0
 
     def test_vr_variant_charge(self):
-        model = CostModel(t_g=1.0, t_c=10.0)
-        assert iteration_charge(model, "lt_admm_vr", tau=5, m_i_max=100, batch_size=1, k=3) == 114.0
+        config = cost_config("lt_admm_vr", t_g=1.0, t_c=10.0)
+        assert iteration_charge(config, m_i_max=100, k=3) == 114.0
 
     def test_zero_costs(self):
-        model = CostModel(t_g=0.0, t_c=0.0)
+        config = cost_config("lt_admm_vr", t_g=0.0, t_c=0.0)
         time = 0.0
         for k in range(5):
-            time += iteration_charge(model, "lt_admm_vr", 5, 100, 1, k)
+            time += iteration_charge(config, 100, k)
         assert time == 0.0
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
-            iteration_charge(CostModel(), "mystery", 5, 100, 1, 0)
+            iteration_evals("mystery", 5, 100, 1, 0)
 
     def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel(t_g=-1.0)
+        for field in ("t_g", "t_c"):
+            with pytest.raises(ValueError):
+                cost_config(**{field: -1.0})
 
     @pytest.mark.parametrize("field", ["t_g", "t_c"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_costs_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
-            CostModel(**{field: value})
+            cost_config(**{field: value})
 
     def test_v2_first_iteration_pays_table_init(self):
-        model = CostModel(t_g=1.0, t_c=0.0)
-        first = iteration_charge(model, "lt_admm_vr_v2", tau=5, m_i_max=100, batch_size=1, k=0)
-        later = iteration_charge(model, "lt_admm_vr_v2", tau=5, m_i_max=100, batch_size=1, k=1)
+        config = cost_config("lt_admm_vr_v2", t_g=1.0, t_c=0.0)
+        first = iteration_charge(config, m_i_max=100, k=0)
+        later = iteration_charge(config, m_i_max=100, k=1)
         assert first == 104.0
         assert later == 5.0
 
     def test_reference_charges_match_published_forms(self):
-        model = CostModel(t_g=1.0, t_c=10.0)
-        ref = reference_charges(model, tau=5, m_i_max=100)
+        config = cost_config(t_g=1.0, t_c=10.0)
+        ref = reference_charges(config, m_i_max=100)
         assert ref["led_kgt"] == 5 * 1.0 + 2 * 10.0
         assert ref["gt_sarah"] == 104 * 1.0 + 2 * 5 * 10.0
         assert ref["gt_saga"] == 5 * (1.0 + 2 * 10.0)
@@ -169,10 +174,9 @@ class TestCounterFormulaAgreement:
         replicates = timed.replicates
         expected_evals = 0
         expected_time = 0.0
-        model = cfg.cost_model()
         for k in range(cfg.outer_iterations):
             expected_evals += iteration_evals(variant, cfg.tau, 11, cfg.batch_size, k)
-            expected_time += iteration_charge(model, variant, cfg.tau, 11, cfg.batch_size, k)
+            expected_time += iteration_charge(cfg, 11, k)
             assert replicates.component_evals[k + 1] == expected_evals
             assert timed.columns["model_time"][k + 1] == expected_time
             assert replicates.comms[k + 1] == (k + 1) * topo.num_directed_edges
@@ -282,7 +286,7 @@ class TestModelTime:
         column = with_model_time(untimed, cfg, 11).columns["model_time"]
         expected = [0.0]
         for k in range(1300):
-            expected.append(expected[-1] + iteration_charge(cfg.cost_model(), variant, 3, 11, 2, k))
+            expected.append(expected[-1] + iteration_charge(cfg, 11, k))
         assert column.tolist() == expected
 
     def test_column_follows_k_and_replaces_an_earlier_one(self):

@@ -263,6 +263,24 @@ class TestRunExperiment:
             assert a == b
 
 
+class InProcessPool:
+    """A stand-in for the process pool that maps in this process and records its sizes."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestSharedTrajectories:
     def test_each_trajectory_simulated_once(self, tmp_path, monkeypatch):
         calls = []
@@ -283,24 +301,34 @@ class TestSharedTrajectories:
         ids=["three-trajectories", "one-trajectory"],
     )
     def test_pool_has_at_most_one_worker_per_trajectory(self, tmp_path, monkeypatch, text, workers, expected):
-        created = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+        monkeypatch.setattr(InProcessPool, "created", [])
         monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
         run_experiment(parse_config(text), out_dir=tmp_path, workers=workers)
-        assert created == expected
+        assert InProcessPool.created == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_run_gets_shared_inputs(self, tmp_path, monkeypatch, workers):
+        # the cost grid's 3 trajectories plus one under another master seed:
+        # two random keys, so two groups when serial and four pool tasks
+        cfg = parse_config(COST_GRID_INI)
+        cfg.points, cfg.sweep = expand_grid(cfg) + [{"master_seed": 7}], {}
+        calls = []
+
+        def recording_run(instance, topology, run_cfg, *shared):
+            calls.append((run_cfg, *shared))
+            return algorithms.run(instance, topology, run_cfg, *shared)
+
+        monkeypatch.setattr(InProcessPool, "created", [])
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(runner, "run", recording_run)
+        run_experiment(cfg, out_dir=tmp_path, workers=workers)
+        assert InProcessPool.created == ([2] if workers > 1 else [])
+        assert len(calls) == 4
+        for run_cfg, *shared in calls:
+            assert len(shared) == 1 and isinstance(shared[0], algorithms.SharedInputs)
+            assert shared[0].key == algorithms.random_key(run_cfg, range(run_cfg.monte_carlo_runs))
+        inputs = {id(shared) for _, shared in calls}
+        assert len(inputs) == (4 if workers > 1 else 2)
 
     def test_csv_bytes_match_a_run_per_point(self, tmp_path):
         cfg = parse_config(COST_GRID_INI)
