@@ -15,12 +15,15 @@ provided:
 Datasets are synthesized from two Gaussian class clusters with unit-variance
 noise and are fully determined by an integer seed.
 
-Three dense kernels read the agents' features zero-padded to m_max rows each
+Three dense kernels read the agents' rows zero-padded to m_max rows each
 (``ProblemInstance.padded``): :func:`component_gradients` yields the
 solvers' rows (batch steps and table refreshes), :func:`local_gradients`
 every agent's gradient at its own point (the ``record_dk`` metric), and
 :func:`global_gradient` the network gradient at a common point (the
-``grad_norm_sq`` metric).
+``grad_norm_sq`` metric).  A logistic row holds q = -y a, the label folded
+into the features: its data-loss gradient is sigma(q . x) q, which equals
+(-y sigma(-y a . x)) a bit for bit because y is +/-1, so the logistic
+kernels read no labels and evaluate the loss in place.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class ProblemInstance:
     Attributes:
         kind: one of ``logistic_nonconvex`` or ``least_squares``.
         features: per-agent arrays of shape (m_i, n).
-        labels: per-agent arrays of shape (m_i,) with values in {-1, +1}.
+        labels: per-agent arrays of shape (m_i,); values in {-1, +1} for
+            the logistic family, any real value for least squares.
         epsilon: regularization weight (used by the logistic family only).
     """
 
@@ -78,6 +82,9 @@ class ProblemInstance:
                 raise ValueError("every agent needs >= 1 points of equal dimension")
             if b.shape != (a.shape[0],):
                 raise ValueError("label vector shape mismatch")
+            # the folded rows -y a of ``padded`` are exact only for y = +/-1
+            if self.kind == LOGISTIC_NONCONVEX and not np.all(np.abs(b) == 1.0):
+                raise ValueError("logistic labels must be -1 or +1")
 
     @property
     def num_agents(self) -> int:
@@ -105,17 +112,21 @@ class ProblemInstance:
 
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Features and labels of point h of agent i at row i * m_max + h.
+        """Kernel rows and labels of point h of agent i at row i * m_max + h.
 
-        Shapes (N * m_max, n) and (N * m_max,); the rows past each agent's
-        m_i are zero.
+        Shapes (N * m_max, n) and (N * m_max,).  A row is the feature vector
+        a for least squares and q = -y a for the logistic family.  The rows
+        and labels past each agent's m_i are zero (-0.0 in logistic rows),
+        so a padding row's data-loss gradient is +/-0 before the regularizer
+        is added.
         """
         features = np.zeros((self.num_agents, self.max_points, self.dimension))
         labels = np.zeros((self.num_agents, self.max_points))
         for i, (a, b) in enumerate(zip(self.features, self.labels)):
             features[i, : len(b)] = a
             labels[i, : len(b)] = b
-        return features.reshape(-1, self.dimension), labels.ravel()
+        labels = labels.ravel()
+        return _kernel_rows(self, features.reshape(-1, self.dimension), labels), labels
 
     @cached_property
     def row_offsets(self) -> np.ndarray:
@@ -175,13 +186,29 @@ def generate_classification(
     )
 
 
-def _logistic(t: np.ndarray) -> np.ndarray:
+def _kernel_rows(instance: ProblemInstance, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The rows the kernels score: ``features`` for least squares, -y a for logistic."""
+    if instance.kind == LOGISTIC_NONCONVEX:
+        return -labels[:, None] * features
+    return features
+
+
+def _logistic(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-t)) elementwise, without overflow in either tail.
 
     Both exponents are at most 0: the numerator is exp(t) below 0 and 1
-    above it, the denominator 1 + exp(-|t|).
+    above it, the denominator 1 + exp(-|t|).  Evaluated in place in at most
+    two arrays of ``t``'s size, one of them ``out`` (which may be ``t``)
+    when given; ``t`` is written only when it is ``out``.
     """
-    return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
+    denominator = np.abs(t)
+    np.negative(denominator, out=denominator)
+    np.exp(denominator, out=denominator)
+    denominator += 1.0
+    numerator = np.minimum(t, 0.0, out=out)
+    np.exp(numerator, out=numerator)
+    numerator /= denominator
+    return numerator
 
 
 def _regularizer_gradient(x: np.ndarray) -> np.ndarray:
@@ -194,11 +221,17 @@ def _regularizer_gradient(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss_weights(instance: ProblemInstance, margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Derivative of each component's data loss in its margin ``a . x``."""
+def _loss_weights(instance: ProblemInstance, margins: np.ndarray, labels: np.ndarray | None) -> np.ndarray:
+    """Derivative of each component's data loss in its margin, written over ``margins``.
+
+    ``margins`` is a fresh array of each kernel row's product with x: the
+    weight is sigma(q . x) for a logistic row q = -y a, whose ``labels``
+    are not read (None will do), and a . x - y for least squares.
+    """
     if instance.kind == LOGISTIC_NONCONVEX:
-        return -labels * _logistic(-labels * margins)
-    return margins - labels
+        return _logistic(margins, out=margins)
+    margins -= labels
+    return margins
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -218,11 +251,12 @@ def component_gradients(
     (..., i, j) is the gradient of agent i's component ``indices`` names at
     that place, at agent i's point; repeated indices yield repeated rows.
 
-    Every index must lie in [0, m_max), or a ``ValueError`` is raised
-    before anything is written.  ``out``, when given, is a C-ordered float
-    array of the result's shape that the rows are written into and that is
-    returned, so a table refresh reuses its table instead of allocating a
-    second one.
+    The rows are gathered from ``instance.padded``, so a logistic row is
+    sigma(q . x) q with q = -y a and no label is gathered.  Every index
+    must lie in [0, m_max), or a ``ValueError`` is raised before anything
+    is written.  ``out``, when given, is a C-ordered float array of the
+    result's shape that the rows are written into and that is returned, so
+    a table refresh reuses its table instead of allocating a second one.
 
     An index in [m_i, m_max) names a zero padding row of agent i: its
     gradient is 0 for least squares and the regularizer gradient for the
@@ -237,7 +271,7 @@ def component_gradients(
     # take(out=) with mode="raise" first gathers into a buffer the size of
     # ``out``; checked indices gather directly under mode="clip" instead
     feats = features.take(position, axis=0, out=out, mode="clip")
-    labs = labels.take(position)
+    labs = labels.take(position) if instance.kind == LEAST_SQUARES else None
     del position  # not needed past the gathers: free it before the loss temporaries
     margins = np.einsum("...j,...j->...", feats, x[..., None, :])
     feats *= _loss_weights(instance, margins, labs)[..., None]  # the gathered copy becomes the rows
@@ -254,8 +288,8 @@ def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) ->
     :func:`local_gradients`, kept as its reference.
     """
     _check_finite(x)
-    feats = instance.features[agent]
     labs = instance.labels[agent]
+    feats = _kernel_rows(instance, instance.features[agent], labs)
     g = _loss_weights(instance, x @ feats.T, labs) @ feats / feats.shape[0]
     if instance.kind == LOGISTIC_NONCONVEX:
         g += instance.epsilon * _regularizer_gradient(x)
@@ -267,11 +301,10 @@ def local_gradients(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
 
     ``x`` stacks one point per agent, shape (..., N, n); row i of the result
     is agent i's gradient at row i of ``x``.  The agents are evaluated
-    together on the padded features, agent axis leading, in two batched
-    matrix products; padded rows have zero features and labels and add
-    nothing.  This is the kernel of the epoch gradient metric
-    (``record_dk``); the network-gradient metric, whose agents share one
-    point, uses :func:`global_gradient`.
+    together on the padded rows, agent axis leading, in two batched matrix
+    products; padding rows are zero and add nothing.  This is the kernel of
+    the epoch gradient metric (``record_dk``); the network-gradient metric,
+    whose agents share one point, uses :func:`global_gradient`.
     """
     _check_finite(x)
     features, labels = instance.padded

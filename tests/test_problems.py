@@ -1,14 +1,17 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from ltadmm.oracles import Streams, saga_refresh
 from ltadmm.problems import (
     LEAST_SQUARES,
     LOGISTIC_NONCONVEX,
     ProblemInstance,
     _logistic,
+    _regularizer_gradient,
     component_gradients,
     generate_classification,
     global_gradient,
@@ -102,6 +105,16 @@ class TestGeneration:
     def test_bad_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             make_instance(epsilon=epsilon)
+
+    @pytest.mark.parametrize("label", [0.5, 0.0, float("nan")])
+    def test_logistic_labels_must_be_plus_or_minus_one(self, label):
+        labels = np.array([1.0, -1.0, label])
+        features = np.ones((3, 2))
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            ProblemInstance(kind=LOGISTIC_NONCONVEX, features=(features,), labels=(labels,))
+        # least-squares labels are any target value
+        inst = ProblemInstance(kind=LEAST_SQUARES, features=(features,), labels=(labels,))
+        assert np.array_equal(inst.labels[0], labels, equal_nan=True)
 
 
 class TestGradients:
@@ -296,6 +309,135 @@ class TestLocalGradients:
             norm = global_gradient_norm_sq(inst, x)
             assert isinstance(norm, float)
             assert np.asarray(norms)[place] == pytest.approx(norm, rel=1e-14)
+
+
+def _label_form_logistic(t):
+    """The logistic as one expression of fresh temporaries, as it read before rows were folded."""
+    return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
+
+
+def _raw_padded(instance):
+    """Raw features a and labels y zero-padded to m_max rows, agent-major."""
+    N, m_max, n = instance.num_agents, instance.max_points, instance.dimension
+    features, labels = np.zeros((N, m_max, n)), np.zeros((N, m_max))
+    for i, (a, y) in enumerate(zip(instance.features, instance.labels)):
+        features[i, : len(y)], labels[i, : len(y)] = a, y
+    return features, labels
+
+
+def _label_weights(margins, labels):
+    """-y sigma(-y a . x): the logistic loss weight of a raw row."""
+    return -labels * _label_form_logistic(-labels * margins)
+
+
+class TestFoldedLabels:
+    """The kernels on the folded rows q = -y a equal, bit for bit, the same
+    kernels on the raw rows a weighted by -y sigma(-y a . x)."""
+
+    @staticmethod
+    def instances():
+        return [
+            uneven_instance(LOGISTIC_NONCONVEX),  # padding rows
+            generate_classification(31, 10, 5, 100),  # the presets' problem
+        ]
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_component_gradients(self, case, with_out, rng):
+        inst = self.instances()[case]
+        N, m_max, n = inst.num_agents, inst.max_points, inst.dimension
+        x = rng.normal(scale=3.0, size=(4, N, n))
+        # every index below m_max per stream, as a table refresh draws them
+        indices = np.tile(np.arange(m_max), 4 * N)
+        out = np.full((4, N, m_max, n), np.nan) if with_out else None
+        got = component_gradients(inst, x, indices, out=out)
+        features, labels = _raw_padded(inst)
+        feats = np.broadcast_to(features, (4, N, m_max, n)).copy()
+        margins = np.einsum("...j,...j->...", feats, x[..., None, :])
+        feats *= _label_weights(margins, np.broadcast_to(labels, (4, N, m_max)))[..., None]
+        feats += (inst.epsilon * _regularizer_gradient(x))[..., None, :]
+        self.assert_same_bits(got, feats)
+        if with_out:
+            assert got is out
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_local_gradients(self, case, rng):
+        inst = self.instances()[case]
+        N, n = inst.num_agents, inst.dimension
+        x = rng.normal(scale=3.0, size=(20, N, n))
+        features, labels = _raw_padded(inst)
+        points = np.moveaxis(x, -2, 0).reshape(N, -1, n)
+        weights = _label_weights(points @ features.transpose(0, 2, 1), labels[:, None, :])
+        g = weights @ features
+        g /= inst.sizes[:, None, None]
+        expected = np.moveaxis(g, 0, -2) + inst.epsilon * _regularizer_gradient(x)
+        self.assert_same_bits(local_gradients(inst, x), expected)
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_global_gradient(self, case, rng):
+        inst = self.instances()[case]
+        x = rng.normal(scale=3.0, size=(20, inst.dimension))
+        features, labels = _raw_padded(inst)
+        features, labels = features.reshape(-1, inst.dimension), labels.ravel()
+        weights = _label_weights(x @ features.T, labels)
+        weights *= inst.row_weights
+        expected = weights @ features + inst.epsilon * _regularizer_gradient(x)
+        self.assert_same_bits(global_gradient(inst, x), expected)
+
+
+class TestKernelAllocations:
+    """At R = 20 on the presets' problem, each logistic kernel holds at most
+    three arrays of its margins' size at once (the output included)."""
+
+    R = 20
+    LIMIT = 3.05
+
+    @pytest.fixture
+    def inst(self):
+        inst = generate_classification(31, 10, 5, 100)
+        inst.padded, inst.row_weights  # cached before measuring
+        return inst
+
+    def peak_in_margins(self, inst, call):
+        """Transient allocation peak of ``call()``, in margin-sized arrays."""
+        call()  # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / (self.R * inst.num_agents * inst.max_points * 8)
+
+    def test_global_gradient(self, inst, rng):
+        x = rng.normal(size=(self.R, inst.dimension))
+        assert self.peak_in_margins(inst, lambda: global_gradient(inst, x)) <= self.LIMIT
+
+    def test_local_gradients(self, inst, rng):
+        x = rng.normal(size=(self.R, inst.num_agents, inst.dimension))
+        assert self.peak_in_margins(inst, lambda: local_gradients(inst, x)) <= self.LIMIT
+
+    def test_second_saga_refresh(self, inst, rng):
+        x = rng.normal(size=(self.R, inst.num_agents, inst.dimension))
+        rngs = [[np.random.default_rng([r, i]) for i in range(inst.num_agents)] for r in range(self.R)]
+        streams = Streams.start(inst, rngs, pending=0)
+        # the first refresh creates the table, the second writes over it
+        assert self.peak_in_margins(inst, lambda: saga_refresh(streams, inst, x)) <= self.LIMIT
+
+    def test_logistic_writes_only_its_out(self, rng):
+        t = rng.normal(scale=30.0, size=1000)
+        before = t.copy()
+        expected = _label_form_logistic(t)
+        assert np.array_equal(_logistic(t), expected)
+        assert np.array_equal(t, before)
+        assert _logistic(t, out=t) is t
+        assert np.array_equal(t, expected)
 
 
 class TestLogistic:
