@@ -19,9 +19,16 @@ every (replicate, agent) stream's estimate in one array step
 (:mod:`ltadmm.oracles`), then one stacked update moves all rows.  The
 exchange (every agent sends one payload per neighbor, a synchronous barrier)
 is two array operations over the edge arrays ``Topology.src`` (the owner of
-each edge) and ``Topology.rev`` (the reverse edge).  A replicate that
-diverges stays in the stack, held at the state it started that outer
-iteration from, and the others run on.
+each edge) and ``Topology.rev`` (the reverse edge).  The edge sums A^T Z are
+one ``bincount`` over bins that the topology keeps per stack shape
+(:meth:`~ltadmm.graph.Topology.edge_sums`); it adds each agent's edge rows
+in edge order from +0.0, as ``np.add.at`` would.  After each inner step
+one bound guards the whole stack: when every entry is at most
+``DIVERGENCE_NORM / (2 sqrt(n))`` in magnitude, no row's norm can exceed
+``DIVERGENCE_NORM``, and only a stack that fails it (NaN and inf do) has
+its rows' norms checked one by one.  A replicate that diverges stays in
+the stack, held at the state it started that outer iteration from, and
+the others run on.
 
 Variants differ only in the local gradient estimator.  An inner step either
 refreshes every stream's gradient table at its iterate and uses the table
@@ -32,7 +39,11 @@ averages the batch's gradients; one of the variance-reduced variants
 
 Randomness is organized per (replicate, agent) stream with a fixed in-stream
 draw order, so results are a pure function of the configuration and never
-depend on scheduling or on which replicates share the stack.  A run's random
+depend on scheduling.  Which replicates share the stack changes no state,
+counter, consensus error or conservation residual; the gradient metrics
+come from matrix products over all replicates' rows, and BLAS may round
+a row differently with their number (OpenBLAS takes a one-row path for a
+lone replicate), so those may differ in the last bits.  A run's random
 inputs depend only on its random key: the master seed, the replicates, the
 batch size, the sampling mode and ``init_std``.  Variant, gamma, rho and tau
 only change how many batches it draws.  Runs of one problem with the same
@@ -48,6 +59,7 @@ the ``model_time`` column from the cost table after its replicates finish.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -329,6 +341,21 @@ def init_states(
     return Streams.start(instance, shared.rngs, batch_draws(config), shared)
 
 
+def _outside(phi: np.ndarray) -> np.ndarray | None:
+    """Which rows of ``phi`` (R, N, n) left the finite range, shape (R, N); None if none did.
+
+    A row leaves it when its norm exceeds ``DIVERGENCE_NORM`` or is not
+    finite.  One bound decides most stacks: no row whose entries are all at
+    most ``DIVERGENCE_NORM / (2 sqrt(n))`` in magnitude has a norm above
+    half of ``DIVERGENCE_NORM``.  Only a stack that fails it (NaN and inf
+    do) has its rows' norms checked.
+    """
+    if np.maximum.reduce(np.abs(phi), axis=None) <= DIVERGENCE_NORM / (2.0 * math.sqrt(phi.shape[-1])):
+        return None
+    left = ~(np.einsum("rij,rij->ri", phi, phi) <= DIVERGENCE_NORM**2)
+    return left if left.any() else None
+
+
 def local_training_epoch(
     streams: Streams,
     instance: ProblemInstance,
@@ -380,8 +407,8 @@ def local_training_epoch(
         if log is not None:
             log.append((phi, G))
         phi = phi - gamma * (G + penalty * phi - AtZ)
-        left = ~(np.einsum("rij,rij->ri", phi, phi) <= DIVERGENCE_NORM**2)
-        if left.any():
+        left = _outside(phi)
+        if left is not None:
             out = left.any(axis=1)
             for r in map(int, np.flatnonzero(out)):
                 if r not in streams.diverged:
@@ -411,12 +438,11 @@ class StateMetrics(NamedTuple):
 def _measure(
     instance: ProblemInstance, X: np.ndarray, Z: np.ndarray, degrees: np.ndarray, rho: float
 ) -> StateMetrics:
+    residual = np.add.reduce(Z, axis=1) - rho * np.add.reduce(degrees[:, None] * X, axis=1)
     return StateMetrics(
-        grad_norm_sq=global_gradient_norm_sq(instance, X.mean(axis=1)),
+        grad_norm_sq=global_gradient_norm_sq(instance, np.add.reduce(X, axis=1) / X.shape[1]),
         consensus_err=metrics.consensus_error(X),
-        conservation_residual=np.linalg.norm(
-            Z.sum(axis=1) - rho * (degrees[:, None] * X).sum(axis=1), axis=-1
-        ),
+        conservation_residual=np.sqrt(np.add.reduce(residual * residual, axis=-1)),
     )
 
 
@@ -438,9 +464,8 @@ def outer_step(
     the state it started the step from, and the step runs on when every
     replicate is held.  ``log`` is passed on to the epoch.
     """
-    degrees = np.asarray(topology.degrees)
-    AtZ = np.zeros(X.shape)
-    np.add.at(AtZ, (slice(None), topology.src), Z)
+    degrees = topology.degree_vector
+    AtZ = topology.edge_sums(Z)
     X_new = local_training_epoch(streams, instance, config, k, X, AtZ, degrees, log)
     Z_new = exchange(topology, Z, X_new, config.rho)
     if streams.diverged:
@@ -478,7 +503,7 @@ def simulate_replicates(
     """
     replicates = [int(r) for r in replicates]
     R, K = len(replicates), config.outer_iterations
-    degrees = np.asarray(topology.degrees)
+    degrees = topology.degree_vector
     if shared is None:
         shared = shared_inputs(instance, topology, [config], replicates)
     elif shared.key != random_key(config, replicates):
@@ -501,7 +526,8 @@ def simulate_replicates(
         # the synchronous round waits for the slowest agent
         evals[k + 1] = evals[k] + (streams.tally - tally).max()
         if config.record_dk:
-            inner = local_gradients(instance, np.stack([phi for phi, _ in log])).mean(axis=-2)
+            gradients = local_gradients(instance, np.stack([phi for phi, _ in log]))
+            inner = np.add.reduce(gradients, axis=-2) / topology.num_agents
             d_k[k] = metrics.compute_dk(measured[0][k], inner, config.tau)
         if len(streams.diverged) == R:
             # every replicate is held: the rest of the budget would only count
@@ -538,7 +564,12 @@ def simulate_replicate(
     config: RunConfig,
     replicate: int,
 ) -> Replicates:
-    """Run one replicate alone; the same metrics as its column of a stacked run."""
+    """Run one replicate alone: the same states as its column of a stacked run.
+
+    Its counters, consensus errors and conservation residuals have the same
+    bits too; ``grad_norm_sq`` and ``d_k`` may differ in the last bits,
+    since BLAS computes a one-row matrix product by another path.
+    """
     return simulate_replicates(instance, topology, config, [replicate])
 
 

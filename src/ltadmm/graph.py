@@ -17,6 +17,7 @@ eigenvalue, which bound the admissible step sizes of the solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,9 @@ class Topology:
     directed_edges: tuple[tuple[int, int], ...]
     src: np.ndarray = field(repr=False)
     rev: np.ndarray = field(repr=False)
+    _bins: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def num_directed_edges(self) -> int:
@@ -56,6 +60,30 @@ class Topology:
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.neighbor_lists)
+
+    @cached_property
+    def degree_vector(self) -> np.ndarray:
+        """:attr:`degrees` as a read-only float array, shape (N,)."""
+        degrees = np.array(self.degrees, dtype=float)
+        degrees.flags.writeable = False
+        return degrees
+
+    def edge_sums(self, Z: np.ndarray) -> np.ndarray:
+        """Each agent's sum of its edge rows of ``Z`` (R, M, n): A^T Z, shape (R, N, n).
+
+        One ``bincount`` over flat bins (r * N + src[e]) * n + j, built on
+        the first call with each (R, n) and kept with the topology.  It adds
+        the rows in edge order from +0.0, as ``np.add.at`` on zeros does, so
+        the sums have the same bits.
+        """
+        R, _, n = Z.shape
+        bins = self._bins.get((R, n))
+        if bins is None:
+            owners = self.num_agents * np.arange(R)[:, None] + self.src
+            bins = (n * owners)[:, :, None] + np.arange(n)
+            self._bins[R, n] = bins = bins.ravel()
+        sums = np.bincount(bins, weights=Z.ravel(), minlength=R * self.num_agents * n)
+        return sums.reshape(R, self.num_agents, n)
 
     @property
     def max_degree(self) -> int:

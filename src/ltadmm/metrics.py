@@ -116,8 +116,10 @@ def consensus_error(iterates: np.ndarray):
     ``iterates`` has shape (N, n), giving a float, or (R, N, n) for R
     replicates, giving one value per replicate.
     """
-    x_bar = iterates.mean(axis=-2, keepdims=True)
-    return np.max(np.linalg.norm(iterates - x_bar, axis=-1), axis=-1)
+    x_bar = np.add.reduce(iterates, axis=-2, keepdims=True) / iterates.shape[-2]
+    d = iterates - x_bar
+    # sqrt is monotone and correctly rounded: the max may come before it
+    return np.sqrt(np.maximum.reduce(np.add.reduce(d * d, axis=-1), axis=-1))
 
 
 def refresh_steps(variant: str, tau: int, k: int) -> int:

@@ -15,9 +15,13 @@ mini-batch average and a variance-reduced estimator backed by the table.
 
 The table keeps one gradient per data point plus their running sum, so the
 correction average is O(1) per step and a memory write never recomputes a
-gradient that the estimate just produced.  Agents may hold different numbers
-of points m_i: the table has m_max rows per stream, and rows past m_i are
-zeroed at each refresh and never drawn.
+gradient that the estimate just produced.  A batch of b > 1 moves the sum by
+each distinct index's change once, in ascending index order: one flat gather
+takes row s * b + argsort(batch) of the (R * N * b, n) changes for stream s,
+and only when some batch repeats an index (one drawn without replacement
+never does) are the repeats zeroed before the sum.  Agents may hold
+different numbers of points m_i: the table has m_max rows per stream, and
+rows past m_i are zeroed at each refresh and never drawn.
 
 Each stream draws every batch from a block of steps drawn ahead, which
 yields the values of drawing step by step.  With replacement a block is one
@@ -353,12 +357,15 @@ def saga_estimate_update(
         streams.table_sum += delta[:, :, 0]
     else:
         estimate = delta.mean(axis=2) + average
-        # sum each distinct index's change once, in ascending index order
+        # sum each distinct index's change once, in ascending index order:
+        # one gather of every stream's rows in that order
         order = np.argsort(batch, axis=-1)
-        ordered = np.take_along_axis(batch, order, axis=-1)
-        first = np.ones(batch.shape, dtype=bool)
-        first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-        change = np.take_along_axis(delta, order[..., None], axis=2) * first[..., None]
-        streams.table_sum += change.sum(axis=2)
+        order += batch.shape[-1] * np.arange(streams.tally.size).reshape(streams.tally.shape + (1,))
+        ordered = batch.reshape(-1)[order]
+        change = delta.reshape(-1, x.shape[-1])[order]
+        repeats = ordered[..., 1:] == ordered[..., :-1]
+        if repeats.any():  # never without replacement
+            change[..., 1:, :] *= ~repeats[..., None]
+        streams.table_sum += np.add.reduce(change, axis=2)
     table[slots] = fresh.reshape(-1, x.shape[-1])
     return estimate

@@ -40,7 +40,7 @@ import os
 import platform
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, product, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -445,8 +445,13 @@ def run_experiment(
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_cfgs = [run_cfg for _, _, run_cfg in grid]
+    # every field of a RunConfig is a scalar, so asdict's deep copies are not needed
+    resolved = [{name: getattr(run_cfg, name) for name in _RUN_FIELDS} for run_cfg in run_cfgs]
     # every field but the cost constants, which only scale the model-time axis
-    keys = [astuple(replace(run_cfg, t_g=0.0, t_c=0.0)) for run_cfg in run_cfgs]
+    keys = [
+        tuple(0.0 if name in ("t_g", "t_c") else value for name, value in point.items())
+        for point in resolved
+    ]
     representatives: dict[tuple, RunConfig] = {}
     for key, run_cfg in zip(keys, run_cfgs):
         representatives.setdefault(key, run_cfg)
@@ -467,7 +472,7 @@ def run_experiment(
     traces = [with_model_time(by_key[key], run_cfg, m_max) for key, run_cfg in zip(keys, run_cfgs)]
 
     points = []
-    for (label, overrides, run_cfg), trace in zip(grid, traces):
+    for (label, overrides, run_cfg), run_fields, trace in zip(grid, resolved, traces):
         csv_name = f"{cfg.name}_{label}.csv"
         _write_csv(out / csv_name, trace)
         stopping = None
@@ -481,7 +486,7 @@ def run_experiment(
                 "monte_carlo_runs": run_cfg.monte_carlo_runs,
                 "num_diverged": trace.num_diverged,
                 "stopping": stopping,
-                "resolved": asdict(run_cfg),
+                "resolved": run_fields,
                 "reference_charges": reference_charges(run_cfg, m_max),
             }
         )

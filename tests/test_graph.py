@@ -84,6 +84,29 @@ class TestEdgeIndex:
         assert len(pairs) == sum(topo.degrees)
 
 
+class TestEdgeSums:
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_bits_of_add_at_on_an_irregular_graph(self, replicates):
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (3, 4), (4, 5), (2, 5)]
+        topo = build_from_edges(6, edges)  # degrees 5, 2, 3, 2, 3, 3
+        rng = np.random.default_rng(replicates)
+        shape = (replicates, topo.num_directed_edges, 4)
+        # magnitudes from 1 to 1000, so the order of the additions shows in the bits
+        Z = rng.normal(size=shape) * 10.0 ** rng.integers(0, 4, size=shape)
+        Z[rng.random(shape) < 0.2] = -0.0
+        Z[:, topo.src == 4] = -0.0  # every edge row of agent 4: its sums are +0.0
+        reference = np.zeros((replicates, topo.num_agents, 4))
+        np.add.at(reference, (slice(None), topo.src), Z)
+        assert not np.signbit(reference[:, 4]).any()
+        for _ in range(2):  # the second call reads the kept bins
+            assert topo.edge_sums(Z).tobytes() == reference.tobytes()
+
+    def test_degree_vector(self, rng):
+        topo = random_connected_topology(rng, 7)
+        assert topo.degree_vector.tolist() == list(topo.degrees)
+        assert not topo.degree_vector.flags.writeable
+
+
 class TestSpectrum:
     def test_ring_10_values(self):
         info = spectral_quantities(build_ring(10))

@@ -315,3 +315,13 @@ class TestConsensusError:
     def test_known_spread(self):
         x = np.array([[1.0], [-1.0]])
         assert consensus_error(x) == pytest.approx(1.0)
+
+    def test_bits_of_the_norm_form(self, rng):
+        """The same bits as the mean, ``np.linalg.norm`` and max it replaced."""
+        x = rng.normal(size=(5, 7, 3)) * 10.0 ** rng.integers(-6, 7, size=(5, 7, 1))
+        x[3, 2, 1] = np.nan
+        reference = np.max(np.linalg.norm(x - x.mean(axis=-2, keepdims=True), axis=-1), axis=-1)
+        assert consensus_error(x).tobytes() == reference.tobytes()
+        for one in x[:3]:
+            alone = np.max(np.linalg.norm(one - one.mean(axis=0), axis=-1))
+            assert consensus_error(one).tobytes() == alone.tobytes()

@@ -16,6 +16,7 @@ from ltadmm.problems import (
     LEAST_SQUARES,
     LOGISTIC_NONCONVEX,
     ProblemInstance,
+    component_gradients,
     generate_classification,
     local_full_gradient,
     local_gradients,
@@ -290,6 +291,38 @@ class TestFusedEstimateUpdate:
         b = batch.shape[-1]
         assert (fused.tally == b).all()
         assert (split.tally == b + len(np.unique(batch))).all()
+
+
+def take_along_axis_sum(streams, instance, x, batch):
+    """The running sum after a batch step, by the two ``take_along_axis`` calls the ordered gather replaced."""
+    fresh = component_gradients(instance, x, batch.ravel())
+    delta = fresh - np.take_along_axis(streams.table, batch[..., None], axis=2)
+    order = np.argsort(batch, axis=-1)
+    ordered = np.take_along_axis(batch, order, axis=-1)
+    first = np.ones(batch.shape, dtype=bool)
+    first[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    change = np.take_along_axis(delta, order[..., None], axis=2) * first[..., None]
+    return streams.table_sum + change.sum(axis=2)
+
+
+class TestOrderedGather:
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_running_sum_has_the_bits_of_the_take_along_axis_form(self, rng, repeats):
+        inst = generate_classification(3, 3, 4, 12)
+        R, b = 4, 6
+        if repeats:
+            batch = rng.integers(0, 12, size=(R, 3, b))
+            assert (np.diff(np.sort(batch, axis=-1), axis=-1) == 0).any()
+        else:
+            batch = np.array([[rng.permutation(12)[:b] for _ in range(3)] for _ in range(R)])
+        streams = stale_streams(inst, rng, replicates=R)
+        # stored rows of mixed magnitudes, so the order of the additions shows in the bits
+        streams.table *= 10.0 ** rng.integers(-8, 9, size=streams.table.shape[:-1] + (1,))
+        streams.table_sum = streams.table.sum(axis=2)
+        x = rng.normal(size=(R, 3, 4))
+        expected = take_along_axis_sum(streams, inst, x, batch)
+        saga_estimate_update(streams, inst, x, batch)
+        assert streams.table_sum.tobytes() == expected.tobytes()
 
 
 class TestBatchDrawing:
