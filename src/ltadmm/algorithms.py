@@ -50,7 +50,8 @@ only change how many batches it draws.  Runs of one problem with the same
 key can therefore share one :class:`SharedInputs`: one set of R * N stream
 generators, one first block of batches, sized for the run that draws most,
 and one set of initial iterates.  Each run reads its own prefix of the
-block, copies the iterates and keeps its own streams (tally, cursor, table).
+block, copies the iterates and keeps its own streams (tally, cursor, table);
+a longer run has generators of its own.
 
 The cost constants ``t_g`` and ``t_c`` do not enter the dynamics, the
 counters or the metrics: the solver never reads them, and :func:`run` adds
@@ -72,6 +73,7 @@ from .graph import Topology
 from .metrics import Replicates, Trace
 from .oracles import (
     Streams,
+    block_cap,
     draw_batch,
     saga_estimate_update,
     saga_refresh,
@@ -120,7 +122,9 @@ class RunConfig:
 
     ``t_g`` and ``t_c`` are the abstract times of one component-gradient
     evaluation and one communication round; they only scale the model-time
-    axis, never the trajectory.
+    axis, never the trajectory.  The int fields take Python or numpy integers
+    (not ``bool``) and the two flags ``bool`` or ``np.bool_``, each kept as
+    its Python type; any other type raises ``TypeError``.
     """
 
     variant: str
@@ -138,6 +142,16 @@ class RunConfig:
     init_std: float = 10.0
 
     def __post_init__(self) -> None:
+        for name in ("tau", "outer_iterations", "batch_size", "master_seed", "monte_carlo_runs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        for name in ("batch_replacement", "record_dk"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise TypeError(f"{name} must be a boolean, got {value!r}")
+            setattr(self, name, bool(value))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not (0 < self.gamma < np.inf and 0 < self.rho < np.inf):  # NaN too
@@ -266,11 +280,12 @@ class SharedInputs:
     """Random inputs of one random key, which several runs read; see :func:`shared_inputs`.
 
     Each part is made when a run first reads it, so its cost falls inside
-    that run.  The generators draw only ``block``: a run that draws past it
-    first copies them (:meth:`~ltadmm.oracles.Streams.own_generators`).
+    that run.  The generators draw only ``block``, and only runs that draw
+    at most ``steps`` batches read them (:func:`init_states`).
 
     Attributes:
-        steps: batch draws per stream of the run that draws most.
+        steps: batch draws per stream that ``block`` holds: those of the run
+            that draws most, up to the most one block holds.
         block: the first block of batches, shape (R, N, steps, b), read-only;
             the first :func:`~ltadmm.oracles.draw_batch` call of any of the
             runs draws it.
@@ -311,13 +326,16 @@ def shared_inputs(
 
     They are the initial iterates and the R * N stream generators, stream
     (r, i) seeded from ``SeedSequence([master_seed, r, 1 + i])``, whose first
-    block is sized for the configuration that draws most.
+    block is sized for the configuration that draws most, up to the most one
+    block holds (:func:`~ltadmm.oracles.block_cap`).
     """
     key = random_key(configs[0], replicates)
     if any(random_key(config, key[1]) != key for config in configs):
         raise ValueError("shared inputs need one master seed, batch size, sampling mode and init_std")
-    steps = max(map(batch_draws, configs))
-    return SharedInputs(key, configs[0], topology.num_agents, instance.dimension, steps)
+    config, streams = configs[0], len(key[1]) * topology.num_agents
+    cap = block_cap(streams, config.batch_size, config.batch_replacement)
+    steps = min(max(map(batch_draws, configs)), cap)
+    return SharedInputs(key, config, topology.num_agents, instance.dimension, steps)
 
 
 def init_states(
@@ -331,14 +349,16 @@ def init_states(
 
     Stream (r, i) draws from its own generator,
     ``default_rng(SeedSequence([master_seed, r, 1 + i]))``, so its draws do
-    not depend on which other replicates share the stack.  The generators
-    and their first block of batches are those of ``shared`` (built for this
-    run alone when not given); the tally, the table and the place in the
-    block are the run's own.
+    not depend on which other replicates share the stack.  A run that draws
+    at most ``shared.steps`` batches reads the generators and the block of
+    ``shared``; any other has generators seeded for it alone.  The tally,
+    the table and the place in the block are the run's own.
     """
-    if shared is None:
-        shared = shared_inputs(instance, topology, [config], replicates)
-    return Streams.start(instance, shared.rngs, batch_draws(config), shared)
+    draws = batch_draws(config)
+    if shared is not None and draws <= shared.steps:
+        return Streams.start(instance, shared.rngs, draws, shared)
+    own = shared_inputs(instance, topology, [config], replicates)
+    return Streams.start(instance, own.rngs, draws)
 
 
 def _outside(phi: np.ndarray) -> np.ndarray | None:

@@ -29,8 +29,8 @@ yields the values of drawing step by step.  With replacement a block is one
 ``integers`` call of the bounded integers that ``Generator.choice`` draws,
 from which the subsets of all streams are rebuilt at once, or, for batches
 above ``_FLOYD_MAX_BATCH``, one ``choice`` call per step.  Runs whose draws
-come from the same generators share them and their first block, both held by
-one :class:`~ltadmm.algorithms.SharedInputs`.
+fit in one block share its generators and the block, both held by one
+:class:`~ltadmm.algorithms.SharedInputs`; a longer run has its own.
 
 Every component-gradient evaluation is tallied per stream; the cost table
 (:mod:`ltadmm.metrics`) converts those tallies into abstract time.
@@ -52,6 +52,7 @@ __all__ = [
     "EvalCounter",
     "Stream",
     "Streams",
+    "block_cap",
     "draw_batch",
     "sgd_estimate",
     "saga_refresh",
@@ -103,9 +104,9 @@ class Streams:
     ``pending`` bounds the number of batch draws per stream still to come
     in the run; it sizes the blocks drawn ahead and never changes a value
     drawn, since a block is a prefix of the draws of a longer one.  With
-    ``shared`` set, the streams' generators are its ``rngs``: their first
-    block is its ``block``, which other runs read too, and the streams draw
-    past it only from copies of the generators.
+    ``shared`` set, the streams' generators are its ``rngs`` and their only
+    block is its ``block``, which other runs read too; :func:`draw_batch`
+    draws nothing past it.
 
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
@@ -173,24 +174,6 @@ class Streams:
         """Add ``evals`` (a count, or one per agent) to every stream."""
         self.tally += evals
 
-    def own_generators(self) -> None:
-        """Give every stream a copy of its shared generator, at the state it holds.
-
-        :func:`draw_batch` calls this before the streams draw a block of
-        their own.  The generators of ``shared`` draw only its first block,
-        so the copies go on from where that block ends, and the streams then
-        let go of ``shared``.
-        """
-        if self.shared is None:
-            return
-        for k, stream in enumerate(self.streams):
-            bit_generator = stream.rng.bit_generator
-            # built from the cheapest seed at hand, then moved to the state
-            own = type(bit_generator)(bit_generator.seed_seq)
-            own.state = bit_generator.state
-            self.streams[k] = stream._replace(rng=np.random.Generator(own))
-        self.shared = None
-
 
 def _choice_integers(rng: np.random.Generator, m: int, b: int, steps: int) -> np.ndarray:
     """The bounded integers of ``steps`` Floyd ``choice(m, b)`` calls, in one draw.
@@ -232,6 +215,12 @@ def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
     return subset.reshape(draws.shape[:-1] + (b,))
 
 
+def block_cap(streams: int, batch_size: int, replacement: bool) -> int:
+    """Most steps in a block of ``streams`` streams: ``_BLOCK_ENTRIES`` entries, at least one step."""
+    entries = batch_size if replacement else 2 * batch_size - 1
+    return max(1, _BLOCK_ENTRIES // (streams * entries))
+
+
 def _draw_block(streams: Streams, batch_size: int, replacement: bool, pending: int) -> np.ndarray:
     """The next block of every stream, shape (R, N, steps, b), for ``pending`` draws to come.
 
@@ -241,9 +230,8 @@ def _draw_block(streams: Streams, batch_size: int, replacement: bool, pending: i
     stream owns its generator, so these are the values of drawing step by
     step too.
     """
+    steps = min(max(pending, 1), block_cap(len(streams.streams), batch_size, replacement))
     entries = batch_size if replacement else 2 * batch_size - 1
-    cap = max(1, _BLOCK_ENTRIES // (len(streams.streams) * entries))
-    steps = min(max(pending, 1), cap)
     if replacement:
         block = np.array([s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in streams])
     elif batch_size > _FLOYD_MAX_BATCH:
@@ -265,8 +253,8 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
     as a uniform subset without it (requires ``batch_size <= m_i``).  Every
     step takes the next step of a block that the streams drew ahead
     (:func:`_draw_block`), which yields the values of drawing step by step.
-    Streams with ``shared`` read its ``block`` first, drawing it for
-    ``shared.steps`` steps if no run has yet.
+    Streams with ``shared`` read only its ``block``, drawing it if no run
+    has yet, and raise ``RuntimeError`` past its end.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
@@ -274,14 +262,15 @@ def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -
         if not replacement and batch_size > streams.sizes.min():
             raise ValueError("batch size exceeds an agent's number of points")
         shared = streams.shared
-        if streams._block is None and shared is not None:
+        if shared is None:
+            block = _draw_block(streams, batch_size, replacement, streams.pending)
+        elif streams._block is None:
             if shared.block is None:
                 shared.block = _draw_block(streams, batch_size, replacement, shared.steps)
                 shared.block.flags.writeable = False
             block = shared.block
         else:
-            streams.own_generators()
-            block = _draw_block(streams, batch_size, replacement, streams.pending)
+            raise RuntimeError("the streams have read their whole shared block")
         streams.pending = max(streams.pending - block.shape[2], 0)
         streams._block, streams._cursor = block, 0
     batch = streams._block[:, :, streams._cursor]

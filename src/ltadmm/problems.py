@@ -58,9 +58,9 @@ class ProblemInstance:
 
     Attributes:
         kind: one of ``logistic_nonconvex`` or ``least_squares``.
-        features: per-agent arrays of shape (m_i, n).
+        features: per-agent arrays of shape (m_i, n), finite.
         labels: per-agent arrays of shape (m_i,); values in {-1, +1} for
-            the logistic family, any real value for least squares.
+            the logistic family, any finite value for least squares.
         epsilon: regularization weight (used by the logistic family only).
     """
 
@@ -85,6 +85,8 @@ class ProblemInstance:
             # the folded rows -y a of ``padded`` are exact only for y = +/-1
             if self.kind == LOGISTIC_NONCONVEX and not np.all(np.abs(b) == 1.0):
                 raise ValueError("logistic labels must be -1 or +1")
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ValueError("features and labels must be finite")
 
     @property
     def num_agents(self) -> int:

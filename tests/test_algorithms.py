@@ -16,6 +16,7 @@ from ltadmm.algorithms import (
 )
 from ltadmm.graph import build_from_edges, build_ring
 from ltadmm.metrics import iteration_evals
+from ltadmm.oracles import draw_batch
 from ltadmm.problems import (
     LEAST_SQUARES,
     ProblemInstance,
@@ -94,6 +95,42 @@ class TestRunConfig:
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):
             base_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tau", 2.5),
+            ("tau", 2.0),
+            ("tau", True),
+            ("batch_size", 1.5),
+            ("outer_iterations", 2.5),
+            ("monte_carlo_runs", 1.5),
+            ("master_seed", 1.5),
+            ("master_seed", "1"),
+            ("master_seed", np.float64(1.0)),
+            ("batch_replacement", "no"),
+            ("batch_replacement", 0),
+            ("record_dk", 1),
+            ("record_dk", None),
+        ],
+    )
+    def test_rejects_wrongly_typed_values(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            base_config(**{field: value})
+
+    def test_numpy_integers_and_booleans_become_python_values(self):
+        values = dict(
+            tau=2, outer_iterations=3, batch_size=2, master_seed=5, monte_carlo_runs=2,
+            batch_replacement=False, record_dk=True,
+        )
+        numpy_types = dict(
+            tau=np.int64, outer_iterations=np.int32, batch_size=np.uint8, master_seed=np.uint64,
+            monte_carlo_runs=np.int16, batch_replacement=np.bool_, record_dk=np.bool_,
+        )
+        numpy_typed = base_config(**{name: numpy_types[name](value) for name, value in values.items()})
+        assert numpy_typed == base_config(**values)
+        for name, value in values.items():
+            assert type(getattr(numpy_typed, name)) is type(value), name
 
 
 class TestLocalTrainingEpoch:
@@ -323,6 +360,39 @@ class TestDeterminism:
             simulate_replicates(inst, topo, base_config(variant="lt_admm_vr", master_seed=8), range(2), shared)
         with pytest.raises(ValueError, match="init_std"):
             shared_inputs(inst, topo, [vr, base_config(init_std=1.0)], range(2))
+
+    def test_a_run_longer_than_the_shared_block_has_generators_of_its_own(self):
+        inst = generate_classification(5, 4, 3, 6)
+        topo = build_ring(4)
+        short = base_config(variant="lt_admm", outer_iterations=2, record_dk=True)
+        long = base_config(variant="lt_admm", outer_iterations=5, record_dk=True)
+        shared = shared_inputs(inst, topo, [short], range(2))
+        assert shared.steps == 6
+        record = simulate_replicates(inst, topo, long, range(2), shared)
+        alone = simulate_replicates(inst, topo, long, range(2))
+        assert record.diverged_at == alone.diverged_at
+        for name in ("grad_norm_sq", "consensus_err", "conservation_residual", "d_k", "component_evals"):
+            assert getattr(record, name).tobytes() == getattr(alone, name).tobytes(), name
+        # the group's generators drew nothing: the 15 draws came from generators of the run's own
+        assert shared.block is None
+        seeded = shared_inputs(inst, topo, [short], range(2)).rngs
+        for row, fresh_row in zip(shared.rngs, seeded):
+            for rng, fresh in zip(row, fresh_row):
+                assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_draw_batch_stops_at_the_end_of_a_shared_block(self):
+        inst = generate_classification(5, 4, 3, 6)
+        topo = build_ring(4)
+        cfg = base_config(variant="lt_admm", tau=2, outer_iterations=1)
+        shared = shared_inputs(inst, topo, [cfg], range(2))
+        streams = init_states(inst, topo, cfg, range(2), shared)
+        assert streams.shared is shared and shared.steps == 2
+        for _ in range(2):
+            draw_batch(streams, 1)
+        states = [stream.rng.bit_generator.state for stream in streams]
+        with pytest.raises(RuntimeError, match="shared block"):
+            draw_batch(streams, 1)
+        assert [stream.rng.bit_generator.state for stream in streams] == states
 
     def test_initial_scale(self):
         cfg = base_config()

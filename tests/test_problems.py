@@ -112,9 +112,24 @@ class TestGeneration:
         features = np.ones((3, 2))
         with pytest.raises(ValueError, match="-1 or \\+1"):
             ProblemInstance(kind=LOGISTIC_NONCONVEX, features=(features,), labels=(labels,))
-        # least-squares labels are any target value
-        inst = ProblemInstance(kind=LEAST_SQUARES, features=(features,), labels=(labels,))
-        assert np.array_equal(inst.labels[0], labels, equal_nan=True)
+        # least-squares labels are any finite target value
+        if np.isfinite(label):
+            inst = ProblemInstance(kind=LEAST_SQUARES, features=(features,), labels=(labels,))
+            assert np.array_equal(inst.labels[0], labels)
+
+    @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC_NONCONVEX])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_data_rejected(self, kind, value):
+        features = [np.ones((3, 2)), np.ones((2, 2))]
+        labels = [np.array([1.0, -1.0, 1.0]), np.array([-1.0, 1.0])]
+        features[1][0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance(kind=kind, features=tuple(features), labels=tuple(labels))
+        if kind == LEAST_SQUARES:
+            features[1][0, 1] = 1.0
+            labels[0][2] = value
+            with pytest.raises(ValueError, match="finite"):
+                ProblemInstance(kind=kind, features=tuple(features), labels=tuple(labels))
 
 
 class TestGradients:

@@ -789,8 +789,13 @@ DRAWS = {
 }
 
 
+# blocks of 3 steps for the 2 x 4 streams: every point that draws is longer
+# than the shared block, so the group's generators draw nothing; blocks of
+# 8 steps: exact and lt_admm_vr read the shared block, and lt_admm and
+# lt_admm_vr_v2 draw from generators of their own
+@pytest.mark.parametrize("block_steps", [3, 8])
 @pytest.mark.parametrize("batch_size,replacement", [(1, True), (2, False)])
-def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replacement):
+def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replacement, block_steps):
     text = BASIC_INI.replace("tau = 2", "tau = 3").replace("outer_iterations = 8", "outer_iterations = 4")
     cfg = parse_config(text + "\n[sweep]\nvariant = exact, lt_admm, lt_admm_vr, lt_admm_vr_v2\n")
     cfg.algorithm.update(batch_size=batch_size, batch_replacement=replacement)
@@ -800,10 +805,8 @@ def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replace
         alone[label] = tmp_path / f"{label}.csv"
         runner._write_csv(alone[label], algorithms.run(instance, topology, run_cfg))
 
-    # blocks of 3 steps for the 2 x 4 streams: the first block is shared,
-    # and every point that draws reads past it (the longest needs 4 blocks)
     entries = batch_size if replacement else 2 * batch_size - 1
-    monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 3 * 8 * entries)
+    monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", block_steps * 8 * entries)
     started = []
     init_states = algorithms.init_states
 
@@ -819,9 +822,21 @@ def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replace
     # no replicate diverges, so every run draws its whole budget
     assert all(point["num_diverged"] == 0 for point in result.manifest["points"])
     assert sorted(run_cfg.variant for run_cfg, _ in started) == sorted(DRAWS)
+    draws = {variant: count(4, 3) for variant, count in DRAWS.items()}
+    readers = {run_cfg.variant: streams for run_cfg, streams in started if streams.shared is not None}
+    assert set(readers) == {variant for variant in DRAWS if draws[variant] <= block_steps}
+    assert set(readers) == ({"exact"} if block_steps == 3 else {"exact", "lt_admm_vr"})
+    # the readers hold the group's generators, and no other run holds any of them
+    group = readers["exact"].shared.rngs
+    assert all(streams.shared.rngs is group for streams in readers.values())
+    held = [id(rng) for row in group for rng in row]
+    held += [id(s.rng) for _, streams in started if streams.shared is None for s in streams]
+    assert len(set(held)) == len(held)
+    # the group's generators drew its first block if a reader draws, and
+    # every other generator its owner's batches
+    group_steps = block_steps if any(draws[variant] for variant in readers) else 0
     for run_cfg, streams in started:
-        # a stream's generator drew its run's batches, or the shared block if that is longer
-        steps = max(DRAWS[run_cfg.variant](4, 3), 3)
+        steps = group_steps if streams.shared is not None else draws[run_cfg.variant]
         for index, stream in enumerate(streams):
             r, i = divmod(index, 4)
             reference = np.random.default_rng(np.random.SeedSequence([1, r, 1 + i]))
