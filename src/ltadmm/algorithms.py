@@ -47,11 +47,11 @@ lone replicate), so those may differ in the last bits.  A run's random
 inputs depend only on its random key: the master seed, the replicates, the
 batch size, the sampling mode and ``init_std``.  Variant, gamma, rho and tau
 only change how many batches it draws.  Runs of one problem with the same
-key can therefore share one :class:`SharedInputs`: one set of R * N stream
-generators, one first block of batches, sized for the run that draws most,
-and one set of initial iterates.  Each run reads its own prefix of the
-block, copies the iterates and keeps its own streams (tally, cursor, table);
-a longer run has generators of its own.
+key can therefore share one immutable :class:`SharedInputs`: the initial
+iterates and the first block of batches, drawn by R * N stream generators
+that are dropped once it is drawn.  Each run copies the iterates and keeps
+its own streams (tally, cursor, table); a run whose draws fit in the block
+reads its prefix and holds no generators, a longer one has its own.
 
 The cost constants ``t_g`` and ``t_c`` do not enter the dynamics, the
 counters or the metrics: the solver never reads them, and :func:`run` adds
@@ -63,7 +63,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +74,7 @@ from .oracles import (
     Streams,
     block_cap,
     draw_batch,
+    draw_block,
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
@@ -123,8 +123,9 @@ class RunConfig:
     ``t_g`` and ``t_c`` are the abstract times of one component-gradient
     evaluation and one communication round; they only scale the model-time
     axis, never the trajectory.  The int fields take Python or numpy integers
-    (not ``bool``) and the two flags ``bool`` or ``np.bool_``, each kept as
-    its Python type; any other type raises ``TypeError``.
+    (not ``bool``), the float fields those or Python or numpy floats (not
+    ``bool``), and the two flags ``bool`` or ``np.bool_``, each kept as its
+    Python type; any other type raises ``TypeError``.
     """
 
     variant: str
@@ -147,6 +148,11 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
+        for name in ("gamma", "rho", "t_g", "t_c", "init_std"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            setattr(self, name, float(value))
         for name in ("batch_replacement", "record_dk"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
@@ -275,45 +281,28 @@ def random_key(config: RunConfig, replicates: Iterable[int]) -> tuple:
     return (config.master_seed, replicates, config.batch_size, config.batch_replacement, config.init_std)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SharedInputs:
     """Random inputs of one random key, which several runs read; see :func:`shared_inputs`.
 
-    Each part is made when a run first reads it, so its cost falls inside
-    that run.  The generators draw only ``block``, and only runs that draw
-    at most ``steps`` batches read them (:func:`init_states`).
-
     Attributes:
-        steps: batch draws per stream that ``block`` holds: those of the run
-            that draws most, up to the most one block holds.
-        block: the first block of batches, shape (R, N, steps, b), read-only;
-            the first :func:`~ltadmm.oracles.draw_batch` call of any of the
-            runs draws it.
+        key: the random key (:func:`random_key`).
+        iterates: the initial iterates, shape (R, N, n), read-only.
+        block: the first batches of every stream, shape (R, N, steps, b),
+            read-only: those of the longest run that fits in one block.
     """
 
     key: tuple
-    config: RunConfig
-    num_agents: int
-    dimension: int
-    steps: int
-    block: np.ndarray | None = None
+    iterates: np.ndarray
+    block: np.ndarray
 
-    @cached_property
-    def iterates(self) -> np.ndarray:
-        """The initial iterates (:func:`initial_iterates`); each run copies them."""
-        return initial_iterates(self.config, self.num_agents, self.dimension, self.key[1])
 
-    @cached_property
-    def rngs(self) -> list[list[np.random.Generator]]:
-        """The R * N stream generators, seeded in one vectorized pass.
-
-        ``rngs[r][i]`` is the generator of stream (replicate r, agent i).
-        """
-        N = self.num_agents
-        reps = np.array(self.key[1], dtype=np.int64)
-        rows = np.stack(np.broadcast_arrays(reps[:, None], 1 + np.arange(N)), axis=-1)
-        rngs = _seeded_generators(self.config.master_seed, rows.reshape(-1, 2))
-        return [rngs[j : j + N] for j in range(0, len(rngs), N)]
+def _stream_generators(master_seed: int, replicates: list[int], num_agents: int) -> list[list]:
+    """``rngs[r][i]``, the generator of stream (replicate r, agent i), seeded in one vectorized pass."""
+    reps = np.array(replicates, dtype=np.int64)
+    rows = np.stack(np.broadcast_arrays(reps[:, None], 1 + np.arange(num_agents)), axis=-1)
+    rngs = _seeded_generators(master_seed, rows.reshape(-1, 2))
+    return [rngs[j : j + num_agents] for j in range(0, len(rngs), num_agents)]
 
 
 def shared_inputs(
@@ -324,18 +313,25 @@ def shared_inputs(
 ) -> SharedInputs:
     """The random inputs of ``replicates`` for runs of ``configs``, which share one random key.
 
-    They are the initial iterates and the R * N stream generators, stream
-    (r, i) seeded from ``SeedSequence([master_seed, r, 1 + i])``, whose first
-    block is sized for the configuration that draws most, up to the most one
-    block holds (:func:`~ltadmm.oracles.block_cap`).
+    The block holds the draws of the configuration that draws most among
+    those that fit in one block (:func:`~ltadmm.oracles.block_cap`), drawn
+    by generators seeded as in :func:`init_states` and then dropped; if none
+    of them draws, it has no steps and nothing is seeded.
     """
     key = random_key(configs[0], replicates)
     if any(random_key(config, key[1]) != key for config in configs):
         raise ValueError("shared inputs need one master seed, batch size, sampling mode and init_std")
-    config, streams = configs[0], len(key[1]) * topology.num_agents
-    cap = block_cap(streams, config.batch_size, config.batch_replacement)
-    steps = min(max(map(batch_draws, configs)), cap)
-    return SharedInputs(key, config, topology.num_agents, instance.dimension, steps)
+    config, N, R = configs[0], topology.num_agents, len(key[1])
+    b, replacement = config.batch_size, config.batch_replacement
+    cap = block_cap(R * N, b, replacement)
+    steps = max((draws for draws in map(batch_draws, configs) if draws <= cap), default=0)
+    block = np.empty((R, N, 0, b), dtype=np.int64)
+    if steps:
+        rngs = [rng for row in _stream_generators(config.master_seed, key[1], N) for rng in row]
+        block = draw_block(rngs, instance.sizes, b, replacement, steps)
+    iterates = initial_iterates(config, N, instance.dimension, key[1])
+    iterates.flags.writeable = block.flags.writeable = False
+    return SharedInputs(key, iterates, block)
 
 
 def init_states(
@@ -349,16 +345,17 @@ def init_states(
 
     Stream (r, i) draws from its own generator,
     ``default_rng(SeedSequence([master_seed, r, 1 + i]))``, so its draws do
-    not depend on which other replicates share the stack.  A run that draws
-    at most ``shared.steps`` batches reads the generators and the block of
-    ``shared``; any other has generators seeded for it alone.  The tally,
-    the table and the place in the block are the run's own.
+    not depend on which other replicates share the stack.  A run whose draws
+    fit in ``shared.block`` reads it and holds no generators, as does a run
+    that never draws; any other holds generators seeded for it alone.  The
+    tally, the table and the place in the block are the run's own.
     """
-    draws = batch_draws(config)
-    if shared is not None and draws <= shared.steps:
-        return Streams.start(instance, shared.rngs, draws, shared)
-    own = shared_inputs(instance, topology, [config], replicates)
-    return Streams.start(instance, own.rngs, draws)
+    replicates = [int(r) for r in replicates]
+    draws, no_rngs = batch_draws(config), [[]] * len(replicates)
+    if shared is not None and draws <= shared.block.shape[2]:
+        return Streams.start(instance, no_rngs, draws, shared.block)
+    rngs = _stream_generators(config.master_seed, replicates, topology.num_agents) if draws else no_rngs
+    return Streams.start(instance, rngs, draws)
 
 
 def _outside(phi: np.ndarray) -> np.ndarray | None:

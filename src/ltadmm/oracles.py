@@ -28,9 +28,9 @@ yields the values of drawing step by step.  With replacement a block is one
 ``integers`` call of the indices themselves.  Without replacement it is one
 ``integers`` call of the bounded integers that ``Generator.choice`` draws,
 from which the subsets of all streams are rebuilt at once, or, for batches
-above ``_FLOYD_MAX_BATCH``, one ``choice`` call per step.  Runs whose draws
-fit in one block share its generators and the block, both held by one
-:class:`~ltadmm.algorithms.SharedInputs`; a longer run has its own.
+above ``_FLOYD_MAX_BATCH``, one ``choice`` call per step.  Streams hold
+either generators of their own or a read-only block drawn for them, which
+the runs of one random key read alike (:mod:`ltadmm.algorithms`).
 
 Every component-gradient evaluation is tallied per stream; the cost table
 (:mod:`ltadmm.metrics`) converts those tallies into abstract time.
@@ -46,13 +46,14 @@ import numpy as np
 from .problems import ProblemInstance, component_gradients
 
 if TYPE_CHECKING:
-    from .algorithms import Divergence, SharedInputs
+    from .algorithms import Divergence
 
 __all__ = [
     "EvalCounter",
     "Stream",
     "Streams",
     "block_cap",
+    "draw_block",
     "draw_batch",
     "sgd_estimate",
     "saga_refresh",
@@ -86,9 +87,9 @@ class EvalCounter(NamedTuple):
 
 
 class Stream(NamedTuple):
-    """One (replicate, agent) stream: its generator, its range and its tally."""
+    """One (replicate, agent) stream: its generator (None if it holds none), its range and its tally."""
 
-    rng: np.random.Generator
+    rng: np.random.Generator | None
     num_points: int
     counter: EvalCounter
 
@@ -97,16 +98,16 @@ class Stream(NamedTuple):
 class Streams:
     """Estimator state of every (replicate, agent) stream of a grid point.
 
-    Iterating yields the :class:`Stream` of each (replicate, agent),
+    Iterating yields a :class:`Stream` view of each (replicate, agent),
     replicate-major.  The estimators move every stream, and an iterate
     argument stacks every replicate: shape (R, N, n).  A diverged replicate
-    stays in the stack, and its streams keep drawing and counting.
-    ``pending`` bounds the number of batch draws per stream still to come
-    in the run; it sizes the blocks drawn ahead and never changes a value
-    drawn, since a block is a prefix of the draws of a longer one.  With
-    ``shared`` set, the streams' generators are its ``rngs`` and their only
-    block is its ``block``, which other runs read too; :func:`draw_batch`
-    draws nothing past it.
+    stays in the stack, and its streams keep drawing and counting.  The
+    streams hold either generators of their own, ``rngs[r * N + i]`` for
+    stream (r, i), or a read-only ``block`` that other runs may read too.
+    With generators, :func:`draw_batch` draws a block whenever the last is
+    read; ``pending`` bounds the batch draws per stream still to come in the
+    run, which sizes those blocks and never changes a value drawn, since a
+    block is a prefix of the draws of a longer one.
 
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
@@ -124,15 +125,14 @@ class Streams:
             names where it did.
     """
 
-    streams: list[Stream]
+    rngs: list[np.random.Generator]
     sizes: np.ndarray
     tally: np.ndarray
     pending: int
-    shared: SharedInputs | None = None
+    block: np.ndarray | None = None
     table: np.ndarray | None = None
     table_sum: np.ndarray | None = None
     diverged: dict[int, Divergence] = field(default_factory=dict)
-    _block: np.ndarray | None = field(default=None, init=False, repr=False)
     _cursor: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -150,25 +150,20 @@ class Streams:
         instance: ProblemInstance,
         rngs: list[list[np.random.Generator]],
         pending: int,
-        shared: SharedInputs | None = None,
+        block: np.ndarray | None = None,
     ) -> "Streams":
-        """Fresh streams from one generator per (replicate, agent): ``rngs[r][i]``.
+        """Fresh streams of ``len(rngs)`` replicates; stream (r, i) draws with ``rngs[r][i]``.
 
-        With ``shared``, ``rngs`` is ``shared.rngs``.  The streams hold no
-        table; :func:`saga_refresh` creates it.
+        Streams whose rows are empty hold no generators and read only
+        ``block``.  They hold no table; :func:`saga_refresh` creates it.
         """
-        sizes = instance.sizes
-        tally = np.zeros((len(rngs), len(sizes)), dtype=np.int64)
-        points = sizes.tolist()
-        streams = [
-            Stream(rng, points[i], EvalCounter(tally, r, i))
-            for r, row in enumerate(rngs)
-            for i, rng in enumerate(row)
-        ]
-        return cls(streams, sizes, tally, pending, shared)
+        tally = np.zeros((len(rngs), len(instance.sizes)), dtype=np.int64)
+        return cls([rng for row in rngs for rng in row], instance.sizes, tally, pending, block)
 
     def __iter__(self):
-        return iter(self.streams)
+        N, points = len(self.sizes), self.sizes.tolist()
+        tally, rngs = self.tally, self.rngs or [None] * self.tally.size
+        return (Stream(rng, points[j % N], EvalCounter(tally, *divmod(j, N))) for j, rng in enumerate(rngs))
 
     def charge(self, evals) -> None:
         """Add ``evals`` (a count, or one per agent) to every stream."""
@@ -221,59 +216,51 @@ def block_cap(streams: int, batch_size: int, replacement: bool) -> int:
     return max(1, _BLOCK_ENTRIES // (streams * entries))
 
 
-def _draw_block(streams: Streams, batch_size: int, replacement: bool, pending: int) -> np.ndarray:
-    """The next block of every stream, shape (R, N, steps, b), for ``pending`` draws to come.
+def draw_block(
+    rngs: list[np.random.Generator], sizes: np.ndarray, batch_size: int, replacement: bool, steps: int
+) -> np.ndarray:
+    """``steps`` batches of every stream, shape (R, N, steps, b), drawn ahead.
 
-    It holds at most ``_BLOCK_ENTRIES`` entries (2b - 1 a step without
-    replacement) and at least one step.  A batch above ``_FLOYD_MAX_BATCH``
-    without replacement takes one ``choice`` call per step and stream; each
-    stream owns its generator, so these are the values of drawing step by
-    step too.
+    ``rngs[r * N + i]`` draws stream (r, i)'s from its ``sizes[i]`` points,
+    with replacement or as uniform subsets without it (requires
+    ``batch_size <= min(sizes)``): the values of drawing step by step.
+    Above ``_FLOYD_MAX_BATCH`` without replacement, a step is one ``choice``.
     """
-    steps = min(max(pending, 1), block_cap(len(streams.streams), batch_size, replacement))
-    entries = batch_size if replacement else 2 * batch_size - 1
+    if not replacement and batch_size > sizes.min():
+        raise ValueError("batch size exceeds an agent's number of points")
+    points = sizes.tolist() * (len(rngs) // len(sizes))
     if replacement:
-        block = np.array([s.rng.integers(0, s.num_points, size=(steps, batch_size)) for s in streams])
+        block = np.array([rng.integers(0, m, size=(steps, batch_size)) for rng, m in zip(rngs, points)])
     elif batch_size > _FLOYD_MAX_BATCH:
         block = np.array(
-            [[s.rng.choice(s.num_points, batch_size, replace=False) for _ in range(steps)] for s in streams]
+            [[rng.choice(m, batch_size, replace=False) for _ in range(steps)] for rng, m in zip(rngs, points)]
         )
     else:
-        draws = np.empty((len(streams.streams), steps, entries), dtype=np.int64)
-        for row, s in zip(draws, streams):
-            row[:] = _choice_integers(s.rng, s.num_points, batch_size, steps)
-        block = _floyd_subsets(draws, np.array([s.num_points for s in streams])[:, None])
-    return block.reshape(streams.tally.shape + (steps, batch_size))
+        draws = np.empty((len(rngs), steps, 2 * batch_size - 1), dtype=np.int64)
+        for row, rng, m in zip(draws, rngs, points):
+            row[:] = _choice_integers(rng, m, batch_size, steps)
+        block = _floyd_subsets(draws, np.array(points)[:, None])
+    return block.reshape(-1, len(sizes), steps, batch_size)
 
 
 def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -> np.ndarray:
     """One inner step's batch indices of every stream, shape (R, N, b).
 
-    Each stream draws uniformly from its own m_i points, with replacement or
-    as a uniform subset without it (requires ``batch_size <= m_i``).  Every
-    step takes the next step of a block that the streams drew ahead
-    (:func:`_draw_block`), which yields the values of drawing step by step.
-    Streams with ``shared`` read only its ``block``, drawing it if no run
-    has yet, and raise ``RuntimeError`` past its end.
+    Every step takes the next step of ``streams.block``.  Streams with
+    generators draw their next block (:func:`draw_block`) when they have read
+    the last, at most ``_BLOCK_ENTRIES`` entries and at least one step;
+    streams without raise ``RuntimeError`` past the end of theirs.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
-    if streams._block is None or streams._cursor == streams._block.shape[2]:
-        if not replacement and batch_size > streams.sizes.min():
-            raise ValueError("batch size exceeds an agent's number of points")
-        shared = streams.shared
-        if shared is None:
-            block = _draw_block(streams, batch_size, replacement, streams.pending)
-        elif streams._block is None:
-            if shared.block is None:
-                shared.block = _draw_block(streams, batch_size, replacement, shared.steps)
-                shared.block.flags.writeable = False
-            block = shared.block
-        else:
-            raise RuntimeError("the streams have read their whole shared block")
-        streams.pending = max(streams.pending - block.shape[2], 0)
-        streams._block, streams._cursor = block, 0
-    batch = streams._block[:, :, streams._cursor]
+    if streams.block is None or streams._cursor == streams.block.shape[2]:
+        if not streams.rngs:
+            raise RuntimeError("streams without generators have read their whole block")
+        steps = min(max(streams.pending, 1), block_cap(len(streams.rngs), batch_size, replacement))
+        streams.block = draw_block(streams.rngs, streams.sizes, batch_size, replacement, steps)
+        streams.pending = max(streams.pending - steps, 0)
+        streams._cursor = 0
+    batch = streams.block[:, :, streams._cursor]
     streams._cursor += 1
     return batch
 

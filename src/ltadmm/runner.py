@@ -107,7 +107,13 @@ def _parse_int(value) -> int:
     return int(value)
 
 
-_TYPE_CONVERTERS = {bool: _parse_bool, int: _parse_int, float: float, str: str}
+def _parse_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+_TYPE_CONVERTERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: str}
 # converter of every RunConfig field, from its annotation
 _RUN_FIELDS = {
     name: _TYPE_CONVERTERS[hint] for name, hint in typing.get_type_hints(RunConfig).items()
@@ -116,14 +122,14 @@ _RUN_FIELDS = {
 # topology and output keys; any other key stays a string
 _CONVERTERS = {
     **_RUN_FIELDS,
-    "tg_tc_ratio": float,
+    "tg_tc_ratio": _parse_float,
     "seed": _parse_int,
     "dimension": _parse_int,
     "points_per_agent": _parse_int,
     "n_agents": _parse_int,
     "ring": _parse_int,
-    "epsilon": float,
-    "stop_threshold": float,
+    "epsilon": _parse_float,
+    "stop_threshold": _parse_float,
 }
 
 

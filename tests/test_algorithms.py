@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ltadmm import algorithms
+from ltadmm import algorithms, oracles
 from ltadmm.algorithms import (
     RunConfig,
     exchange,
@@ -112,6 +114,13 @@ class TestRunConfig:
             ("batch_replacement", 0),
             ("record_dk", 1),
             ("record_dk", None),
+            ("gamma", True),
+            ("gamma", "0.1"),
+            ("rho", np.True_),
+            ("t_g", False),
+            ("t_c", True),
+            ("init_std", False),
+            ("init_std", None),
         ],
     )
     def test_rejects_wrongly_typed_values(self, field, value):
@@ -131,6 +140,12 @@ class TestRunConfig:
         assert numpy_typed == base_config(**values)
         for name, value in values.items():
             assert type(getattr(numpy_typed, name)) is type(value), name
+
+    def test_numbers_become_python_floats(self):
+        numbers = dict(gamma=np.float32(0.5), rho=1, t_g=np.int64(2), t_c=np.float64(0.25), init_std=3)
+        cfg = base_config(**numbers)
+        for name, value in numbers.items():
+            assert type(getattr(cfg, name)) is float and getattr(cfg, name) == value, name
 
 
 class TestLocalTrainingEpoch:
@@ -353,7 +368,8 @@ class TestDeterminism:
             inst, topo, [vr, base_config(variant="lt_admm", tau=4, gamma=0.2, outer_iterations=3)], range(2)
         )
         # the run that draws most sizes the block: lt_admm, 3 x 4 draws
-        assert shared.steps == 12
+        assert [f.name for f in dataclasses.fields(shared)] == ["key", "iterates", "block"]
+        assert shared.block.shape == (2, 4, 12, 1)
         with pytest.raises(ValueError, match="random key"):
             simulate_replicates(inst, topo, vr, range(3), shared)
         with pytest.raises(ValueError, match="random key"):
@@ -361,24 +377,94 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="init_std"):
             shared_inputs(inst, topo, [vr, base_config(init_std=1.0)], range(2))
 
-    def test_a_run_longer_than_the_shared_block_has_generators_of_its_own(self):
+    def test_shared_inputs_are_read_only(self):
+        inst = generate_classification(5, 4, 3, 6)
+        shared = shared_inputs(inst, build_ring(4), [base_config(variant="lt_admm")], range(2))
+        for name in ("iterates", "block"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(shared, name)[0, 0, 0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(shared, name, getattr(shared, name).copy())
+
+    def test_the_shared_block_holds_only_the_runs_that_fit(self, monkeypatch):
+        inst = generate_classification(5, 4, 3, 6)
+        topo = build_ring(4)
+        # blocks of 10 steps for the 2 x 4 streams: lt_admm_vr draws 8
+        # batches and fits, lt_admm draws 12 and does not
+        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 10 * 8)
+        vr = base_config(variant="lt_admm_vr", tau=3, outer_iterations=4)
+        sgd = base_config(variant="lt_admm", tau=3, outer_iterations=4)
+        shared = shared_inputs(inst, topo, [vr, sgd], range(2))
+        assert shared.block.shape == (2, 4, 8, 1)
+        assert init_states(inst, topo, vr, range(2), shared).block is shared.block
+        longer = init_states(inst, topo, sgd, range(2), shared)
+        assert longer.block is None and len(longer.rngs) == 8
+        # a group in which no run fits draws no block
+        assert shared_inputs(inst, topo, [sgd], range(2)).block.shape == (2, 4, 0, 1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"variant": "exact"},
+            {"variant": "lt_admm", "outer_iterations": 0},
+            {"variant": "lt_admm_vr", "tau": 1},
+            {"variant": "lt_admm_vr_v2", "tau": 1, "outer_iterations": 1},
+        ],
+        ids=["exact", "no-iterations", "vr-tau-1", "vr-v2-one-step"],
+    )
+    def test_a_run_that_never_draws_holds_and_seeds_no_generators(self, monkeypatch, overrides):
+        inst = generate_classification(5, 4, 3, 6)
+        topo = build_ring(4)
+        cfg = base_config(**overrides)
+        assert algorithms.batch_draws(cfg) == 0
+        seeded = []
+        seed = algorithms._seeded_generators
+
+        def counting_seed(master_seed, rows):
+            seeded.append(np.asarray(rows).copy())
+            return seed(master_seed, rows)
+
+        monkeypatch.setattr(algorithms, "_seeded_generators", counting_seed)
+        shared = shared_inputs(inst, topo, [cfg], range(2))
+        # one pass seeds the initial iterates' generators, tag 0, and nothing else
+        assert len(seeded) == 1 and np.array_equal(seeded[0], [[0, 0], [1, 0]])
+        assert shared.block.shape[2] == 0
+        for streams in (init_states(inst, topo, cfg, range(2), shared), init_states(inst, topo, cfg, range(2))):
+            assert streams.rngs == [] and all(stream.rng is None for stream in streams)
+        simulate_replicates(inst, topo, cfg, range(2), shared)
+        assert len(seeded) == 1
+
+    def test_a_run_longer_than_the_shared_block_has_generators_of_its_own(self, monkeypatch):
         inst = generate_classification(5, 4, 3, 6)
         topo = build_ring(4)
         short = base_config(variant="lt_admm", outer_iterations=2, record_dk=True)
         long = base_config(variant="lt_admm", outer_iterations=5, record_dk=True)
         shared = shared_inputs(inst, topo, [short], range(2))
-        assert shared.steps == 6
+        assert shared.block.shape[2] == 6
+        block = shared.block.copy()
+        started = []
+
+        def recording_init_states(*args):
+            started.append(init_states(*args))
+            return started[-1]
+
+        monkeypatch.setattr(algorithms, "init_states", recording_init_states)
         record = simulate_replicates(inst, topo, long, range(2), shared)
         alone = simulate_replicates(inst, topo, long, range(2))
         assert record.diverged_at == alone.diverged_at
         for name in ("grad_norm_sq", "consensus_err", "conservation_residual", "d_k", "component_evals"):
             assert getattr(record, name).tobytes() == getattr(alone, name).tobytes(), name
-        # the group's generators drew nothing: the 15 draws came from generators of the run's own
-        assert shared.block is None
-        seeded = shared_inputs(inst, topo, [short], range(2)).rngs
-        for row, fresh_row in zip(shared.rngs, seeded):
-            for rng, fresh in zip(row, fresh_row):
-                assert rng.bit_generator.state == fresh.bit_generator.state
+        # the 15 draws came from generators of the run's own, each advanced by
+        # exactly them, and the shared block stayed as it was
+        streams = started[0]
+        assert len(streams.rngs) == 8 and not any(rng is other for rng in streams.rngs for other in started[1].rngs)
+        for index, stream in enumerate(streams):
+            r, i = divmod(index, 4)
+            reference = np.random.default_rng(np.random.SeedSequence([long.master_seed, r, 1 + i]))
+            for _ in range(15):
+                reference.integers(0, stream.num_points, size=1)
+            assert stream.rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(shared.block, block)
 
     def test_draw_batch_stops_at_the_end_of_a_shared_block(self):
         inst = generate_classification(5, 4, 3, 6)
@@ -386,13 +472,12 @@ class TestDeterminism:
         cfg = base_config(variant="lt_admm", tau=2, outer_iterations=1)
         shared = shared_inputs(inst, topo, [cfg], range(2))
         streams = init_states(inst, topo, cfg, range(2), shared)
-        assert streams.shared is shared and shared.steps == 2
-        for _ in range(2):
+        assert streams.block is shared.block and shared.block.shape[2] == 2
+        assert streams.rngs == []
+        batches = np.stack([draw_batch(streams, 1) for _ in range(2)], axis=2)
+        assert np.array_equal(batches, shared.block)
+        with pytest.raises(RuntimeError, match="whole block"):
             draw_batch(streams, 1)
-        states = [stream.rng.bit_generator.state for stream in streams]
-        with pytest.raises(RuntimeError, match="shared block"):
-            draw_batch(streams, 1)
-        assert [stream.rng.bit_generator.state for stream in streams] == states
 
     def test_initial_scale(self):
         cfg = base_config()

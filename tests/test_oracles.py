@@ -487,7 +487,7 @@ class TestDrawsWithoutReplacement:
                 rng = np.random.default_rng([r, i])
                 for _ in range(20):
                     rng.choice(inst.num_points(i), b, replace=False)
-                assert streams.streams[r * inst.num_agents + i].rng.bit_generator.state == rng.bit_generator.state
+                assert streams.rngs[r * inst.num_agents + i].bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize(
         "m, b, blocks",

@@ -97,9 +97,9 @@ def manifest_without_n_agents() -> str:
     return json.dumps({"config": config})
 
 
-def manifest_with_problem_key(key: str, value) -> str:
+def manifest_with_problem_key(key: str, value, section: str = "problem") -> str:
     config = dataclasses.asdict(parse_config(BASIC_INI))
-    config["problem"][key] = value
+    config[section][key] = value
     return json.dumps({"config": config})
 
 
@@ -167,6 +167,15 @@ class TestParsing:
             make_run_config({**algorithm, "tau": 2.7}, {})
         with pytest.raises(ConfigError, match="outer_iterations"):
             make_run_config({**algorithm, "outer_iterations": True}, {})
+        # and float fields no boolean
+        for key in ("gamma", "rho", "t_g", "t_c", "init_std"):
+            with pytest.raises(ConfigError, match=key):
+                make_run_config({**algorithm, key: True}, {})
+        with pytest.raises(ConfigError, match="tg_tc_ratio"):
+            make_run_config(algorithm, {"tg_tc_ratio": True})
+        for key in ("epsilon", "stop_threshold"):
+            with pytest.raises(ConfigError, match=key):
+                runner._convert(key, True)
 
     @pytest.mark.parametrize(
         "changes",
@@ -504,6 +513,9 @@ class TestCli:
             ("bad.ini", BASIC_INI.replace("name = tiny", "name = ../escaped")),
             ("bad.json", manifest_with_key("name", "sub/x")),
             ("bad.json", manifest_with_key("name", "../escaped")),
+            ("bad.json", manifest_with_problem_key("gamma", True, section="algorithm")),
+            ("bad.json", manifest_with_problem_key("init_std", False, section="algorithm")),
+            ("bad.json", manifest_with_problem_key("epsilon", True)),
         ],
         ids=[
             "sweep-tau-abc",
@@ -552,6 +564,9 @@ class TestCli:
             "name-outside-out",
             "manifest-name-with-directory",
             "manifest-name-outside-out",
+            "manifest-gamma-true",
+            "manifest-init-std-false",
+            "manifest-epsilon-true",
         ],
     )
     def test_invalid_config_rejected_before_any_point(self, tmp_path, name, text):
@@ -790,9 +805,9 @@ DRAWS = {
 
 
 # blocks of 3 steps for the 2 x 4 streams: every point that draws is longer
-# than the shared block, so the group's generators draw nothing; blocks of
-# 8 steps: exact and lt_admm_vr read the shared block, and lt_admm and
-# lt_admm_vr_v2 draw from generators of their own
+# than one block, so the group's block has no steps; blocks of 8 steps:
+# exact and lt_admm_vr read the shared block, and lt_admm and lt_admm_vr_v2
+# draw from generators of their own
 @pytest.mark.parametrize("block_steps", [3, 8])
 @pytest.mark.parametrize("batch_size,replacement", [(1, True), (2, False)])
 def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replacement, block_steps):
@@ -823,29 +838,34 @@ def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replace
     assert all(point["num_diverged"] == 0 for point in result.manifest["points"])
     assert sorted(run_cfg.variant for run_cfg, _ in started) == sorted(DRAWS)
     draws = {variant: count(4, 3) for variant, count in DRAWS.items()}
-    readers = {run_cfg.variant: streams for run_cfg, streams in started if streams.shared is not None}
+    readers = {run_cfg.variant: streams for run_cfg, streams in started if not streams.rngs}
     assert set(readers) == {variant for variant in DRAWS if draws[variant] <= block_steps}
     assert set(readers) == ({"exact"} if block_steps == 3 else {"exact", "lt_admm_vr"})
-    # the readers hold the group's generators, and no other run holds any of them
-    group = readers["exact"].shared.rngs
-    assert all(streams.shared.rngs is group for streams in readers.values())
-    held = [id(rng) for row in group for rng in row]
-    held += [id(s.rng) for _, streams in started if streams.shared is None for s in streams]
+    # the readers read the group's one block and hold no generators, and no
+    # generator is held by two runs
+    group = readers["exact"].block
+    assert all(streams.block is group for streams in readers.values())
+    held = [id(rng) for _, streams in started for rng in streams.rngs]
     assert len(set(held)) == len(held)
-    # the group's generators drew its first block if a reader draws, and
-    # every other generator its owner's batches
-    group_steps = block_steps if any(draws[variant] for variant in readers) else 0
+    # the group's block holds the batches of the reader that draws most, and
+    # every other run's generators drew exactly its owner's batches
+    assert group.shape[2] == max(draws[variant] for variant in readers)
     for run_cfg, streams in started:
-        steps = group_steps if streams.shared is not None else draws[run_cfg.variant]
+        steps = group.shape[2] if run_cfg.variant in readers else draws[run_cfg.variant]
         for index, stream in enumerate(streams):
             r, i = divmod(index, 4)
             reference = np.random.default_rng(np.random.SeedSequence([1, r, 1 + i]))
-            for _ in range(steps):
-                if replacement:
-                    reference.integers(0, stream.num_points, size=batch_size)
-                else:
-                    reference.choice(stream.num_points, batch_size, replace=False)
-            assert stream.rng.bit_generator.state == reference.bit_generator.state, (run_cfg.variant, r, i)
+            expected = [
+                reference.integers(0, stream.num_points, size=batch_size)
+                if replacement
+                else reference.choice(stream.num_points, batch_size, replace=False)
+                for _ in range(steps)
+            ]
+            if run_cfg.variant in readers:
+                assert stream.rng is None
+                assert np.array_equal(group[r, i], np.reshape(expected, (steps, batch_size)))
+            else:
+                assert stream.rng.bit_generator.state == reference.bit_generator.state, (run_cfg.variant, r, i)
 
 
 ODD_VALUES = ("-1", "0", "0.5", "nan", "inf", "abc", "true")
