@@ -18,7 +18,7 @@ and agents at once.  The local epoch is t-major: each inner step computes
 every (replicate, agent) stream's estimate in one array step
 (:mod:`ltadmm.oracles`), then one stacked update moves all rows.  The
 exchange (every agent sends one payload per neighbor, a synchronous barrier)
-is two array operations over the edge arrays ``Topology.src`` (the owner of
+is two ``take`` gathers over the edge arrays ``Topology.src`` (the owner of
 each edge) and ``Topology.rev`` (the reverse edge).  The edge sums A^T Z are
 one ``bincount`` over bins that the topology keeps per stack shape
 (:meth:`~ltadmm.graph.Topology.edge_sums`); it adds each agent's edge rows
@@ -440,8 +440,8 @@ def exchange(topology: Topology, Z: np.ndarray, X: np.ndarray, rho: float) -> np
     Edge (i, j) combines its own variable with the payload of (j, i).  ``Z``
     (..., M, n) and ``X`` (..., N, n) may stack replicates on leading axes.
     """
-    payload = Z - 2.0 * rho * X[..., topology.src, :]
-    return 0.5 * (Z - payload[..., topology.rev, :])
+    payload = Z - 2.0 * rho * X.take(topology.src, axis=-2)
+    return 0.5 * (Z - payload.take(topology.rev, axis=-2))
 
 
 class StateMetrics(NamedTuple):
@@ -513,7 +513,10 @@ def simulate_replicates(
     after that state and it is marked, while the others run on.  The epoch
     gradient metric, when enabled, is stored at the row of the state the
     epoch started from (its true gradients are measurement overhead and
-    never hit the counters).  Once every replicate has diverged the run
+    never hit the counters).  A refresh step's estimate is already the exact
+    local gradient at its inner iterate, so the metric reads it from the
+    epoch's log and evaluates ``local_gradients`` only at the other inner
+    iterates: never for ``exact``.  Once every replicate has diverged the run
     stops, and ``component_evals`` is completed from the cost table
     (:func:`metrics.iteration_evals`), so it and ``comms`` read as if the
     held states had run the whole budget.
@@ -543,8 +546,13 @@ def simulate_replicates(
         # the synchronous round waits for the slowest agent
         evals[k + 1] = evals[k] + (streams.tally - tally).max()
         if config.record_dk:
-            gradients = local_gradients(instance, np.stack([phi for phi, _ in log]))
-            inner = np.add.reduce(gradients, axis=-2) / topology.num_agents
+            # a refresh step's G_t is already the exact local gradient at its Phi_t
+            refreshes = metrics.refresh_steps(config.variant, config.tau, k)
+            gradients = [G for _, G in log[:refreshes]]
+            if refreshes < config.tau:
+                rest = np.stack([phi for phi, _ in log[refreshes:]])
+                gradients += list(local_gradients(instance, rest))
+            inner = np.add.reduce(np.stack(gradients), axis=-2) / topology.num_agents
             d_k[k] = metrics.compute_dk(measured[0][k], inner, config.tau)
         if len(streams.diverged) == R:
             # every replicate is held: the rest of the budget would only count

@@ -7,8 +7,10 @@ its slots of the stored-gradient table and an evaluation tally.
 streams in one array step: one ``component_gradients`` call evaluates b
 components of every stream at its own point of the (R, N, n) stack (b = m_max
 for a refresh), the results are reduced per stream, and a batch step reads
-and writes its table rows through one array of flat slots; the streams of a
-diverged replicate keep drawing and counting with the rest.  The local
+and writes its table rows through one array of flat slots: one ``take`` of
+the stored rows and one ``put`` of the fresh ones through a view that holds
+each n-float row as one element.  The streams of a diverged replicate keep
+drawing and counting with the rest.  The local
 training loop uses a table refresh, after which the table average is the
 exact local gradient at the refresh point, and two batch estimators: a
 mini-batch average and a variance-reduced estimator backed by the table.
@@ -19,7 +21,9 @@ gradient that the estimate just produced.  A batch of b > 1 moves the sum by
 each distinct index's change once, in ascending index order: one flat gather
 takes row s * b + argsort(batch) of the (R * N * b, n) changes for stream s,
 and only when some batch repeats an index (one drawn without replacement
-never does) are the repeats zeroed before the sum.  Agents may hold
+never does) are the repeats zeroed before the sum.  That sum and the batch
+means add each stream's b rows in batch order, by one ``einsum`` for n > 1,
+with the bits of ``np.add.reduce`` over the batch axis.  Agents may hold
 different numbers of points m_i: the table has m_max rows per stream, and
 rows past m_i are zeroed at each refresh and never drawn.
 
@@ -69,6 +73,10 @@ _BLOCK_ENTRIES = 1 << 21
 # only those can be rebuilt; the rebuild also costs b^2 per draw and passes
 # the cost of one ``choice`` call near b = 64.
 _FLOYD_MAX_BATCH = 32
+# Floyd passes j below this compare column by column; a pass over the j
+# earlier columns costs about one (rows, j) comparison and reduction at
+# j = 8 for a few hundred rows, less for more rows and more for fewer.
+_COLUMN_PASSES = 8
 
 
 class EvalCounter(NamedTuple):
@@ -192,20 +200,33 @@ def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
     Floyd's pass j keeps its draw unless an earlier pass took that value,
     and then takes m - b + j, which no earlier pass can hold; b - 1 swaps
     then shuffle the subset.  Pass j compares with the j values before it,
-    so the cost per row grows as b^2.
+    so the cost per row grows as b^2.  Below ``_COLUMN_PASSES`` a pass
+    compares one column at a time into reused buffers; later passes compare
+    all j columns in one (rows, j) array, which costs less once j is large.
+    The swaps move entries of the flat draws by ``take`` and ``put``.
     """
-    b = (draws.shape[-1] + 1) // 2
-    flat = draws.reshape(-1, draws.shape[-1])
+    width = draws.shape[-1]
+    b = (width + 1) // 2
+    flat = draws.reshape(-1, width)
     offsets = np.broadcast_to(sizes, draws.shape[:-1]).ravel() - b
     subset = flat[:, :b]
+    taken, hit = np.empty(len(flat), dtype=bool), np.empty(len(flat), dtype=bool)
     for j in range(1, b):
-        taken = (subset[:, :j] == subset[:, j, None]).any(axis=1)
-        subset[taken, j] = offsets[taken] + j
-    rows = np.arange(len(flat))
+        value = subset[:, j]
+        if j < _COLUMN_PASSES:
+            np.equal(subset[:, 0], value, out=taken)
+            for i in range(1, j):
+                np.equal(subset[:, i], value, out=hit)
+                taken |= hit
+        else:
+            np.any(subset[:, :j] == value[:, None], axis=1, out=taken)
+        np.copyto(value, offsets + j, where=taken)
+    every = flat.reshape(-1)
+    starts = np.arange(0, every.size, width)
     for i in range(b - 1, 0, -1):
-        j = flat[:, 2 * b - 1 - i]
-        swapped = subset[rows, j]
-        subset[rows, j] = subset[:, i]
+        places = starts + flat[:, 2 * b - 1 - i]
+        swapped = every.take(places)
+        every.put(places, subset[:, i])
         subset[:, i] = swapped
     return subset.reshape(draws.shape[:-1] + (b,))
 
@@ -281,6 +302,19 @@ def _batch_rows(streams: Streams, instance: ProblemInstance, x: np.ndarray, batc
     return rows
 
 
+def _batch_sum(rows: np.ndarray) -> np.ndarray:
+    """Each stream's sum of its b rows of ``rows`` (R, N, b, n).
+
+    The bits are those of ``np.add.reduce(rows, axis=2)``.  For n > 1 both
+    add the rows one after another from the first, and ``einsum`` does it
+    in fewer passes; for n = 1 the batch axis is the contiguous one, which
+    ``np.add.reduce`` sums pairwise and ``einsum`` would not.
+    """
+    if rows.shape[-1] == 1:
+        return np.add.reduce(rows, axis=2)
+    return np.einsum("rnbj->rnj", rows)
+
+
 def sgd_estimate(
     streams: Streams, instance: ProblemInstance, x: np.ndarray, batch: np.ndarray
 ) -> np.ndarray:
@@ -290,7 +324,8 @@ def sgd_estimate(
     Charges b evaluations per stream.
     """
     rows = _batch_rows(streams, instance, x, batch)
-    return rows[:, :, 0] if batch.shape[-1] == 1 else rows.mean(axis=2)
+    b = batch.shape[-1]
+    return rows[:, :, 0] if b == 1 else _batch_sum(rows) / b
 
 
 def saga_refresh(streams: Streams, instance: ProblemInstance, anchor: np.ndarray) -> None:
@@ -320,28 +355,35 @@ def saga_estimate_update(
     mean of (fresh minus stored gradient) plus the table average; the fresh
     gradients are then written back into the table, reusing them instead of
     recomputing, and the running sum moves by each distinct index's change
-    once.  Total charge: b evaluations per stream.
+    once.  Total charge: b evaluations per stream.  Streams without a table
+    (no :func:`saga_refresh` yet) raise ``RuntimeError`` once the batch is
+    checked and charged.
     """
     fresh = _batch_rows(streams, instance, x, batch)
+    if streams.table is None:
+        raise RuntimeError("saga_estimate_update needs a gradient table: call saga_refresh first")
+    b, n = batch.shape[-1], x.shape[-1]
     slots = (streams._bases + batch).ravel()
-    table = streams.table.reshape(-1, x.shape[-1])
-    stored = table[slots].reshape(fresh.shape)
-    delta = fresh - stored
+    table = streams.table.reshape(-1, n)
+    delta = fresh - table.take(slots, axis=0).reshape(fresh.shape)
     average = streams.table_sum / streams.sizes[:, None]
-    if batch.shape[-1] == 1:
+    if b == 1:
         estimate = delta[:, :, 0] + average
         streams.table_sum += delta[:, :, 0]
     else:
-        estimate = delta.mean(axis=2) + average
+        estimate = _batch_sum(delta) / b + average
         # sum each distinct index's change once, in ascending index order:
         # one gather of every stream's rows in that order
         order = np.argsort(batch, axis=-1)
-        order += batch.shape[-1] * np.arange(streams.tally.size).reshape(streams.tally.shape + (1,))
-        ordered = batch.reshape(-1)[order]
-        change = delta.reshape(-1, x.shape[-1])[order]
+        order += b * np.arange(streams.tally.size).reshape(streams.tally.shape + (1,))
+        ordered = batch.take(order)
+        change = delta.reshape(-1, n).take(order, axis=0)
         repeats = ordered[..., 1:] == ordered[..., :-1]
         if repeats.any():  # never without replacement
             change[..., 1:, :] *= ~repeats[..., None]
-        streams.table_sum += np.add.reduce(change, axis=2)
-    table[slots] = fresh.reshape(-1, x.shape[-1])
+        streams.table_sum += _batch_sum(change)
+    # one put of whole rows through a view with one n-float element per row;
+    # a repeated slot gets its last row, which equals the others (same point)
+    row = np.dtype((np.void, n * fresh.itemsize))
+    table.view(row).reshape(-1).put(slots, fresh.reshape(-1, n).view(row))
     return estimate

@@ -17,7 +17,7 @@ from ltadmm.algorithms import (
     simulate_replicates,
 )
 from ltadmm.graph import build_from_edges, build_ring
-from ltadmm.metrics import iteration_evals
+from ltadmm.metrics import compute_dk, iteration_evals, refresh_steps
 from ltadmm.oracles import draw_batch
 from ltadmm.problems import (
     LEAST_SQUARES,
@@ -25,6 +25,7 @@ from ltadmm.problems import (
     generate_classification,
     global_gradient_norm_sq,
     local_full_gradient,
+    local_gradients,
 )
 
 from conftest import random_connected_topology
@@ -277,6 +278,16 @@ class TestZUpdate:
         for e, (i, j) in enumerate(topo.directed_edges):
             z_ij, z_ji = Z[e], Z[position[(j, i)]]
             assert np.allclose(updated[e], 0.5 * z_ij - 0.5 * z_ji + rho * x_new[j], atol=1e-15)
+
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_has_the_bits_of_the_fancy_index_form(self, rng, stack):
+        topo = random_connected_topology(rng, 7)
+        Z = rng.normal(size=stack + (topo.num_directed_edges, 4))
+        X = rng.normal(size=stack + (7, 4))
+        payload = Z - 2.0 * 0.7 * X[..., topo.src, :]
+        expected = 0.5 * (Z - payload[..., topo.rev, :])
+        assert exchange(topo, Z, X, 0.7).tobytes() == expected.tobytes()
 
 
 class TestOuterStep:
@@ -626,6 +637,40 @@ class TestRecordDk:
         d_k = simulate_replicate(inst, topo, cfg, 0).d_k[:, 0]
         for k, value in enumerate(expected):
             assert d_k[k] == pytest.approx(value, rel=1e-12)
+
+
+    @pytest.mark.parametrize("variant", algorithms.VARIANTS)
+    def test_refreshed_gradients_stand_in_for_local_gradients(self, monkeypatch, variant):
+        inst, topo = unequal_problem(), build_ring(5)
+        cfg = base_config(
+            variant=variant, record_dk=True, outer_iterations=4, gamma=0.1, tau=3, batch_size=2
+        )
+        stacked = []
+
+        def counted(instance, x):
+            stacked.append(len(x))
+            return local_gradients(instance, x)
+
+        monkeypatch.setattr(algorithms, "local_gradients", counted)
+        replicates = simulate_replicates(inst, topo, cfg, [0, 1])
+        d_k = replicates.d_k
+        # the reference evaluates local_gradients at every logged Phi_t
+        X = initial_iterates(cfg, topo.num_agents, inst.dimension, [0, 1])
+        Z = X[:, topo.src]
+        streams = init_states(inst, topo, cfg, [0, 1])
+        expected = np.full(d_k.shape, np.nan)
+        for k in range(cfg.outer_iterations):
+            log = []
+            outer_step(streams, inst, topo, cfg, k, X, Z, log)
+            inner = np.add.reduce(local_gradients(inst, np.stack([phi for phi, _ in log])), axis=-2) / 5
+            expected[k] = compute_dk(replicates.grad_norm_sq[k], inner, cfg.tau)
+        schedule = [cfg.tau - refresh_steps(variant, cfg.tau, k) for k in range(cfg.outer_iterations)]
+        assert stacked == [steps for steps in schedule if steps]  # none for exact
+        assert np.isfinite(d_k[:-1]).all()
+        if variant == "lt_admm":
+            assert d_k.tobytes() == expected.tobytes()
+        else:
+            np.testing.assert_allclose(d_k, expected, rtol=1e-12, atol=0)
 
 
 def unequal_problem(seed=4, points=(3, 7, 1, 5, 9), dimension=3):

@@ -228,6 +228,11 @@ class TestSagaEstimate:
         assert (streams.tally == 3).all()
         assert [s.counter.component_gradient_evals for s in streams] == [3] * instance.num_agents
 
+    def test_step_before_any_refresh_names_the_refresh(self, instance):
+        with pytest.raises(RuntimeError, match="saga_refresh"):
+            x = at(instance, np.zeros(instance.dimension))
+            saga_estimate_update(make_streams(instance), instance, x, batch_of(instance, [0]))
+
     def test_empty_batch_rejected(self, instance):
         with pytest.raises(ValueError, match="non-empty"):
             saga_estimate(
@@ -323,6 +328,71 @@ class TestOrderedGather:
         expected = take_along_axis_sum(streams, inst, x, batch)
         saga_estimate_update(streams, inst, x, batch)
         assert streams.table_sum.tobytes() == expected.tobytes()
+
+
+def fancy_index_step(streams, instance, x, batch):
+    """The batch step in the form that ``take``, ``put`` and ``einsum`` replaced.
+
+    Subspace fancy indexing gathers and writes the table rows and the
+    ordered changes, and the batch reductions are ``ndarray.mean`` and
+    ``np.add.reduce`` over axis 2.
+    """
+    fresh = component_gradients(instance, x, batch.ravel())
+    n = x.shape[-1]
+    slots = (streams._bases + batch).ravel()
+    table = streams.table.reshape(-1, n)
+    delta = fresh - table[slots].reshape(fresh.shape)
+    average = streams.table_sum / streams.sizes[:, None]
+    if batch.shape[-1] == 1:
+        estimate = delta[:, :, 0] + average
+        streams.table_sum += delta[:, :, 0]
+    else:
+        estimate = delta.mean(axis=2) + average
+        order = np.argsort(batch, axis=-1)
+        order += batch.shape[-1] * np.arange(streams.tally.size).reshape(streams.tally.shape + (1,))
+        ordered = batch.reshape(-1)[order]
+        change = delta.reshape(-1, n)[order]
+        repeats = ordered[..., 1:] == ordered[..., :-1]
+        if repeats.any():
+            change[..., 1:, :] *= ~repeats[..., None]
+        streams.table_sum += np.add.reduce(change, axis=2)
+    table[slots] = fresh.reshape(-1, n)
+    return estimate
+
+
+class TestTakePutStep:
+    """The batch estimators hold the bits of their fancy-index forms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("b, replacement", [(1, True), (3, True), (8, False), (33, False)])
+    def test_step_has_the_bits_of_the_fancy_index_form(self, rng, n, b, replacement):
+        R, N, m = 2, 3, 40
+        inst = generate_classification(3, N, n, m)
+        if replacement:
+            batch = rng.integers(0, m, size=(R, N, b))
+            if b > 1:
+                batch[..., -1] = batch[..., 0]  # every stream writes one slot twice
+        else:
+            batch = np.array([[rng.permutation(m)[:b] for _ in range(N)] for _ in range(R)])
+        streams = stale_streams(inst, rng, replicates=R)
+        # stored rows of mixed magnitudes, so the order of the additions shows in the bits
+        streams.table *= 10.0 ** rng.integers(-8, 9, size=streams.table.shape[:-1] + (1,))
+        streams.table_sum = streams.table.sum(axis=2)
+        expected = copy.deepcopy(streams)
+        x = rng.normal(size=(R, N, n))
+        estimate = saga_estimate_update(streams, inst, x, batch)
+        assert estimate.tobytes() == fancy_index_step(expected, inst, x, batch).tobytes()
+        assert streams.table.tobytes() == expected.table.tobytes()
+        assert streams.table_sum.tobytes() == expected.table_sum.tobytes()
+        mean = component_gradients(inst, x, batch.ravel()).mean(axis=2)
+        assert sgd_estimate(streams, inst, x, batch).tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("b", [2, 8, 33])
+    def test_batch_sum_has_the_bits_of_add_reduce(self, rng, n, b):
+        shape = (3, 4, b, n)
+        rows = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        assert oracles._batch_sum(rows).tobytes() == np.add.reduce(rows, axis=2).tobytes()
 
 
 class TestBatchDrawing:
@@ -469,8 +539,38 @@ class CountingRng:
         return self.rng.integers(*args, **kwargs)
 
 
+def loop_floyd_subsets(draws, sizes):
+    """The Floyd rebuild in the form that column passes, ``take`` and ``put`` replaced."""
+    b = (draws.shape[-1] + 1) // 2
+    flat = draws.reshape(-1, draws.shape[-1])
+    offsets = np.broadcast_to(sizes, draws.shape[:-1]).ravel() - b
+    subset = flat[:, :b]
+    for j in range(1, b):
+        taken = (subset[:, :j] == subset[:, j, None]).any(axis=1)
+        subset[taken, j] = offsets[taken] + j
+    rows = np.arange(len(flat))
+    for i in range(b - 1, 0, -1):
+        j = flat[:, 2 * b - 1 - i]
+        swapped = subset[rows, j]
+        subset[rows, j] = subset[:, i]
+        subset[:, i] = swapped
+    return subset.reshape(draws.shape[:-1] + (b,))
+
+
 class TestDrawsWithoutReplacement:
     sizes = (3, 8, 40)
+
+    @pytest.mark.parametrize("passes", [1, oracles._COLUMN_PASSES, 64])
+    @pytest.mark.parametrize("b", [2, 3, 8, 32])
+    def test_floyd_subsets_equal_the_loop_form(self, monkeypatch, b, passes):
+        # streams of b, b + 5 and 3b + 1 points; the pass limit switches
+        # every pass to one comparison form or splits them
+        monkeypatch.setattr(oracles, "_COLUMN_PASSES", passes)
+        rng = np.random.default_rng([b, passes])
+        sizes = np.array([b, b + 5, 3 * b + 1] * 2)[:, None]
+        draws = np.stack([oracles._choice_integers(rng, m, b, 9) for m in sizes[:, 0]])
+        expected = loop_floyd_subsets(draws.copy(), sizes)
+        assert np.array_equal(oracles._floyd_subsets(draws, sizes), expected)
 
     @pytest.mark.parametrize("b", [1, 3, 33])
     def test_each_stream_equals_its_per_step_choices(self, monkeypatch, b):
