@@ -73,10 +73,6 @@ _BLOCK_ENTRIES = 1 << 21
 # only those can be rebuilt; the rebuild also costs b^2 per draw and passes
 # the cost of one ``choice`` call near b = 64.
 _FLOYD_MAX_BATCH = 32
-# Floyd passes j below this compare column by column; a pass over the j
-# earlier columns costs about one (rows, j) comparison and reduction at
-# j = 8 for a few hundred rows, less for more rows and more for fewer.
-_COLUMN_PASSES = 8
 
 
 class EvalCounter(NamedTuple):
@@ -200,10 +196,9 @@ def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
     Floyd's pass j keeps its draw unless an earlier pass took that value,
     and then takes m - b + j, which no earlier pass can hold; b - 1 swaps
     then shuffle the subset.  Pass j compares with the j values before it,
-    so the cost per row grows as b^2.  Below ``_COLUMN_PASSES`` a pass
-    compares one column at a time into reused buffers; later passes compare
-    all j columns in one (rows, j) array, which costs less once j is large.
-    The swaps move entries of the flat draws by ``take`` and ``put``.
+    so the cost per row grows as b^2; a pass compares one column at a time
+    into reused buffers.  The swaps move entries of the flat draws by
+    ``take`` and ``put``.
     """
     width = draws.shape[-1]
     b = (width + 1) // 2
@@ -213,13 +208,10 @@ def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
     taken, hit = np.empty(len(flat), dtype=bool), np.empty(len(flat), dtype=bool)
     for j in range(1, b):
         value = subset[:, j]
-        if j < _COLUMN_PASSES:
-            np.equal(subset[:, 0], value, out=taken)
-            for i in range(1, j):
-                np.equal(subset[:, i], value, out=hit)
-                taken |= hit
-        else:
-            np.any(subset[:, :j] == value[:, None], axis=1, out=taken)
+        np.equal(subset[:, 0], value, out=taken)
+        for i in range(1, j):
+            np.equal(subset[:, i], value, out=hit)
+            taken |= hit
         np.copyto(value, offsets + j, where=taken)
     every = flat.reshape(-1)
     starts = np.arange(0, every.size, width)

@@ -560,13 +560,10 @@ def loop_floyd_subsets(draws, sizes):
 class TestDrawsWithoutReplacement:
     sizes = (3, 8, 40)
 
-    @pytest.mark.parametrize("passes", [1, oracles._COLUMN_PASSES, 64])
     @pytest.mark.parametrize("b", [2, 3, 8, 32])
-    def test_floyd_subsets_equal_the_loop_form(self, monkeypatch, b, passes):
-        # streams of b, b + 5 and 3b + 1 points; the pass limit switches
-        # every pass to one comparison form or splits them
-        monkeypatch.setattr(oracles, "_COLUMN_PASSES", passes)
-        rng = np.random.default_rng([b, passes])
+    def test_floyd_subsets_equal_the_loop_form(self, b):
+        # streams of b, b + 5 and 3b + 1 points
+        rng = np.random.default_rng(b)
         sizes = np.array([b, b + 5, 3 * b + 1] * 2)[:, None]
         draws = np.stack([oracles._choice_integers(rng, m, b, 9) for m in sizes[:, 0]])
         expected = loop_floyd_subsets(draws.copy(), sizes)
