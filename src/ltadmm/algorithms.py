@@ -297,12 +297,11 @@ class SharedInputs:
     block: np.ndarray
 
 
-def _stream_generators(master_seed: int, replicates: list[int], num_agents: int) -> list[list]:
-    """``rngs[r][i]``, the generator of stream (replicate r, agent i), seeded in one vectorized pass."""
+def _stream_generators(master_seed: int, replicates: list[int], num_agents: int) -> list[np.random.Generator]:
+    """``rngs[r * N + i]``, the generator of stream (replicate r, agent i), seeded in one vectorized pass."""
     reps = np.array(replicates, dtype=np.int64)
     rows = np.stack(np.broadcast_arrays(reps[:, None], 1 + np.arange(num_agents)), axis=-1)
-    rngs = _seeded_generators(master_seed, rows.reshape(-1, 2))
-    return [rngs[j : j + num_agents] for j in range(0, len(rngs), num_agents)]
+    return _seeded_generators(master_seed, rows.reshape(-1, 2))
 
 
 def shared_inputs(
@@ -327,7 +326,7 @@ def shared_inputs(
     steps = max((draws for draws in map(batch_draws, configs) if draws <= cap), default=0)
     block = np.empty((R, N, 0, b), dtype=np.int64)
     if steps:
-        rngs = [rng for row in _stream_generators(config.master_seed, key[1], N) for rng in row]
+        rngs = _stream_generators(config.master_seed, key[1], N)
         block = draw_block(rngs, instance.sizes, b, replacement, steps)
     iterates = initial_iterates(config, N, instance.dimension, key[1])
     iterates.flags.writeable = block.flags.writeable = False
@@ -339,23 +338,27 @@ def init_states(
     topology: Topology,
     config: RunConfig,
     replicates: Iterable[int],
-    shared: SharedInputs | None = None,
+    shared: SharedInputs,
 ) -> Streams:
     """Fresh estimator streams, one per (replicate, agent) of ``replicates``.
 
+    The streams fix the run's batch size, sampling mode and batch draws.
     Stream (r, i) draws from its own generator,
     ``default_rng(SeedSequence([master_seed, r, 1 + i]))``, so its draws do
     not depend on which other replicates share the stack.  A run whose draws
     fit in ``shared.block`` reads it and holds no generators, as does a run
     that never draws; any other holds generators seeded for it alone.  The
     tally, the table and the place in the block are the run's own.
+    ``shared`` of another random key raises ``ValueError``.
     """
     replicates = [int(r) for r in replicates]
-    draws, no_rngs = batch_draws(config), [[]] * len(replicates)
-    if shared is not None and draws <= shared.block.shape[2]:
-        return Streams.start(instance, no_rngs, draws, shared.block)
-    rngs = _stream_generators(config.master_seed, replicates, topology.num_agents) if draws else no_rngs
-    return Streams.start(instance, rngs, draws)
+    if shared.key != random_key(config, replicates):
+        raise ValueError("the shared inputs belong to another random key")
+    draws, N = batch_draws(config), topology.num_agents
+    block = shared.block if draws <= shared.block.shape[2] else None
+    rngs = [] if block is not None else _stream_generators(config.master_seed, replicates, N)
+    tally = np.zeros((len(replicates), N), dtype=np.int64)
+    return Streams(rngs, instance.sizes, tally, config.batch_size, config.batch_replacement, draws, block)
 
 
 def _outside(phi: np.ndarray) -> np.ndarray | None:
@@ -416,7 +419,7 @@ def local_training_epoch(
             saga_refresh(streams, instance, phi)
             G = streams.table_sum / streams.sizes[:, None]
         else:
-            batch = draw_batch(streams, config.batch_size, replacement=config.batch_replacement)
+            batch = draw_batch(streams)
             if variant == "lt_admm":
                 G = sgd_estimate(streams, instance, phi, batch)
             else:
@@ -526,11 +529,9 @@ def simulate_replicates(
     degrees = topology.degree_vector
     if shared is None:
         shared = shared_inputs(instance, topology, [config], replicates)
-    elif shared.key != random_key(config, replicates):
-        raise ValueError("the shared inputs belong to another random key")
+    streams = init_states(instance, topology, config, replicates, shared)
     X = shared.iterates.copy()
     Z = X[:, topology.src]
-    streams = init_states(instance, topology, config, replicates, shared)
     measured = [np.full((K + 1, R), np.nan) for _ in StateMetrics._fields]
     for column, values in zip(measured, _measure(instance, X, Z, degrees, config.rho)):
         column[0] = values

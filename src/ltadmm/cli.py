@@ -66,8 +66,6 @@ def _apply_overrides(cfg, args) -> None:
 
 
 def _execute(cfg, args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     result = run_experiment(cfg, workers=args.workers)
     for point in result.manifest["points"]:
         status = f"{point['num_diverged']}/{point['monte_carlo_runs']} diverged"

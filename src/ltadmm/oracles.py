@@ -27,14 +27,15 @@ with the bits of ``np.add.reduce`` over the batch axis.  Agents may hold
 different numbers of points m_i: the table has m_max rows per stream, and
 rows past m_i are zeroed at each refresh and never drawn.
 
-Each stream draws every batch from a block of steps drawn ahead, which
-yields the values of drawing step by step.  With replacement a block is one
-``integers`` call of the indices themselves.  Without replacement it is one
-``integers`` call of the bounded integers that ``Generator.choice`` draws,
-from which the subsets of all streams are rebuilt at once, or, for batches
-above ``_FLOYD_MAX_BATCH``, one ``choice`` call per step.  Streams hold
-either generators of their own or a read-only block drawn for them, which
-the runs of one random key read alike (:mod:`ltadmm.algorithms`).
+Each stream draws every batch, in the batch size and sampling mode fixed
+for the run when :func:`ltadmm.algorithms.init_states` builds the streams,
+from a block of steps drawn ahead, which yields the values of drawing step
+by step.  With replacement a block is one ``integers`` call of the indices
+themselves.  Without replacement it is one ``integers`` call of the bounded
+integers that ``Generator.choice`` draws, from which the subsets of all
+streams are rebuilt at once, or, for batches above ``_FLOYD_MAX_BATCH``, one
+``choice`` call per step.  Streams hold either generators of their own or a
+read-only block drawn for them, which the runs of one random key read alike.
 
 Every component-gradient evaluation is tallied per stream; the cost table
 (:mod:`ltadmm.metrics`) converts those tallies into abstract time.
@@ -105,13 +106,15 @@ class Streams:
     Iterating yields a :class:`Stream` view of each (replicate, agent),
     replicate-major.  The estimators move every stream, and an iterate
     argument stacks every replicate: shape (R, N, n).  A diverged replicate
-    stays in the stack, and its streams keep drawing and counting.  The
-    streams hold either generators of their own, ``rngs[r * N + i]`` for
-    stream (r, i), or a read-only ``block`` that other runs may read too.
-    With generators, :func:`draw_batch` draws a block whenever the last is
-    read; ``pending`` bounds the batch draws per stream still to come in the
-    run, which sizes those blocks and never changes a value drawn, since a
-    block is a prefix of the draws of a longer one.
+    stays in the stack, and its streams keep drawing and counting.  Every
+    batch holds ``batch_size`` indices (fewer than 1 raise ``ValueError``),
+    drawn with replacement if ``replacement``.  The streams hold either
+    generators of their own, ``rngs[r * N + i]`` for stream (r, i), or a
+    read-only ``block`` that other runs may read too.  With generators,
+    :func:`draw_batch` draws a block whenever the last is read; ``pending``
+    bounds the batch draws per stream still to come in the run, which sizes
+    those blocks and never changes a value drawn, since a block is a prefix
+    of the draws of a longer one.
 
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
@@ -132,6 +135,8 @@ class Streams:
     rngs: list[np.random.Generator]
     sizes: np.ndarray
     tally: np.ndarray
+    batch_size: int
+    replacement: bool
     pending: int
     block: np.ndarray | None = None
     table: np.ndarray | None = None
@@ -140,6 +145,8 @@ class Streams:
     _cursor: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError("batch size must be positive")
         streams, m_max = self.tally.size, int(self.sizes.max())
         # each stream's first table slot, every index below m_max for each
         # stream, and the padding places past each agent's m_i (None if none)
@@ -147,22 +154,6 @@ class Streams:
         self._every = np.tile(np.arange(m_max), streams)
         padding = np.arange(m_max) >= self.sizes[:, None]
         self._padding = padding if padding.any() else None
-
-    @classmethod
-    def start(
-        cls,
-        instance: ProblemInstance,
-        rngs: list[list[np.random.Generator]],
-        pending: int,
-        block: np.ndarray | None = None,
-    ) -> "Streams":
-        """Fresh streams of ``len(rngs)`` replicates; stream (r, i) draws with ``rngs[r][i]``.
-
-        Streams whose rows are empty hold no generators and read only
-        ``block``.  They hold no table; :func:`saga_refresh` creates it.
-        """
-        tally = np.zeros((len(rngs), len(instance.sizes)), dtype=np.int64)
-        return cls([rng for row in rngs for rng in row], instance.sizes, tally, pending, block)
 
     def __iter__(self):
         N, points = len(self.sizes), self.sizes.tolist()
@@ -256,21 +247,21 @@ def draw_block(
     return block.reshape(-1, len(sizes), steps, batch_size)
 
 
-def draw_batch(streams: Streams, batch_size: int, *, replacement: bool = True) -> np.ndarray:
+def draw_batch(streams: Streams) -> np.ndarray:
     """One inner step's batch indices of every stream, shape (R, N, b).
 
     Every step takes the next step of ``streams.block``.  Streams with
-    generators draw their next block (:func:`draw_block`) when they have read
-    the last, at most ``_BLOCK_ENTRIES`` entries and at least one step;
-    streams without raise ``RuntimeError`` past the end of theirs.
+    generators draw their next block (:func:`draw_block`), in their batch
+    size and sampling mode, when they have read the last, at most
+    ``_BLOCK_ENTRIES`` entries and at least one step; streams without raise
+    ``RuntimeError`` past the end of theirs.
     """
-    if batch_size < 1:
-        raise ValueError("batch size must be positive")
     if streams.block is None or streams._cursor == streams.block.shape[2]:
         if not streams.rngs:
             raise RuntimeError("streams without generators have read their whole block")
-        steps = min(max(streams.pending, 1), block_cap(len(streams.rngs), batch_size, replacement))
-        streams.block = draw_block(streams.rngs, streams.sizes, batch_size, replacement, steps)
+        b, replacement = streams.batch_size, streams.replacement
+        steps = min(max(streams.pending, 1), block_cap(len(streams.rngs), b, replacement))
+        streams.block = draw_block(streams.rngs, streams.sizes, b, replacement, steps)
         streams.pending = max(streams.pending - steps, 0)
         streams._cursor = 0
     batch = streams.block[:, :, streams._cursor]

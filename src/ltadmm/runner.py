@@ -2,10 +2,10 @@
 
 Experiments are described by INI files with three sections (topology,
 problem, algorithm) plus optional experiment, cost, sweep and output
-sections; see the README for the exact keys.  An unknown section or key is
-an error.  A sweep is either the Cartesian product of the listed axes or an
-explicit list of override points (used by the presets to pair a tuned step
-size with each local step count).
+sections; see the README for the exact keys.  An unknown section or key, or
+a key in both the algorithm and cost sections, is an error.  A sweep is the
+Cartesian product of the listed axes or an explicit list of override points
+(used by the presets to pair a tuned step size with each local step count).
 
 The fields of :class:`~ltadmm.algorithms.RunConfig` are the schema of the
 algorithm and cost keys: INI values, sweep values, manifest configs and
@@ -356,8 +356,11 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentConfig:
         topology["edges"] = _parse_edges(parser.get("topology", "edges"))
     problem = section("problem")
     problem.setdefault("n_agents", topology.get("ring", topology.get("n_agents")))
-    algorithm = section("algorithm")
-    algorithm.update(section("cost", required=False))
+    algorithm, cost = section("algorithm"), section("cost", required=False)
+    both = sorted(algorithm.keys() & cost.keys())
+    if both:
+        raise ConfigError(f"key(s) in both [algorithm] and [cost]: {', '.join(both)}")
+    algorithm.update(cost)
     output = section("output", required=False)
     _check_keys("output", output)
 
@@ -445,8 +448,11 @@ def run_experiment(
     starts.  With ``workers > 1`` the distinct trajectories run in a process
     pool of at most one worker per trajectory, each task on shared inputs of
     its own; results do not depend on the worker count.  Either way every
-    task is one :func:`_run_group` call.
+    task is one :func:`_run_group` call.  A ``workers`` that is not an
+    integer of at least 1 raises :class:`ConfigError` before anything runs.
     """
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigError(f"workers must be an integer of at least 1, got {workers!r}")
     topology, instance, grid, stop_threshold = resolve(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ltadmm.algorithms import init_states, shared_inputs
 from ltadmm.graph import Topology, build_from_edges, build_ring, spectral_quantities
 from ltadmm.problems import component_gradients
 from ltadmm.stepsize import BoundContext, build_v_hat_inverse_norm
@@ -19,6 +20,13 @@ def random_connected_topology(rng: np.random.Generator, n: int, extra_edge_prob:
             if (i, j) not in edges and rng.random() < extra_edge_prob:
                 edges.add((i, j))
     return build_from_edges(n, sorted(edges))
+
+
+def fresh_streams(instance, topology, config, replicates):
+    """A run's streams from ``init_states``, on shared inputs drawn for that run alone."""
+    replicates = list(replicates)
+    shared = shared_inputs(instance, topology, [config], replicates)
+    return init_states(instance, topology, config, replicates, shared)
 
 
 def agent_components(instance, agent: int, indices, x: np.ndarray) -> np.ndarray:

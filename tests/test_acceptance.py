@@ -12,7 +12,6 @@ import pytest
 
 from ltadmm.algorithms import (
     RunConfig,
-    init_states,
     initial_iterates,
     outer_step,
     run,
@@ -33,7 +32,7 @@ from ltadmm.problems import (
 from ltadmm.runner import preset_fig2, run_experiment, stopping_time
 from ltadmm.stepsize import build_v_hat_inverse_norm, evaluate_bounds
 
-from conftest import agent_components, random_bound_context, random_connected_topology
+from conftest import agent_components, fresh_streams, random_bound_context, random_connected_topology
 from matrix_form import build_structure, compact_init, compact_step
 
 
@@ -56,8 +55,9 @@ def benchmark_instance():
 
 def single_streams(instance):
     """Estimator streams of one replicate, with a zero table."""
-    rngs = [[np.random.default_rng(i) for i in range(instance.num_agents)]]
-    streams = Streams.start(instance, rngs, pending=0)
+    N = instance.num_agents
+    rngs = [np.random.default_rng(i) for i in range(N)]
+    streams = Streams(rngs, instance.sizes, np.zeros((1, N), dtype=np.int64), 1, True, pending=0)
     streams.table = np.zeros((1, instance.num_agents, instance.max_points, instance.dimension))
     streams.table_sum = np.zeros((1, instance.num_agents, instance.dimension))
     return streams
@@ -72,7 +72,7 @@ def test_criterion_1_oracle_equivalence():
         inst = generate_classification(40 + n, n, 3, 8)
         cfg = RunConfig(variant="exact", gamma=0.02, rho=1.0, tau=3, outer_iterations=20, master_seed=2)
         x0 = initial_iterates(cfg, n, 3, [0])[0]
-        streams = init_states(inst, topo, cfg, [0])
+        streams = fresh_streams(inst, topo, cfg, [0])
         cstate = compact_init(build_structure(topo), x0)
         X, Z = x0[None].copy(), cstate.Z[None].copy()
         for k in range(20):
@@ -99,7 +99,7 @@ def test_criterion_2_conservation_identity():
             X = initial_iterates(cfg, n, 3, [0])[0]
             Z = compact_init(build_structure(topo), X).Z[None]
             X = X[None]
-            streams = init_states(inst, topo, cfg, [0])
+            streams = fresh_streams(inst, topo, cfg, [0])
             for k in range(cfg.outer_iterations):
                 residual = outer_step(streams, inst, topo, cfg, k, X, Z).conservation_residual[0]
                 scale = max(1.0, float(np.linalg.norm(X)))

@@ -28,7 +28,7 @@ from ltadmm.problems import (
     local_gradients,
 )
 
-from conftest import random_connected_topology
+from conftest import fresh_streams, random_connected_topology
 from matrix_form import build_structure
 
 
@@ -64,7 +64,7 @@ def epoch(inst, topo, cfg, x0, Z=None, k=0, streams=None):
     if Z is None:
         Z = structure.selector @ x0
     if streams is None:
-        streams = init_states(inst, topo, cfg, [0])
+        streams = fresh_streams(inst, topo, cfg, [0])
     return local_training_epoch(
         streams, inst, cfg, k, x0[None], (structure.selector.T @ Z)[None], structure.degrees
     )[0]
@@ -199,7 +199,7 @@ class TestLocalTrainingEpoch:
         inst = scalar_quadratic()
         topo = build_ring(3)
         cfg = base_config(gamma=0.05, rho=1.0, tau=4)
-        streams = init_states(inst, topo, cfg, [0])
+        streams = fresh_streams(inst, topo, cfg, [0])
         x0 = np.full((3, 1), 1e13)
         got = epoch(inst, topo, cfg, x0, k=2, streams=streams)
         error = streams.diverged[0]
@@ -240,7 +240,7 @@ def test_refreshes_and_draws_per_epoch(monkeypatch, variant, tau, rng):
         monkeypatch.setattr(algorithms, name, counting(name))
     inst, topo = generate_classification(2, 3, 2, 5), build_ring(3)
     cfg = base_config(variant=variant, tau=tau, batch_size=2)
-    streams = init_states(inst, topo, cfg, [0])
+    streams = fresh_streams(inst, topo, cfg, [0])
     x0 = rng.normal(size=(3, 2))
     for k, expected in enumerate(EPOCH_CALLS[variant, tau]):
         calls.update(saga_refresh=0, draw_batch=0)
@@ -308,7 +308,7 @@ class TestOuterStep:
         cfg = base_config(variant="lt_admm_vr", gamma=0.05, rho=1.4, batch_size=2, monte_carlo_runs=3)
         X = initial_iterates(cfg, 6, 3, range(3))
         Z = X[:, topo.src]
-        streams = init_states(inst, topo, cfg, range(3))
+        streams = fresh_streams(inst, topo, cfg, range(3))
         degrees = np.asarray(topo.degrees)
         for k in range(4):
             step = outer_step(streams, inst, topo, cfg, k, X, Z)
@@ -352,7 +352,7 @@ class TestDeterminism:
         xb = initial_iterates(cfg_b, 5, 3, [2])
         assert np.array_equal(xa, xb)
 
-    def test_generators_equal_the_per_stream_seed_sequences(self):
+    def test_generators_equal_the_per_stream_seed_sequences(self, monkeypatch):
         inst = generate_classification(5, 4, 3, 6)
         topo = build_ring(4)
         cfg = base_config(variant="lt_admm", master_seed=2**40 + 7, init_std=3.0)
@@ -361,7 +361,10 @@ class TestDeterminism:
         def reference(r, tag):
             return np.random.default_rng(np.random.SeedSequence([cfg.master_seed, r, tag]))
 
-        streams = list(init_states(inst, topo, cfg, replicates))
+        # blocks of one step: the run's draws do not fit in the shared block,
+        # so its streams hold generators
+        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 1)
+        streams = list(fresh_streams(inst, topo, cfg, replicates))
         assert len(streams) == len(replicates) * topo.num_agents
         for stream, (r, i) in zip(streams, [(r, i) for r in replicates for i in range(4)]):
             assert stream.rng.bit_generator.state == reference(r, 1 + i).bit_generator.state
@@ -383,6 +386,8 @@ class TestDeterminism:
         assert shared.block.shape == (2, 4, 12, 1)
         with pytest.raises(ValueError, match="random key"):
             simulate_replicates(inst, topo, vr, range(3), shared)
+        with pytest.raises(ValueError, match="random key"):
+            init_states(inst, topo, vr, range(3), shared)
         with pytest.raises(ValueError, match="random key"):
             simulate_replicates(inst, topo, base_config(variant="lt_admm_vr", master_seed=8), range(2), shared)
         with pytest.raises(ValueError, match="init_std"):
@@ -440,8 +445,8 @@ class TestDeterminism:
         # one pass seeds the initial iterates' generators, tag 0, and nothing else
         assert len(seeded) == 1 and np.array_equal(seeded[0], [[0, 0], [1, 0]])
         assert shared.block.shape[2] == 0
-        for streams in (init_states(inst, topo, cfg, range(2), shared), init_states(inst, topo, cfg, range(2))):
-            assert streams.rngs == [] and all(stream.rng is None for stream in streams)
+        streams = init_states(inst, topo, cfg, range(2), shared)
+        assert streams.rngs == [] and all(stream.rng is None for stream in streams)
         simulate_replicates(inst, topo, cfg, range(2), shared)
         assert len(seeded) == 1
 
@@ -485,10 +490,10 @@ class TestDeterminism:
         streams = init_states(inst, topo, cfg, range(2), shared)
         assert streams.block is shared.block and shared.block.shape[2] == 2
         assert streams.rngs == []
-        batches = np.stack([draw_batch(streams, 1) for _ in range(2)], axis=2)
+        batches = np.stack([draw_batch(streams) for _ in range(2)], axis=2)
         assert np.array_equal(batches, shared.block)
         with pytest.raises(RuntimeError, match="whole block"):
-            draw_batch(streams, 1)
+            draw_batch(streams)
 
     def test_initial_scale(self):
         cfg = base_config()
@@ -623,7 +628,7 @@ class TestRecordDk:
         cfg = base_config(variant=variant, record_dk=True, outer_iterations=4, gamma=0.1, tau=3)
         X = initial_iterates(cfg, topo.num_agents, inst.dimension, [0])
         Z = X[:, topo.src]
-        streams = init_states(inst, topo, cfg, [0])
+        streams = fresh_streams(inst, topo, cfg, [0])
         expected = []
         for k in range(cfg.outer_iterations):
             x_bar = X[0].mean(axis=0)
@@ -657,7 +662,7 @@ class TestRecordDk:
         # the reference evaluates local_gradients at every logged Phi_t
         X = initial_iterates(cfg, topo.num_agents, inst.dimension, [0, 1])
         Z = X[:, topo.src]
-        streams = init_states(inst, topo, cfg, [0, 1])
+        streams = fresh_streams(inst, topo, cfg, [0, 1])
         expected = np.full(d_k.shape, np.nan)
         for k in range(cfg.outer_iterations):
             log = []
@@ -749,7 +754,7 @@ class TestReplicateAxis:
 
         X = initial_iterates(cfg, 4, 3, range(6))
         Z = X[:, topo.src]
-        streams = init_states(inst, topo, cfg, range(6))
+        streams = fresh_streams(inst, topo, cfg, range(6))
         for k in range(cfg.outer_iterations):
             before = X.copy(), Z.copy()
             outer_step(streams, inst, topo, cfg, k, X, Z)
@@ -758,7 +763,7 @@ class TestReplicateAxis:
         assert sorted(streams.diverged) == [2, 4]
         for r in (2, 4):
             assert np.array_equal(X[r], frozen[0][r]) and np.array_equal(Z[r], frozen[1][r])
-            solo = init_states(inst, topo, cfg, [r])
+            solo = fresh_streams(inst, topo, cfg, [r])
             X1 = initial_iterates(cfg, 4, 3, [r])
             Z1 = X1[:, topo.src]
             for k in range(cfg.outer_iterations):
@@ -801,7 +806,7 @@ class TestReplicateAxis:
         replicates = simulate_replicates(inst, topo, cfg, range(3))
         X = initial_iterates(cfg, 5, inst.dimension, range(3))
         Z = X[:, topo.src]
-        streams = init_states(inst, topo, cfg, range(3))
+        streams = fresh_streams(inst, topo, cfg, range(3))
         counts = [np.zeros(3, dtype=np.int64)]
         for k in range(cfg.outer_iterations):
             before = streams.tally.copy()
@@ -823,7 +828,7 @@ class TestReplicateAxis:
         X = np.concatenate([solo_start[0], np.full((1, 5, 3), 1e13), solo_start[2]])
         Z = X[:, topo.src]
         start = X[1].copy(), Z[1].copy()
-        streams = init_states(inst, topo, cfg, range(3))
+        streams = fresh_streams(inst, topo, cfg, range(3))
         for k in range(cfg.outer_iterations):
             outer_step(streams, inst, topo, cfg, k, X, Z)
         assert np.array_equal(X[1], start[0]) and np.array_equal(Z[1], start[1])
@@ -832,7 +837,7 @@ class TestReplicateAxis:
         assert (error.outer_iteration, error.inner_step) == (0, 0)
         for r, X1 in solo_start.items():
             Z1 = X1[:, topo.src]
-            solo = init_states(inst, topo, cfg, [r])
+            solo = fresh_streams(inst, topo, cfg, [r])
             for k in range(cfg.outer_iterations):
                 outer_step(solo, inst, topo, cfg, k, X1, Z1)
             assert np.max(np.abs(X[r] - X1[0])) <= 1e-12 * np.max(np.abs(X1[0]))
@@ -847,7 +852,7 @@ class TestReplicateAxis:
         x = initial_iterates(cfg, 3, 1, [1])[0]
         X = np.stack([np.full((3, 1), 1e13), x, x])
         Z = X[:, topo.src]
-        streams = init_states(inst, topo, cfg, range(3))
+        streams = fresh_streams(inst, topo, cfg, range(3))
         for k in range(cfg.outer_iterations):
             outer_step(streams, inst, topo, cfg, k, X, Z)
         first, *last = (streams.diverged[r] for r in range(3))
@@ -892,7 +897,7 @@ class TestReplicateAxis:
         cfg = base_config(gamma=50.0, rho=3.0, tau=200, outer_iterations=1, monte_carlo_runs=2)
         X = np.stack([np.zeros((3, 1)), np.ones((3, 1))])
         Z = X[:, topo.src]
-        streams = init_states(inst, topo, cfg, range(2))
+        streams = fresh_streams(inst, topo, cfg, range(2))
         outer_step(streams, inst, topo, cfg, 0, X, Z)
         assert list(streams.diverged) == [1]
         assert np.array_equal(X, np.stack([np.zeros((3, 1)), np.ones((3, 1))]))

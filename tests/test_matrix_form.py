@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ltadmm.algorithms import (
     VARIANTS,
     RunConfig,
-    init_states,
     initial_iterates,
     outer_step,
 )
@@ -20,7 +19,7 @@ from ltadmm.problems import (
     local_full_gradient,
 )
 
-from conftest import random_connected_topology
+from conftest import fresh_streams, random_connected_topology
 from matrix_form import (
     CompactState,
     build_structure,
@@ -41,7 +40,7 @@ def exact_config(**overrides):
 def run_both(topology, instance, config, iterations, replicate=0, stochastic=False):
     """Advance the solver and the stacked oracle side by side; return final pair."""
     x0 = initial_iterates(config, topology.num_agents, instance.dimension, [replicate])[0]
-    streams = init_states(instance, topology, config, [replicate])
+    streams = fresh_streams(instance, topology, config, [replicate])
     structure = build_structure(topology)
     cstate = compact_init(structure, x0)
     X, Z = x0[None].copy(), cstate.Z[None].copy()
@@ -219,7 +218,7 @@ def test_solver_matches_oracle_on_drawn_runs(run):
     topology, instance, config = run
     R = config.monte_carlo_runs
     x0 = initial_iterates(config, topology.num_agents, instance.dimension, range(R))
-    streams = init_states(instance, topology, config, range(R))
+    streams = fresh_streams(instance, topology, config, range(R))
     cstates = [compact_init(build_structure(topology), x) for x in x0]
     X, Z = np.stack(x0), np.stack([c.Z for c in cstates])
     for k in range(config.outer_iterations):

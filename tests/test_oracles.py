@@ -25,12 +25,12 @@ from ltadmm.problems import (
 from conftest import agent_components
 
 
-def make_streams(instance, replicates=1):
-    rngs = [
-        [np.random.default_rng([r, i]) for i in range(instance.num_agents)]
-        for r in range(replicates)
-    ]
-    return Streams.start(instance, rngs, pending=0)
+def make_streams(instance, replicates=1, batch_size=1, replacement=True, pending=0):
+    """Streams of ``replicates`` replicates; stream (r, i) draws with ``default_rng([r, i])``."""
+    N = instance.num_agents
+    rngs = [np.random.default_rng([r, i]) for r in range(replicates) for i in range(N)]
+    tally = np.zeros((replicates, N), dtype=np.int64)
+    return Streams(rngs, instance.sizes, tally, batch_size, replacement, pending)
 
 
 def at(instance, x):
@@ -271,7 +271,7 @@ class TestMemoryUpdate:
         streams = make_streams(inst)
         saga_refresh(streams, inst, np.zeros((1, 1, 5)))
         for _ in range(100):
-            batch = draw_batch(streams, int(rng.integers(1, 6)))
+            batch = rng.integers(0, inst.num_points(0), size=(1, 1, int(rng.integers(1, 6))))
             point = rng.normal(size=(1, 1, 5))
             saga_estimate_update(streams, inst, point, batch)
         assert np.max(np.abs(streams.table_sum - streams.table.sum(axis=2))) <= 1e-11
@@ -398,7 +398,7 @@ class TestTakePutStep:
 class TestBatchDrawing:
     def test_with_replacement_multiset(self):
         inst = generate_classification(3, 2, 2, 5)
-        batch = draw_batch(make_streams(inst, replicates=3), 64)
+        batch = draw_batch(make_streams(inst, replicates=3, batch_size=64))
         assert batch.shape == (3, 2, 64)
         assert batch.min() >= 0 and batch.max() < 5
         for row in batch.reshape(-1, 64):
@@ -406,15 +406,34 @@ class TestBatchDrawing:
 
     def test_without_replacement_subset(self):
         inst = generate_classification(3, 2, 2, 8)
-        batch = draw_batch(make_streams(inst, replicates=2), 8, replacement=False)
+        batch = draw_batch(make_streams(inst, replicates=2, batch_size=8, replacement=False))
         for row in batch.reshape(-1, 8):
             assert sorted(row) == list(range(8))
         with pytest.raises(ValueError):
-            draw_batch(make_streams(generate_classification(3, 2, 2, 4)), 5, replacement=False)
+            draw_batch(make_streams(generate_classification(3, 2, 2, 4), batch_size=5, replacement=False))
 
     def test_positive_size_required(self):
-        with pytest.raises(ValueError):
-            draw_batch(make_streams(generate_classification(3, 2, 2, 4)), 0)
+        with pytest.raises(ValueError, match="batch size"):
+            make_streams(generate_classification(3, 2, 2, 4), batch_size=0)
+
+    @pytest.mark.parametrize("replacement", [True, False])
+    def test_refills_keep_the_batch_size_and_sampling_mode(self, replacement):
+        # with pending 1 every draw refills a one-step block: three blocks of
+        # b = 3, each the next step drawn in the streams' own sampling mode
+        inst = uneven_instance((3, 8, 40))
+        streams = make_streams(inst, replicates=2, batch_size=3, replacement=replacement, pending=1)
+        batches = []
+        for _ in range(3):
+            batches.append(draw_batch(streams))
+            assert streams.block.shape == (2, inst.num_agents, 1, 3)
+        for r in range(2):
+            for i, m in enumerate(inst.sizes.tolist()):
+                if replacement:
+                    rng = np.random.default_rng([r, i])
+                    expected = [rng.integers(0, m, size=3) for _ in range(3)]
+                else:
+                    expected = per_step_choices(inst, r, i, 3, 3)
+                assert np.array_equal(np.stack(batches)[:, r, i], expected)
 
     @pytest.mark.parametrize("pending", [40, 57])
     def test_streams_draw_from_their_own_range(self, pending):
@@ -428,11 +447,10 @@ class TestBatchDrawing:
             features=tuple(rng.normal(size=(m, 2)) for m in sizes),
             labels=tuple(np.ones(m) for m in sizes),
         )
-        ahead = make_streams(inst, replicates=2)
-        ahead.pending = pending
-        steps = np.stack([draw_batch(ahead, 2) for _ in range(40)])
-        one_by_one = make_streams(inst, replicates=2)
-        singles = np.stack([draw_batch(one_by_one, 2) for _ in range(40)])
+        ahead = make_streams(inst, replicates=2, batch_size=2, pending=pending)
+        steps = np.stack([draw_batch(ahead) for _ in range(40)])
+        one_by_one = make_streams(inst, replicates=2, batch_size=2)
+        singles = np.stack([draw_batch(one_by_one) for _ in range(40)])
         assert np.array_equal(steps, singles)
         assert (steps < np.array(sizes)[:, None]).all()
 
@@ -505,7 +523,7 @@ class TestUnevenTable:
         fused = self.stale_streams(inst)
         saga_refresh(fused, inst, rng.normal(size=(2, inst.num_agents, inst.dimension)))
         split = copy.deepcopy(fused)
-        batch = draw_batch(make_streams(inst, replicates=2), 3)
+        batch = draw_batch(make_streams(inst, replicates=2, batch_size=3))
         x = rng.normal(size=(2, inst.num_agents, inst.dimension))
 
         g_fused = saga_estimate_update(fused, inst, x, batch)
@@ -575,9 +593,8 @@ class TestDrawsWithoutReplacement:
         # times; b = 33 draws its blocks with one choice call per step
         monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 12 * (2 * b - 1))
         inst = uneven_instance(tuple(max(m, b) for m in self.sizes))
-        streams = make_streams(inst, replicates=2)
-        streams.pending = 20
-        batches = np.stack([draw_batch(streams, b, replacement=False) for _ in range(20)])
+        streams = make_streams(inst, replicates=2, batch_size=b, replacement=False, pending=20)
+        batches = np.stack([draw_batch(streams) for _ in range(20)])
         for r in range(2):
             for i in range(inst.num_agents):
                 assert np.array_equal(batches[:, r, i], per_step_choices(inst, r, i, b, 20))
@@ -594,7 +611,7 @@ class TestDrawsWithoutReplacement:
         assert oracles._FLOYD_MAX_BATCH == 32
         inst = uneven_instance((m,))
         rng = CountingRng(np.random.default_rng([0, 0]))
-        streams = Streams.start(inst, [[rng]], pending=3)
-        batches = np.stack([draw_batch(streams, b, replacement=False) for _ in range(3)])
+        streams = Streams([rng], inst.sizes, np.zeros((1, 1), dtype=np.int64), b, False, pending=3)
+        batches = np.stack([draw_batch(streams) for _ in range(3)])
         assert np.array_equal(batches[:, 0, 0], per_step_choices(inst, 0, 0, b, 3))
         assert rng.calls == ({"choice": 0, "integers": 1} if blocks else {"choice": 3, "integers": 0})

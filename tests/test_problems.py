@@ -440,8 +440,9 @@ class TestKernelAllocations:
 
     def test_second_saga_refresh(self, inst, rng):
         x = rng.normal(size=(self.R, inst.num_agents, inst.dimension))
-        rngs = [[np.random.default_rng([r, i]) for i in range(inst.num_agents)] for r in range(self.R)]
-        streams = Streams.start(inst, rngs, pending=0)
+        N = inst.num_agents
+        rngs = [np.random.default_rng([r, i]) for r in range(self.R) for i in range(N)]
+        streams = Streams(rngs, inst.sizes, np.zeros((self.R, N), dtype=np.int64), 1, True, pending=0)
         # the first refresh creates the table, the second writes over it
         assert self.peak_in_margins(inst, lambda: saga_refresh(streams, inst, x)) <= self.LIMIT
 

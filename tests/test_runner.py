@@ -120,6 +120,24 @@ class TestParsing:
         again = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
         assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
+    @pytest.mark.parametrize("section, key", [("cost", "gamma"), ("algorithm", "t_g")])
+    def test_key_in_algorithm_and_cost_rejected(self, tmp_path, capsys, section, key):
+        # BASIC_INI sets gamma in [algorithm] and t_g in [cost]; set each in the other too
+        text = BASIC_INI.replace(f"[{section}]\n", f"[{section}]\n{key} = 0.9\n")
+        with pytest.raises(ConfigError, match=f"both \\[algorithm\\] and \\[cost\\]: {key}$"):
+            parse_config(text)
+        ini = tmp_path / "both.ini"
+        ini.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(ini), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cost_key_alone_is_read(self):
+        cfg = parse_config(BASIC_INI.replace("t_g = 1.0", "t_g = 3.0"))
+        assert cfg.algorithm["t_g"] == 3.0
+        assert all(run_cfg.t_g == 3.0 for _, _, run_cfg in resolve(cfg).points)
+
     def test_edge_list_form(self):
         text = BASIC_INI.replace("ring = 4", "n_agents = 3\nedges = 0-1, 1-2, 2-0")
         cfg = parse_config(text)
@@ -261,6 +279,15 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=tmp_path / "two")
         assert result.manifest["seeds"]["master_seed"] is None
         assert [p["resolved"]["master_seed"] for p in result.manifest["points"]] == [5, 6]
+
+    @pytest.mark.parametrize("workers", [0, -5, True, 2.0, "2", None])
+    def test_worker_count_checked_before_anything_runs(self, tmp_path, monkeypatch, workers):
+        resolved = []
+        monkeypatch.setattr(runner, "resolve", resolved.append)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="workers"):
+            run_experiment(parse_config(BASIC_INI), out_dir=out, workers=workers)
+        assert resolved == [] and not out.exists()
 
     def test_workers_do_not_change_results(self, tmp_path):
         cfg = parse_config(BASIC_INI + "\n[sweep]\ngamma = 0.05, 0.02\n")
