@@ -116,7 +116,7 @@ class Divergence(NamedTuple):
     inner_step: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Solver parameters, budgets, seeds, and cost constants.
 
@@ -125,7 +125,9 @@ class RunConfig:
     axis, never the trajectory.  The int fields take Python or numpy integers
     (not ``bool``), the float fields those or Python or numpy floats (not
     ``bool``), and the two flags ``bool`` or ``np.bool_``, each kept as its
-    Python type; any other type raises ``TypeError``.
+    Python type; any other type raises ``TypeError``.  The instance is
+    frozen, so every run sees the values that were checked;
+    ``dataclasses.replace`` checks its copy again.
     """
 
     variant: str
@@ -147,17 +149,17 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            object.__setattr__(self, name, int(value))
         for name in ("gamma", "rho", "t_g", "t_c", "init_std"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise TypeError(f"{name} must be a number, got {value!r}")
-            setattr(self, name, float(value))
+            object.__setattr__(self, name, float(value))
         for name in ("batch_replacement", "record_dk"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
                 raise TypeError(f"{name} must be a boolean, got {value!r}")
-            setattr(self, name, bool(value))
+            object.__setattr__(self, name, bool(value))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not (0 < self.gamma < np.inf and 0 < self.rho < np.inf):  # NaN too

@@ -256,7 +256,7 @@ def resolve(cfg: ExperimentConfig) -> Resolved:
             the checks below reject.
     """
     name = cfg.name
-    if not isinstance(name, str) or name in (".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
         raise ConfigError(f"experiment name {name!r} must be a file name, not a path")
     if not isinstance(cfg.output_dir, (str, os.PathLike)) or "\0" in str(cfg.output_dir):
         raise ConfigError(f"output dir must be a path, got {cfg.output_dir!r}")

@@ -39,7 +39,6 @@ __all__ = [
     "IllConditionedBlockError",
     "eigenvector_block",
     "build_v_hat_inverse_norm",
-    "bound_constants",
     "evaluate_bounds",
     "certified_run_check",
 ]
@@ -171,8 +170,31 @@ class BoundContext:
             raise ValueError("m_l must not exceed m_u")
 
 
-def bound_constants(ctx: BoundContext) -> dict[str, float]:
-    """The named constants shared by the bound expressions, kept verbatim."""
+@dataclass(frozen=True)
+class BoundReport:
+    """All seventeen bound values plus the per-regime minima and verdicts."""
+
+    gamma_candidate: float
+    gamma_bars: dict[int, float]
+    constants: dict[str, float]
+    gamma_bar_sgd: float
+    gamma_bar_sarah: float
+    sgd_satisfied: bool
+    sarah_satisfied: bool
+    binding_sgd: int
+    binding_sarah: int
+    notes: tuple[str, ...] = _NOTES
+
+
+def evaluate_bounds(ctx: BoundContext) -> BoundReport:
+    """Evaluate every bound expression at the candidate and take the minima.
+
+    The named constants shared by the expressions are reported with them.
+    Bounds that degenerate at ``tau = 1`` (square roots of ``tau - 1``)
+    evaluate to infinity and never bind.  Each regime's minimum is the bound
+    at its binding index, and satisfaction is a strict comparison of the
+    candidate against it.
+    """
     L, rho, tau = ctx.L, float(ctx.rho), float(ctx.tau)
     du2 = float(ctx.d_u) ** 2
     lam = ctx.lambda_tilde_max_abs
@@ -181,6 +203,7 @@ def bound_constants(ctx: BoundContext) -> dict[str, float]:
     n = float(ctx.num_agents)
     mu_ratio = ctx.m_u / ctx.m_l
 
+    # the named constants shared by the bound expressions, kept verbatim
     kappa_1 = 72.0 * tau / (lam * rho) + (18.0 + 36.0 * tau * rho**2 * du2 / (lam * rho)) * 16.0 * tau**2
     beta_0 = 4.0 * (1.0 + 2.0 * rho**2 * ln2) * v2 * (L**2 + rho**2 * du2) + 12.0 * L**2 * v2 * rho**2 * du2
     beta_1 = (
@@ -207,7 +230,7 @@ def bound_constants(ctx: BoundContext) -> dict[str, float]:
         + alpha_0 * alpha_1
         + 2.0 * (48.0 * tau**2 * L**2 * alpha_0 + 4.0 * tau * L**3 / n) * (s0 + s1)
     )
-    return {
+    constants = {
         "beta_0": beta_0,
         "beta_1": beta_1,
         "kappa_1": kappa_1,
@@ -224,37 +247,6 @@ def bound_constants(ctx: BoundContext) -> dict[str, float]:
         "mu": mu,
     }
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All seventeen bound values plus the per-regime minima and verdicts."""
-
-    gamma_candidate: float
-    gamma_bars: dict[int, float]
-    constants: dict[str, float]
-    gamma_bar_sgd: float
-    gamma_bar_sarah: float
-    sgd_satisfied: bool
-    sarah_satisfied: bool
-    binding_sgd: int
-    binding_sarah: int
-    notes: tuple[str, ...] = _NOTES
-
-
-def evaluate_bounds(ctx: BoundContext) -> BoundReport:
-    """Evaluate every bound expression at the candidate and take the minima.
-
-    Bounds that degenerate at ``tau = 1`` (square roots of ``tau - 1``)
-    evaluate to infinity and never bind.  Satisfaction is a strict
-    comparison of the candidate against each regime's minimum.
-    """
-    L, rho, tau = ctx.L, float(ctx.rho), float(ctx.tau)
-    du2 = float(ctx.d_u) ** 2
-    lam = ctx.lambda_tilde_max_abs
-    v2 = ctx.v_inv_norm**2
-    n = float(ctx.num_agents)
-    c = bound_constants(ctx)
-
     bars: dict[int, float] = {}
     bars[1] = min(1.0, 2.0 / (ctx.lambda_tilde_min_abs * rho * tau))
     bars[2] = (
@@ -264,11 +256,11 @@ def evaluate_bounds(ctx: BoundContext) -> BoundReport:
     )
     bars[3] = 3.0 / (16.0 * L * tau)
     bars[4] = 1.0 / (8.0 * tau * math.sqrt(L**2 + 4.0 * L * rho**2 * du2 * tau + 4.0 * rho**2 * du2))
-    denom_56 = c["beta_0"] * c["kappa_1"] + c["beta_1"]
+    denom_56 = beta_0 * kappa_1 + beta_1
     bars[5] = lam**2 * rho**2 / (4.0 * denom_56)
     bars[6] = lam**2 * rho**2 / (8.0 * denom_56)
     bars[7] = max(
-        lam**2 * rho**2 / (256.0 * c["kappa_4"] * tau**2 * n * c["beta_0"]),
+        lam**2 * rho**2 / (256.0 * kappa_4 * tau**2 * n * beta_0),
         lam**2 * rho**2 * tau**2 / (48.0 * L**2 * v2 * n),
     )
     bars[8] = ctx.m_l / (8.0 * L**2 * ctx.m_u)
@@ -279,47 +271,26 @@ def evaluate_bounds(ctx: BoundContext) -> BoundReport:
         if tau > 1
         else math.inf
     )
-    bars[12] = 1.0 / (
-        8.0
-        * math.sqrt(
-            2.0 * c["alpha_0"] * tau**2 * n
-            + (12.0 * c["alpha_0"] * tau * L**2 + L**3 / n) * c["s_tilde_2"]
-        )
-    )
+    bars[12] = 1.0 / (8.0 * math.sqrt(2.0 * alpha_0 * tau**2 * n + (12.0 * alpha_0 * tau * L**2 + L**3 / n) * s2))
     bars[13] = 3.0 / (16.0 * L * tau)
-    denom_1415 = (
-        c["beta_tilde_0"] * c["kappa_1"]
-        + c["beta_tilde_1"]
-        + (96.0 * tau**2 * L**2 * c["beta_tilde_0"] + 2.0 * c["beta_tilde_3"])
-        * (c["s_tilde_0"] + c["s_tilde_1"])
-    )
+    denom_1415 = beta_t0 * kappa_1 + beta_t1 + (96.0 * tau**2 * L**2 * beta_t0 + 2.0 * beta_t3) * (s0 + s1)
     bars[14] = lam**2 * rho**2 / (4.0 * denom_1415)
     bars[15] = lam**2 * rho**2 / (8.0 * denom_1415)
     bars[16] = (
-        24.0
-        * L**2
-        * v2
-        * n
-        / (
-            32.0 * tau**2 * n * c["beta_tilde_0"]
-            + 192.0 * c["s_tilde_2"] * tau**2 * L**2 * c["beta_tilde_0"]
-            + 4.0 * c["s_tilde_2"] * c["beta_tilde_3"]
-        )
+        24.0 * L**2 * v2 * n / (32.0 * tau**2 * n * beta_t0 + 192.0 * s2 * tau**2 * L**2 * beta_t0 + 4.0 * s2 * beta_t3)
     )
-    bars[17] = lam**2 * rho / (48.0 * c["mu"] * L**2 * v2 * n)
+    bars[17] = lam**2 * rho / (48.0 * mu * L**2 * v2 * n)
 
-    gamma_bar_sgd = min(bars[i] for i in _SGD_INDICES)
-    gamma_bar_sarah = min(bars[i] for i in _SARAH_INDICES)
-    binding_sgd = min(_SGD_INDICES, key=lambda i: bars[i])
-    binding_sarah = min(_SARAH_INDICES, key=lambda i: bars[i])
+    binding_sgd = min(_SGD_INDICES, key=bars.__getitem__)
+    binding_sarah = min(_SARAH_INDICES, key=bars.__getitem__)
     return BoundReport(
         gamma_candidate=ctx.gamma_candidate,
         gamma_bars=bars,
-        constants=c,
-        gamma_bar_sgd=gamma_bar_sgd,
-        gamma_bar_sarah=gamma_bar_sarah,
-        sgd_satisfied=ctx.gamma_candidate < gamma_bar_sgd,
-        sarah_satisfied=ctx.gamma_candidate < gamma_bar_sarah,
+        constants=constants,
+        gamma_bar_sgd=bars[binding_sgd],
+        gamma_bar_sarah=bars[binding_sarah],
+        sgd_satisfied=ctx.gamma_candidate < bars[binding_sgd],
+        sarah_satisfied=ctx.gamma_candidate < bars[binding_sarah],
         binding_sgd=binding_sgd,
         binding_sarah=binding_sarah,
     )
@@ -374,37 +345,30 @@ def certified_run_check(
     """
     regime = "sarah" if config.variant in ("lt_admm_vr", "lt_admm_vr_v2") else "sgd"
     if topology.num_agents == 1:
-        return CertificationReport(
-            regime=regime,
-            certified=False,
-            binding_bound=None,
-            bound_value=None,
-            findings=("one agent has no disagreement subspace, so the bounds do not apply",),
-        )
-    try:
-        ctx = make_context(instance, topology, config.rho, config.tau, config.gamma)
-    except (StepSizePreconditionError, IllConditionedBlockError) as err:
-        return CertificationReport(
-            regime=regime,
-            certified=False,
-            binding_bound=1 if isinstance(err, StepSizePreconditionError) else None,
-            bound_value=None,
-            findings=(str(err),),
-        )
-    report = evaluate_bounds(ctx)
-    if regime == "sarah":
-        certified = report.sarah_satisfied
-        binding = report.binding_sarah
-        bound_value = report.gamma_bar_sarah
+        finding = "one agent has no disagreement subspace, so the bounds do not apply"
+        binding = None
     else:
-        certified = report.sgd_satisfied
-        binding = report.binding_sgd
-        bound_value = report.gamma_bar_sgd
+        try:
+            ctx = make_context(instance, topology, config.rho, config.tau, config.gamma)
+        except (StepSizePreconditionError, IllConditionedBlockError) as err:
+            finding = str(err)
+            binding = 1 if isinstance(err, StepSizePreconditionError) else None
+        else:
+            report = evaluate_bounds(ctx)
+            binding = report.binding_sarah if regime == "sarah" else report.binding_sgd
+            bound_value = report.gamma_bars[binding]
+            return CertificationReport(
+                regime=regime,
+                certified=report.gamma_candidate < bound_value,
+                binding_bound=binding,
+                bound_value=bound_value,
+                findings=(),
+                report=report,
+            )
     return CertificationReport(
         regime=regime,
-        certified=certified,
+        certified=False,
         binding_bound=binding,
-        bound_value=bound_value,
-        findings=(),
-        report=report,
+        bound_value=None,
+        findings=(finding,),
     )

@@ -128,6 +128,17 @@ class TestRunConfig:
         with pytest.raises(TypeError, match=field):
             base_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value", [("tau", 0), ("rho", -1.0), ("outer_iterations", -2), ("monte_carlo_runs", 0)]
+    )
+    def test_checked_values_cannot_be_changed(self, field, value):
+        cfg = RunConfig(variant="lt_admm", gamma=0.05, rho=1.0, tau=2, outer_iterations=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, **{field: value})
+        assert dataclasses.replace(cfg) == cfg
+
     def test_numpy_integers_and_booleans_become_python_values(self):
         values = dict(
             tau=2, outer_iterations=3, batch_size=2, master_seed=5, monte_carlo_runs=2,

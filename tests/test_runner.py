@@ -197,12 +197,32 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"name": "."}, {"name": ".."}, {"name": "a\0b"}, {"name": 5}, {"output_dir": None}, {"output_dir": "a\0b"}],
-        ids=["name-dot", "name-dot-dot", "name-nul", "name-int", "output-dir-none", "output-dir-nul"],
+        [
+            {"name": ""},
+            {"name": "."},
+            {"name": ".."},
+            {"name": "a\0b"},
+            {"name": 5},
+            {"output_dir": None},
+            {"output_dir": "a\0b"},
+        ],
+        ids=["name-empty", "name-dot", "name-dot-dot", "name-nul", "name-int", "output-dir-none", "output-dir-nul"],
     )
     def test_name_and_output_dir_checked(self, changes):
         with pytest.raises(ConfigError):
             resolve(dataclasses.replace(parse_config(BASIC_INI), **changes))
+
+    @pytest.mark.parametrize("suffix", [".ini", ".json"])
+    def test_empty_name_exits_2_before_any_output(self, tmp_path, capsys, suffix):
+        text = BASIC_INI.replace("name = tiny", "name =")
+        cfg = parse_config(text)
+        assert cfg.name == ""
+        path = tmp_path / f"exp{suffix}"
+        path.write_text(text if suffix == ".ini" else json.dumps({"config": dataclasses.asdict(cfg)}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert "experiment name" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_explicit_points_take_precedence(self):
         cfg = parse_config(BASIC_INI)

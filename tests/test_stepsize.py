@@ -5,15 +5,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from ltadmm.algorithms import RunConfig
-from ltadmm.graph import build_ring, spectral_quantities
-from ltadmm.problems import generate_classification
+from ltadmm.algorithms import VARIANTS, RunConfig
+from ltadmm.graph import build_from_edges, build_ring, spectral_quantities
+from ltadmm.problems import KINDS, generate_classification
 from ltadmm.stepsize import (
     BoundContext,
     IllConditionedBlockError,
     StepSizePreconditionError,
     build_v_hat_inverse_norm,
-    bound_constants,
     certified_run_check,
     evaluate_bounds,
     make_context,
@@ -203,11 +202,44 @@ class TestCertification:
         assert report.regime == "sarah"
         assert report.binding_bound is not None
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("tau", [1, 5])
+    def test_every_outcome_is_read_at_its_binding_index(self, kind, tau):
+        instance = generate_classification(2, 10, 3, 20, kind=kind)
+        topology = build_ring(10)
+        outcomes = set()
+        for variant in VARIANTS:
+            regime = SARAH_INDICES if variant in ("lt_admm_vr", "lt_admm_vr_v2") else SGD_INDICES
+            # 1e-27 makes the blocks singular; 2.0 breaks the precondition of bound 1
+            for gamma in (1e-27, 1e-4, 0.01, 0.05, 2.0):
+                cfg = RunConfig(variant=variant, gamma=gamma, rho=1.0, tau=tau, outer_iterations=1)
+                check = certified_run_check(instance, topology, cfg)
+                if check.report is None:
+                    assert not check.certified
+                    assert len(check.findings) == 1
+                    assert check.bound_value is None
+                    outcomes.add("precondition" if check.binding_bound == 1 else "ill-conditioned")
+                    continue
+                assert check.findings == ()
+                assert check.binding_bound in regime
+                assert check.bound_value == check.report.gamma_bars[check.binding_bound]
+                assert check.certified == (gamma < check.bound_value)
+                outcomes.add("evaluated")
+        # the bounds are conservative enough that no gamma here certifies
+        assert outcomes == {"precondition", "ill-conditioned", "evaluated"}
+
+    def test_one_agent_has_one_finding_and_no_report(self):
+        instance = generate_classification(2, 1, 3, 20)
+        cfg = RunConfig(variant="lt_admm_vr", gamma=0.01, rho=1.0, tau=5, outer_iterations=1)
+        check = certified_run_check(instance, build_from_edges(1, []), cfg)
+        assert (check.certified, check.binding_bound, check.bound_value, check.report) == (False, None, None, None)
+        assert len(check.findings) == 1 and "one agent" in check.findings[0]
+
 
 class TestConstants:
     def test_all_positive(self, rng):
         for _ in range(5):
-            constants = bound_constants(random_context(rng))
+            constants = evaluate_bounds(random_context(rng)).constants
             assert all(v > 0 for v in constants.values())
 
     def test_context_validation(self):
