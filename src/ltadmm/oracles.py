@@ -17,13 +17,15 @@ mini-batch average and a variance-reduced estimator backed by the table.
 
 The table keeps one gradient per data point plus their running sum, so the
 correction average is O(1) per step and a memory write never recomputes a
-gradient that the estimate just produced.  A batch of b > 1 moves the sum by
-each distinct index's change once, in ascending index order: one flat gather
-takes row s * b + argsort(batch) of the (R * N * b, n) changes for stream s,
-and only when some batch repeats an index (one drawn without replacement
-never does) are the repeats zeroed before the sum.  That sum and the batch
-means add each stream's b rows in batch order, by one ``einsum`` for n > 1,
-with the bits of ``np.add.reduce`` over the batch axis.  Agents may hold
+gradient that the estimate just produced.  A batch of b > 1 drawn without
+replacement repeats no index, so the sum moves by the batch's summed change,
+in batch order, the same sum the estimate reads.  A batch drawn with
+replacement moves the sum by each distinct index's change once, in ascending
+index order: one flat gather takes row s * b + argsort(batch) of the
+(R * N * b, n) changes for stream s, and only when some batch repeats an
+index are the repeats zeroed before the sum.  Every batch sum adds each
+stream's b rows one after another, by one ``einsum`` for n > 1, with the
+bits of ``np.add.reduce`` over the batch axis.  Agents may hold
 different numbers of points m_i: the table has m_max rows per stream, and
 rows past m_i are zeroed at each refresh and never drawn.
 
@@ -338,7 +340,11 @@ def saga_estimate_update(
     mean of (fresh minus stored gradient) plus the table average; the fresh
     gradients are then written back into the table, reusing them instead of
     recomputing, and the running sum moves by each distinct index's change
-    once.  Total charge: b evaluations per stream.  Streams without a table
+    once: for batches of b > 1 drawn without replacement
+    (``streams.replacement`` False), which repeat no index, by the batch's
+    summed change in batch order, the sum the estimate reads; with
+    replacement, by the distinct indices' changes in ascending index order.
+    Total charge: b evaluations per stream.  Streams without a table
     (no :func:`saga_refresh` yet) raise ``RuntimeError`` once the batch is
     checked and charged.
     """
@@ -353,6 +359,12 @@ def saga_estimate_update(
     if b == 1:
         estimate = delta[:, :, 0] + average
         streams.table_sum += delta[:, :, 0]
+    elif not streams.replacement:
+        # a batch drawn without replacement repeats no index, so its summed
+        # change, in batch order, is the table's change
+        summed = _batch_sum(delta)
+        estimate = summed / b + average
+        streams.table_sum += summed
     else:
         estimate = _batch_sum(delta) / b + average
         # sum each distinct index's change once, in ascending index order:
@@ -362,7 +374,7 @@ def saga_estimate_update(
         ordered = batch.take(order)
         change = delta.reshape(-1, n).take(order, axis=0)
         repeats = ordered[..., 1:] == ordered[..., :-1]
-        if repeats.any():  # never without replacement
+        if repeats.any():
             change[..., 1:, :] *= ~repeats[..., None]
         streams.table_sum += _batch_sum(change)
     # one put of whole rows through a view with one n-float element per row;

@@ -729,9 +729,10 @@ class TestReplicateAxis:
     """Stacking replicates changes no replicate's trajectory."""
 
     @pytest.mark.parametrize("variant", ["exact", "lt_admm", "lt_admm_vr", "lt_admm_vr_v2"])
-    @pytest.mark.parametrize("batch_size,replacement", [(1, True), (2, True), (1, False)])
+    @pytest.mark.parametrize("batch_size,replacement", [(1, True), (2, True), (1, False), (2, False)])
     def test_replicate_equals_smaller_stack_and_solo_run(self, variant, batch_size, replacement):
-        inst = unequal_problem()
+        # a batch drawn without replacement needs b points at every agent
+        inst = unequal_problem(points=(3, 7, 1 if replacement else batch_size, 5, 9))
         topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
         cfg = base_config(
             variant=variant,

@@ -81,9 +81,9 @@ def instance():
     return generate_classification(2, 2, 4, 5)
 
 
-def stale_streams(instance, rng, replicates=1):
+def stale_streams(instance, rng, replicates=1, replacement=True):
     """Streams whose table entries were stored at distinct random points."""
-    streams = make_streams(instance, replicates)
+    streams = make_streams(instance, replicates, replacement=replacement)
     table = np.zeros((replicates, instance.num_agents, instance.max_points, instance.dimension))
     for r in range(replicates):
         for i in range(instance.num_agents):
@@ -266,12 +266,18 @@ class TestMemoryUpdate:
         )
         assert (streams.tally == 2).all()
 
-    def test_running_sum_stays_exact(self, rng):
+    @pytest.mark.parametrize("replacement", [True, False])
+    def test_running_sum_stays_exact(self, rng, replacement):
         inst = generate_classification(9, 1, 5, 20)
-        streams = make_streams(inst)
+        streams = make_streams(inst, replacement=replacement)
         saga_refresh(streams, inst, np.zeros((1, 1, 5)))
+        m = inst.num_points(0)
         for _ in range(100):
-            batch = rng.integers(0, inst.num_points(0), size=(1, 1, int(rng.integers(1, 6))))
+            b = int(rng.integers(1, 6))
+            if replacement:
+                batch = rng.integers(0, m, size=(1, 1, b))
+            else:
+                batch = rng.choice(m, size=(1, 1, b), replace=False)
             point = rng.normal(size=(1, 1, 5))
             saga_estimate_update(streams, inst, point, batch)
         assert np.max(np.abs(streams.table_sum - streams.table.sum(axis=2))) <= 1e-11
@@ -299,9 +305,14 @@ class TestFusedEstimateUpdate:
 
 
 def take_along_axis_sum(streams, instance, x, batch):
-    """The running sum after a batch step, by the two ``take_along_axis`` calls the ordered gather replaced."""
+    """The running sum after a batch step, by the two ``take_along_axis`` calls the ordered gather replaced.
+
+    Streams that sample without replacement add the batch's changes in batch order.
+    """
     fresh = component_gradients(instance, x, batch.ravel())
     delta = fresh - np.take_along_axis(streams.table, batch[..., None], axis=2)
+    if not streams.replacement:
+        return streams.table_sum + np.add.reduce(delta, axis=2)
     order = np.argsort(batch, axis=-1)
     ordered = np.take_along_axis(batch, order, axis=-1)
     first = np.ones(batch.shape, dtype=bool)
@@ -320,7 +331,7 @@ class TestOrderedGather:
             assert (np.diff(np.sort(batch, axis=-1), axis=-1) == 0).any()
         else:
             batch = np.array([[rng.permutation(12)[:b] for _ in range(3)] for _ in range(R)])
-        streams = stale_streams(inst, rng, replicates=R)
+        streams = stale_streams(inst, rng, replicates=R, replacement=repeats)
         # stored rows of mixed magnitudes, so the order of the additions shows in the bits
         streams.table *= 10.0 ** rng.integers(-8, 9, size=streams.table.shape[:-1] + (1,))
         streams.table_sum = streams.table.sum(axis=2)
@@ -335,7 +346,8 @@ def fancy_index_step(streams, instance, x, batch):
 
     Subspace fancy indexing gathers and writes the table rows and the
     ordered changes, and the batch reductions are ``ndarray.mean`` and
-    ``np.add.reduce`` over axis 2.
+    ``np.add.reduce`` over axis 2.  Streams that sample without replacement
+    move the running sum by the batch's changes in batch order.
     """
     fresh = component_gradients(instance, x, batch.ravel())
     n = x.shape[-1]
@@ -346,6 +358,9 @@ def fancy_index_step(streams, instance, x, batch):
     if batch.shape[-1] == 1:
         estimate = delta[:, :, 0] + average
         streams.table_sum += delta[:, :, 0]
+    elif not streams.replacement:
+        estimate = delta.mean(axis=2) + average
+        streams.table_sum += np.add.reduce(delta, axis=2)
     else:
         estimate = delta.mean(axis=2) + average
         order = np.argsort(batch, axis=-1)
@@ -374,7 +389,7 @@ class TestTakePutStep:
                 batch[..., -1] = batch[..., 0]  # every stream writes one slot twice
         else:
             batch = np.array([[rng.permutation(m)[:b] for _ in range(N)] for _ in range(R)])
-        streams = stale_streams(inst, rng, replicates=R)
+        streams = stale_streams(inst, rng, replicates=R, replacement=replacement)
         # stored rows of mixed magnitudes, so the order of the additions shows in the bits
         streams.table *= 10.0 ** rng.integers(-8, 9, size=streams.table.shape[:-1] + (1,))
         streams.table_sum = streams.table.sum(axis=2)
