@@ -63,6 +63,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -363,6 +364,11 @@ def init_states(
     return Streams(rngs, instance.sizes, tally, config.batch_size, config.batch_replacement, draws, block)
 
 
+@cache
+def _entry_bound(n: int) -> float:  # the bound _outside reads, computed once per dimension n
+    return DIVERGENCE_NORM / (2.0 * math.sqrt(n))
+
+
 def _outside(phi: np.ndarray) -> np.ndarray | None:
     """Which rows of ``phi`` (R, N, n) left the finite range, shape (R, N); None if none did.
 
@@ -372,7 +378,7 @@ def _outside(phi: np.ndarray) -> np.ndarray | None:
     half of ``DIVERGENCE_NORM``.  Only a stack that fails it (NaN and inf
     do) has its rows' norms checked.
     """
-    if np.maximum.reduce(np.abs(phi), axis=None) <= DIVERGENCE_NORM / (2.0 * math.sqrt(phi.shape[-1])):
+    if np.maximum.reduce(np.abs(phi), axis=None) <= _entry_bound(phi.shape[-1]):
         return None
     left = ~(np.einsum("rij,rij->ri", phi, phi) <= DIVERGENCE_NORM**2)
     return left if left.any() else None
@@ -419,7 +425,7 @@ def local_training_epoch(
     for t in range(config.tau):
         if t < refreshes:
             saga_refresh(streams, instance, phi)
-            G = streams.table_sum / streams.sizes[:, None]
+            G = streams.table_sum / streams.divisors
         else:
             batch = draw_batch(streams)
             if variant == "lt_admm":

@@ -9,8 +9,9 @@ components of every stream at its own point of the (R, N, n) stack (b = m_max
 for a refresh), the results are reduced per stream, and a batch step reads
 and writes its table rows through one array of flat slots: one ``take`` of
 the stored rows and one ``put`` of the fresh ones through a view that holds
-each n-float row as one element.  The streams of a diverged replicate keep
-drawing and counting with the rest.  The local
+each n-float row as one element.  That row type and the float column of the
+sizes m_i, the table average's divisor, are built once per run.  The streams
+of a diverged replicate keep drawing and counting with the rest.  The local
 training loop uses a table refresh, after which the table average is the
 exact local gradient at the refresh point, and two batch estimators: a
 mini-batch average and a variance-reduced estimator backed by the table.
@@ -46,6 +47,7 @@ Every component-gradient evaluation is tallied per stream; the cost table
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -125,6 +127,7 @@ class Streams:
     and binds ``table_sum`` to a freshly computed array.
 
     Attributes:
+        divisors: the sizes m_i as a float column (N, 1): the table average's divisor.
         tally: evaluations of every stream, shape (R, N).
         table: stored component gradients, shape (R, N, m_max, n), C-ordered;
             None until the first refresh.
@@ -156,6 +159,11 @@ class Streams:
         self._every = np.tile(np.arange(m_max), streams)
         padding = np.arange(m_max) >= self.sizes[:, None]
         self._padding = padding if padding.any() else None
+        self.divisors = self.sizes[:, None].astype(float)
+
+    @cached_property
+    def _row(self) -> np.dtype:  # one n-float table row as one element, for a batch step's put
+        return np.dtype((np.void, self.table.shape[-1] * self.table.itemsize))
 
     def __iter__(self):
         N, points = len(self.sizes), self.sizes.tolist()
@@ -352,13 +360,13 @@ def saga_estimate_update(
     if streams.table is None:
         raise RuntimeError("saga_estimate_update needs a gradient table: call saga_refresh first")
     b, n = batch.shape[-1], x.shape[-1]
-    slots = (streams._bases + batch).ravel()
-    table = streams.table.reshape(-1, n)
-    delta = fresh - table.take(slots, axis=0).reshape(fresh.shape)
-    average = streams.table_sum / streams.sizes[:, None]
+    slots = streams._bases + batch
+    delta = fresh - streams.table.reshape(-1, n).take(slots, axis=0)
+    average = streams.table_sum / streams.divisors
     if b == 1:
-        estimate = delta[:, :, 0] + average
-        streams.table_sum += delta[:, :, 0]
+        estimate = delta.reshape(x.shape)
+        streams.table_sum += estimate
+        estimate += average
     elif not streams.replacement:
         # a batch drawn without replacement repeats no index, so its summed
         # change, in batch order, is the table's change
@@ -379,6 +387,5 @@ def saga_estimate_update(
         streams.table_sum += _batch_sum(change)
     # one put of whole rows through a view with one n-float element per row;
     # a repeated slot gets its last row, which equals the others (same point)
-    row = np.dtype((np.void, n * fresh.itemsize))
-    table.view(row).reshape(-1).put(slots, fresh.reshape(-1, n).view(row))
+    streams.table.view(streams._row).put(slots, fresh.view(streams._row))
     return estimate

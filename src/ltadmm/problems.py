@@ -23,7 +23,8 @@ every agent's gradient at its own point (the ``record_dk`` metric), and
 ``grad_norm_sq`` metric).  A logistic row holds q = -y a, the label folded
 into the features: its data-loss gradient is sigma(q . x) q, which equals
 (-y sigma(-y a . x)) a bit for bit because y is +/-1, so the logistic
-kernels read no labels and evaluate the loss in place.
+kernels read no labels and evaluate the loss in place.  The weight epsilon
+joins the regularizer gradient's last scaling, in the same pass.
 """
 
 from __future__ import annotations
@@ -213,13 +214,14 @@ def _logistic(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return numerator
 
 
-def _regularizer_gradient(x: np.ndarray) -> np.ndarray:
-    """2 x / (1 + x^2)^2 elementwise, in one temporary."""
+def _regularizer_gradient(x: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """``weight`` times 2 x / (1 + x^2)^2 elementwise, in one temporary: (2 w) y
+    rounds as w (2 y) while 2 w is finite, since doubling is exact."""
     out = x * x
     out += 1.0
     out *= out
     np.divide(x, out, out=out)
-    out *= 2.0
+    out *= 2.0 * weight
     return out
 
 
@@ -267,7 +269,7 @@ def component_gradients(
     """
     features, labels = instance.padded
     # one comparison rejects negative indices too: they wrap to huge uint64s
-    if np.asarray(indices, np.int64).view(np.uint64).max() >= instance.max_points:
+    if np.maximum.reduce(np.asarray(indices, np.int64).view(np.uint64), axis=None) >= instance.max_points:
         raise ValueError("invalid component index: outside [0, m_max)")
     position = indices.reshape(x.shape[:-1] + (-1,)) + instance.row_offsets
     # take(out=) with mode="raise" first gathers into a buffer the size of
@@ -278,7 +280,7 @@ def component_gradients(
     margins = np.einsum("...j,...j->...", feats, x[..., None, :])
     feats *= _loss_weights(instance, margins, labs)[..., None]  # the gathered copy becomes the rows
     if instance.kind == LOGISTIC_NONCONVEX:
-        feats += (instance.epsilon * _regularizer_gradient(x))[..., None, :]
+        feats += _regularizer_gradient(x, instance.epsilon)[..., None, :]
     return feats
 
 
@@ -294,7 +296,7 @@ def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) ->
     feats = _kernel_rows(instance, instance.features[agent], labs)
     g = _loss_weights(instance, x @ feats.T, labs) @ feats / feats.shape[0]
     if instance.kind == LOGISTIC_NONCONVEX:
-        g += instance.epsilon * _regularizer_gradient(x)
+        g += _regularizer_gradient(x, instance.epsilon)
     return g
 
 
@@ -319,7 +321,7 @@ def local_gradients(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
     g /= instance.sizes[:, None, None]
     g = np.moveaxis(g.reshape((N,) + x.shape[:-2] + (n,)), 0, -2)
     if instance.kind == LOGISTIC_NONCONVEX:
-        g += instance.epsilon * _regularizer_gradient(x)
+        g += _regularizer_gradient(x, instance.epsilon)
     return g
 
 
@@ -338,7 +340,7 @@ def global_gradient(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
     weights *= instance.row_weights
     g = weights @ features
     if instance.kind == LOGISTIC_NONCONVEX:
-        g += instance.epsilon * _regularizer_gradient(x)
+        g += _regularizer_gradient(x, instance.epsilon)
     return g
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ltadmm import oracles
+from ltadmm.algorithms import RunConfig, local_training_epoch
 from ltadmm.oracles import (
     Streams,
     draw_batch,
@@ -548,6 +549,62 @@ class TestUnevenTable:
         assert np.max(np.abs(g_fused - g_split)) <= 1e-15
         assert np.max(np.abs(fused.table - split.table)) <= 1e-15
         assert np.max(np.abs(fused.table_sum - split.table_sum)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+class TestPerRunConstants:
+    """The constants the streams build once, the float column of the sizes and
+    the row type of the table's ``put``, give the bits of the per-step forms on
+    agents of 3, 7 and 5 points, whose tables hold padding rows."""
+
+    sizes = (3, 7, 5)
+
+    def test_refresh_step_estimate_divides_by_the_sizes(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        N, n = inst.num_agents, inst.dimension
+        streams = make_streams(inst, replicates=2)
+        X = rng.normal(scale=2.0, size=(2, N, n))
+        config = RunConfig("exact", gamma=0.1, rho=1.0, tau=1, outer_iterations=1)
+        log = []
+        local_training_epoch(streams, inst, config, 0, X, rng.normal(size=X.shape), np.full(N, 2), log)
+        reference = make_streams(inst, replicates=2)
+        saga_refresh(reference, inst, X)
+        assert log[0][1].tobytes() == (reference.table_sum / reference.sizes[:, None]).tobytes()
+        assert streams.table.tobytes() == reference.table.tobytes()
+        assert streams.table_sum.tobytes() == reference.table_sum.tobytes()
+
+    @pytest.mark.parametrize("b, replacement", [(1, True), (3, True), (3, False)])
+    def test_batch_step_has_the_bits_of_the_per_step_form(self, kind, rng, b, replacement):
+        inst = uneven_instance(self.sizes, kind)
+        N, n = inst.num_agents, inst.dimension
+        streams = make_streams(inst, replicates=2, batch_size=b, replacement=replacement)
+        saga_refresh(streams, inst, rng.normal(scale=2.0, size=(2, N, n)))
+        # stored rows of mixed magnitudes, so the order of the additions shows in the bits
+        streams.table *= 10.0 ** rng.integers(-8, 9, size=streams.table.shape[:-1] + (1,))
+        streams.table_sum = streams.table.sum(axis=2)
+        expected = copy.deepcopy(streams)
+        batch = draw_batch(streams)
+        x = rng.normal(size=(2, N, n))
+        estimate = saga_estimate_update(streams, inst, x, batch)
+        assert estimate.tobytes() == fancy_index_step(expected, inst, x, batch).tobytes()
+        assert streams.table.tobytes() == expected.table.tobytes()
+        assert streams.table_sum.tobytes() == expected.table_sum.tobytes()
+
+
+def test_streams_of_two_dimensions_each_put_whole_rows(rng):
+    R, N, m = 2, 3, 6
+    for n in (2, 5):
+        inst = generate_classification(3, N, n, m)
+        streams = stale_streams(inst, rng, replicates=R)
+        before = streams.table.copy()
+        batch = rng.integers(0, m, size=(R, N, 1))
+        x = rng.normal(size=(R, N, n))
+        saga_estimate_update(streams, inst, x, batch)
+        fresh = component_gradients(inst, x, batch.ravel())
+        written = np.zeros(before.shape[:-1], dtype=bool)
+        np.put_along_axis(written, batch, True, axis=2)
+        assert streams.table[written].tobytes() == fresh.reshape(-1, n).tobytes()
+        assert streams.table[~written].tobytes() == before[~written].tobytes()
 
 
 def per_step_choices(instance, replicate, agent, b, steps):

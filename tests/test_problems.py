@@ -456,6 +456,38 @@ class TestKernelAllocations:
         assert np.array_equal(t, expected)
 
 
+def _weighted_after_regularizer(x, weight):
+    """The weight applied after the unweighted regularizer gradient, in its own pass."""
+    out = x * x
+    out += 1.0
+    out *= out
+    np.divide(x, out, out=out)
+    out *= 2.0
+    return weight * out
+
+
+class TestFoldedRegularizerWeight:
+    """The regularizer gradient with its weight folded into the last scaling
+    keeps the bits of weighting it in a pass of its own, on the edges of the
+    double range and on a million normal draws."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        tiny = np.finfo(float).tiny
+        edges = [0.0, np.inf, np.nan, tiny, tiny / 2, 5e-324, 1.0, 1e-160, 1e160, 1e308]
+        rng = np.random.default_rng(28)
+        draws = rng.normal(size=10**6) * 10.0 ** rng.integers(-3, 4, size=10**6)
+        return np.concatenate([edges, -np.array(edges), draws])
+
+    @pytest.mark.parametrize("weight", [0.0, 0.01, 1e-300, 3.7])
+    def test_regularizer_weight(self, points, weight):
+        with np.errstate(all="ignore"):
+            got = _regularizer_gradient(points, weight)
+            assert got.tobytes() == _weighted_after_regularizer(points, weight).tobytes()
+        if weight == 1e-300:  # products that round to subnormals are among them
+            assert ((got != 0.0) & (np.abs(got) < np.finfo(float).tiny)).any()
+
+
 class TestLogistic:
     def test_matches_scipy_expit_in_both_tails(self, rng):
         t = np.concatenate(
