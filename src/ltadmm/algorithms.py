@@ -31,18 +31,23 @@ the stack, held at the state it started that outer iteration from, and
 the others run on.
 
 Variants differ only in the local gradient estimator.  An inner step either
-refreshes every stream's gradient table at its iterate and uses the table
-average, which is the true local gradient there, or draws a batch; which
-steps refresh is :func:`metrics.refresh_steps`.  A batch step of ``lt_admm``
-averages the batch's gradients; one of the variance-reduced variants
-(``lt_admm_vr``, ``lt_admm_vr_v2``) corrects them with the table.
+refreshes, using every stream's true local gradient at its iterate, or draws
+a batch; which steps refresh is :func:`metrics.refresh_steps`.  A batch step
+of ``lt_admm`` averages the batch's gradients; one of the variance-reduced
+variants (``lt_admm_vr``, ``lt_admm_vr_v2``) corrects them with the
+gradient table, which a refresh recomputes and whose average it uses.  A run
+that draws no batch (:func:`batch_draws` is 0: ``exact``, and
+``lt_admm_vr`` at tau = 1) keeps no table: its refresh computes each
+stream's local gradient from products over its own agent's rows
+(:func:`~ltadmm.oracles.exact_estimate`).
 
 Randomness is organized per (replicate, agent) stream with a fixed in-stream
 draw order, so results are a pure function of the configuration and never
 depend on scheduling.  Which replicates share the stack changes no state,
-counter, consensus error or conservation residual; the gradient metrics
-come from matrix products over all replicates' rows, and BLAS may round
-a row differently with their number (OpenBLAS takes a one-row path for a
+counter, consensus error or conservation residual (a table-free refresh
+runs the same products for a stream at any stack size); the gradient
+metrics come from matrix products over all replicates' rows, and BLAS may
+round a row differently with their number (OpenBLAS takes a one-row path for a
 lone replicate), so those may differ in the last bits.  A run's random
 inputs depend only on its random key: the master seed, the replicates, the
 batch size, the sampling mode and ``init_std``.  Variant, gamma, rho and tau
@@ -76,6 +81,7 @@ from .oracles import (
     block_cap,
     draw_batch,
     draw_block,
+    exact_estimate,
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
@@ -345,7 +351,8 @@ def init_states(
 ) -> Streams:
     """Fresh estimator streams, one per (replicate, agent) of ``replicates``.
 
-    The streams fix the run's batch size, sampling mode and batch draws.
+    The streams fix the run's batch size, sampling mode and batch draws,
+    and keep a gradient table only if the run draws a batch.
     Stream (r, i) draws from its own generator,
     ``default_rng(SeedSequence([master_seed, r, 1 + i]))``, so its draws do
     not depend on which other replicates share the stack.  A run whose draws
@@ -361,7 +368,9 @@ def init_states(
     block = shared.block if draws <= shared.block.shape[2] else None
     rngs = [] if block is not None else _stream_generators(config.master_seed, replicates, N)
     tally = np.zeros((len(replicates), N), dtype=np.int64)
-    return Streams(rngs, instance.sizes, tally, config.batch_size, config.batch_replacement, draws, block)
+    return Streams(
+        rngs, instance.sizes, tally, config.batch_size, config.batch_replacement, draws, block, keeps_table=draws > 0
+    )
 
 
 @cache
@@ -400,11 +409,12 @@ def local_training_epoch(
     ``AtZ`` (same shape) holds each agent's sum of edge variables and
     ``degrees`` its neighbor count; both are fixed for the whole epoch.
 
-    The first :func:`metrics.refresh_steps` inner steps recompute every
-    stream's gradient table at its row of Phi_t, and G_t is the table
-    average: the exact local gradient.  Every other step draws a batch;
-    ``lt_admm`` averages its gradients, and the variance-reduced variants
-    write them back into the table.
+    The first :func:`metrics.refresh_steps` inner steps take G_t as every
+    stream's exact local gradient at its row of Phi_t: the average of its
+    recomputed gradient table, or, for streams that keep no table (a run
+    that draws no batch), the mean computed without one.  Every other step
+    draws a batch; ``lt_admm`` averages its gradients, and the
+    variance-reduced variants write them back into the table.
 
     When a replicate's iterate first leaves the finite range,
     ``streams.diverged`` records its lowest-index agent outside the range
@@ -423,7 +433,9 @@ def local_training_epoch(
     penalty = (config.rho * degrees)[:, None]
     phi = X.copy()  # the log keeps Phi_0, which the caller may overwrite in X
     for t in range(config.tau):
-        if t < refreshes:
+        if t < refreshes and not streams.keeps_table:
+            G = exact_estimate(streams, instance, phi)
+        elif t < refreshes:
             saga_refresh(streams, instance, phi)
             G = streams.table_sum / streams.divisors
         else:
@@ -527,7 +539,9 @@ def simulate_replicates(
     never hit the counters).  A refresh step's estimate is already the exact
     local gradient at its inner iterate, so the metric reads it from the
     epoch's log and evaluates ``local_gradients`` only at the other inner
-    iterates: never for ``exact``.  Once every replicate has diverged the run
+    iterates: never for ``exact``, whose every step is a table-free refresh
+    that runs each stream's own products, so that its trajectory too is
+    the same alone as in the stack.  Once every replicate has diverged the run
     stops, and ``component_evals`` is completed from the cost table
     (:func:`metrics.iteration_evals`), so it and ``comms`` read as if the
     held states had run the whole budget.

@@ -126,8 +126,10 @@ def refresh_steps(variant: str, tau: int, k: int) -> int:
     """How many inner steps of outer iteration k refresh the gradient table; they come first.
 
     This is the one statement of the variants' schedule.  A refresh step
-    recomputes every stream's table at its iterate and uses the table mean,
-    the exact local gradient; every other inner step draws a batch.
+    uses every stream's exact local gradient at its iterate: the mean of its
+    recomputed table, or, in a run that draws no batch and so keeps no
+    table, the mean computed without one; every other inner step draws a
+    batch.
     ``exact`` refreshes at every step, ``lt_admm`` never, ``lt_admm_vr`` at
     the first step of every epoch, and ``lt_admm_vr_v2`` at the first step
     of k = 0 only, its table carrying over between epochs.

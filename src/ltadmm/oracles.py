@@ -15,6 +15,9 @@ of a diverged replicate keep drawing and counting with the rest.  The local
 training loop uses a table refresh, after which the table average is the
 exact local gradient at the refresh point, and two batch estimators: a
 mini-batch average and a variance-reduced estimator backed by the table.
+Streams of a run that draws no batch keep no table, and their refresh
+step is :func:`exact_estimate`: the same exact local gradient, reduced per
+stream without writing the (R, N, m_max, n) rows.
 
 The table keeps one gradient per data point plus their running sum, so the
 correction average is O(1) per step and a memory write never recomputes a
@@ -65,6 +68,7 @@ __all__ = [
     "draw_block",
     "draw_batch",
     "sgd_estimate",
+    "exact_estimate",
     "saga_refresh",
     "saga_estimate_update",
 ]
@@ -129,8 +133,13 @@ class Streams:
     Attributes:
         divisors: the sizes m_i as a float column (N, 1): the table average's divisor.
         tally: evaluations of every stream, shape (R, N).
+        keeps_table: whether a refresh step recomputes the table
+            (:func:`saga_refresh`) or only each stream's mean
+            (:func:`exact_estimate`); :func:`ltadmm.algorithms.init_states`
+            sets it False for a run that draws no batch.
         table: stored component gradients, shape (R, N, m_max, n), C-ordered;
-            None until the first refresh.
+            None until the first refresh, and for the whole run of streams
+            that keep no table.
         table_sum: column sums of ``table``, shape (R, N, n).
         diverged: stack position of each replicate that left the finite
             range, with the :class:`~ltadmm.algorithms.Divergence` that
@@ -144,6 +153,7 @@ class Streams:
     replacement: bool
     pending: int
     block: np.ndarray | None = None
+    keeps_table: bool = True
     table: np.ndarray | None = None
     table_sum: np.ndarray | None = None
     diverged: dict[int, Divergence] = field(default_factory=dict)
@@ -319,6 +329,19 @@ def sgd_estimate(
     rows = _batch_rows(streams, instance, x, batch)
     b = batch.shape[-1]
     return rows[:, :, 0] if b == 1 else _batch_sum(rows) / b
+
+
+def exact_estimate(streams: Streams, instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
+    """Every stream's exact local gradient at its row of ``x``, with no table.
+
+    The refresh step of streams that keep no table: one
+    ``component_gradients`` call over every index below m_max of every
+    stream, reduced to each stream's mean over its m_i rows.  Charges m_i
+    evaluations per stream, as a refresh does.
+    """
+    G = component_gradients(instance, x, streams._every, mean=True)
+    streams.charge(streams.sizes)
+    return G
 
 
 def saga_refresh(streams: Streams, instance: ProblemInstance, anchor: np.ndarray) -> None:

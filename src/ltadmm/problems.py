@@ -17,7 +17,8 @@ noise and are fully determined by an integer seed.
 
 Three dense kernels read the agents' rows zero-padded to m_max rows each
 (``ProblemInstance.padded``): :func:`component_gradients` yields the
-solvers' rows (batch steps and table refreshes), :func:`local_gradients`
+solvers' rows (batch steps and table refreshes), or each stream's mean of
+them for a refresh without a table, :func:`local_gradients`
 every agent's gradient at its own point (the ``record_dk`` metric), and
 :func:`global_gradient` the network gradient at a common point (the
 ``grad_norm_sq`` metric).  A logistic row holds q = -y a, the label folded
@@ -244,7 +245,12 @@ def _check_finite(x: np.ndarray) -> None:
 
 
 def component_gradients(
-    instance: ProblemInstance, x: np.ndarray, indices: np.ndarray, *, out: np.ndarray | None = None
+    instance: ProblemInstance,
+    x: np.ndarray,
+    indices: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    mean: bool = False,
 ) -> np.ndarray:
     """Component gradients of every stream at its own point.
 
@@ -266,7 +272,16 @@ def component_gradients(
     gradient is 0 for least squares and the regularizer gradient for the
     logistic family.  Evaluating every index below m_max, as a table refresh
     does, therefore computes m_max rows per stream even where m_i < m_max.
+
+    With ``mean``, ``indices`` must list every index below m_max for every
+    stream, as a table refresh does (only their number is checked), and the
+    result is each stream's mean over its m_i real rows, shape (..., N, n):
+    the exact local gradient, with no rows kept (:func:`_stream_means`).
     """
+    if mean:
+        if out is not None or np.size(indices) != instance.max_points * x[..., 0].size:
+            raise ValueError("a mean takes every index below m_max of every stream and no out")
+        return _stream_means(instance, x)
     features, labels = instance.padded
     # one comparison rejects negative indices too: they wrap to huge uint64s
     if np.maximum.reduce(np.asarray(indices, np.int64).view(np.uint64), axis=None) >= instance.max_points:
@@ -282,6 +297,27 @@ def component_gradients(
     if instance.kind == LOGISTIC_NONCONVEX:
         feats += _regularizer_gradient(x, instance.epsilon)[..., None, :]
     return feats
+
+
+def _stream_means(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
+    """Each stream's exact local gradient at its row of ``x`` (..., N, n), from its own products.
+
+    Stream (..., i) runs the same two matrix products over agent i's padded
+    rows F_i (m_max x n) whatever the stack: the margins F_i x and the
+    weighted row sum w F_i, so a stream's bits do not depend on which other
+    streams share ``x``.  The padding rows add zeros to the sum, which is
+    divided by m_i; the regularizer gradient is added once.
+    """
+    features, labels = instance.padded
+    N, n = instance.num_agents, instance.dimension
+    feats = features.reshape(N, -1, n)
+    labs = labels.reshape(N, -1) if instance.kind == LEAST_SQUARES else None
+    margins = (feats @ x[..., None])[..., 0]
+    g = (_loss_weights(instance, margins, labs)[..., None, :] @ feats)[..., 0, :]
+    g /= instance.sizes[:, None]
+    if instance.kind == LOGISTIC_NONCONVEX:
+        g += _regularizer_gradient(x, instance.epsilon)
+    return g
 
 
 def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:

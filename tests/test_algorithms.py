@@ -220,23 +220,24 @@ class TestLocalTrainingEpoch:
         assert (streams.tally == cfg.tau).all()
 
 
-# (saga_refresh calls, draw_batch calls) of the epochs at k = 0 and k = 1,
-# by variant and tau
+# (exact_estimate calls, saga_refresh calls, draw_batch calls) of the epochs
+# at k = 0 and k = 1, by variant and tau: a run that draws no batch
+# (exact, and lt_admm_vr at tau = 1) keeps no table
 EPOCH_CALLS = {
-    ("exact", 1): ((1, 0), (1, 0)),
-    ("exact", 4): ((4, 0), (4, 0)),
-    ("lt_admm", 1): ((0, 1), (0, 1)),
-    ("lt_admm", 4): ((0, 4), (0, 4)),
-    ("lt_admm_vr", 1): ((1, 0), (1, 0)),
-    ("lt_admm_vr", 4): ((1, 3), (1, 3)),
-    ("lt_admm_vr_v2", 1): ((1, 0), (0, 1)),
-    ("lt_admm_vr_v2", 4): ((1, 3), (0, 4)),
+    ("exact", 1): ((1, 0, 0), (1, 0, 0)),
+    ("exact", 4): ((4, 0, 0), (4, 0, 0)),
+    ("lt_admm", 1): ((0, 0, 1), (0, 0, 1)),
+    ("lt_admm", 4): ((0, 0, 4), (0, 0, 4)),
+    ("lt_admm_vr", 1): ((1, 0, 0), (1, 0, 0)),
+    ("lt_admm_vr", 4): ((0, 1, 3), (0, 1, 3)),
+    ("lt_admm_vr_v2", 1): ((0, 1, 0), (0, 0, 1)),
+    ("lt_admm_vr_v2", 4): ((0, 1, 3), (0, 0, 4)),
 }
 
 
 @pytest.mark.parametrize("variant,tau", sorted(EPOCH_CALLS))
 def test_refreshes_and_draws_per_epoch(monkeypatch, variant, tau, rng):
-    calls = {"saga_refresh": 0, "draw_batch": 0}
+    calls = {"exact_estimate": 0, "saga_refresh": 0, "draw_batch": 0}
 
     def counting(name):
         original = getattr(algorithms, name)
@@ -254,9 +255,9 @@ def test_refreshes_and_draws_per_epoch(monkeypatch, variant, tau, rng):
     streams = fresh_streams(inst, topo, cfg, [0])
     x0 = rng.normal(size=(3, 2))
     for k, expected in enumerate(EPOCH_CALLS[variant, tau]):
-        calls.update(saga_refresh=0, draw_batch=0)
+        calls.update(exact_estimate=0, saga_refresh=0, draw_batch=0)
         epoch(inst, topo, cfg, x0, k=k, streams=streams)
-        assert (calls["saga_refresh"], calls["draw_batch"]) == expected, k
+        assert tuple(calls.values()) == expected, k
 
 
 class TestZUpdate:

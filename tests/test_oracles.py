@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ltadmm import oracles
-from ltadmm.algorithms import RunConfig, local_training_epoch
+from ltadmm.algorithms import RunConfig, local_training_epoch, outer_step
+from ltadmm.graph import build_ring
+from ltadmm.metrics import iteration_evals
 from ltadmm.oracles import (
     Streams,
     draw_batch,
@@ -23,7 +25,7 @@ from ltadmm.problems import (
     local_gradients,
 )
 
-from conftest import agent_components
+from conftest import agent_components, fresh_streams
 
 
 def make_streams(instance, replicates=1, batch_size=1, replacement=True, pending=0):
@@ -560,16 +562,18 @@ class TestPerRunConstants:
     sizes = (3, 7, 5)
 
     def test_refresh_step_estimate_divides_by_the_sizes(self, kind, rng):
+        # an lt_admm_vr epoch of two steps: a refresh, then a batch step on its table
         inst = uneven_instance(self.sizes, kind)
         N, n = inst.num_agents, inst.dimension
         streams = make_streams(inst, replicates=2)
         X = rng.normal(scale=2.0, size=(2, N, n))
-        config = RunConfig("exact", gamma=0.1, rho=1.0, tau=1, outer_iterations=1)
+        config = RunConfig("lt_admm_vr", gamma=0.1, rho=1.0, tau=2, outer_iterations=1)
         log = []
         local_training_epoch(streams, inst, config, 0, X, rng.normal(size=X.shape), np.full(N, 2), log)
         reference = make_streams(inst, replicates=2)
         saga_refresh(reference, inst, X)
         assert log[0][1].tobytes() == (reference.table_sum / reference.sizes[:, None]).tobytes()
+        saga_estimate_update(reference, inst, log[1][0], draw_batch(reference))
         assert streams.table.tobytes() == reference.table.tobytes()
         assert streams.table_sum.tobytes() == reference.table_sum.tobytes()
 
@@ -589,6 +593,24 @@ class TestPerRunConstants:
         assert estimate.tobytes() == fancy_index_step(expected, inst, x, batch).tobytes()
         assert streams.table.tobytes() == expected.table.tobytes()
         assert streams.table_sum.tobytes() == expected.table_sum.tobytes()
+
+
+@pytest.mark.parametrize("variant, tau", [("exact", 3), ("lt_admm_vr", 1)])
+def test_table_free_steps_charge_the_cost_tables_evaluations(variant, tau, rng):
+    # a run that draws no batch: each stream is charged its own m_i per step
+    inst = uneven_instance((3, 7, 5), LOGISTIC_NONCONVEX)
+    topo = build_ring(inst.num_agents)
+    config = RunConfig(variant, gamma=0.1, rho=1.0, tau=tau, outer_iterations=4, monte_carlo_runs=2)
+    streams = fresh_streams(inst, topo, config, range(2))
+    X = rng.normal(size=(2, inst.num_agents, inst.dimension))
+    Z = X[:, topo.src]
+    for k in range(config.outer_iterations):
+        before = streams.tally.copy()
+        outer_step(streams, inst, topo, config, k, X, Z)
+        assert streams.table is None
+        charged = streams.tally - before
+        assert np.array_equal(charged, np.broadcast_to(tau * inst.sizes, charged.shape))
+        assert charged.max() == iteration_evals(variant, tau, inst.max_points, 1, k)
 
 
 def test_streams_of_two_dimensions_each_put_whole_rows(rng):

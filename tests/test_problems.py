@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ltadmm.oracles import Streams, saga_refresh
+from ltadmm.algorithms import RunConfig, local_training_epoch
+from ltadmm.graph import build_ring
+from ltadmm.oracles import Streams, exact_estimate, saga_refresh
 from ltadmm.problems import (
     LEAST_SQUARES,
     LOGISTIC_NONCONVEX,
@@ -21,7 +23,7 @@ from ltadmm.problems import (
     smoothness_constant,
 )
 
-from conftest import agent_components
+from conftest import agent_components, fresh_streams
 
 
 def make_instance(seed=1, n_agents=3, dimension=4, m=7, kind=LOGISTIC_NONCONVEX, epsilon=0.01):
@@ -281,6 +283,53 @@ class TestStackedComponentKernel:
             assert np.allclose(rows[i], expected[i], rtol=1e-14, atol=0.0)
 
 
+class TestStreamMeans:
+    """``component_gradients(..., mean=True)``: each stream's exact local
+    gradient from two matrix products over its agent's padded rows alone."""
+
+    def every(self, inst, streams):
+        return np.tile(np.arange(inst.max_points), streams)
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_a_streams_bits_do_not_depend_on_its_stack(self, kind, rng):
+        inst = uneven_instance(kind)
+        N = inst.num_agents
+        x = rng.normal(scale=2.0, size=(3, N, inst.dimension))
+        stacked = component_gradients(inst, x, self.every(inst, 3 * N), mean=True)
+        assert stacked.shape == x.shape
+        for size in (1, 2, 3):
+            for part in (slice(0, size), slice(3 - size, 3)):
+                got = component_gradients(inst, x[part], self.every(inst, size * N), mean=True)
+                assert got.tobytes() == stacked[part].tobytes(), part
+        for r in range(3):
+            alone = component_gradients(inst, x[r], self.every(inst, N), mean=True)
+            assert alone.tobytes() == stacked[r].tobytes()
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_equals_the_per_agent_gradient_on_uneven_agents(self, kind, rng):
+        # agents of 1, 4, 9 and 2 points: every agent but one has padding rows
+        inst = uneven_instance(kind)
+        features, _ = inst.padded
+        padding = (np.arange(inst.max_points) >= inst.sizes[:, None]).ravel()
+        assert padding.sum() == 4 * 9 - 16
+        if kind == LOGISTIC_NONCONVEX:  # folded rows -y a are -0.0 past each m_i
+            assert np.signbit(features[padding]).all()
+        x = rng.normal(scale=3.0, size=(4, inst.num_agents, inst.dimension))
+        got = component_gradients(inst, x, self.every(inst, x[..., 0].size), mean=True)
+        expected = np.stack([local_full_gradient(inst, i, x[:, i]) for i in range(inst.num_agents)], axis=1)
+        # relative to each stream's largest entry: a near-zero entry cancels
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected).max(axis=-1, keepdims=True))
+
+    def test_rejects_a_partial_index_set_and_out(self, rng):
+        inst = uneven_instance(LOGISTIC_NONCONVEX)
+        x = rng.normal(size=(2, inst.num_agents, inst.dimension))
+        every = self.every(inst, 2 * inst.num_agents)
+        with pytest.raises(ValueError, match="every index"):
+            component_gradients(inst, x, every[:-1], mean=True)
+        with pytest.raises(ValueError, match="every index"):
+            component_gradients(inst, x, every, mean=True, out=np.empty(x.shape))
+
+
 class TestLocalGradients:
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
@@ -445,6 +494,19 @@ class TestKernelAllocations:
         streams = Streams(rngs, inst.sizes, np.zeros((self.R, N), dtype=np.int64), 1, True, pending=0)
         # the first refresh creates the table, the second writes over it
         assert self.peak_in_margins(inst, lambda: saga_refresh(streams, inst, x)) <= self.LIMIT
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_exact_step_keeps_no_table(self, kind, rng):
+        # the margins and the logistic's one temporary; no (R, N, m_max, n) rows
+        inst = generate_classification(31, 10, 5, 100, kind=kind)
+        inst.padded  # cached before measuring
+        topo = build_ring(inst.num_agents)
+        config = RunConfig("exact", gamma=0.05, rho=1.0, tau=2, outer_iterations=1, monte_carlo_runs=self.R)
+        streams = fresh_streams(inst, topo, config, range(self.R))
+        x = rng.normal(size=(self.R, inst.num_agents, inst.dimension))
+        local_training_epoch(streams, inst, config, 0, x, np.zeros_like(x), topo.degree_vector)
+        assert streams.table is None and streams.table_sum is None
+        assert self.peak_in_margins(inst, lambda: exact_estimate(streams, inst, x)) <= 2.05
 
     def test_logistic_writes_only_its_out(self, rng):
         t = rng.normal(scale=30.0, size=1000)
