@@ -35,17 +35,21 @@ refreshes, using every stream's true local gradient at its iterate, or draws
 a batch; which steps refresh is :func:`metrics.refresh_steps`.  A batch step
 of ``lt_admm`` averages the batch's gradients; one of the variance-reduced
 variants (``lt_admm_vr``, ``lt_admm_vr_v2``) corrects them with the
-gradient table, which a refresh recomputes and whose average it uses.  A run
-that draws no batch (:func:`batch_draws` is 0: ``exact``, and
-``lt_admm_vr`` at tau = 1) keeps no table: its refresh computes each
-stream's local gradient from products over its own agent's rows
-(:func:`~ltadmm.oracles.exact_estimate`).
+gradient table, whose average a refresh step uses.  Every refresh computes
+each stream's local gradient from products over its own agent's rows.  A
+run that draws no batch (:func:`batch_draws` is 0: ``exact``, and
+``lt_admm_vr`` at tau = 1) keeps no table, and that is its whole refresh
+(:func:`~ltadmm.oracles.exact_estimate`).  Any other sets the table's
+running sum from it and rewrites table rows (:func:`~ltadmm.oracles.saga_refresh`):
+only those that the epoch's batches will read when the next epoch refreshes
+again (``lt_admm_vr``) and they are all in the current block of draws
+(:func:`~ltadmm.oracles.upcoming`), and otherwise every row.
 
 Randomness is organized per (replicate, agent) stream with a fixed in-stream
 draw order, so results are a pure function of the configuration and never
 depend on scheduling.  Which replicates share the stack changes no state,
-counter, consensus error or conservation residual (a table-free refresh
-runs the same products for a stream at any stack size); the gradient
+counter, consensus error or conservation residual (a refresh runs the
+same products for a stream at any stack size); the gradient
 metrics come from matrix products over all replicates' rows, and BLAS may
 round a row differently with their number (OpenBLAS takes a one-row path for a
 lone replicate), so those may differ in the last bits.  A run's random
@@ -85,6 +89,7 @@ from .oracles import (
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
+    upcoming,
 )
 from .problems import (
     ProblemInstance,
@@ -411,9 +416,11 @@ def local_training_epoch(
 
     The first :func:`metrics.refresh_steps` inner steps take G_t as every
     stream's exact local gradient at its row of Phi_t: the average of its
-    recomputed gradient table, or, for streams that keep no table (a run
-    that draws no batch), the mean computed without one.  Every other step
-    draws a batch; ``lt_admm`` averages its gradients, and the
+    refreshed gradient table, or, for streams that keep no table (a run
+    that draws no batch), the mean computed without one.  When the next
+    epoch refreshes again, only this epoch's batches read the table, and a
+    refresh writes only their rows if it can read them ahead.  Every other
+    step draws a batch; ``lt_admm`` averages its gradients, and the
     variance-reduced variants write them back into the table.
 
     When a replicate's iterate first leaves the finite range,
@@ -429,6 +436,8 @@ def local_training_epoch(
     """
     variant = config.variant
     refreshes = metrics.refresh_steps(variant, config.tau, k)
+    # when the next epoch refreshes the table again, only this epoch's batches read it
+    ahead = metrics.refresh_steps(variant, config.tau, k + 1) > 0
     gamma = config.gamma
     penalty = (config.rho * degrees)[:, None]
     phi = X.copy()  # the log keeps Phi_0, which the caller may overwrite in X
@@ -436,7 +445,7 @@ def local_training_epoch(
         if t < refreshes and not streams.keeps_table:
             G = exact_estimate(streams, instance, phi)
         elif t < refreshes:
-            saga_refresh(streams, instance, phi)
+            saga_refresh(streams, instance, phi, upcoming(streams, config.tau - refreshes) if ahead else None)
             G = streams.table_sum / streams.divisors
         else:
             batch = draw_batch(streams)

@@ -5,19 +5,28 @@ agent) pair is one estimator stream: a random generator for its batch draws,
 its slots of the stored-gradient table and an evaluation tally.
 :class:`Streams` holds all of them stacked, and every estimator moves all
 streams in one array step: one ``component_gradients`` call evaluates b
-components of every stream at its own point of the (R, N, n) stack (b = m_max
-for a refresh), the results are reduced per stream, and a batch step reads
-and writes its table rows through one array of flat slots: one ``take`` of
-the stored rows and one ``put`` of the fresh ones through a view that holds
-each n-float row as one element.  That row type and the float column of the
-sizes m_i, the table average's divisor, are built once per run.  The streams
-of a diverged replicate keep drawing and counting with the rest.  The local
-training loop uses a table refresh, after which the table average is the
-exact local gradient at the refresh point, and two batch estimators: a
-mini-batch average and a variance-reduced estimator backed by the table.
-Streams of a run that draws no batch keep no table, and their refresh
-step is :func:`exact_estimate`: the same exact local gradient, reduced per
-stream without writing the (R, N, m_max, n) rows.
+components of every stream at its own point of the (R, N, n) stack, the
+results are reduced per stream, and a batch step reads and writes its table
+rows through one array of flat slots: one ``take`` of the stored rows and
+one ``put`` of the fresh ones through a view that holds each n-float row as
+one element.  That row type and the float column of the sizes m_i, the
+table average's divisor, are built once per run.  The streams of a diverged
+replicate keep drawing and counting with the rest.  The local training loop
+uses a table refresh, after which the table average is the exact local
+gradient at the refresh point, and two batch estimators: a mini-batch
+average and a variance-reduced estimator backed by the table.
+
+Every refresh step takes each stream's exact local gradient from one
+``component_gradients(..., mean=True)`` call over all m_max indices of
+every stream: two matrix products over its own agent's rows, with no
+(R, N, m_max, n) rows.  Streams of a run that draws no batch keep no table,
+and that mean is their whole refresh step (:func:`exact_estimate`).
+:func:`saga_refresh` sets the table's running sum to m_i times that mean
+and writes table rows by the kernel's row form, after checking their
+indices itself: every row, or, given the indices that the batches before
+the next refresh will read (:func:`upcoming`), only theirs.  After such a
+read-ahead refresh only those rows are current; the others keep older
+gradients, which no batch reads before a refresh writes them again.
 
 The table keeps one gradient per data point plus their running sum, so the
 correction average is O(1) per step and a memory write never recomputes a
@@ -31,7 +40,7 @@ index are the repeats zeroed before the sum.  Every batch sum adds each
 stream's b rows one after another, by one ``einsum`` for n > 1, with the
 bits of ``np.add.reduce`` over the batch axis.  Agents may hold
 different numbers of points m_i: the table has m_max rows per stream, and
-rows past m_i are zeroed at each refresh and never drawn.
+rows past m_i are zeroed at each every-row refresh and never drawn.
 
 Each stream draws every batch, in the batch size and sampling mode fixed
 for the run when :func:`ltadmm.algorithms.init_states` builds the streams,
@@ -55,7 +64,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .problems import ProblemInstance, component_gradients
+from .problems import ProblemInstance, _check_range, _component_rows, component_gradients
 
 if TYPE_CHECKING:
     from .algorithms import Divergence
@@ -69,6 +78,7 @@ __all__ = [
     "draw_batch",
     "sgd_estimate",
     "exact_estimate",
+    "upcoming",
     "saga_refresh",
     "saga_estimate_update",
 ]
@@ -139,8 +149,12 @@ class Streams:
             sets it False for a run that draws no batch.
         table: stored component gradients, shape (R, N, m_max, n), C-ordered;
             None until the first refresh, and for the whole run of streams
-            that keep no table.
-        table_sum: column sums of ``table``, shape (R, N, n).
+            that keep no table.  After a read-ahead refresh only the rows
+            its read indices name are current.
+        table_sum: each stream's running sum of its m_i current stored
+            gradients, shape (R, N, n): a refresh sets it to m_i times the
+            exact local gradient, and each batch step moves it by the
+            changes of the rows it writes.
         diverged: stack position of each replicate that left the finite
             range, with the :class:`~ltadmm.algorithms.Divergence` that
             names where it did.
@@ -163,6 +177,7 @@ class Streams:
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
         streams, m_max = self.tally.size, int(self.sizes.max())
+        self._m_max = m_max
         # each stream's first table slot, every index below m_max for each
         # stream, and the padding places past each agent's m_i (None if none)
         self._bases = (m_max * np.arange(streams)).reshape(self.tally.shape + (1,))
@@ -289,6 +304,12 @@ def draw_batch(streams: Streams) -> np.ndarray:
     return batch
 
 
+def _check_sizes(streams: Streams, batch: np.ndarray) -> None:
+    """Where the m_i differ, raise ``ValueError`` unless each index of ``batch`` is in [0, m_i) of its stream."""
+    if streams._padding is not None and (batch.min() < 0 or (batch >= streams.sizes[:, None]).any()):
+        raise ValueError("batch contains invalid component indices")
+
+
 def _batch_rows(streams: Streams, instance: ProblemInstance, x: np.ndarray, batch: np.ndarray):
     """Component gradients of every stream's batch at its row of ``x``; charges b each.
 
@@ -298,8 +319,7 @@ def _batch_rows(streams: Streams, instance: ProblemInstance, x: np.ndarray, batc
     """
     if batch.shape[-1] == 0:
         raise ValueError("batch must be non-empty")
-    if streams._padding is not None and (batch.min() < 0 or (batch >= streams.sizes[:, None]).any()):
-        raise ValueError("batch contains invalid component indices")
+    _check_sizes(streams, batch)
     rows = component_gradients(instance, x, batch.ravel())
     streams.charge(batch.shape[-1])
     return rows
@@ -344,22 +364,60 @@ def exact_estimate(streams: Streams, instance: ProblemInstance, x: np.ndarray) -
     return G
 
 
-def saga_refresh(streams: Streams, instance: ProblemInstance, anchor: np.ndarray) -> None:
-    """Recompute every stream's stored gradients at its row of ``anchor``.
+def upcoming(streams: Streams, steps: int) -> np.ndarray | None:
+    """The next ``steps`` batches of every stream, without drawing them: shape (R, N, steps * b).
 
-    Writes the new rows, shape (R, N, m_max, n), into ``streams.table`` (the
-    first refresh creates it), with the padding rows past each m_i set to
-    zero, and rebinds ``streams.table_sum`` to their sums, so that
-    ``table_sum / sizes`` is each stream's exact local gradient at
-    ``anchor``.  Charges m_i evaluations per stream.
+    They are read from ``streams.block`` at the place the next
+    :func:`draw_batch` reads, and that place does not move.  None when
+    they are not all in the current block (there is none yet, or it ends
+    before them), since the block after it is drawn only when it is needed.
     """
-    rows = component_gradients(instance, anchor, streams._every, out=streams.table)
-    if streams._padding is not None:
-        rows[:, streams._padding] = 0.0
-    flat = rows.reshape(-1, anchor.shape[-1])
-    sums = np.add.reduceat(flat, streams._bases.ravel(), axis=0).reshape(anchor.shape)
+    block, start = streams.block, streams._cursor
+    if block is None or start + steps > block.shape[2]:
+        return None
+    return block[:, :, start : start + steps].reshape(block.shape[:2] + (-1,))
+
+
+def saga_refresh(
+    streams: Streams, instance: ProblemInstance, anchor: np.ndarray, reads: np.ndarray | None = None
+) -> None:
+    """Refresh every stream's table at its row of ``anchor``.
+
+    Rebinds ``streams.table_sum`` to m_i times each stream's exact local
+    gradient at ``anchor``, from one ``component_gradients(..., mean=True)``
+    call, so that ``table_sum / sizes`` is that gradient again up to
+    rounding.  Charges m_i evaluations per stream.
+
+    ``reads`` (R, N, k), when given, names every index the batches read
+    from the table before the next refresh (:func:`upcoming`), and only
+    their slots are written: after the refresh those rows hold the
+    gradients at ``anchor`` and every other row keeps what it held (the
+    first refresh creates the table with zeros there).  Any index outside
+    [0, m_i) of its stream raises ``ValueError`` before anything is written.
+    Without ``reads``, or with at least m_max of them per stream, every
+    row is written, shape (R, N, m_max, n), with the padding rows past
+    each m_i set to zero.  A written row has the bits of the same
+    component's ``component_gradients`` row at ``anchor``.
+    """
+    if reads is not None and reads.shape[-1] >= streams._m_max:
+        reads = None
+    if reads is not None and reads.size:
+        _check_sizes(streams, reads)
+        _check_range(instance, reads)  # the row kernel gathers with mode="clip"
+    sums = component_gradients(instance, anchor, streams._every, mean=True)
+    sums *= streams.divisors
+    if reads is None:
+        rows = _component_rows(instance, anchor, streams._every, out=streams.table)
+        if streams._padding is not None:
+            rows[:, streams._padding] = 0.0
+        streams.table = rows
+    else:
+        if streams.table is None:
+            streams.table = np.zeros(streams.tally.shape + (streams._m_max, anchor.shape[-1]))
+        rows = _component_rows(instance, anchor, reads.ravel())
+        streams.table.view(streams._row).put(streams._bases + reads, rows.view(streams._row))
     streams.charge(streams.sizes)
-    streams.table, streams.table_sum = rows, sums
+    streams.table_sum = sums
 
 
 def saga_estimate_update(

@@ -17,9 +17,10 @@ noise and are fully determined by an integer seed.
 
 Three dense kernels read the agents' rows zero-padded to m_max rows each
 (``ProblemInstance.padded``): :func:`component_gradients` yields the
-solvers' rows (batch steps and table refreshes), or each stream's mean of
-them for a refresh without a table, :func:`local_gradients`
-every agent's gradient at its own point (the ``record_dk`` metric), and
+solvers' rows (batch steps, and through its row form the rows a table
+refresh writes) or each stream's mean of them (every refresh step),
+:func:`local_gradients` every agent's gradient at its own point (the
+``record_dk`` metric), and
 :func:`global_gradient` the network gradient at a common point (the
 ``grad_norm_sq`` metric).  A logistic row holds q = -y a, the label folded
 into the features: its data-loss gradient is sigma(q . x) q, which equals
@@ -265,16 +266,18 @@ def component_gradients(
     sigma(q . x) q with q = -y a and no label is gathered.  Every index
     must lie in [0, m_max), or a ``ValueError`` is raised before anything
     is written.  ``out``, when given, is a C-ordered float array of the
-    result's shape that the rows are written into and that is returned, so
-    a table refresh reuses its table instead of allocating a second one.
+    result's shape that the rows are written into and that is returned; a
+    refresh that writes every row passes its table to the row form,
+    :func:`_component_rows`, instead of allocating a second one.
 
     An index in [m_i, m_max) names a zero padding row of agent i: its
     gradient is 0 for least squares and the regularizer gradient for the
-    logistic family.  Evaluating every index below m_max, as a table refresh
-    does, therefore computes m_max rows per stream even where m_i < m_max.
+    logistic family.  Evaluating every index below m_max, as a refresh of
+    every row does, therefore computes m_max rows per stream even where
+    m_i < m_max.
 
     With ``mean``, ``indices`` must list every index below m_max for every
-    stream, as a table refresh does (only their number is checked), and the
+    stream, as a refresh does (only their number is checked), and the
     result is each stream's mean over its m_i real rows, shape (..., N, n):
     the exact local gradient, with no rows kept (:func:`_stream_means`).
     """
@@ -282,10 +285,26 @@ def component_gradients(
         if out is not None or np.size(indices) != instance.max_points * x[..., 0].size:
             raise ValueError("a mean takes every index below m_max of every stream and no out")
         return _stream_means(instance, x)
-    features, labels = instance.padded
+    _check_range(instance, indices)
+    return _component_rows(instance, x, indices, out)
+
+
+def _check_range(instance: ProblemInstance, indices: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every one of the (at least one) ``indices`` lies in [0, m_max)."""
     # one comparison rejects negative indices too: they wrap to huge uint64s
     if np.maximum.reduce(np.asarray(indices, np.int64).view(np.uint64), axis=None) >= instance.max_points:
         raise ValueError("invalid component index: outside [0, m_max)")
+
+
+def _component_rows(
+    instance: ProblemInstance, x: np.ndarray, indices: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The rows of :func:`component_gradients` for ``indices`` already checked against [0, m_max).
+
+    The gather clips an unchecked index into the padded rows (possibly
+    another agent's) instead of rejecting it.
+    """
+    features, labels = instance.padded
     position = indices.reshape(x.shape[:-1] + (-1,)) + instance.row_offsets
     # take(out=) with mode="raise" first gathers into a buffer the size of
     # ``out``; checked indices gather directly under mode="clip" instead

@@ -528,7 +528,7 @@ def stopping_time(trace: Trace, threshold: float) -> dict | None:
     The stored series is scanned in iteration order with no hysteresis;
     returns None if the threshold is never crossed.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN too
         raise ValueError("threshold must be positive")
     hits = np.flatnonzero(trace.columns["grad_norm_sq_mean"] < threshold)
     if not hits.size:

@@ -21,6 +21,7 @@ from ltadmm.metrics import compute_dk, iteration_evals, refresh_steps
 from ltadmm.oracles import draw_batch
 from ltadmm.problems import (
     LEAST_SQUARES,
+    LOGISTIC_NONCONVEX,
     ProblemInstance,
     generate_classification,
     global_gradient_norm_sq,
@@ -493,6 +494,41 @@ class TestDeterminism:
                 reference.integers(0, stream.num_points, size=1)
             assert stream.rng.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(shared.block, block)
+
+    @pytest.mark.parametrize("variant", ["lt_admm_vr", "lt_admm_vr_v2"])
+    @pytest.mark.parametrize("b, replacement", [(1, True), (3, False)])
+    def test_outputs_do_not_depend_on_where_blocks_end(self, monkeypatch, b, replacement, variant):
+        # agents of 3, 7 and 5 points; blocks of 3 steps for the 2 x 3 streams,
+        # so some epochs' batches run past the end of a block.  lt_admm_vr_v2's
+        # one refresh writes every row, since its table carries over.
+        rng = np.random.default_rng(6)
+        inst = ProblemInstance(
+            kind=LOGISTIC_NONCONVEX,
+            features=tuple(rng.normal(size=(m, 2)) for m in (3, 7, 5)),
+            labels=tuple(np.where(rng.random(m) < 0.5, -1.0, 1.0) for m in (3, 7, 5)),
+            epsilon=0.01,
+        )
+        topo = build_ring(3)
+        cfg = base_config(variant=variant, tau=3, outer_iterations=8, batch_size=b, batch_replacement=replacement)
+        paths = []
+        refresh = algorithms.saga_refresh
+
+        def recording_refresh(streams, instance, anchor, reads=None):
+            paths.append(reads is not None)
+            refresh(streams, instance, anchor, reads)
+
+        monkeypatch.setattr(algorithms, "saga_refresh", recording_refresh)
+        default = simulate_replicates(inst, topo, cfg, range(2))
+        # the whole run fits in the shared block: every lt_admm_vr refresh reads ahead
+        assert paths == ([True] * 8 if variant == "lt_admm_vr" else [False])
+        paths.clear()
+        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 6 * 3 * (b if replacement else 2 * b - 1))
+        small = simulate_replicates(inst, topo, cfg, range(2))
+        if variant == "lt_admm_vr":
+            assert any(paths) and not all(paths)  # some refreshes write every row
+        assert small.diverged_at == default.diverged_at
+        for name in ("grad_norm_sq", "consensus_err", "conservation_residual", "d_k", "component_evals"):
+            assert getattr(small, name).tobytes() == getattr(default, name).tobytes(), name
 
     def test_draw_batch_stops_at_the_end_of_a_shared_block(self):
         inst = generate_classification(5, 4, 3, 6)

@@ -14,6 +14,7 @@ from ltadmm.oracles import (
     saga_estimate_update,
     saga_refresh,
     sgd_estimate,
+    upcoming,
 )
 from ltadmm.problems import (
     LEAST_SQUARES,
@@ -483,6 +484,13 @@ def uneven_instance(sizes, kind=LEAST_SQUARES):
     )
 
 
+def written_slots(shape, reads):
+    """Which (R, N, m_max) slots the read indices ``reads`` (R, N, k) name."""
+    written = np.zeros(shape, dtype=bool)
+    np.put_along_axis(written, reads, True, axis=2)
+    return written
+
+
 @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
 class TestUnevenTable:
     """Two replicates of agents holding 3, 7 and 5 points: m_max = 7."""
@@ -552,6 +560,71 @@ class TestUnevenTable:
         assert np.max(np.abs(fused.table - split.table)) <= 1e-15
         assert np.max(np.abs(fused.table_sum - split.table_sum)) <= 1e-12
 
+    # a refresh given the indices its epoch's batches will read
+
+    def reads(self, rng, k):
+        """k indices per stream, each below its agent's m_i, with repeats."""
+        return rng.integers(0, np.array(self.sizes)[:, None], size=(2, len(self.sizes), k))
+
+    def test_writes_exactly_the_read_slots_with_the_kernels_bits(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        streams = self.stale_streams(inst)
+        before = streams.table.copy()
+        reads = self.reads(rng, 4)
+        anchor = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
+        saga_refresh(streams, inst, anchor, reads)
+        fresh = component_gradients(inst, anchor, reads.ravel())
+        for r in range(2):
+            for i in range(inst.num_agents):
+                for j, h in enumerate(reads[r, i]):
+                    assert streams.table[r, i, h].tobytes() == fresh[r, i, j].tobytes()
+        written = written_slots(before.shape[:-1], reads)
+        assert streams.table[~written].tobytes() == before[~written].tobytes()
+
+    def test_sum_and_charge_equal_the_every_row_refresh(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        ahead, every = self.stale_streams(inst), self.stale_streams(inst)
+        anchor = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
+        saga_refresh(ahead, inst, anchor, self.reads(rng, 3))
+        saga_refresh(every, inst, anchor)
+        assert ahead.table_sum.tobytes() == every.table_sum.tobytes()
+        assert np.array_equal(ahead.tally, every.tally)
+        assert (ahead.tally == self.sizes).all()
+
+    def test_first_refresh_creates_the_table_with_zeros_elsewhere(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        streams = make_streams(inst, replicates=2)
+        reads = self.reads(rng, 2)
+        anchor = rng.normal(size=(2, inst.num_agents, inst.dimension))
+        saga_refresh(streams, inst, anchor, reads)
+        every = make_streams(inst, replicates=2)
+        saga_refresh(every, inst, anchor)
+        written = written_slots(streams.table.shape[:-1], reads)
+        assert streams.table[written].tobytes() == every.table[written].tobytes()
+        assert (streams.table[~written].view(np.int64) == 0).all()
+
+    def test_m_max_reads_write_every_row(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        ahead, every = self.stale_streams(inst), self.stale_streams(inst)
+        anchor = rng.normal(size=(2, inst.num_agents, inst.dimension))
+        saga_refresh(ahead, inst, anchor, self.reads(rng, inst.max_points))
+        saga_refresh(every, inst, anchor)
+        assert ahead.table.tobytes() == every.table.tobytes()
+        assert ahead.table_sum.tobytes() == every.table_sum.tobytes()
+
+    @pytest.mark.parametrize("agent, index", [(0, 3), (1, 7), (2, -1)], ids=["past-m_i", "m_max", "negative"])
+    def test_invalid_read_raises_before_any_write(self, kind, rng, agent, index):
+        inst = uneven_instance(self.sizes, kind)
+        streams = self.stale_streams(inst)
+        table, table_sum = streams.table.copy(), streams.table_sum.copy()
+        reads = self.reads(rng, 2)
+        reads[1, agent, 1] = index
+        with pytest.raises(ValueError, match="invalid"):
+            saga_refresh(streams, inst, rng.normal(size=(2, inst.num_agents, inst.dimension)), reads)
+        assert streams.table.tobytes() == table.tobytes()
+        assert streams.table_sum.tobytes() == table_sum.tobytes()
+        assert (streams.tally == 0).all()
+
 
 @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
 class TestPerRunConstants:
@@ -593,6 +666,32 @@ class TestPerRunConstants:
         assert estimate.tobytes() == fancy_index_step(expected, inst, x, batch).tobytes()
         assert streams.table.tobytes() == expected.table.tobytes()
         assert streams.table_sum.tobytes() == expected.table_sum.tobytes()
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_read_outside_equal_datasets_raises_before_any_write(instance, rng, index):
+    # five points per agent: the streams check no m_i, and the range check of the kernel's gather holds
+    streams = stale_streams(instance, rng)
+    table = streams.table.copy()
+    reads = batch_of(instance, [0, 4, index])
+    with pytest.raises(ValueError, match="invalid"):
+        saga_refresh(streams, instance, at(instance, rng.normal(size=instance.dimension)), reads)
+    assert streams.table.tobytes() == table.tobytes()
+    assert (streams.tally == 0).all()
+
+
+def test_upcoming_reads_the_next_batches_without_drawing_them():
+    inst = generate_classification(3, 2, 2, 6)
+    block = np.random.default_rng(1).integers(0, 6, size=(2, 2, 5, 3))
+    streams = Streams([], inst.sizes, np.zeros((2, 2), dtype=np.int64), 3, True, 0, block)
+    assert np.array_equal(upcoming(streams, 2), block[:, :, :2].reshape(2, 2, 6))
+    assert np.array_equal(draw_batch(streams), block[:, :, 0])
+    assert np.array_equal(upcoming(streams, 4), block[:, :, 1:].reshape(2, 2, 12))
+    assert upcoming(streams, 0).shape == (2, 2, 0)
+    assert upcoming(streams, 5) is None  # past the end of the block
+    assert np.array_equal(draw_batch(streams), block[:, :, 1])
+    # streams with generators have no block before their first draw
+    assert upcoming(make_streams(inst, pending=4), 1) is None
 
 
 @pytest.mark.parametrize("variant, tau", [("exact", 3), ("lt_admm_vr", 1)])

@@ -495,6 +495,17 @@ class TestKernelAllocations:
         # the first refresh creates the table, the second writes over it
         assert self.peak_in_margins(inst, lambda: saga_refresh(streams, inst, x)) <= self.LIMIT
 
+    def test_read_ahead_refresh_allocates_no_table_sized_temporary(self, inst, rng):
+        # an lt_admm_vr epoch of tau = 5: four unit batches read the table.  The
+        # mean's margins and the logistic's one temporary, then four rows of
+        # n = 5 per stream (0.2 margins); an (R, N, m_max, n) temporary is 5 margins
+        x = rng.normal(size=(self.R, inst.num_agents, inst.dimension))
+        N = inst.num_agents
+        streams = Streams([], inst.sizes, np.zeros((self.R, N), dtype=np.int64), 1, True, pending=0)
+        reads = rng.integers(0, inst.max_points, size=(self.R, N, 4))
+        saga_refresh(streams, inst, x, reads)  # creates the table
+        assert self.peak_in_margins(inst, lambda: saga_refresh(streams, inst, x, reads)) <= 2.3
+
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
     def test_exact_step_keeps_no_table(self, kind, rng):
         # the margins and the logistic's one temporary; no (R, N, m_max, n) rows

@@ -466,6 +466,11 @@ class TestStoppingTime:
         with pytest.raises(ValueError):
             stopping_time(make_trace([1.0]), 0.0)
 
+    def test_nan_threshold_rejected(self):
+        # no value is below NaN, so a NaN threshold would read as never crossed
+        with pytest.raises(ValueError, match="positive"):
+            stopping_time(make_trace([1.0, 1e-3]), float("nan"))
+
 
 class TestPresets:
     def test_fig1_grid(self):
