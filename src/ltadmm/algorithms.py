@@ -302,8 +302,10 @@ class SharedInputs:
     Attributes:
         key: the random key (:func:`random_key`).
         iterates: the initial iterates, shape (R, N, n), read-only.
-        block: the first batches of every stream, shape (R, N, steps, b),
-            read-only: those of the longest run that fits in one block.
+        block: the first batches of every stream, step-major: shape
+            (steps, R, N, b), C-ordered and read-only, the layout
+            :func:`~ltadmm.oracles.draw_batch` reads each step's batch from
+            as a view; those of the longest run that fits in one block.
     """
 
     key: tuple
@@ -338,7 +340,7 @@ def shared_inputs(
     b, replacement = config.batch_size, config.batch_replacement
     cap = block_cap(R * N, b, replacement)
     steps = max((draws for draws in map(batch_draws, configs) if draws <= cap), default=0)
-    block = np.empty((R, N, 0, b), dtype=np.int64)
+    block = np.empty((0, R, N, b), dtype=np.int64)
     if steps:
         rngs = _stream_generators(config.master_seed, key[1], N)
         block = draw_block(rngs, instance.sizes, b, replacement, steps)
@@ -370,7 +372,7 @@ def init_states(
     if shared.key != random_key(config, replicates):
         raise ValueError("the shared inputs belong to another random key")
     draws, N = batch_draws(config), topology.num_agents
-    block = shared.block if draws <= shared.block.shape[2] else None
+    block = shared.block if draws <= shared.block.shape[0] else None
     rngs = [] if block is not None else _stream_generators(config.master_seed, replicates, N)
     tally = np.zeros((len(replicates), N), dtype=np.int64)
     return Streams(
@@ -412,7 +414,9 @@ def local_training_epoch(
 
     ``X`` stacks the iterates of every replicate, shape (R, N, n).
     ``AtZ`` (same shape) holds each agent's sum of edge variables and
-    ``degrees`` its neighbor count; both are fixed for the whole epoch.
+    ``degrees`` its neighbor count; both are fixed for the whole epoch, and
+    the penalty rho * d_i is built once per epoch in ``X``'s shape, so that
+    every operation of the update reads operands of one shape.
 
     The first :func:`metrics.refresh_steps` inner steps take G_t as every
     stream's exact local gradient at its row of Phi_t: the average of its
@@ -439,7 +443,8 @@ def local_training_epoch(
     # when the next epoch refreshes the table again, only this epoch's batches read it
     ahead = metrics.refresh_steps(variant, config.tau, k + 1) > 0
     gamma = config.gamma
-    penalty = (config.rho * degrees)[:, None]
+    penalty = np.empty_like(X)
+    penalty[...] = (config.rho * degrees)[:, None]
     phi = X.copy()  # the log keeps Phi_0, which the caller may overwrite in X
     for t in range(config.tau):
         if t < refreshes and not streams.keeps_table:

@@ -9,12 +9,17 @@ components of every stream at its own point of the (R, N, n) stack, the
 results are reduced per stream, and a batch step reads and writes its table
 rows through one array of flat slots: one ``take`` of the stored rows and
 one ``put`` of the fresh ones through a view that holds each n-float row as
-one element.  That row type and the float column of the sizes m_i, the
-table average's divisor, are built once per run.  The streams of a diverged
-replicate keep drawing and counting with the rest.  The local training loop
-uses a table refresh, after which the table average is the exact local
-gradient at the refresh point, and two batch estimators: a mini-batch
-average and a variance-reduced estimator backed by the table.
+one element.  The constants a step reads are built once per run in the
+shape of the arrays they meet: that row type, each stream's first table
+slot in a batch's shape (R, N, b), the sizes m_i as floats in the
+iterates' shape (R, N, n), the table average's divisor, and as an (R, N)
+count, a refresh's charge, so that a step's arithmetic with them reads
+operands of one shape, C-ordered, which numpy runs in one inner loop.  The
+streams of a diverged replicate keep drawing and counting with the rest.
+The local training loop uses a table refresh, after which the table
+average is the exact local gradient at the refresh point, and two batch
+estimators: a mini-batch average and a variance-reduced estimator backed
+by the table.
 
 Every refresh step takes each stream's exact local gradient from one
 ``component_gradients(..., mean=True)`` call over all m_max indices of
@@ -45,11 +50,12 @@ rows past m_i are zeroed at each every-row refresh and never drawn.
 Each stream draws every batch, in the batch size and sampling mode fixed
 for the run when :func:`ltadmm.algorithms.init_states` builds the streams,
 from a block of steps drawn ahead, which yields the values of drawing step
-by step.  With replacement a block is one ``integers`` call of the indices
-themselves.  Without replacement it is one ``integers`` call of the bounded
-integers that ``Generator.choice`` draws, from which the subsets of all
-streams are rebuilt at once, or, for batches above ``_FLOYD_MAX_BATCH``, one
-``choice`` call per step.  Streams hold either generators of their own or a
+by step.  A block is step-major, shape (steps, R, N, b), so each step's
+batch is one C-ordered (R, N, b) view of it.  With replacement a block is
+one ``integers`` call of the indices themselves.  Without replacement it is
+one ``integers`` call of the bounded integers that ``Generator.choice``
+draws, from which the subsets of all streams are rebuilt at once, or, for
+batches above ``_FLOYD_MAX_BATCH``, one ``choice`` call per step.  Streams hold either generators of their own or a
 read-only block drawn for them, which the runs of one random key read alike.
 
 Every component-gradient evaluation is tallied per stream; the cost table
@@ -134,14 +140,23 @@ class Streams:
     those blocks and never changes a value drawn, since a block is a prefix
     of the draws of a longer one.
 
+    ``block`` is step-major, shape (steps, R, N, b) and C-ordered:
+    :func:`draw_batch` hands out ``block[t]``, a contiguous view, and a
+    shared block is read in place, never copied.
+
     The table gives each stream m_max consecutive slots: component h of
     stream (r, i) sits at flat slot (r * N + i) * m_max + h of
     ``table.reshape(-1, n)``, which a batch step gathers and scatters in
     one index array.  :func:`saga_refresh` rewrites ``table`` in place
-    and binds ``table_sum`` to a freshly computed array.
+    and binds ``table_sum`` to a freshly computed array.  The streams build
+    once what every step reads, each in the shape of the arrays it meets:
+    ``_bases``, each stream's first slot (r * N + i) * m_max repeated to a
+    batch's shape (R, N, b); ``_charges``, the sizes m_i as an (R, N) count
+    that a refresh charges; and, on first use, ``divisors``.
 
     Attributes:
-        divisors: the sizes m_i as a float column (N, 1): the table average's divisor.
+        divisors: the sizes m_i as floats in ``table_sum``'s shape (R, N, n),
+            the table average's divisor, built on first use.
         tally: evaluations of every stream, shape (R, N).
         keeps_table: whether a refresh step recomputes the table
             (:func:`saga_refresh`) or only each stream's mean
@@ -176,15 +191,21 @@ class Streams:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
-        streams, m_max = self.tally.size, int(self.sizes.max())
+        shape, m_max = self.tally.shape, int(self.sizes.max())
         self._m_max = m_max
-        # each stream's first table slot, every index below m_max for each
-        # stream, and the padding places past each agent's m_i (None if none)
-        self._bases = (m_max * np.arange(streams)).reshape(self.tally.shape + (1,))
-        self._every = np.tile(np.arange(m_max), streams)
+        # each stream's first table slot in a batch's shape, every index below
+        # m_max for each stream, the padding places past each agent's m_i
+        # (None if none) and each stream's m_i, a refresh's charge
+        firsts = (m_max * np.arange(self.tally.size)).reshape(shape + (1,))
+        self._bases = np.repeat(firsts, self.batch_size, axis=-1)
+        self._every = np.tile(np.arange(m_max), self.tally.size)
         padding = np.arange(m_max) >= self.sizes[:, None]
         self._padding = padding if padding.any() else None
-        self.divisors = self.sizes[:, None].astype(float)
+        self._charges = np.broadcast_to(self.sizes, shape).astype(self.tally.dtype, order="C")
+
+    @cached_property
+    def divisors(self) -> np.ndarray:
+        return np.broadcast_to(self.sizes[:, None], self.table_sum.shape).astype(float, order="C")
 
     @cached_property
     def _row(self) -> np.dtype:  # one n-float table row as one element, for a batch step's put
@@ -258,40 +279,44 @@ def block_cap(streams: int, batch_size: int, replacement: bool) -> int:
 def draw_block(
     rngs: list[np.random.Generator], sizes: np.ndarray, batch_size: int, replacement: bool, steps: int
 ) -> np.ndarray:
-    """``steps`` batches of every stream, shape (R, N, steps, b), drawn ahead.
+    """``steps`` batches of every stream, step-major: shape (steps, R, N, b), C-ordered.
 
     ``rngs[r * N + i]`` draws stream (r, i)'s from its ``sizes[i]`` points,
     with replacement or as uniform subsets without it (requires
     ``batch_size <= min(sizes)``): the values of drawing step by step.
+    Each stream's draws are written straight into its place of the block.
     Above ``_FLOYD_MAX_BATCH`` without replacement, a step is one ``choice``.
     """
     if not replacement and batch_size > sizes.min():
         raise ValueError("batch size exceeds an agent's number of points")
     points = sizes.tolist() * (len(rngs) // len(sizes))
-    if replacement:
-        block = np.array([rng.integers(0, m, size=(steps, batch_size)) for rng, m in zip(rngs, points)])
-    elif batch_size > _FLOYD_MAX_BATCH:
-        block = np.array(
-            [[rng.choice(m, batch_size, replace=False) for _ in range(steps)] for rng, m in zip(rngs, points)]
-        )
+    if replacement or batch_size > _FLOYD_MAX_BATCH:
+        block = np.empty((steps, len(rngs), batch_size), dtype=np.int64)
+        for j, (rng, m) in enumerate(zip(rngs, points)):
+            if replacement:
+                block[:, j] = rng.integers(0, m, size=(steps, batch_size))
+            else:
+                for t in range(steps):
+                    block[t, j] = rng.choice(m, batch_size, replace=False)
     else:
-        draws = np.empty((len(rngs), steps, 2 * batch_size - 1), dtype=np.int64)
-        for row, rng, m in zip(draws, rngs, points):
-            row[:] = _choice_integers(rng, m, batch_size, steps)
-        block = _floyd_subsets(draws, np.array(points)[:, None])
-    return block.reshape(-1, len(sizes), steps, batch_size)
+        draws = np.empty((steps, len(rngs), 2 * batch_size - 1), dtype=np.int64)
+        for j, (rng, m) in enumerate(zip(rngs, points)):
+            draws[:, j] = _choice_integers(rng, m, batch_size, steps)
+        block = np.ascontiguousarray(_floyd_subsets(draws, np.array(points)))
+    return block.reshape(steps, -1, len(sizes), batch_size)
 
 
 def draw_batch(streams: Streams) -> np.ndarray:
     """One inner step's batch indices of every stream, shape (R, N, b).
 
-    Every step takes the next step of ``streams.block``.  Streams with
+    Every step takes the next step of ``streams.block``: a C-ordered view of
+    the step-major block, never a copy.  Streams with
     generators draw their next block (:func:`draw_block`), in their batch
     size and sampling mode, when they have read the last, at most
     ``_BLOCK_ENTRIES`` entries and at least one step; streams without raise
     ``RuntimeError`` past the end of theirs.
     """
-    if streams.block is None or streams._cursor == streams.block.shape[2]:
+    if streams.block is None or streams._cursor == streams.block.shape[0]:
         if not streams.rngs:
             raise RuntimeError("streams without generators have read their whole block")
         b, replacement = streams.batch_size, streams.replacement
@@ -299,7 +324,7 @@ def draw_batch(streams: Streams) -> np.ndarray:
         streams.block = draw_block(streams.rngs, streams.sizes, b, replacement, steps)
         streams.pending = max(streams.pending - steps, 0)
         streams._cursor = 0
-    batch = streams.block[:, :, streams._cursor]
+    batch = streams.block[streams._cursor]
     streams._cursor += 1
     return batch
 
@@ -360,7 +385,7 @@ def exact_estimate(streams: Streams, instance: ProblemInstance, x: np.ndarray) -
     evaluations per stream, as a refresh does.
     """
     G = component_gradients(instance, x, streams._every, mean=True)
-    streams.charge(streams.sizes)
+    streams.charge(streams._charges)
     return G
 
 
@@ -368,14 +393,15 @@ def upcoming(streams: Streams, steps: int) -> np.ndarray | None:
     """The next ``steps`` batches of every stream, without drawing them: shape (R, N, steps * b).
 
     They are read from ``streams.block`` at the place the next
-    :func:`draw_batch` reads, and that place does not move.  None when
+    :func:`draw_batch` reads, and that place does not move: stream (r, i)
+    lists the b indices of each of those batches in turn.  None when
     they are not all in the current block (there is none yet, or it ends
     before them), since the block after it is drawn only when it is needed.
     """
     block, start = streams.block, streams._cursor
-    if block is None or start + steps > block.shape[2]:
+    if block is None or start + steps > block.shape[0]:
         return None
-    return block[:, :, start : start + steps].reshape(block.shape[:2] + (-1,))
+    return block[start : start + steps].transpose(1, 2, 0, 3).reshape(block.shape[1:3] + (-1,))
 
 
 def saga_refresh(
@@ -385,7 +411,7 @@ def saga_refresh(
 
     Rebinds ``streams.table_sum`` to m_i times each stream's exact local
     gradient at ``anchor``, from one ``component_gradients(..., mean=True)``
-    call, so that ``table_sum / sizes`` is that gradient again up to
+    call, so that ``table_sum / divisors`` is that gradient again up to
     rounding.  Charges m_i evaluations per stream.
 
     ``reads`` (R, N, k), when given, names every index the batches read
@@ -405,7 +431,6 @@ def saga_refresh(
         _check_sizes(streams, reads)
         _check_range(instance, reads)  # the row kernel gathers with mode="clip"
     sums = component_gradients(instance, anchor, streams._every, mean=True)
-    sums *= streams.divisors
     if reads is None:
         rows = _component_rows(instance, anchor, streams._every, out=streams.table)
         if streams._padding is not None:
@@ -415,9 +440,10 @@ def saga_refresh(
         if streams.table is None:
             streams.table = np.zeros(streams.tally.shape + (streams._m_max, anchor.shape[-1]))
         rows = _component_rows(instance, anchor, reads.ravel())
-        streams.table.view(streams._row).put(streams._bases + reads, rows.view(streams._row))
-    streams.charge(streams.sizes)
+        streams.table.view(streams._row).put(streams._bases[..., :1] + reads, rows.view(streams._row))
+    streams.charge(streams._charges)
     streams.table_sum = sums
+    sums *= streams.divisors  # built in table_sum's shape on first use
 
 
 def saga_estimate_update(

@@ -31,7 +31,7 @@ joins the regularizer gradient's last scaling, in the same pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -71,6 +71,9 @@ class ProblemInstance:
     features: tuple[np.ndarray, ...]
     labels: tuple[np.ndarray, ...]
     epsilon: float = 0.0
+    _shaped: dict[tuple[str, tuple[int, ...]], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -137,6 +140,22 @@ class ProblemInstance:
     def row_offsets(self) -> np.ndarray:
         """First padded row of every agent, i * m_max, shape (N, 1)."""
         return self.max_points * np.arange(self.num_agents)[:, None]
+
+    def in_shape(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A per-agent column broadcast to ``shape`` (..., N, k), C-ordered and read-only.
+
+        ``name`` is ``"offsets"`` for :attr:`row_offsets` or ``"sizes"`` for
+        the sizes m_i as floats.  Each array is built on the first call with
+        its shape and kept with the instance, so that the kernels add and
+        divide operands of one shape.
+        """
+        array = self._shaped.get((name, shape))
+        if array is None:
+            column = self.row_offsets if name == "offsets" else self.sizes[:, None].astype(float)
+            array = np.broadcast_to(column, shape).copy()
+            array.flags.writeable = False
+            self._shaped[name, shape] = array
+        return array
 
     @cached_property
     def row_weights(self) -> np.ndarray:
@@ -241,7 +260,7 @@ def _loss_weights(instance: ProblemInstance, margins: np.ndarray, labels: np.nda
 
 
 def _check_finite(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input point")
 
 
@@ -250,7 +269,6 @@ def component_gradients(
     x: np.ndarray,
     indices: np.ndarray,
     *,
-    out: np.ndarray | None = None,
     mean: bool = False,
 ) -> np.ndarray:
     """Component gradients of every stream at its own point.
@@ -265,10 +283,8 @@ def component_gradients(
     The rows are gathered from ``instance.padded``, so a logistic row is
     sigma(q . x) q with q = -y a and no label is gathered.  Every index
     must lie in [0, m_max), or a ``ValueError`` is raised before anything
-    is written.  ``out``, when given, is a C-ordered float array of the
-    result's shape that the rows are written into and that is returned; a
-    refresh that writes every row passes its table to the row form,
-    :func:`_component_rows`, instead of allocating a second one.
+    is computed.  A refresh that writes every row passes its table to the
+    row form, :func:`_component_rows`, instead of allocating a second one.
 
     An index in [m_i, m_max) names a zero padding row of agent i: its
     gradient is 0 for least squares and the regularizer gradient for the
@@ -282,11 +298,11 @@ def component_gradients(
     the exact local gradient, with no rows kept (:func:`_stream_means`).
     """
     if mean:
-        if out is not None or np.size(indices) != instance.max_points * x[..., 0].size:
-            raise ValueError("a mean takes every index below m_max of every stream and no out")
+        if np.size(indices) != instance.max_points * x[..., 0].size:
+            raise ValueError("a mean takes every index below m_max of every stream")
         return _stream_means(instance, x)
     _check_range(instance, indices)
-    return _component_rows(instance, x, indices, out)
+    return _component_rows(instance, x, indices)
 
 
 def _check_range(instance: ProblemInstance, indices: np.ndarray) -> None:
@@ -301,11 +317,16 @@ def _component_rows(
 ) -> np.ndarray:
     """The rows of :func:`component_gradients` for ``indices`` already checked against [0, m_max).
 
-    The gather clips an unchecked index into the padded rows (possibly
-    another agent's) instead of rejecting it.
+    ``out``, when given, is a C-ordered float array of the result's shape
+    (..., N, b, n) that the rows are written into and that is returned.
+    Each index becomes its padded row by one addition of i * m_max in the
+    indices' own shape (:meth:`ProblemInstance.in_shape`).  The gather
+    clips an unchecked index into the padded rows (possibly another
+    agent's) instead of rejecting it.
     """
     features, labels = instance.padded
-    position = indices.reshape(x.shape[:-1] + (-1,)) + instance.row_offsets
+    indices = indices.reshape(x.shape[:-1] + (-1,))
+    position = indices + instance.in_shape("offsets", indices.shape)
     # take(out=) with mode="raise" first gathers into a buffer the size of
     # ``out``; checked indices gather directly under mode="clip" instead
     feats = features.take(position, axis=0, out=out, mode="clip")
@@ -325,7 +346,8 @@ def _stream_means(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
     rows F_i (m_max x n) whatever the stack: the margins F_i x and the
     weighted row sum w F_i, so a stream's bits do not depend on which other
     streams share ``x``.  The padding rows add zeros to the sum, which is
-    divided by m_i; the regularizer gradient is added once.
+    divided by m_i, held as floats in the result's shape
+    (:meth:`ProblemInstance.in_shape`); the regularizer gradient is added once.
     """
     features, labels = instance.padded
     N, n = instance.num_agents, instance.dimension
@@ -333,7 +355,7 @@ def _stream_means(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
     labs = labels.reshape(N, -1) if instance.kind == LEAST_SQUARES else None
     margins = (feats @ x[..., None])[..., 0]
     g = (_loss_weights(instance, margins, labs)[..., None, :] @ feats)[..., 0, :]
-    g /= instance.sizes[:, None]
+    g /= instance.in_shape("sizes", g.shape)
     if instance.kind == LOGISTIC_NONCONVEX:
         g += _regularizer_gradient(x, instance.epsilon)
     return g

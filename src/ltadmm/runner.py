@@ -449,13 +449,17 @@ def run_experiment(
     pool of at most one worker per trajectory, each task on shared inputs of
     its own; results do not depend on the worker count.  Either way every
     task is one :func:`_run_group` call.  A ``workers`` that is not an
-    integer of at least 1 raises :class:`ConfigError` before anything runs.
+    integer of at least 1, or an output directory that cannot be created,
+    raises :class:`ConfigError` before anything runs.
     """
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigError(f"workers must be an integer of at least 1, got {workers!r}")
     topology, instance, grid, stop_threshold = resolve(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output dir {str(out)!r}: {err}") from err
     run_cfgs = [run_cfg for _, _, run_cfg in grid]
     # every field of a RunConfig is a scalar, so asdict's deep copies are not needed
     resolved = [{name: getattr(run_cfg, name) for name in _RUN_FIELDS} for run_cfg in run_cfgs]

@@ -40,6 +40,11 @@ def agent_components(instance, agent: int, indices, x: np.ndarray) -> np.ndarray
     return component_gradients(instance, points, np.tile(indices, instance.num_agents))[agent]
 
 
+def broadcast_columns(instance, name, shape):
+    """``ProblemInstance.in_shape`` as the (N, 1) columns that broadcast: the row offsets, the int sizes."""
+    return instance.row_offsets if name == "offsets" else instance.sizes[:, None]
+
+
 def random_bound_context(rng: np.random.Generator) -> BoundContext:
     """Random admissible step-size bound context over a random-size ring."""
     n = int(rng.integers(4, 16))

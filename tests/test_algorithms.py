@@ -394,9 +394,9 @@ class TestDeterminism:
         shared = shared_inputs(
             inst, topo, [vr, base_config(variant="lt_admm", tau=4, gamma=0.2, outer_iterations=3)], range(2)
         )
-        # the run that draws most sizes the block: lt_admm, 3 x 4 draws
+        # the run that draws most sizes the block: lt_admm, 3 x 4 draws, step-major
         assert [f.name for f in dataclasses.fields(shared)] == ["key", "iterates", "block"]
-        assert shared.block.shape == (2, 4, 12, 1)
+        assert shared.block.shape == (12, 2, 4, 1) and shared.block.flags.c_contiguous
         with pytest.raises(ValueError, match="random key"):
             simulate_replicates(inst, topo, vr, range(3), shared)
         with pytest.raises(ValueError, match="random key"):
@@ -424,12 +424,12 @@ class TestDeterminism:
         vr = base_config(variant="lt_admm_vr", tau=3, outer_iterations=4)
         sgd = base_config(variant="lt_admm", tau=3, outer_iterations=4)
         shared = shared_inputs(inst, topo, [vr, sgd], range(2))
-        assert shared.block.shape == (2, 4, 8, 1)
+        assert shared.block.shape == (8, 2, 4, 1)
         assert init_states(inst, topo, vr, range(2), shared).block is shared.block
         longer = init_states(inst, topo, sgd, range(2), shared)
         assert longer.block is None and len(longer.rngs) == 8
         # a group in which no run fits draws no block
-        assert shared_inputs(inst, topo, [sgd], range(2)).block.shape == (2, 4, 0, 1)
+        assert shared_inputs(inst, topo, [sgd], range(2)).block.shape == (0, 2, 4, 1)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -457,7 +457,7 @@ class TestDeterminism:
         shared = shared_inputs(inst, topo, [cfg], range(2))
         # one pass seeds the initial iterates' generators, tag 0, and nothing else
         assert len(seeded) == 1 and np.array_equal(seeded[0], [[0, 0], [1, 0]])
-        assert shared.block.shape[2] == 0
+        assert shared.block.shape[0] == 0
         streams = init_states(inst, topo, cfg, range(2), shared)
         assert streams.rngs == [] and all(stream.rng is None for stream in streams)
         simulate_replicates(inst, topo, cfg, range(2), shared)
@@ -469,7 +469,7 @@ class TestDeterminism:
         short = base_config(variant="lt_admm", outer_iterations=2, record_dk=True)
         long = base_config(variant="lt_admm", outer_iterations=5, record_dk=True)
         shared = shared_inputs(inst, topo, [short], range(2))
-        assert shared.block.shape[2] == 6
+        assert shared.block.shape[0] == 6
         block = shared.block.copy()
         started = []
 
@@ -536,9 +536,9 @@ class TestDeterminism:
         cfg = base_config(variant="lt_admm", tau=2, outer_iterations=1)
         shared = shared_inputs(inst, topo, [cfg], range(2))
         streams = init_states(inst, topo, cfg, range(2), shared)
-        assert streams.block is shared.block and shared.block.shape[2] == 2
+        assert streams.block is shared.block and shared.block.shape[0] == 2
         assert streams.rngs == []
-        batches = np.stack([draw_batch(streams) for _ in range(2)], axis=2)
+        batches = np.stack([draw_batch(streams) for _ in range(2)])
         assert np.array_equal(batches, shared.block)
         with pytest.raises(RuntimeError, match="whole block"):
             draw_batch(streams)

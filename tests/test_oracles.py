@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ltadmm import oracles
-from ltadmm.algorithms import RunConfig, local_training_epoch, outer_step
+from ltadmm import metrics, oracles
+from ltadmm.algorithms import RunConfig, init_states, local_training_epoch, outer_step, shared_inputs
 from ltadmm.graph import build_ring
 from ltadmm.metrics import iteration_evals
 from ltadmm.oracles import (
@@ -26,7 +26,7 @@ from ltadmm.problems import (
     local_gradients,
 )
 
-from conftest import agent_components, fresh_streams
+from conftest import agent_components, broadcast_columns, fresh_streams
 
 
 def make_streams(instance, replicates=1, batch_size=1, replacement=True, pending=0):
@@ -444,7 +444,7 @@ class TestBatchDrawing:
         batches = []
         for _ in range(3):
             batches.append(draw_batch(streams))
-            assert streams.block.shape == (2, inst.num_agents, 1, 3)
+            assert streams.block.shape == (1, 2, inst.num_agents, 3)
         for r in range(2):
             for i, m in enumerate(inst.sizes.tolist()):
                 if replacement:
@@ -472,6 +472,70 @@ class TestBatchDrawing:
         singles = np.stack([draw_batch(one_by_one) for _ in range(40)])
         assert np.array_equal(steps, singles)
         assert (steps < np.array(sizes)[:, None]).all()
+
+
+def per_step_batches(instance, replicate, agent, b, replacement, steps):
+    """Stream (replicate, agent)'s batches drawn step by step from ``default_rng([replicate, agent])``."""
+    if not replacement:
+        return per_step_choices(instance, replicate, agent, b, steps)
+    rng = np.random.default_rng([replicate, agent])
+    return np.stack([rng.integers(0, instance.num_points(agent), size=b) for _ in range(steps)])
+
+
+@pytest.mark.parametrize("b, replacement", [(1, True), (3, True), (1, False), (3, False)])
+class TestStepMajorBlock:
+    """A block is step-major, (steps, R, N, b): every batch is a C-ordered
+    view of it, with the values of drawing step by step."""
+
+    def test_own_generators_hand_out_contiguous_views_across_refills(self, monkeypatch, b, replacement):
+        # blocks of 2 steps for the 2 x 3 streams, so 7 steps draw 4 blocks
+        entries = b if replacement else 2 * b - 1
+        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 2 * 6 * entries)
+        inst = uneven_instance((3, 8, 40))
+        streams = make_streams(inst, replicates=2, batch_size=b, replacement=replacement, pending=7)
+        batches = []
+        for _ in range(7):
+            batch = draw_batch(streams)
+            assert batch.shape == (2, 3, b) and batch.flags.c_contiguous
+            assert streams.block.shape[1:] == (2, 3, b) and streams.block.flags.c_contiguous
+            assert np.shares_memory(batch, streams.block)
+            batches.append(batch.copy())
+        assert streams.block.shape[0] == 1  # the last block holds the one step left
+        for r in range(2):
+            for i in range(inst.num_agents):
+                expected = per_step_batches(inst, r, i, b, replacement, 7)
+                assert np.array_equal(np.stack(batches)[:, r, i], expected)
+
+    def test_a_shared_block_is_read_in_place_by_every_run(self, b, replacement):
+        inst = uneven_instance((3, 8, 40))
+        topo = build_ring(3)
+        configs = [
+            RunConfig(variant, gamma=0.1, rho=1.0, tau=3, outer_iterations=2, monte_carlo_runs=2,
+                      batch_size=b, batch_replacement=replacement)
+            for variant in ("lt_admm", "lt_admm_vr")
+        ]
+        shared = shared_inputs(inst, topo, configs, range(2))
+        block = shared.block.copy()
+        assert shared.block.shape == (6, 2, 3, b) and shared.block.flags.c_contiguous
+        assert not shared.block.flags.writeable
+        runs = [init_states(inst, topo, config, range(2), shared) for config in configs]
+        assert all(streams.block is shared.block and not streams.rngs for streams in runs)
+        for t in range(4):  # lt_admm_vr draws 4 batches, lt_admm 6
+            first, second = draw_batch(runs[0]), draw_batch(runs[1])
+            assert first.flags.c_contiguous and np.shares_memory(first, second)
+            assert np.shares_memory(first, shared.block)
+            assert np.array_equal(first, block[t]) and np.array_equal(second, block[t])
+        assert shared.block.tobytes() == block.tobytes()
+
+    def test_upcoming_lists_the_indices_the_next_batches_draw(self, b, replacement):
+        inst = uneven_instance((3, 8, 40))
+        streams = make_streams(inst, replicates=2, batch_size=b, replacement=replacement, pending=6)
+        draw_batch(streams)
+        ahead = upcoming(streams, 4)
+        assert ahead.shape == (2, 3, 4 * b)
+        assert upcoming(streams, 6) is None  # past the end of the block
+        batches = [draw_batch(streams) for _ in range(4)]
+        assert np.array_equal(ahead, np.concatenate(batches, axis=-1))
 
 
 def uneven_instance(sizes, kind=LEAST_SQUARES):
@@ -667,6 +731,71 @@ class TestPerRunConstants:
         assert streams.table.tobytes() == expected.table.tobytes()
         assert streams.table_sum.tobytes() == expected.table_sum.tobytes()
 
+    def test_constants_take_the_shapes_of_the_arrays_they_meet(self, kind, rng):
+        inst = uneven_instance(self.sizes, kind)
+        N, n = inst.num_agents, inst.dimension
+        streams = make_streams(inst, replicates=2, batch_size=3)
+        assert streams._bases.shape == (2, N, 3) and streams._bases.flags.c_contiguous
+        firsts = 7 * np.arange(2 * N).reshape(2, N, 1)
+        assert np.array_equal(streams._bases, np.broadcast_to(firsts, (2, N, 3)))
+        assert streams._charges.shape == (2, N) and streams._charges.flags.c_contiguous
+        assert np.array_equal(streams._charges, np.broadcast_to(self.sizes, (2, N)))
+        saga_refresh(streams, inst, rng.normal(size=(2, N, n)))
+        assert streams.divisors.shape == (2, N, n) and streams.divisors.flags.c_contiguous
+        assert streams.divisors.tobytes() == np.broadcast_to(inst.sizes[:, None] * 1.0, (2, N, n)).tobytes()
+
+    @pytest.mark.parametrize("variant", ["lt_admm", "lt_admm_vr", "lt_admm_vr_v2"])
+    @pytest.mark.parametrize("b, replacement", [(1, True), (3, True), (3, False)])
+    def test_epochs_have_the_bits_of_the_broadcast_forms(
+        self, kind, rng, monkeypatch, variant, b, replacement
+    ):
+        # three epochs of four steps: refreshes, batch steps and updates, each
+        # against the same step written with (N, 1) columns that broadcast
+        inst = uneven_instance(self.sizes, kind)
+        N, n = inst.num_agents, inst.dimension
+        config = RunConfig(
+            variant, gamma=0.1, rho=1.3, tau=4, outer_iterations=3,
+            batch_size=b, batch_replacement=replacement,
+        )
+        X = rng.normal(scale=2.0, size=(2, N, n))
+        AtZ, degrees = rng.normal(size=X.shape), np.array([2, 1, 3])
+        streams = make_streams(inst, 2, b, replacement, pending=12)
+        log, phi = [], X
+        for k in range(3):
+            phi = local_training_epoch(streams, inst, config, k, phi, AtZ, degrees, log)
+
+        reference = make_streams(inst, 2, b, replacement, pending=12)
+        # the constants as the columns they broadcast from: each stream's first
+        # slot, the sizes as the divisor and as the charge, the row offsets
+        reference._bases = reference._bases[..., :1].copy()
+        reference.divisors = inst.sizes[:, None].astype(float)
+        reference._charges = inst.sizes
+        monkeypatch.setattr(ProblemInstance, "in_shape", broadcast_columns)
+        penalty = (config.rho * degrees)[:, None]
+        expected, phi_ref = [], X
+        for k in range(3):
+            refreshes = metrics.refresh_steps(variant, config.tau, k)
+            ahead = metrics.refresh_steps(variant, config.tau, k + 1) > 0
+            for t in range(config.tau):
+                if t < refreshes:
+                    reads = upcoming(reference, config.tau - refreshes) if ahead else None
+                    saga_refresh(reference, inst, phi_ref, reads)
+                    G = reference.table_sum / reference.sizes[:, None]
+                elif variant == "lt_admm":
+                    G = sgd_estimate(reference, inst, phi_ref, draw_batch(reference))
+                else:
+                    G = saga_estimate_update(reference, inst, phi_ref, draw_batch(reference))
+                expected.append((phi_ref, G))
+                phi_ref = phi_ref - config.gamma * (G + penalty * phi_ref - AtZ)
+        assert len(log) == len(expected) == 12
+        for (phi_t, G_t), (phi_e, G_e) in zip(log, expected):
+            assert phi_t.tobytes() == phi_e.tobytes() and G_t.tobytes() == G_e.tobytes()
+        assert phi.tobytes() == phi_ref.tobytes()
+        assert np.array_equal(streams.tally, reference.tally)
+        if variant != "lt_admm":
+            assert streams.table.tobytes() == reference.table.tobytes()
+            assert streams.table_sum.tobytes() == reference.table_sum.tobytes()
+
 
 @pytest.mark.parametrize("index", [5, -1])
 def test_read_outside_equal_datasets_raises_before_any_write(instance, rng, index):
@@ -682,14 +811,16 @@ def test_read_outside_equal_datasets_raises_before_any_write(instance, rng, inde
 
 def test_upcoming_reads_the_next_batches_without_drawing_them():
     inst = generate_classification(3, 2, 2, 6)
-    block = np.random.default_rng(1).integers(0, 6, size=(2, 2, 5, 3))
+    # a step-major block of 5 steps; stream (r, i) lists each step's 3 indices in turn
+    block = np.random.default_rng(1).integers(0, 6, size=(5, 2, 2, 3))
     streams = Streams([], inst.sizes, np.zeros((2, 2), dtype=np.int64), 3, True, 0, block)
-    assert np.array_equal(upcoming(streams, 2), block[:, :, :2].reshape(2, 2, 6))
-    assert np.array_equal(draw_batch(streams), block[:, :, 0])
-    assert np.array_equal(upcoming(streams, 4), block[:, :, 1:].reshape(2, 2, 12))
+    per_stream = block.transpose(1, 2, 0, 3)
+    assert np.array_equal(upcoming(streams, 2), per_stream[:, :, :2].reshape(2, 2, 6))
+    assert np.array_equal(draw_batch(streams), block[0])
+    assert np.array_equal(upcoming(streams, 4), per_stream[:, :, 1:].reshape(2, 2, 12))
     assert upcoming(streams, 0).shape == (2, 2, 0)
     assert upcoming(streams, 5) is None  # past the end of the block
-    assert np.array_equal(draw_batch(streams), block[:, :, 1])
+    assert np.array_equal(draw_batch(streams), block[1])
     # streams with generators have no block before their first draw
     assert upcoming(make_streams(inst, pending=4), 1) is None
 

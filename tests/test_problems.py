@@ -12,6 +12,7 @@ from ltadmm.problems import (
     LEAST_SQUARES,
     LOGISTIC_NONCONVEX,
     ProblemInstance,
+    _component_rows,
     _logistic,
     _regularizer_gradient,
     component_gradients,
@@ -23,7 +24,7 @@ from ltadmm.problems import (
     smoothness_constant,
 )
 
-from conftest import agent_components, fresh_streams
+from conftest import agent_components, broadcast_columns, fresh_streams
 
 
 def make_instance(seed=1, n_agents=3, dimension=4, m=7, kind=LOGISTIC_NONCONVEX, epsilon=0.01):
@@ -244,33 +245,21 @@ class TestStackedComponentKernel:
 
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
     def test_out_receives_the_rows(self, kind, rng):
+        # the row kernel, which a refresh of every row hands its table as out
         inst = uneven_instance(kind, sizes=self.sizes)
         x = rng.normal(size=(2, inst.num_agents, inst.dimension))
         indices = self.stacked_indices(rng, 4).ravel()
         out = np.full((2, inst.num_agents, 4, inst.dimension), np.nan)
-        assert component_gradients(inst, x, indices, out=out) is out
-        assert np.array_equal(out, component_gradients(inst, x, indices))
+        assert _component_rows(inst, x, indices, out=out) is out
+        assert out.tobytes() == component_gradients(inst, x, indices).tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 7])
-    def test_out_rejects_an_index_outside_the_padded_range(self, bad, rng):
-        inst = uneven_instance(LEAST_SQUARES, sizes=self.sizes)
-        x = rng.normal(size=(inst.num_agents, inst.dimension))
-        out = np.full((inst.num_agents, 1, inst.dimension), np.nan)
-        indices = np.array([0, 1, 2])
-        indices[2] = bad
-        with pytest.raises(ValueError, match="m_max"):
-            component_gradients(inst, x, indices, out=out)
-        assert np.isnan(out).all()
-
-    @pytest.mark.parametrize("with_out", [False, True])
-    @pytest.mark.parametrize("bad", [-1, 7])
-    def test_rejects_an_index_outside_the_padded_range_for_agent_0(self, bad, with_out, rng):
+    def test_rejects_an_index_outside_the_padded_range_for_agent_0(self, bad, rng):
         # without the check, index m_max for agent 0 is agent 1's component 0
         inst = uneven_instance(LEAST_SQUARES, sizes=self.sizes)
         x = rng.normal(size=(inst.num_agents, inst.dimension))
-        out = np.full((inst.num_agents, 1, inst.dimension), np.nan) if with_out else None
         with pytest.raises(ValueError, match="m_max"):
-            component_gradients(inst, x, np.array([bad, 1, 2]), out=out)
+            component_gradients(inst, x, np.array([bad, 1, 2]))
 
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
     def test_padding_index_yields_the_regularizer_gradient(self, kind, rng):
@@ -320,14 +309,42 @@ class TestStreamMeans:
         # relative to each stream's largest entry: a near-zero entry cancels
         assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected).max(axis=-1, keepdims=True))
 
-    def test_rejects_a_partial_index_set_and_out(self, rng):
+    def test_rejects_a_partial_index_set(self, rng):
         inst = uneven_instance(LOGISTIC_NONCONVEX)
         x = rng.normal(size=(2, inst.num_agents, inst.dimension))
         every = self.every(inst, 2 * inst.num_agents)
         with pytest.raises(ValueError, match="every index"):
             component_gradients(inst, x, every[:-1], mean=True)
-        with pytest.raises(ValueError, match="every index"):
-            component_gradients(inst, x, every, mean=True, out=np.empty(x.shape))
+
+
+class TestInShape:
+    """The per-agent columns the kernels read, kept once per shape."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_one_contiguous_read_only_array_per_shape(self, lead):
+        inst = uneven_instance(LOGISTIC_NONCONVEX)
+        N = inst.num_agents
+        for name, column, k in [("offsets", inst.row_offsets, 2), ("sizes", inst.sizes[:, None] * 1.0, 5)]:
+            shape = lead + (N, k)
+            array = inst.in_shape(name, shape)
+            assert array is inst.in_shape(name, shape)
+            assert array.flags.c_contiguous and not array.flags.writeable
+            assert array.dtype == column.dtype
+            assert array.tobytes() == np.broadcast_to(column, shape).tobytes()
+        assert inst.in_shape("offsets", lead + (N, 3)) is not inst.in_shape("offsets", lead + (N, 2))
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_kernels_keep_the_bits_of_the_broadcast_columns(self, kind, rng, monkeypatch):
+        inst = uneven_instance(kind)
+        x = rng.normal(scale=2.0, size=(3, inst.num_agents, inst.dimension))
+        indices = rng.integers(0, inst.max_points, size=3 * inst.num_agents * 4)
+        every = np.tile(np.arange(inst.max_points), 3 * inst.num_agents)
+        rows = component_gradients(inst, x, indices)
+        means = component_gradients(inst, x, every, mean=True)
+        # the columns (N, 1) that broadcast: row offsets, and the int sizes
+        monkeypatch.setattr(ProblemInstance, "in_shape", broadcast_columns)
+        assert rows.tobytes() == component_gradients(inst, x, indices).tobytes()
+        assert means.tobytes() == component_gradients(inst, x, every, mean=True).tobytes()
 
 
 class TestLocalGradients:
@@ -418,8 +435,12 @@ class TestFoldedLabels:
         x = rng.normal(scale=3.0, size=(4, N, n))
         # every index below m_max per stream, as a table refresh draws them
         indices = np.tile(np.arange(m_max), 4 * N)
-        out = np.full((4, N, m_max, n), np.nan) if with_out else None
-        got = component_gradients(inst, x, indices, out=out)
+        # with out, the row kernel writes into it, as a refresh of every row does
+        if with_out:
+            out = np.full((4, N, m_max, n), np.nan)
+            got = _component_rows(inst, x, indices, out=out)
+        else:
+            got = component_gradients(inst, x, indices)
         features, labels = _raw_padded(inst)
         feats = np.broadcast_to(features, (4, N, m_max, n)).copy()
         margins = np.einsum("...j,...j->...", feats, x[..., None, :])

@@ -309,6 +309,17 @@ class TestRunExperiment:
             run_experiment(parse_config(BASIC_INI), out_dir=out, workers=workers)
         assert resolved == [] and not out.exists()
 
+    def test_an_output_dir_under_a_file_is_a_config_error(self, tmp_path, monkeypatch):
+        # a path below a regular file cannot be created: NotADirectoryError, an OSError
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        started = []
+        monkeypatch.setattr(runner, "_run_group", lambda *args: started.append(args))
+        with pytest.raises(ConfigError, match="output dir") as raised:
+            run_experiment(parse_config(BASIC_INI), out_dir=blocker / "out")
+        assert isinstance(raised.value.__cause__, NotADirectoryError)
+        assert started == [] and blocker.read_text() == ""
+
     def test_workers_do_not_change_results(self, tmp_path):
         cfg = parse_config(BASIC_INI + "\n[sweep]\ngamma = 0.05, 0.02\n")
         r1 = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
@@ -699,6 +710,14 @@ class TestCli:
         assert "one agent" in report["findings"][0]
         assert self.run_cli("run", str(path), "--out", str(tmp_path / "run")).returncode == 0
 
+    def test_output_dir_under_a_file_exits_2(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BASIC_INI)
+        proc = self.run_cli("run", str(ini), "--out", str(ini / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr and "output dir" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exit_code(self):
         proc = self.run_cli("run", "/nonexistent/nope.ini")
         assert proc.returncode == 2
@@ -901,9 +920,9 @@ def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replace
     assert len(set(held)) == len(held)
     # the group's block holds the batches of the reader that draws most, and
     # every other run's generators drew exactly its owner's batches
-    assert group.shape[2] == max(draws[variant] for variant in readers)
+    assert group.shape[0] == max(draws[variant] for variant in readers)
     for run_cfg, streams in started:
-        steps = group.shape[2] if run_cfg.variant in readers else draws[run_cfg.variant]
+        steps = group.shape[0] if run_cfg.variant in readers else draws[run_cfg.variant]
         for index, stream in enumerate(streams):
             r, i = divmod(index, 4)
             reference = np.random.default_rng(np.random.SeedSequence([1, r, 1 + i]))
@@ -915,7 +934,7 @@ def test_points_past_the_shared_block(tmp_path, monkeypatch, batch_size, replace
             ]
             if run_cfg.variant in readers:
                 assert stream.rng is None
-                assert np.array_equal(group[r, i], np.reshape(expected, (steps, batch_size)))
+                assert np.array_equal(group[:, r, i], np.reshape(expected, (steps, batch_size)))
             else:
                 assert stream.rng.bit_generator.state == reference.bit_generator.state, (run_cfg.variant, r, i)
 
