@@ -48,11 +48,12 @@ again (``lt_admm_vr``) and they are all in the current block of draws
 Randomness is organized per (replicate, agent) stream with a fixed in-stream
 draw order, so results are a pure function of the configuration and never
 depend on scheduling.  Which replicates share the stack changes no state,
-counter, consensus error or conservation residual (a refresh runs the
-same products for a stream at any stack size); the gradient
-metrics come from matrix products over all replicates' rows, and BLAS may
-round a row differently with their number (OpenBLAS takes a one-row path for a
-lone replicate), so those may differ in the last bits.  A run's random
+counter, consensus error or conservation residual, nor the inner-gradient
+term of ``d_k``: every exact local gradient runs the same products for a
+stream at any stack size.  ``grad_norm_sq`` comes from matrix products
+over all replicates' rows, and BLAS may round a row differently with
+their number (OpenBLAS takes a one-row path for a lone replicate), so it,
+and ``d_k``, which adds it, may differ in the last bits.  A run's random
 inputs depend only on its random key: the master seed, the replicates, the
 batch size, the sampling mode and ``init_std``.  Variant, gamma, rho and tau
 only change how many batches it draws.  Runs of one problem with the same
@@ -552,13 +553,12 @@ def simulate_replicates(
     epoch started from (its true gradients are measurement overhead and
     never hit the counters).  A refresh step's estimate is already the exact
     local gradient at its inner iterate, so the metric reads it from the
-    epoch's log and evaluates ``local_gradients`` only at the other inner
-    iterates: never for ``exact``, whose every step is a table-free refresh
-    that runs each stream's own products, so that its trajectory too is
-    the same alone as in the stack.  Once every replicate has diverged the run
-    stops, and ``component_evals`` is completed from the cost table
-    (:func:`metrics.iteration_evals`), so it and ``comms`` read as if the
-    held states had run the whole budget.
+    epoch's log and evaluates ``local_gradients``, the refresh's own
+    per-stream kernel, only at the other inner iterates (never for
+    ``exact``, whose every step is a refresh).  Once every replicate has
+    diverged the run stops, and ``component_evals`` is completed from the
+    cost table (:func:`metrics.iteration_evals`), so it and ``comms`` read
+    as if the held states had run the whole budget.
     """
     replicates = [int(r) for r in replicates]
     R, K = len(replicates), config.outer_iterations
@@ -629,8 +629,9 @@ def simulate_replicate(
     """Run one replicate alone: the same states as its column of a stacked run.
 
     Its counters, consensus errors and conservation residuals have the same
-    bits too; ``grad_norm_sq`` and ``d_k`` may differ in the last bits,
-    since BLAS computes a one-row matrix product by another path.
+    bits too; ``grad_norm_sq`` may differ in the last bits, since BLAS
+    computes a one-row matrix product by another path, and so may ``d_k``,
+    which adds it.
     """
     return simulate_replicates(instance, topology, config, [replicate])
 

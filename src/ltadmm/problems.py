@@ -18,15 +18,16 @@ noise and are fully determined by an integer seed.
 Three dense kernels read the agents' rows zero-padded to m_max rows each
 (``ProblemInstance.padded``): :func:`component_gradients` yields the
 solvers' rows (batch steps, and through its row form the rows a table
-refresh writes) or each stream's mean of them (every refresh step),
-:func:`local_gradients` every agent's gradient at its own point (the
-``record_dk`` metric), and
-:func:`global_gradient` the network gradient at a common point (the
-``grad_norm_sq`` metric).  A logistic row holds q = -y a, the label folded
-into the features: its data-loss gradient is sigma(q . x) q, which equals
-(-y sigma(-y a . x)) a bit for bit because y is +/-1, so the logistic
-kernels read no labels and evaluate the loss in place.  The weight epsilon
-joins the regularizer gradient's last scaling, in the same pass.
+refresh writes), :func:`local_gradients` every stream's exact local
+gradient at its own point from products over its agent's rows alone (every
+refresh step, as ``component_gradients(..., mean=True)``, and the
+``record_dk`` metric), and :func:`global_gradient` the network gradient at
+a common point (the ``grad_norm_sq`` metric).  A logistic row holds
+q = -y a, the label folded into the features: its data-loss gradient is
+sigma(q . x) q, which equals (-y sigma(-y a . x)) a bit for bit because y
+is +/-1, so the logistic kernels read no labels and evaluate the loss in
+place.  The weight epsilon joins the regularizer gradient's last scaling,
+in the same pass.
 """
 
 from __future__ import annotations
@@ -295,12 +296,13 @@ def component_gradients(
     With ``mean``, ``indices`` must list every index below m_max for every
     stream, as a refresh does (only their number is checked), and the
     result is each stream's mean over its m_i real rows, shape (..., N, n):
-    the exact local gradient, with no rows kept (:func:`_stream_means`).
+    :func:`local_gradients` of ``x``, which keeps no rows and rejects a
+    non-finite point.
     """
     if mean:
         if np.size(indices) != instance.max_points * x[..., 0].size:
             raise ValueError("a mean takes every index below m_max of every stream")
-        return _stream_means(instance, x)
+        return local_gradients(instance, x)
     _check_range(instance, indices)
     return _component_rows(instance, x, indices)
 
@@ -339,28 +341,6 @@ def _component_rows(
     return feats
 
 
-def _stream_means(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """Each stream's exact local gradient at its row of ``x`` (..., N, n), from its own products.
-
-    Stream (..., i) runs the same two matrix products over agent i's padded
-    rows F_i (m_max x n) whatever the stack: the margins F_i x and the
-    weighted row sum w F_i, so a stream's bits do not depend on which other
-    streams share ``x``.  The padding rows add zeros to the sum, which is
-    divided by m_i, held as floats in the result's shape
-    (:meth:`ProblemInstance.in_shape`); the regularizer gradient is added once.
-    """
-    features, labels = instance.padded
-    N, n = instance.num_agents, instance.dimension
-    feats = features.reshape(N, -1, n)
-    labs = labels.reshape(N, -1) if instance.kind == LEAST_SQUARES else None
-    margins = (feats @ x[..., None])[..., 0]
-    g = (_loss_weights(instance, margins, labs)[..., None, :] @ feats)[..., 0, :]
-    g /= instance.in_shape("sizes", g.shape)
-    if instance.kind == LOGISTIC_NONCONVEX:
-        g += _regularizer_gradient(x, instance.epsilon)
-    return g
-
-
 def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:
     """Exact local gradient of one agent: the mean of its component gradients.
 
@@ -378,25 +358,25 @@ def local_full_gradient(instance: ProblemInstance, agent: int, x: np.ndarray) ->
 
 
 def local_gradients(instance: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """Every agent's exact local gradient at its own row of ``x``.
+    """Every agent's exact local gradient at its own row of ``x`` (..., N, n).
 
-    ``x`` stacks one point per agent, shape (..., N, n); row i of the result
-    is agent i's gradient at row i of ``x``.  The agents are evaluated
-    together on the padded rows, agent axis leading, in two batched matrix
-    products; padding rows are zero and add nothing.  This is the kernel of
-    the epoch gradient metric (``record_dk``); the network-gradient metric,
-    whose agents share one point, uses :func:`global_gradient`.
+    Stream (..., i) runs the same two matrix products over agent i's padded
+    rows F_i (m_max x n) whatever the stack: the margins F_i x and the
+    weighted row sum w F_i, so its bits do not depend on which other
+    streams share ``x``.  The padding rows add zeros to the sum, which is
+    divided by m_i, held as floats in the result's shape
+    (:meth:`ProblemInstance.in_shape`); the regularizer gradient is added
+    once.  Every refresh (``component_gradients(..., mean=True)``) and the
+    ``record_dk`` metric use it.
     """
     _check_finite(x)
     features, labels = instance.padded
     N, n = instance.num_agents, instance.dimension
     feats = features.reshape(N, -1, n)
-    labs = labels.reshape(N, 1, -1)
-    points = np.moveaxis(x, -2, 0).reshape(N, -1, n)
-    margins = points @ feats.transpose(0, 2, 1)  # (N, P, m_max)
-    g = _loss_weights(instance, margins, labs) @ feats
-    g /= instance.sizes[:, None, None]
-    g = np.moveaxis(g.reshape((N,) + x.shape[:-2] + (n,)), 0, -2)
+    labs = labels.reshape(N, -1) if instance.kind == LEAST_SQUARES else None
+    margins = (feats @ x[..., None])[..., 0]
+    g = (_loss_weights(instance, margins, labs)[..., None, :] @ feats)[..., 0, :]
+    g /= instance.in_shape("sizes", g.shape)
     if instance.kind == LOGISTIC_NONCONVEX:
         g += _regularizer_gradient(x, instance.epsilon)
     return g

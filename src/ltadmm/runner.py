@@ -458,7 +458,7 @@ def run_experiment(
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a path with a null byte
         raise ConfigError(f"cannot create output dir {str(out)!r}: {err}") from err
     run_cfgs = [run_cfg for _, _, run_cfg in grid]
     # every field of a RunConfig is a scalar, so asdict's deep copies are not needed

@@ -23,7 +23,6 @@ from ltadmm.problems import (
     component_gradients,
     generate_classification,
     local_full_gradient,
-    local_gradients,
 )
 
 from conftest import agent_components, broadcast_columns, fresh_streams
@@ -598,14 +597,15 @@ class TestUnevenTable:
         for i, m in enumerate(self.sizes):
             assert (streams.table[:, i, m:].view(np.int64) == 0).all()  # +0.0, bit for bit
 
-    def test_exact_estimate_matches_local_gradients(self, kind, rng):
+    def test_exact_estimate_matches_local_full_gradient(self, kind, rng):
         inst = uneven_instance(self.sizes, kind)
         streams = make_streams(inst, replicates=2)
         x = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
-        # the exact variant's estimate: the mean of a freshly refreshed table
+        # the exact variant's estimate: the mean of a freshly refreshed table,
+        # against the per-agent reference, which shares no kernel with the refresh
         saga_refresh(streams, inst, x)
         g = streams.table_sum / streams.sizes[:, None]
-        assert np.max(np.abs(g - local_gradients(inst, x))) <= 1e-13
+        assert np.max(np.abs(g - full_gradients(inst, x))) <= 1e-13
         assert (streams.tally == self.sizes).all()
 
     def test_batch_step_reads_and_writes_its_own_slots(self, kind, rng):

@@ -272,51 +272,6 @@ class TestStackedComponentKernel:
             assert np.allclose(rows[i], expected[i], rtol=1e-14, atol=0.0)
 
 
-class TestStreamMeans:
-    """``component_gradients(..., mean=True)``: each stream's exact local
-    gradient from two matrix products over its agent's padded rows alone."""
-
-    def every(self, inst, streams):
-        return np.tile(np.arange(inst.max_points), streams)
-
-    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
-    def test_a_streams_bits_do_not_depend_on_its_stack(self, kind, rng):
-        inst = uneven_instance(kind)
-        N = inst.num_agents
-        x = rng.normal(scale=2.0, size=(3, N, inst.dimension))
-        stacked = component_gradients(inst, x, self.every(inst, 3 * N), mean=True)
-        assert stacked.shape == x.shape
-        for size in (1, 2, 3):
-            for part in (slice(0, size), slice(3 - size, 3)):
-                got = component_gradients(inst, x[part], self.every(inst, size * N), mean=True)
-                assert got.tobytes() == stacked[part].tobytes(), part
-        for r in range(3):
-            alone = component_gradients(inst, x[r], self.every(inst, N), mean=True)
-            assert alone.tobytes() == stacked[r].tobytes()
-
-    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
-    def test_equals_the_per_agent_gradient_on_uneven_agents(self, kind, rng):
-        # agents of 1, 4, 9 and 2 points: every agent but one has padding rows
-        inst = uneven_instance(kind)
-        features, _ = inst.padded
-        padding = (np.arange(inst.max_points) >= inst.sizes[:, None]).ravel()
-        assert padding.sum() == 4 * 9 - 16
-        if kind == LOGISTIC_NONCONVEX:  # folded rows -y a are -0.0 past each m_i
-            assert np.signbit(features[padding]).all()
-        x = rng.normal(scale=3.0, size=(4, inst.num_agents, inst.dimension))
-        got = component_gradients(inst, x, self.every(inst, x[..., 0].size), mean=True)
-        expected = np.stack([local_full_gradient(inst, i, x[:, i]) for i in range(inst.num_agents)], axis=1)
-        # relative to each stream's largest entry: a near-zero entry cancels
-        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected).max(axis=-1, keepdims=True))
-
-    def test_rejects_a_partial_index_set(self, rng):
-        inst = uneven_instance(LOGISTIC_NONCONVEX)
-        x = rng.normal(size=(2, inst.num_agents, inst.dimension))
-        every = self.every(inst, 2 * inst.num_agents)
-        with pytest.raises(ValueError, match="every index"):
-            component_gradients(inst, x, every[:-1], mean=True)
-
-
 class TestInShape:
     """The per-agent columns the kernels read, kept once per shape."""
 
@@ -348,16 +303,58 @@ class TestInShape:
 
 
 class TestLocalGradients:
+    """``local_gradients``, which ``component_gradients(..., mean=True)``
+    returns: each stream's exact local gradient from two matrix products
+    over its agent's padded rows alone."""
+
+    @staticmethod
+    def every(inst, streams):
+        return np.tile(np.arange(inst.max_points), streams)
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_a_streams_bits_do_not_depend_on_its_stack(self, kind, rng):
+        # the (T, R, N, n) stack of the record_dk metric: T inner iterates of R replicates
+        inst = uneven_instance(kind)
+        N, n = inst.num_agents, inst.dimension
+        x = rng.normal(scale=2.0, size=(2, 3, N, n))
+        stacked = local_gradients(inst, x)
+        assert stacked.shape == x.shape
+        assert local_gradients(inst, x.reshape(6, N, n)).tobytes() == stacked.tobytes()
+        for t in range(2):
+            for size in (1, 2, 3):
+                for part in (slice(0, size), slice(3 - size, 3)):
+                    assert local_gradients(inst, x[t, part]).tobytes() == stacked[t, part].tobytes(), part
+            for r in range(3):
+                assert local_gradients(inst, x[t, r]).tobytes() == stacked[t, r].tobytes()
+        # the refresh's mean is the same kernel
+        means = component_gradients(inst, x[0], self.every(inst, 3 * N), mean=True)
+        assert means.tobytes() == stacked[0].tobytes()
+
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     def test_equals_per_agent_loop(self, kind, lead, rng):
+        # agents of 1, 4, 9 and 2 points: every agent but one has padding rows
         inst = uneven_instance(kind)
+        features, _ = inst.padded
+        padding = (np.arange(inst.max_points) >= inst.sizes[:, None]).ravel()
+        assert padding.sum() == 4 * 9 - 16
+        if kind == LOGISTIC_NONCONVEX:  # folded rows -y a are -0.0 past each m_i
+            assert np.signbit(features[padding]).all()
         x = rng.normal(scale=3.0, size=lead + (inst.num_agents, inst.dimension))
         got = local_gradients(inst, x)
         expected = np.stack([local_full_gradient(inst, i, x[..., i, :]) for i in range(inst.num_agents)], axis=-2)
         assert got.shape == x.shape
         scale = max(1.0, float(np.abs(expected).max()))
         assert np.max(np.abs(got - expected)) <= 1e-15 * scale
+        # relative to each stream's largest entry: a near-zero entry cancels
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected).max(axis=-1, keepdims=True))
+
+    def test_rejects_a_partial_index_set(self, rng):
+        inst = uneven_instance(LOGISTIC_NONCONVEX)
+        x = rng.normal(size=(2, inst.num_agents, inst.dimension))
+        every = self.every(inst, 2 * inst.num_agents)
+        with pytest.raises(ValueError, match="every index"):
+            component_gradients(inst, x, every[:-1], mean=True)
 
     def test_non_finite_rejected(self):
         inst = uneven_instance(LEAST_SQUARES)
@@ -365,6 +362,8 @@ class TestLocalGradients:
         x[2, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             local_gradients(inst, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            component_gradients(inst, x, self.every(inst, inst.num_agents), mean=True)
 
     @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
     @pytest.mark.parametrize("lead", [(), (5,), (2, 5)])
@@ -453,14 +452,13 @@ class TestFoldedLabels:
     @pytest.mark.parametrize("case", [0, 1])
     def test_local_gradients(self, case, rng):
         inst = self.instances()[case]
-        N, n = inst.num_agents, inst.dimension
-        x = rng.normal(scale=3.0, size=(20, N, n))
+        x = rng.normal(scale=3.0, size=(20, inst.num_agents, inst.dimension))
         features, labels = _raw_padded(inst)
-        points = np.moveaxis(x, -2, 0).reshape(N, -1, n)
-        weights = _label_weights(points @ features.transpose(0, 2, 1), labels[:, None, :])
-        g = weights @ features
-        g /= inst.sizes[:, None, None]
-        expected = np.moveaxis(g, 0, -2) + inst.epsilon * _regularizer_gradient(x)
+        # each stream's own products over its agent's rows, as the kernel runs them
+        weights = _label_weights((features @ x[..., None])[..., 0], labels)
+        g = (weights[..., None, :] @ features)[..., 0, :]
+        g /= inst.sizes[:, None]
+        expected = g + inst.epsilon * _regularizer_gradient(x)
         self.assert_same_bits(local_gradients(inst, x), expected)
 
     @pytest.mark.parametrize("case", [0, 1])

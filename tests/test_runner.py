@@ -309,16 +309,21 @@ class TestRunExperiment:
             run_experiment(parse_config(BASIC_INI), out_dir=out, workers=workers)
         assert resolved == [] and not out.exists()
 
-    def test_an_output_dir_under_a_file_is_a_config_error(self, tmp_path, monkeypatch):
-        # a path below a regular file cannot be created: NotADirectoryError, an OSError
+    # a path below a regular file cannot be created: NotADirectoryError, an OSError;
+    # nor one with a null byte, which Path.mkdir rejects with a ValueError
+    @pytest.mark.parametrize(
+        "below, cause", [("file/out", NotADirectoryError), ("a\0b", ValueError)], ids=["under-file", "null-byte"]
+    )
+    def test_an_output_dir_under_a_file_is_a_config_error(self, tmp_path, monkeypatch, below, cause):
         blocker = tmp_path / "file"
         blocker.write_text("")
         started = []
         monkeypatch.setattr(runner, "_run_group", lambda *args: started.append(args))
         with pytest.raises(ConfigError, match="output dir") as raised:
-            run_experiment(parse_config(BASIC_INI), out_dir=blocker / "out")
-        assert isinstance(raised.value.__cause__, NotADirectoryError)
+            run_experiment(parse_config(BASIC_INI), out_dir=tmp_path / below)
+        assert type(raised.value.__cause__) is cause
         assert started == [] and blocker.read_text() == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     def test_workers_do_not_change_results(self, tmp_path):
         cfg = parse_config(BASIC_INI + "\n[sweep]\ngamma = 0.05, 0.02\n")
