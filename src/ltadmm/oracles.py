@@ -65,7 +65,7 @@ Every component-gradient evaluation is tallied per stream; the cost table
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -221,15 +221,23 @@ class Streams:
         self.tally += evals
 
 
-def _choice_integers(rng: np.random.Generator, m: int, b: int, steps: int) -> np.ndarray:
-    """The bounded integers of ``steps`` Floyd ``choice(m, b)`` calls, in one draw.
+@lru_cache(maxsize=64)
+def _choice_bounds(m: int, b: int, steps: int) -> np.ndarray:
+    """The exclusive upper bounds of the draws of ``steps`` Floyd ``choice(m, b)`` calls.
 
-    Each call draws 2b - 1 of them: Floyd's pass j from [0, m - b + j], then
-    the shuffle's pass for position i from [0, i], for i = b - 1 down to 1.
-    Shape (steps, 2b - 1).
+    Each call draws 2b - 1 bounded integers: Floyd's pass j from
+    [0, m - b + j], then the shuffle's pass for position i from [0, i], for
+    i = b - 1 down to 1.  A read-only broadcast of shape (steps, 2b - 1),
+    kept for the next call with the same arguments: a block's streams of
+    one size m share it.
     """
     highs = np.concatenate([np.arange(m - b + 1, m + 1), np.arange(b, 1, -1)])
-    return rng.integers(0, np.broadcast_to(highs, (steps, len(highs))))
+    return np.broadcast_to(highs, (steps, len(highs)))
+
+
+def _choice_integers(rng: np.random.Generator, m: int, b: int, steps: int) -> np.ndarray:
+    """The bounded integers of ``steps`` Floyd ``choice(m, b)`` calls, in one draw: shape (steps, 2b - 1)."""
+    return rng.integers(0, _choice_bounds(m, b, steps))
 
 
 def _floyd_subsets(draws: np.ndarray, sizes) -> np.ndarray:
@@ -432,7 +440,7 @@ def saga_refresh(
         _check_range(instance, reads)  # the row kernel gathers with mode="clip"
     sums = component_gradients(instance, anchor, streams._every, mean=True)
     if reads is None:
-        rows = _component_rows(instance, anchor, streams._every, out=streams.table)
+        rows = _component_rows(instance, anchor, None, out=streams.table)
         if streams._padding is not None:
             rows[:, streams._padding] = 0.0
         streams.table = rows

@@ -315,7 +315,7 @@ def _check_range(instance: ProblemInstance, indices: np.ndarray) -> None:
 
 
 def _component_rows(
-    instance: ProblemInstance, x: np.ndarray, indices: np.ndarray, out: np.ndarray | None = None
+    instance: ProblemInstance, x: np.ndarray, indices: np.ndarray | None, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The rows of :func:`component_gradients` for ``indices`` already checked against [0, m_max).
 
@@ -324,16 +324,26 @@ def _component_rows(
     Each index becomes its padded row by one addition of i * m_max in the
     indices' own shape (:meth:`ProblemInstance.in_shape`).  The gather
     clips an unchecked index into the padded rows (possibly another
-    agent's) instead of rejecting it.
+    agent's) instead of rejecting it.  ``indices`` None names every index
+    below m_max of every stream, in order (b = m_max), as a refresh of
+    every row does: each agent's padded rows are then copied over the
+    leading axes, and no positions are built.
     """
     features, labels = instance.padded
-    indices = indices.reshape(x.shape[:-1] + (-1,))
-    position = indices + instance.in_shape("offsets", indices.shape)
-    # take(out=) with mode="raise" first gathers into a buffer the size of
-    # ``out``; checked indices gather directly under mode="clip" instead
-    feats = features.take(position, axis=0, out=out, mode="clip")
-    labs = labels.take(position) if instance.kind == LEAST_SQUARES else None
-    del position  # not needed past the gathers: free it before the loss temporaries
+    least_squares = instance.kind == LEAST_SQUARES
+    if indices is None:
+        N, m_max, n = instance.num_agents, instance.max_points, instance.dimension
+        feats = np.empty(x.shape[:-1] + (m_max, n)) if out is None else out
+        feats[...] = features.reshape(N, m_max, n)
+        labs = labels.reshape(N, m_max) if least_squares else None
+    else:
+        indices = indices.reshape(x.shape[:-1] + (-1,))
+        position = indices + instance.in_shape("offsets", indices.shape)
+        # take(out=) with mode="raise" first gathers into a buffer the size of
+        # ``out``; checked indices gather directly under mode="clip" instead
+        feats = features.take(position, axis=0, out=out, mode="clip")
+        labs = labels.take(position) if least_squares else None
+        del position  # not needed past the gathers: free it before the loss temporaries
     margins = np.einsum("...j,...j->...", feats, x[..., None, :])
     feats *= _loss_weights(instance, margins, labs)[..., None]  # the gathered copy becomes the rows
     if instance.kind == LOGISTIC_NONCONVEX:

@@ -10,6 +10,7 @@ from ltadmm.algorithms import (
     init_states,
     initial_iterates,
     local_training_epoch,
+    measure,
     outer_step,
     run,
     shared_inputs,
@@ -324,7 +325,8 @@ class TestOuterStep:
         streams = fresh_streams(inst, topo, cfg, range(3))
         degrees = np.asarray(topo.degrees)
         for k in range(4):
-            step = outer_step(streams, inst, topo, cfg, k, X, Z)
+            outer_step(streams, inst, topo, cfg, k, X, Z)
+            step = measure(inst, X, Z, topo.degree_vector, cfg.rho)
             residual = np.linalg.norm(Z.sum(axis=1) - cfg.rho * (degrees[:, None] * X).sum(axis=1), axis=-1)
             consensus = np.max(np.linalg.norm(X - X.mean(axis=1, keepdims=True), axis=-1), axis=-1)
             assert step.conservation_residual.tobytes() == residual.tobytes()
@@ -764,6 +766,113 @@ def assert_same_trace(a, r, b, s, rel=1e-12):
         assert np.all(np.abs(x - y)[finite] <= rel * np.abs(y)[finite])
 
 
+def check_held_replicate_keeps_its_start():
+    """A replicate that leaves at once keeps its start for 30 rounds; the others run as alone.
+
+    Each round is one ``algorithms.outer_step``, looked up at call time.
+    """
+    inst = unequal_problem()
+    topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
+    cfg = base_config(
+        variant="lt_admm_vr", gamma=0.05, rho=1.2, tau=3, outer_iterations=30,
+        batch_size=2, monte_carlo_runs=3,
+    )
+    solo_start = {r: initial_iterates(cfg, 5, 3, [r]) for r in (0, 2)}
+    X = np.concatenate([solo_start[0], np.full((1, 5, 3), 1e13), solo_start[2]])
+    Z = X[:, topo.src]
+    start = X[1].copy(), Z[1].copy()
+    streams = fresh_streams(inst, topo, cfg, range(3))
+    for k in range(cfg.outer_iterations):
+        algorithms.outer_step(streams, inst, topo, cfg, k, X, Z)
+    assert np.array_equal(X[1], start[0]) and np.array_equal(Z[1], start[1])
+    assert list(streams.diverged) == [1]
+    error = streams.diverged[1]
+    assert (error.outer_iteration, error.inner_step) == (0, 0)
+    for r, X1 in solo_start.items():
+        Z1 = X1[:, topo.src]
+        solo = fresh_streams(inst, topo, cfg, [r])
+        for k in range(cfg.outer_iterations):
+            algorithms.outer_step(solo, inst, topo, cfg, k, X1, Z1)
+        assert np.max(np.abs(X[r] - X1[0])) <= 1e-12 * np.max(np.abs(X1[0]))
+        assert np.max(np.abs(Z[r] - Z1[0])) <= 1e-12 * np.max(np.abs(Z1[0]))
+
+
+def check_chunked_measurement(monkeypatch, replicates, outer_iterations=9, gamma=0.05):
+    """Runs that measure 1, 4 and every state per chunk agree, and match states measured one by one.
+
+    ``consensus_err`` and ``conservation_residual`` reduce each state's own
+    rows, so they keep their bits.  ``grad_norm_sq``, and ``d_k``, which adds
+    it, come from matrix products over every point of a chunk, and BLAS
+    may round a row differently with the number of rows.  At R = 4 every
+    chunk is a multiple of four points, which OpenBLAS rounds alike (R = 5
+    moved them by up to 5.3e-16 relative), so they keep their bits; at
+    R = 1 and 2 they are held to 1e-14 relative.  Row k of
+    the one-state chunks must also be :func:`measure` of the k-th state of
+    a loop of ``outer_step``, so that a lag common to every chunk size
+    fails too.  Each run is one ``algorithms.simulate_replicates``.
+    """
+    inst = unequal_problem()
+    topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
+    cfg = base_config(
+        variant="lt_admm_vr", gamma=gamma, rho=1.2, tau=3, outer_iterations=outer_iterations,
+        batch_size=2, monte_carlo_runs=replicates, record_dk=True,
+    )
+    points = replicates * topo.num_agents * inst.max_points
+    default = algorithms._MEASURE_ENTRIES
+    assert default // points > outer_iterations  # the default chunk holds the whole run
+    runs = {}
+    for size, entries in ((1, 1), (4, 4 * points), ("every", default)):
+        monkeypatch.setattr(algorithms, "_MEASURE_ENTRIES", entries)
+        runs[size] = algorithms.simulate_replicates(inst, topo, cfg, range(replicates))
+    one = runs.pop(1)
+    rel = 0.0 if replicates >= 4 else 1e-14
+    for chunked in runs.values():
+        assert chunked.diverged_at == one.diverged_at
+        for name in ("consensus_err", "conservation_residual"):
+            assert getattr(chunked, name).tobytes() == getattr(one, name).tobytes(), name
+        for name in ("grad_norm_sq", "d_k"):
+            x, y = getattr(chunked, name), getattr(one, name)
+            assert np.array_equal(np.isnan(x), np.isnan(y)), name
+            finite = ~np.isnan(y)
+            assert np.all(np.abs(x - y)[finite] <= rel * np.abs(y)[finite]), name
+    X = initial_iterates(cfg, topo.num_agents, inst.dimension, range(replicates))
+    Z = X[:, topo.src]
+    streams = fresh_streams(inst, topo, cfg, range(replicates))
+    alone = [algorithms.measure(inst, X, Z, topo.degree_vector, cfg.rho)]
+    for k in range(len(one.grad_norm_sq) - 1):
+        outer_step(streams, inst, topo, cfg, k, X, Z)
+        alone.append(algorithms.measure(inst, X, Z, topo.degree_vector, cfg.rho))
+    for name in ("grad_norm_sq", "consensus_err", "conservation_residual"):
+        expected = np.array([getattr(metrics, name) for metrics in alone])
+        measured = getattr(one, name)
+        held = np.isnan(measured)  # blanked after a replicate's divergence
+        assert not held[0].any()
+        assert measured[~held].tobytes() == expected[~held].tobytes(), name
+    return one
+
+
+class TestChunkedMeasurement:
+    """A run measures the states of several outer iterations in one call."""
+
+    @pytest.mark.parametrize("replicates", [1, 2, 4])
+    def test_chunks_of_every_size_measure_each_state_alike(self, monkeypatch, replicates):
+        one = check_chunked_measurement(monkeypatch, replicates)
+        assert np.isfinite(one.d_k[:-1]).all()
+
+    @pytest.mark.parametrize("replicates", [1, 4])
+    def test_a_run_of_no_iterations_measures_its_initial_state(self, monkeypatch, replicates):
+        one = check_chunked_measurement(monkeypatch, replicates, outer_iterations=0)
+        assert one.grad_norm_sq.shape == (1, replicates) and np.isfinite(one.grad_norm_sq).all()
+        assert np.isnan(one.d_k).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("replicates", [1, 2, 4])
+    def test_a_run_that_stops_early_flushes_its_last_chunk(self, monkeypatch, replicates):
+        one = check_chunked_measurement(monkeypatch, replicates, gamma=80000.0)
+        # every replicate diverged, and the run stopped before its budget
+        assert None not in one.diverged_at and max(one.diverged_at) + 1 < 9
+
+
 class TestReplicateAxis:
     """Stacking replicates changes no replicate's trajectory."""
 
@@ -869,30 +978,7 @@ class TestReplicateAxis:
 
     @pytest.mark.filterwarnings("error")
     def test_held_replicate_keeps_its_start_over_a_long_tail(self):
-        inst = unequal_problem()
-        topo = build_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
-        cfg = base_config(
-            variant="lt_admm_vr", gamma=0.05, rho=1.2, tau=3, outer_iterations=30,
-            batch_size=2, monte_carlo_runs=3,
-        )
-        solo_start = {r: initial_iterates(cfg, 5, 3, [r]) for r in (0, 2)}
-        X = np.concatenate([solo_start[0], np.full((1, 5, 3), 1e13), solo_start[2]])
-        Z = X[:, topo.src]
-        start = X[1].copy(), Z[1].copy()
-        streams = fresh_streams(inst, topo, cfg, range(3))
-        for k in range(cfg.outer_iterations):
-            outer_step(streams, inst, topo, cfg, k, X, Z)
-        assert np.array_equal(X[1], start[0]) and np.array_equal(Z[1], start[1])
-        assert list(streams.diverged) == [1]
-        error = streams.diverged[1]
-        assert (error.outer_iteration, error.inner_step) == (0, 0)
-        for r, X1 in solo_start.items():
-            Z1 = X1[:, topo.src]
-            solo = fresh_streams(inst, topo, cfg, [r])
-            for k in range(cfg.outer_iterations):
-                outer_step(solo, inst, topo, cfg, k, X1, Z1)
-            assert np.max(np.abs(X[r] - X1[0])) <= 1e-12 * np.max(np.abs(X1[0]))
-            assert np.max(np.abs(Z[r] - Z1[0])) <= 1e-12 * np.max(np.abs(Z1[0]))
+        check_held_replicate_keeps_its_start()
 
     @pytest.mark.filterwarnings("error")
     def test_last_replicates_to_leave_are_recorded_where_they_left(self):

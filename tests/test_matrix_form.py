@@ -7,6 +7,7 @@ from ltadmm.algorithms import (
     VARIANTS,
     RunConfig,
     initial_iterates,
+    measure,
     outer_step,
 )
 from ltadmm.graph import build_from_edges, build_ring
@@ -223,7 +224,8 @@ def test_solver_matches_oracle_on_drawn_runs(run):
     X, Z = np.stack(x0), np.stack([c.Z for c in cstates])
     for k in range(config.outer_iterations):
         log = []
-        measured = outer_step(streams, instance, topology, config, k, X, Z, log)
+        outer_step(streams, instance, topology, config, k, X, Z, log)
+        measured = measure(instance, X, Z, topology.degree_vector, config.rho)
         for r in range(R):
             replay = None if config.variant == "exact" else [G[r] for _, G in log]
             cstates[r] = compact_step(cstates[r], instance, config, gradients=replay)

@@ -196,13 +196,30 @@ class TestRefresh:
         assert streams.table.nbytes + peak < 1.5 * streams.table.nbytes
 
 
+def check_unbiased_with_stale_table(inst, rng):
+    """The variance-reduced estimate's mean over every single-index batch is the local gradient.
+
+    Every m_i must divide m_max: stream i enumerates its indices h mod m_i
+    for h below m_max, m_max / m_i times each.
+    """
+    streams = stale_streams(inst, rng)
+    x = at(inst, rng.normal(size=inst.dimension))
+    m = inst.max_points
+    batches = [(h % inst.sizes)[None, :, None] for h in range(m)]
+    mean = sum(saga_estimate(streams, inst, x, batch) for batch in batches) / m
+    assert np.max(np.abs(mean - full_gradients(inst, x))) <= 1e-14
+
+
 class TestSagaEstimate:
-    def test_unbiased_with_stale_table(self, rng):
-        inst = generate_classification(8, 1, 3, 3)
-        streams = stale_streams(inst, rng)
-        x = at(inst, rng.normal(size=3))
-        mean = sum(saga_estimate(streams, inst, x, batch_of(inst, [h])) for h in range(3)) / 3.0
-        assert np.max(np.abs(mean - full_gradients(inst, x))) <= 1e-14
+    @pytest.mark.parametrize("sizes", [(3,), (2, 4, 1)], ids=["one-agent", "unequal-agents"])
+    def test_unbiased_with_stale_table(self, sizes, rng):
+        # (3,) is one agent; (2, 4, 1) holds agents of unequal size, whose
+        # table averages divide by their own m_i
+        if len(sizes) == 1:
+            inst = generate_classification(8, 1, 3, sizes[0])
+        else:
+            inst = uneven_instance(sizes, LOGISTIC_NONCONVEX)
+        check_unbiased_with_stale_table(inst, rng)
 
     def test_unbiased_with_pair_batches(self, rng):
         # enumeration over all ordered pairs: batch size 2 with replacement

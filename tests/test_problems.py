@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ltadmm.algorithms import RunConfig, local_training_epoch
+from ltadmm.algorithms import RunConfig, local_training_epoch, simulate_replicates
 from ltadmm.graph import build_ring
 from ltadmm.oracles import Streams, exact_estimate, saga_refresh
 from ltadmm.problems import (
@@ -300,6 +300,26 @@ class TestInShape:
         monkeypatch.setattr(ProblemInstance, "in_shape", broadcast_columns)
         assert rows.tobytes() == component_gradients(inst, x, indices).tobytes()
         assert means.tobytes() == component_gradients(inst, x, every, mean=True).tobytes()
+
+
+    @pytest.mark.parametrize("kind", [LOGISTIC_NONCONVEX, LEAST_SQUARES])
+    def test_a_refresh_of_every_row_keeps_no_positions(self, kind, rng):
+        # m_max = 9 exceeds n = 3 and the batch of 2: no other cached array has 9 entries per stream
+        inst = uneven_instance(kind)
+        topo = build_ring(inst.num_agents)
+        config = RunConfig(
+            "lt_admm_vr_v2", gamma=0.05, rho=1.0, tau=3, outer_iterations=3, batch_size=2, monte_carlo_runs=2
+        )
+        simulate_replicates(inst, topo, config, range(2))  # refreshes every row at k = 0
+        x = rng.normal(scale=2.0, size=(2, inst.num_agents, inst.dimension))
+        streams = fresh_streams(inst, topo, config, range(2))
+        saga_refresh(streams, inst, x)
+        assert inst._shaped and all(array.shape[-1] < inst.max_points for array in inst._shaped.values())
+        # the table has the bits of the gathered rows, zero past each m_i
+        every = np.tile(np.arange(inst.max_points), 2 * inst.num_agents)
+        rows = component_gradients(inst, x, every)
+        rows[:, np.arange(inst.max_points) >= inst.sizes[:, None]] = 0.0
+        assert streams.table.tobytes() == rows.tobytes()
 
 
 class TestLocalGradients:
